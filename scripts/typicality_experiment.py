@@ -2,7 +2,7 @@
 """Witness-frequency study over random digital sets.
 
 Samples seeded compact sets at a fixed density, searches for strong cube
-covers at budgets (1/2**s)**k for each requested s, and tallies how often
+covers at budgets (1/s)**k for each requested s, and tallies how often
 a verified witness was found.  Frequencies describe this finite sampling
 model only; an "unknown" outcome just means the search gave up.
 """

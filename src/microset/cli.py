@@ -12,16 +12,11 @@ Exit codes:
   2  usage error or malformed input file
   3  internal invariant failure (a re-validation the library performs on
      its own output did not pass)
-
-MICROSET_THREADS, when set, must be a positive integer and caps internal
-parallelism.  Every operation here is sequential, so any cap is honored
-trivially; the variable is validated and otherwise ignored.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from fractions import Fraction
 
@@ -112,11 +107,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "cover-search",
         parents=[common],
-        help="search for a budgeted cube cover (--eps or --s, not both)",
+        help="search for a cube cover with budgets eps**k",
     )
     p.add_argument("--set", dest="set_path", required=True)
-    p.add_argument("--eps", type=_scalar, default=None)
-    p.add_argument("--s", type=int, default=None)
+    p.add_argument("--eps", type=_scalar, required=True)
     p.add_argument("--max-pieces", type=int, default=4096)
     p.add_argument("-o", "--out", default=None)
 
@@ -270,23 +264,13 @@ def _cmd_cover_verify(args) -> int:
 
 def _cmd_cover_search(args) -> int:
     e = _load_as(args.set_path, DigitalSet, "digital set")
-    if (args.eps is None) == (args.s is None):
-        raise ValueError("give exactly one of --eps or --s")
-    if args.eps is not None:
-        outcome = covers.greedy_strong_cover(e, args.eps, args.max_pieces, args.precision)
-        if isinstance(outcome, GreedyFailure):
-            raise _Negative(
-                f"{outcome.reason} at position {outcome.position}"
-                f" ({outcome.uncovered} cells uncovered)"
-            )
-        cover = outcome
-    else:
-        witness = covers.strong_cover_witness(e, args.s, args.max_pieces, args.precision)
-        if witness is None:
-            raise _Negative(f"unknown: no witness found for s={args.s}")
-        cover = witness
-    report = covers.verify_cover(e, cover)
-    assert report.ok, "search emitted a cover that failed re-verification"
+    # the search verifies what it emits; a failed check raises AssertionError
+    cover = covers.greedy_strong_cover(e, args.eps, args.max_pieces, args.precision)
+    if isinstance(cover, GreedyFailure):
+        raise _Negative(
+            f"{cover.reason} at position {cover.position}"
+            f" ({cover.uncovered} cells uncovered)"
+        )
     _emit(cover, args.out)
     print(f"cover with {len(cover.pieces)} pieces at eps={format_scalar(cover.eps)}")
     return 0
@@ -371,18 +355,6 @@ _HANDLERS = {
 }
 
 
-def _check_thread_cap() -> None:
-    raw = os.environ.get("MICROSET_THREADS")
-    if raw is None:
-        return
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ValueError(f"MICROSET_THREADS must be an integer, got {raw!r}") from None
-    if cap < 1:
-        raise ValueError(f"MICROSET_THREADS must be >= 1, got {cap}")
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -390,7 +362,6 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        _check_thread_cap()
         if getattr(args, "precision", 2) < 2:
             raise ValueError("--precision must be at least 2")
         return _HANDLERS[args.command](args)

@@ -26,9 +26,10 @@ from .rational import DEFAULT_PRECISION, pow_lower, pow_upper, root_lower
 class CoverSeq:
     """Ordered cover pieces under the budget volume(piece_k) <= eps**k.
 
-    The budget is a claim checked by ``verify_cover``, not a constructor
-    guarantee, so defective certificates stay representable.  ``strong``
-    asserts the geometric cube shape of every piece and is enforced here.
+    The budget is a claim checked by ``first_budget_violation``, not a
+    constructor guarantee, so defective certificates stay representable.
+    ``strong`` asserts the geometric cube shape of every piece and is
+    enforced here.
     """
 
     n: int
@@ -51,8 +52,17 @@ class CoverSeq:
                 if len(set(sides)) != 1 or sides[0] <= 0:
                     raise ValueError("strong cover pieces must be cubes")
 
-    def budget(self, k: int) -> Fraction:
-        return self.eps**k
+    def first_budget_violation(self, eps: Fraction | None = None) -> int | None:
+        """First position k with volume(piece_k) > eps**k, or None.
+
+        ``eps`` defaults to the cover's own; ``merge_covers`` passes the
+        strengthened budget its inputs must meet.
+        """
+        eps = self.eps if eps is None else eps
+        for k, piece in enumerate(self.pieces, start=1):
+            if volume(piece) > eps**k:
+                return k
+        return None
 
 
 @dataclass(frozen=True)
@@ -106,11 +116,7 @@ def verify_cover(e: DigitalSet, cover: CoverSeq) -> CoverReport:
     """Exact budget and coverage verdicts for a claimed cover of e."""
     if e.n != cover.n:
         raise ValueError("dimension mismatch")
-    first_violation = None
-    for k, piece in enumerate(cover.pieces, start=1):
-        if volume(piece) > cover.budget(k):
-            first_violation = (k, "budget")
-            break
+    k = cover.first_budget_violation()
     witness = None
     pieces = list(cover.pieces)
     for cell in e.cells:
@@ -118,9 +124,9 @@ def verify_cover(e: DigitalSet, cover: CoverSeq) -> CoverReport:
             witness = cell
             break
     return CoverReport(
-        budget_ok=first_violation is None,
+        budget_ok=k is None,
         coverage_ok=witness is None,
-        first_violation=first_violation,
+        first_violation=None if k is None else (k, "budget"),
         uncovered_witness=witness,
     )
 
@@ -187,17 +193,27 @@ def _certify_infeasible(
 ) -> GreedyFailure:
     # refutes any cover of e, not just this search: the total side budget
     # must span the projection of the whole set on every axis
-    r = pow_upper(eps, 1, e.n, prec)
-    if r < 1:
-        total = r / (1 - r)
-        needed = max(
-            len({c[axis] for c in e.cells}) * e.cell_side for axis in range(e.n)
-        )
-        if total < needed:
-            return GreedyFailure(
-                "budget-infeasible", position=position, uncovered=len(uncovered)
-            )
-    return GreedyFailure("stalled", position=position, uncovered=len(uncovered))
+    needed = max(len({c[axis] for c in e.cells}) * e.cell_side for axis in range(e.n))
+    reason = "budget-infeasible" if _series_upper(eps, 1, e.n, 0, prec) < needed else "stalled"
+    return GreedyFailure(reason, position=position, uncovered=len(uncovered))
+
+
+def _series_upper(eps: Fraction, num: int, den: int, terms: int, prec: int) -> Fraction:
+    """Certified upper bound of sum_{k>=1} eps**(num*k/den).
+
+    Finite prefix of per-term upper enclosures plus the geometric tail
+    r**(terms+1)/(1-r), with r an upper enclosure of eps**(num/den) whose
+    grid is refined until r < 1.
+    """
+    r = pow_upper(eps, num, den, prec)
+    while r >= 1:
+        prec *= 10
+        r = pow_upper(eps, num, den, prec)
+    partial = sum(
+        (min(pow_upper(eps, num * k, den, prec), r**k) for k in range(1, terms + 1)),
+        Fraction(0),
+    )
+    return partial + r ** (terms + 1) / (1 - r)
 
 
 def side_budget_sum(
@@ -205,26 +221,15 @@ def side_budget_sum(
 ) -> Fraction:
     """Certified upper bound of sum_{k>=1} eps**(k/n).
 
-    Finite prefix of per-term upper enclosures plus the geometric tail
-    r**(terms+1)/(1-r) with r an upper enclosure of eps**(1/n).  When the
-    value is below the extent of a set's projection, no strong cover at
-    budget eps can exist for that set.
+    When the value is below the extent of a set's projection, no strong
+    cover at budget eps can exist for that set.
     """
     eps = Fraction(eps)
     if not (0 < eps < 1):
         raise ValueError("eps must lie strictly between 0 and 1")
     if n < 1 or terms < 0:
         raise ValueError("bad arguments")
-    r = pow_upper(eps, 1, n, prec)
-    while r >= 1:
-        prec *= 10
-        r = pow_upper(eps, 1, n, prec)
-    partial = sum(
-        (min(pow_upper(eps, k, n, prec), r**k) for k in range(1, terms + 1)),
-        Fraction(0),
-    )
-    tail = r ** (terms + 1) / (1 - r)
-    return partial + tail
+    return _series_upper(eps, 1, n, terms, prec)
 
 
 def merge_covers(covers: Sequence[CoverSeq], eps: Fraction) -> CoverSeq:
@@ -250,20 +255,17 @@ def merge_covers(covers: Sequence[CoverSeq], eps: Fraction) -> CoverSeq:
             raise ValueError("dimension mismatch between covers")
         if cover.strong != strong:
             raise ValueError("cannot merge strong with non-strong covers")
-        for k, piece in enumerate(cover.pieces, start=1):
-            if volume(piece) > strengthened**k:
-                raise ValueError(
-                    f"cover {i} piece {k} exceeds the strengthened budget"
-                )
+        k = cover.first_budget_violation(strengthened)
+        if k is not None:
+            raise ValueError(f"cover {i} piece {k} exceeds the strengthened budget")
     pieces = []
     for k in range(1, 1 + max(len(c.pieces) for c in covers)):
         for cover in covers:
             if k <= len(cover.pieces):
                 pieces.append(cover.pieces[k - 1])
     merged = CoverSeq(n=n, eps=eps, strong=strong, pieces=tuple(pieces))
-    for k, piece in enumerate(merged.pieces, start=1):
-        if volume(piece) > merged.budget(k):
-            raise AssertionError("merge produced an over-budget piece")
+    if merged.first_budget_violation() is not None:
+        raise AssertionError("merge produced an over-budget piece")
     return merged
 
 
@@ -283,32 +285,11 @@ def cover_measure_upper(
         raise ValueError("terms must be >= 0")
     if not cover.strong:
         raise ValueError("measure bound requires a strong cover")
-    for k, piece in enumerate(cover.pieces, start=1):
-        if volume(piece) > cover.budget(k):
-            raise ValueError("cover does not satisfy its budget")
+    if cover.first_budget_violation() is not None:
+        raise ValueError("cover does not satisfy its budget")
     a, q = alpha.numerator, alpha.denominator
-    n = cover.n
-    u = pow_upper(cover.eps, a, q * n, prec)
-    while u >= 1:
-        prec *= 10
-        u = pow_upper(cover.eps, a, q * n, prec)
-    scale = pow_upper(Fraction(n), a, 2 * q, prec)
-    partial = sum(
-        (min(pow_upper(cover.eps, a * k, q * n, prec), u**k) for k in range(1, terms + 1)),
-        Fraction(0),
-    )
-    tail = u ** (terms + 1) / (1 - u)
-    return scale * (partial + tail)
-
-
-def strong_cover_witness(
-    e: DigitalSet, s: int, max_pieces: int, prec: int = DEFAULT_PRECISION
-) -> CoverSeq | None:
-    """Verified strong cover of e at budget 1/s, or None when inconclusive."""
-    if s < 2:
-        raise ValueError("scale s must be >= 2")
-    result = greedy_strong_cover(e, Fraction(1, s), max_pieces, prec)
-    return result if isinstance(result, CoverSeq) else None
+    scale = pow_upper(Fraction(cover.n), a, 2 * q, prec)
+    return scale * _series_upper(cover.eps, a, q * cover.n, terms, prec)
 
 
 def _strictly_inside(point: Point, box: Box) -> bool:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
 
-from .covers import CoverSeq, verify_cover
+from .covers import CoverSeq
 from .geometry import Box, Cube, DigitalSet, dist_sq, volume
 from .rational import (
     DEFAULT_PRECISION,
@@ -83,6 +83,12 @@ def validate(spec: DustSpec) -> str | None:
     return None
 
 
+def _require_admissible(spec: DustSpec) -> None:
+    problem = validate(spec)
+    if problem is not None:
+        raise ValueError(f"inadmissible dust spec: {problem}")
+
+
 def _corner_bits(spec: DustSpec, letter: int) -> tuple[int, ...]:
     code = spec.corner_order[letter - 1]
     return tuple((code >> (spec.n - 1 - axis)) & 1 for axis in range(spec.n))
@@ -143,9 +149,14 @@ def _check_tree(tree: DustTree) -> None:
 
 def generate(spec: DustSpec) -> DustTree:
     """Build the tree, then re-verify every structural invariant exactly."""
-    problem = validate(spec)
-    if problem is not None:
-        raise ValueError(f"inadmissible dust spec: {problem}")
+    _require_admissible(spec)
+    tree = _construct(spec)
+    _check_tree(tree)
+    return tree
+
+
+def _construct(spec: DustSpec) -> DustTree:
+    """The tree the spec defines, without any check; ``generate`` checks it."""
     levels = []
     current: list[tuple[tuple[int, ...], Cube]] = [
         ((), Cube.at_corner(tuple(Fraction(0) for _ in range(spec.n)), Fraction(1)))
@@ -164,9 +175,7 @@ def generate(spec: DustSpec) -> DustTree:
         nxt.sort(key=lambda item: item[0])
         levels.append(tuple(nxt))
         current = nxt
-    tree = DustTree(spec=spec, levels=tuple(levels))
-    _check_tree(tree)
-    return tree
+    return DustTree(spec=spec, levels=tuple(levels))
 
 
 @dataclass(frozen=True)
@@ -193,9 +202,7 @@ def gap_table(spec: DustSpec, tree: DustTree | None = None) -> GapTable:
     because c = b**n makes every root rational), which keeps this an
     independent route from the side lengths stored in the tree.
     """
-    problem = validate(spec)
-    if problem is not None:
-        raise ValueError(f"inadmissible dust spec: {problem}")
+    _require_admissible(spec)
     vols, leftovers, d_vals, big_d = [], [], [], []
     for k in range(1, spec.depth + 1):
         v_prev = spec.level_volume(k - 1)
@@ -270,9 +277,7 @@ def refutation_budget_lower(spec: DustSpec, prec: int = DEFAULT_PRECISION) -> Fr
     through: the exact threshold is
     (root_n(2**n + 1) - 2)**(4n) / c**4, with the root rounded down.
     """
-    problem = validate(spec)
-    if problem is not None:
-        raise ValueError(f"inadmissible dust spec: {problem}")
+    _require_admissible(spec)
     while True:
         t = root_lower(Fraction(2**spec.n + 1), spec.n, prec) - 2
         if t > 0:
@@ -414,11 +419,8 @@ class RefuterFailure:
 
 
 def _examined_prefix(depth: int, piece_count: int) -> int:
+    """Pieces bucketed into levels 1..depth: positions below (depth+1)**2 / 4."""
     return min(piece_count, ((depth + 1) ** 2 - 1) // 4)
-
-
-def _active_count(k: int, piece_count: int) -> int:
-    return min(piece_count, ((k + 1) ** 2 - 1) // 4)
 
 
 def survivor_refute(
@@ -435,11 +437,7 @@ def survivor_refute(
     spec = tree.spec
     if cover.n != spec.n:
         raise ValueError("dimension mismatch")
-    report_budget_ok = all(
-        volume(piece) <= cover.budget(k)
-        for k, piece in enumerate(cover.pieces, start=1)
-    )
-    if not report_budget_ok:
+    if cover.first_budget_violation() is not None:
         raise ValueError("cover does not satisfy its eps budget")
     checked = _examined_prefix(spec.depth, len(cover.pieces))
     gaps = gap_table(spec)
@@ -453,7 +451,7 @@ def survivor_refute(
     survivors: set[tuple[int, ...]] = {()}
     survivor_level: list[tuple[int, ...]] = []
     for k in range(1, spec.depth + 1):
-        active = cover.pieces[: _active_count(k, len(cover.pieces))]
+        active = cover.pieces[: _examined_prefix(k, len(cover.pieces))]
         alive = [
             word
             for word, cube in tree.level(k)
@@ -552,8 +550,3 @@ def adversary_random(
             corner.append(min(lo + wiggle, 1 - side))
         pieces.append(Cube.at_corner(tuple(corner), side))
     return CoverSeq(n=spec.n, eps=eps, strong=True, pieces=tuple(pieces))
-
-
-def cover_budget_report(e: DigitalSet, cover: CoverSeq):
-    """Convenience re-export point for scripts; exact verification."""
-    return verify_cover(e, cover)

@@ -191,10 +191,6 @@ def _box_gap_sq(a: Box, b: Box) -> Fraction:
     return total
 
 
-def _dim(obj: GeometricSet) -> int:
-    return obj.n
-
-
 def _as_boxes(obj: GeometricSet) -> list[Box]:
     if isinstance(obj, Point):
         return [Box(tuple((c, c) for c in obj.coords))]
@@ -233,7 +229,7 @@ def dist_sq(a: GeometricSet, b: GeometricSet) -> Fraction:
 
     Zero exactly when the (closed) sets intersect.
     """
-    if _dim(a) != _dim(b):
+    if a.n != b.n:
         raise ValueError("dimension mismatch")
     if isinstance(a, DigitalSet) and isinstance(b, DigitalSet):
         return _dist_sq_digital(a, b)

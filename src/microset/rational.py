@@ -16,8 +16,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt
 
-Scalar = Fraction
-
 DEFAULT_PRECISION = 10**12
 
 

@@ -7,30 +7,20 @@ certificates be diffed and golden-filed.
 
 Each document carries a versioned ``schema`` field.  Parsers validate
 structure and re-run the type constructors, so a tampered file fails
-loudly rather than deserializing into an inconsistent object.
+loudly rather than deserializing into an inconsistent object.  A dust
+tree is fully determined by its spec, so its loader rebuilds the tree and
+rejects any document that differs from it.
 """
 
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from pathlib import Path
 
 from .covers import BallSpec, CoverReport, CoverSeq
-from .dust import DustSpec, DustTree, GapTable, SurvivorCertificate
+from .dust import DustSpec, DustTree, GapTable, SurvivorCertificate, _construct
 from .geometry import Box, Cube, DigitalSet, HBracket
 from .rational import format_scalar, parse_scalar
-
-SCHEMAS = {
-    "digitalset/1",
-    "coverseq/1",
-    "coverreport/1",
-    "ballspec/1",
-    "dusttree/1",
-    "gaptable/1",
-    "survivor/1",
-    "hbracket/1",
-}
 
 
 def dumps(payload: dict) -> str:
@@ -170,15 +160,17 @@ def dusttree_from_json(data: dict) -> DustTree:
         depth=int(data["depth"]),
         corner_order=tuple(int(t) for t in data["corner_order"]),
     )
-    levels = []
-    for raw in data["levels"]:
-        level = []
-        for entry in raw:
-            side = parse_scalar(entry["side"])
-            corner = tuple(parse_scalar(lo) for lo in entry["lo"])
-            level.append((tuple(int(t) for t in entry["word"]), Cube.at_corner(corner, side)))
-        levels.append(tuple(level))
-    return DustTree(spec=spec, levels=tuple(levels))
+    # cheap shape check first, so a forged depth cannot force a huge build
+    levels = data["levels"]
+    if not isinstance(levels, list) or len(levels) != spec.depth or any(
+        not isinstance(level, list) or len(level) != 2 ** (spec.n * k)
+        for k, level in enumerate(levels, start=1)
+    ):
+        raise ValueError("dusttree/1 levels do not have the spec's cube counts")
+    tree = _construct(spec)
+    if dusttree_to_json(tree) != data:
+        raise ValueError("dusttree/1 document differs from the tree its spec defines")
+    return tree
 
 
 def gaptable_to_json(table: GapTable) -> dict:
@@ -272,11 +264,6 @@ _FROM_JSON = {
 
 def to_json(obj) -> dict:
     encoder = _TO_JSON.get(type(obj))
-    if encoder is None:
-        for klass, fn in _TO_JSON.items():
-            if isinstance(obj, klass):
-                encoder = fn
-                break
     if encoder is None:
         raise ValueError(f"no serializer for {type(obj).__name__}")
     return encoder(obj)

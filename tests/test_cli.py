@@ -189,16 +189,6 @@ def test_unknown_subcommand_is_usage_error():
     assert run("no-such-command") == 2
 
 
-def test_thread_cap_validation(tmp_path, monkeypatch):
-    out = tmp_path / "tree.json"
-    monkeypatch.setenv("MICROSET_THREADS", "4")
-    assert run("dust-generate", "--n", "1", "--b", "3", "--depth", "1", "-o", str(out)) == 0
-    monkeypatch.setenv("MICROSET_THREADS", "zero")
-    assert run("dust-gaps", "--n", "1", "--b", "3", "--depth", "1") == 2
-    monkeypatch.setenv("MICROSET_THREADS", "0")
-    assert run("dust-gaps", "--n", "1", "--b", "3", "--depth", "1") == 2
-
-
 def test_precision_flag_validation(tmp_path):
     assert run("dust-hmeasure", "--n", "1", "--b", "3", "--alpha", "1/2", "--k", "2",
                "--precision", "1") == 2
@@ -234,6 +224,28 @@ def test_refute_cli_full_cycle(tmp_path):
     forgedp = tmp_path / "forged.json"
     serialize.save(forged, forgedp)
     assert run("dust-refute", "--tree", str(tp), "--cover", str(cp), "--check", str(forgedp)) == 1
+
+
+def test_tampered_tree_is_malformed_input(tmp_path):
+    # a tree file is rebuilt from its spec on load; any other content is input error
+    spec = DustSpec(n=1, b=3, depth=4)
+    tree = generate(spec)
+    tp, cp = tmp_path / "tree.json", tmp_path / "cover.json"
+    serialize.save(tree, tp)
+    serialize.save(adversary_swallow(tree, refutation_budget_lower(spec), 8), cp)
+    doc = json.loads(tp.read_text())
+    for entry in doc["levels"][2]:
+        entry["lo"] = ["0/1"]
+    moved = tmp_path / "moved.json"
+    moved.write_text(serialize.dumps(doc))
+    assert run("dust-gaps", "--n", "1", "--b", "3", "--depth", "4", "--tree", str(moved)) == 2
+    assert run("dust-refute", "--tree", str(moved), "--cover", str(cp)) == 2
+    # a forged depth is refused before anything is built
+    doc = json.loads(tp.read_text())
+    doc["depth"] = 40
+    deep = tmp_path / "deep.json"
+    deep.write_text(serialize.dumps(doc))
+    assert run("dust-refute", "--tree", str(deep), "--cover", str(cp)) == 2
 
 
 def test_console_script_in_subprocess(tmp_path):

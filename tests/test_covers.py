@@ -14,7 +14,6 @@ from microset.covers import (
     greedy_strong_cover,
     merge_covers,
     side_budget_sum,
-    strong_cover_witness,
     verify_cover,
 )
 from microset.geometry import Box, Cube, DigitalSet, Point, volume
@@ -258,11 +257,11 @@ def test_cover_measure_upper_requires_strong():
 
 def test_strong_cover_witness_small_sets():
     e = DigitalSet(1, 3, 2, ((4,),))
-    w = strong_cover_witness(e, 2, 32)
-    assert w is not None
+    w = greedy_strong_cover(e, F(1, 2), 32)
+    assert isinstance(w, CoverSeq)
     assert verify_cover(e, w).ok
     with pytest.raises(ValueError):
-        strong_cover_witness(e, 1, 32)
+        greedy_strong_cover(e, F(1), 32)
 
 
 def test_strong_cover_witness_ten_points_s10():
@@ -270,14 +269,14 @@ def test_strong_cover_witness_ten_points_s10():
     grid = 3**11
     cells = tuple(sorted({(17001 * i % grid, 11003 * i % grid) for i in range(10)}))
     e = DigitalSet(2, 3, 11, cells)
-    w = strong_cover_witness(e, 10, 256)
-    assert w is not None
+    w = greedy_strong_cover(e, F(1, 10), 256)
+    assert isinstance(w, CoverSeq)
     assert verify_cover(e, w).ok
 
 
 def test_strong_cover_witness_unknown_on_full_square():
     e = DigitalSet(2, 3, 0, ((0, 0),))
-    assert strong_cover_witness(e, 2, 32) is None
+    assert isinstance(greedy_strong_cover(e, F(1, 2), 32), GreedyFailure)
 
 
 def test_ball_membership_examples():

@@ -1,0 +1,82 @@
+"""Pinned sha256 of every document schema the CLI emits, on small specs.
+
+Each document is produced through ``microset.cli.main`` exactly as a user
+would produce it; any change to a canonical byte changes its digest.  The
+digests were recorded before the budget predicate and the rebuilding tree
+loader were introduced, so they also pin that those changes kept every
+output byte.
+"""
+
+import hashlib
+
+import pytest
+
+from microset import serialize
+from microset.cli import main
+from microset.dust import DustSpec, adversary_swallow, generate, refutation_budget_lower
+
+GOLDEN = {
+    "tree_n2_d2.json": "7a97a0211661f5d2fea979b7f91b004f8bc768be152a1161cf9848448303b333",
+    "tree_n1_d4.json": "8bdf6a311557693c3605f3c95a3d4bca0fb9b0f0dac4e6428f725295144ab0c8",
+    "gaps_n2_d3.json": "dda1f3238a185a6f91d34892be222b7f4c3832ec43cb4fe924b238876a6f1bef",
+    "survivor_n1_d4.json": "6f92280d0146825eef5609d4e598718afdcee419dff2a15b1123fda3a1cac170",
+    "set_a.json": "90238d1c6c726c12f2cc3d581eb0cbba5a476080785a04348104446f2d6920a2",
+    "set_b.json": "0ad157ad827e5baa51e6e74aca9113d8042e7949e34f232b0593d73f9a998583",
+    "cover_a.json": "6098aaf0c8c8e6222a2371f138226e9a724a133af18ade788f36615437444a12",
+    "cover_b.json": "39ae93209344877d92617eaea7c779f1493f10255ea03928a9437b482c8f5e17",
+    "merged.json": "4b3cd8a4575810dc1509b29f8342c69d66f48aa392ff47e08edb89a84515a099",
+    "report_ok.json": "191b78edc16916986439c09295caa8f76ce6956dc2a73b736a0f41e9435a4b87",
+    "report_uncovered.json": "37962bc23ea95fda67a1fb0296a49a4780388e5830fbb9e5ebe6415e8acf427b",
+    "hbracket.json": "1b16039913c5148d256c72cedf85249a98e530f700db07575722f83cf086805a",
+}
+
+
+def _run(*argv):
+    return main([str(a) for a in argv])
+
+
+@pytest.fixture(scope="module")
+def docs(tmp_path_factory):
+    d = tmp_path_factory.mktemp("golden")
+    assert _run("dust-generate", "--n", 2, "--b", 3, "--depth", 2, "-o", d / "tree_n2_d2.json") == 0
+    assert _run("dust-generate", "--n", 1, "--b", 3, "--depth", 4, "-o", d / "tree_n1_d4.json") == 0
+    assert _run("dust-gaps", "--n", 2, "--b", 3, "--depth", 3, "-o", d / "gaps_n2_d3.json") == 0
+    spec = DustSpec(n=1, b=3, depth=4)
+    cover = adversary_swallow(generate(spec), refutation_budget_lower(spec), 8)
+    serialize.save(cover, d / "adversary.json")
+    assert _run(
+        "dust-refute", "--tree", d / "tree_n1_d4.json", "--cover", d / "adversary.json",
+        "-o", d / "survivor_n1_d4.json",
+    ) == 0
+    for label, seed in (("a", 4), ("b", 5)):
+        assert _run(
+            "baire-sample", "--n", 2, "--b", 3, "--depth", 2, "--density", "1/20",
+            "--seed", seed, "-o", d / f"set_{label}.json",
+        ) == 0
+        assert _run(
+            "cover-search", "--set", d / f"set_{label}.json", "--eps", "1/4",
+            "-o", d / f"cover_{label}.json",
+        ) == 0
+    assert _run(
+        "cover-merge", "--covers", d / "cover_a.json", d / "cover_b.json", "--eps", "1/2",
+        "-o", d / "merged.json",
+    ) == 0
+    assert _run(
+        "cover-verify", "--set", d / "set_a.json", "--cover", d / "cover_a.json",
+        "-o", d / "report_ok.json",
+    ) == 0
+    assert _run(
+        "cover-verify", "--set", d / "set_b.json", "--cover", d / "cover_a.json",
+        "-o", d / "report_uncovered.json",
+    ) == 1
+    assert _run(
+        "hausdorff", "--a", d / "set_a.json", "--b", d / "set_b.json", "--depth", 3,
+        "-o", d / "hbracket.json",
+    ) == 0
+    return d
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_emitted_bytes_are_pinned(docs, name):
+    blob = (docs / name).read_bytes()
+    assert hashlib.sha256(blob).hexdigest() == GOLDEN[name]
