@@ -11,7 +11,8 @@ Exit codes:
      (budget violated, not a member, premises refuted, search gave up)
   2  usage error or malformed input file
   3  internal invariant failure (a re-validation the library performs on
-     its own output did not pass)
+     its own output did not pass) or any other unexpected exception,
+     reported on one stderr line without a traceback
 """
 
 from __future__ import annotations
@@ -373,6 +374,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except AssertionError as exc:
         print(f"internal invariant failure: {exc}", file=sys.stderr)
+        return 3
+    except Exception as exc:  # any other escape is a bug: one line, no traceback
+        print(f"internal error, please report: {exc!r}", file=sys.stderr)
         return 3
 
 

@@ -52,9 +52,12 @@ class DustSpec:
             raise ValueError("base must be >= 2")
         if self.depth < 1:
             raise ValueError("depth must be >= 1")
-        order = tuple(self.corner_order) or tuple(range(2**self.n))
+        order = tuple(self.corner_order)
+        if order and not _has_size(len(order), self.n):
+            raise ValueError("corner_order must list 2**n corners")
+        order = order or tuple(range(2**self.n))
         object.__setattr__(self, "corner_order", order)
-        if sorted(order) != list(range(2**self.n)):
+        if sorted(order) != list(range(len(order))):
             raise ValueError("corner_order must permute the parent corners")
 
     @property
@@ -66,6 +69,11 @@ class DustSpec:
 
     def level_volume(self, k: int) -> Fraction:
         return Fraction(1, self.c ** (k * k))
+
+
+def _has_size(count: int, exponent: int) -> bool:
+    """count == 2**exponent, without building 2**exponent for a forged exponent."""
+    return exponent >= 0 and count.bit_length() == exponent + 1 and count == 1 << exponent
 
 
 def validate(spec: DustSpec) -> str | None:
@@ -117,15 +125,26 @@ class DustTree:
         return DigitalSet(self.spec.n, self.spec.b, k * k, tuple(cells))
 
 
-def _check_tree(tree: DustTree) -> None:
+def _check_tree(tree: DustTree) -> tuple[Fraction, ...]:
+    """Exact structural re-check; returns each level's least squared sibling distance.
+
+    Only siblings are compared: by induction the level-(k-1) cubes are disjoint
+    and D_{k-1} apart, and each level-k cube lies in its parent, so level k is
+    disjoint and min(d_k, D_{k-1}) = D_k apart once its sibling minimum is d_k.
+    """
     spec = tree.spec
     parent_lookup: dict[tuple[int, ...], Cube] = {
         (): Cube.at_corner(tuple(Fraction(0) for _ in range(spec.n)), Fraction(1))
     }
+    sibling_min: list[Fraction] = []
     for k in range(1, spec.depth + 1):
         level = tree.level(k)
         if len(level) != 2 ** (spec.n * k):
             raise AssertionError(f"level {k} cube count is wrong")
+        lookup = dict(level)
+        if len(lookup) != len(level) or any(w[:-1] not in parent_lookup for w in lookup):
+            raise AssertionError(f"level {k} words are not distinct children")
+        families: dict[tuple[int, ...], list[Cube]] = {}
         side = spec.level_side(k)
         for word, cube in level:
             if cube.side != side:
@@ -139,12 +158,17 @@ def _check_tree(tree: DustTree) -> None:
             shared = set(cube.vertices()) & set(parent.vertices())
             if len(shared) != 1:
                 raise AssertionError(f"cube {word} shares {len(shared)} vertices")
-        boxes = [cube for _, cube in level]
-        for i in range(len(boxes)):
-            for j in range(i + 1, len(boxes)):
-                if dist_sq(boxes[i], boxes[j]) == 0:
-                    raise AssertionError(f"level {k} cubes {i} and {j} touch")
-        parent_lookup = {word: cube for word, cube in level}
+            families.setdefault(word[:-1], []).append(cube)
+        least = min(
+            dist_sq(a, b)
+            for family in families.values()
+            for a, b in itertools.combinations(family, 2)
+        )
+        if least == 0:
+            raise AssertionError(f"level {k} has touching siblings")
+        sibling_min.append(least)
+        parent_lookup = lookup
+    return tuple(sibling_min)
 
 
 def generate(spec: DustSpec) -> DustTree:
@@ -196,7 +220,7 @@ class GapTable:
 
 
 def gap_table(spec: DustSpec, tree: DustTree | None = None) -> GapTable:
-    """Exact gap table; cross-checked against the tree when one is given.
+    """Exact gap table; checked against the tree's sibling gaps when one is given.
 
     The gaps are computed through n-th roots of the volume column (exact
     because c = b**n makes every root rational), which keeps this an
@@ -224,27 +248,12 @@ def gap_table(spec: DustSpec, tree: DustTree | None = None) -> GapTable:
         level_gap=tuple(big_d),
     )
     if tree is not None:
-        _cross_check_gaps(tree, table)
+        if (tree.spec.n, tree.spec.b, tree.spec.depth) != (spec.n, spec.b, spec.depth):
+            raise ValueError("tree was built for a different n, b or depth")
+        # with sibling minimum d_k, the nesting argument proves level_gap D_k
+        if _check_tree(tree) != tuple(d * d for d in d_vals):
+            raise AssertionError("tree sibling gaps differ from the volume roots")
     return table
-
-
-def _cross_check_gaps(tree: DustTree, table: GapTable) -> None:
-    spec = tree.spec
-    for k in range(1, spec.depth + 1):
-        level = tree.level(k)
-        sibling_min: Fraction | None = None
-        overall_min: Fraction | None = None
-        for (wa, ca), (wb, cb) in itertools.combinations(level, 2):
-            d = dist_sq(ca, cb)
-            if overall_min is None or d < overall_min:
-                overall_min = d
-            if wa[:-1] == wb[:-1] and (sibling_min is None or d < sibling_min):
-                sibling_min = d
-        want = table.sibling_gap[k - 1] ** 2
-        if sibling_min != want:
-            raise AssertionError(f"level {k} sibling gap mismatch")
-        if overall_min is None or overall_min < table.level_gap[k - 1] ** 2:
-            raise AssertionError(f"level {k} cubes closer than the level gap")
 
 
 def hausdorff_measure_upper(
@@ -447,10 +456,29 @@ def survivor_refute(
             raise AssertionError("examined piece bucketed past the tree depth")
         if volume(cover.pieces[h - 1]) > gaps.level_gap[j - 1] ** spec.n:
             raise ValueError(f"piece {h} exceeds the level-{j} gap budget")
-    counts: list[int] = []
+    walk = _survivor_walk(tree, cover)
+    if not walk[-1]:
+        return RefuterFailure(level=len(walk), checked_prefix=checked)
+    cert = SurvivorCertificate(
+        depth=spec.depth,
+        checked_prefix=checked,
+        survivor_word=min(walk[-1]),
+        level_counts=tuple(len(alive) for alive in walk),
+    )
+    # the counts are the walk's own; walking again could not disagree
+    _check_survivor(tree, cover, cert)
+    return cert
+
+
+def _survivor_walk(tree: DustTree, cover: CoverSeq) -> list[list[tuple[int, ...]]]:
+    """Per level, the children of survivors that miss every active piece.
+
+    Level k's active pieces are those bucketed into levels 1..k; the walk
+    stops after the first level with no survivor.
+    """
+    walk: list[list[tuple[int, ...]]] = []
     survivors: set[tuple[int, ...]] = {()}
-    survivor_level: list[tuple[int, ...]] = []
-    for k in range(1, spec.depth + 1):
+    for k in range(1, tree.spec.depth + 1):
         active = cover.pieces[: _examined_prefix(k, len(cover.pieces))]
         alive = [
             word
@@ -458,26 +486,24 @@ def survivor_refute(
             if word[:-1] in survivors
             and all(dist_sq(cube, piece) > 0 for piece in active)
         ]
-        counts.append(len(alive))
+        walk.append(alive)
         if not alive:
-            return RefuterFailure(level=k, checked_prefix=checked)
+            break
         survivors = set(alive)
-        survivor_level = alive
-    word = min(survivor_level)
-    cert = SurvivorCertificate(
-        depth=spec.depth,
-        checked_prefix=checked,
-        survivor_word=word,
-        level_counts=tuple(counts),
-    )
-    revalidate_survivor(tree, cover, cert)
-    return cert
+    return walk
 
 
 def revalidate_survivor(
     tree: DustTree, cover: CoverSeq, cert: SurvivorCertificate
 ) -> None:
     """Re-check a certificate from scratch; raises when anything fails."""
+    _check_survivor(tree, cover, cert)
+    if cert.level_counts != tuple(len(alive) for alive in _survivor_walk(tree, cover)):
+        raise ValueError("certificate level counts differ from the survivor walk")
+
+
+def _check_survivor(tree: DustTree, cover: CoverSeq, cert: SurvivorCertificate) -> None:
+    """Every claim of the certificate except the counts, which need the walk."""
     spec = tree.spec
     if cert.depth != spec.depth:
         raise ValueError("certificate depth differs from the tree")

@@ -263,8 +263,9 @@ def _touches(piece: Box, lo: tuple, hi: tuple) -> bool:
 def covers_box(target: Box, pieces: Sequence[Box]) -> bool:
     """Exact decision of target ⊆ union(pieces), all boxes closed.
 
-    Recursively splits the target along piece boundaries that cross its
-    interior.  Once no piece boundary crosses a sub-box, the sub-box is
+    Splits the target along piece boundaries that cross its interior, left
+    half first, on an explicit stack so that many pieces cannot exhaust the
+    call stack.  Once no piece boundary crosses a sub-box, the sub-box is
     covered iff a single piece contains it, which makes the verdict exact.
     """
     n = target.n
@@ -272,23 +273,31 @@ def covers_box(target: Box, pieces: Sequence[Box]) -> bool:
         if p.n != n:
             raise ValueError("dimension mismatch")
 
-    def rec(lo: tuple, hi: tuple, live: list[Box]) -> bool:
-        live = [p for p in live if _touches(p, lo, hi)]
-        for p in live:
-            if _contains(p, lo, hi):
-                return True
-        for p in live:
-            for axis, (plo, phi) in enumerate(p.intervals):
-                for v in (plo, phi):
-                    if lo[axis] < v < hi[axis]:
-                        left_hi = hi[:axis] + (v,) + hi[axis + 1 :]
-                        right_lo = lo[:axis] + (v,) + lo[axis + 1 :]
-                        return rec(lo, left_hi, live) and rec(right_lo, hi, live)
-        return False
-
     lo = tuple(iv[0] for iv in target.intervals)
     hi = tuple(iv[1] for iv in target.intervals)
-    return rec(lo, hi, list(pieces))
+    stack = [(lo, hi, list(pieces))]
+    while stack:
+        lo, hi, live = stack.pop()
+        live = [p for p in live if _touches(p, lo, hi)]
+        if any(_contains(p, lo, hi) for p in live):
+            continue
+        split = _crossing(live, lo, hi)
+        if split is None:
+            return False
+        axis, v = split
+        stack.append((lo[:axis] + (v,) + lo[axis + 1 :], hi, live))
+        stack.append((lo, hi[:axis] + (v,) + hi[axis + 1 :], live))
+    return True
+
+
+def _crossing(pieces: list[Box], lo: tuple, hi: tuple) -> tuple[int, Fraction] | None:
+    """First (axis, value) of a piece boundary strictly inside the box lo..hi."""
+    for p in pieces:
+        for axis, (plo, phi) in enumerate(p.intervals):
+            for v in (plo, phi):
+                if lo[axis] < v < hi[axis]:
+                    return axis, v
+    return None
 
 
 def _directed_max_min_dist_sq(

@@ -7,9 +7,10 @@ certificates be diffed and golden-filed.
 
 Each document carries a versioned ``schema`` field.  Parsers validate
 structure and re-run the type constructors, so a tampered file fails
-loudly rather than deserializing into an inconsistent object.  A dust
-tree is fully determined by its spec, so its loader rebuilds the tree and
-rejects any document that differs from it.
+loudly rather than deserializing into an inconsistent object; every such
+failure, a field of the wrong JSON type included, is a ``ValueError``.
+A dust tree is fully determined by its spec, so its loader rebuilds the
+tree and rejects any document that differs from it.
 """
 
 from __future__ import annotations
@@ -18,7 +19,14 @@ import json
 from pathlib import Path
 
 from .covers import BallSpec, CoverReport, CoverSeq
-from .dust import DustSpec, DustTree, GapTable, SurvivorCertificate, _construct
+from .dust import (
+    DustSpec,
+    DustTree,
+    GapTable,
+    SurvivorCertificate,
+    _construct,
+    _has_size,
+)
 from .geometry import Box, Cube, DigitalSet, HBracket
 from .rational import format_scalar, parse_scalar
 
@@ -154,19 +162,20 @@ def dusttree_to_json(tree: DustTree) -> dict:
 
 def dusttree_from_json(data: dict) -> DustTree:
     _expect(data, "dusttree/1", {"n", "b", "depth", "corner_order", "levels"})
-    spec = DustSpec(
-        n=int(data["n"]),
-        b=int(data["b"]),
-        depth=int(data["depth"]),
-        corner_order=tuple(int(t) for t in data["corner_order"]),
-    )
-    # cheap shape check first, so a forged depth cannot force a huge build
-    levels = data["levels"]
-    if not isinstance(levels, list) or len(levels) != spec.depth or any(
-        not isinstance(level, list) or len(level) != 2 ** (spec.n * k)
+    n, depth, levels = int(data["n"]), int(data["depth"]), data["levels"]
+    # cheap shape check on the raw numbers first, so a forged n or depth
+    # cannot force a huge build or a list of 2**n corners
+    if not isinstance(levels, list) or len(levels) != depth or any(
+        not isinstance(level, list) or not _has_size(len(level), n * k)
         for k, level in enumerate(levels, start=1)
     ):
         raise ValueError("dusttree/1 levels do not have the spec's cube counts")
+    spec = DustSpec(
+        n=n,
+        b=int(data["b"]),
+        depth=depth,
+        corner_order=tuple(int(t) for t in data["corner_order"]),
+    )
     tree = _construct(spec)
     if dusttree_to_json(tree) != data:
         raise ValueError("dusttree/1 document differs from the tree its spec defines")
@@ -273,10 +282,13 @@ def from_json(data: dict):
     if not isinstance(data, dict):
         raise ValueError("document must be a JSON object")
     schema = data.get("schema")
-    decoder = _FROM_JSON.get(schema)
+    decoder = _FROM_JSON.get(schema) if isinstance(schema, str) else None
     if decoder is None:
         raise ValueError(f"unknown schema {schema!r}")
-    return decoder(data)
+    try:
+        return decoder(data)
+    except (TypeError, KeyError, IndexError) as exc:
+        raise ValueError(f"malformed {schema} document: {exc!r}") from exc
 
 
 def save(obj, path: str | Path) -> bytes:

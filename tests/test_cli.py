@@ -1,15 +1,23 @@
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
 
 from microset import serialize
 from microset.cli import main
-from microset.covers import BallSpec, CoverSeq
-from microset.dust import DustSpec, adversary_swallow, generate, refutation_budget_lower
-from microset.geometry import Box, DigitalSet
+from microset.covers import BallSpec, CoverReport, CoverSeq
+from microset.dust import (
+    DustSpec,
+    adversary_swallow,
+    gap_table,
+    generate,
+    refutation_budget_lower,
+    survivor_refute,
+)
+from microset.geometry import Box, DigitalSet, hausdorff_bracket
 
 F = Fraction
 
@@ -224,6 +232,11 @@ def test_refute_cli_full_cycle(tmp_path):
     forgedp = tmp_path / "forged.json"
     serialize.save(forged, forgedp)
     assert run("dust-refute", "--tree", str(tp), "--cover", str(cp), "--check", str(forgedp)) == 1
+    # so is a certificate whose survivor counts per level are made up
+    doc = json.loads(certp.read_text())
+    doc["level_counts"] = [99] * spec.depth
+    forgedp.write_text(serialize.dumps(doc))
+    assert run("dust-refute", "--tree", str(tp), "--cover", str(cp), "--check", str(forgedp)) == 1
 
 
 def test_tampered_tree_is_malformed_input(tmp_path):
@@ -246,6 +259,13 @@ def test_tampered_tree_is_malformed_input(tmp_path):
     deep = tmp_path / "deep.json"
     deep.write_text(serialize.dumps(doc))
     assert run("dust-refute", "--tree", str(deep), "--cover", str(cp)) == 2
+    # and so is a forged dimension, before any list of 2**n corners is made
+    for order in ([0, 1], []):
+        doc = {**json.loads(tp.read_text()), "n": 40, "corner_order": order}
+        deep.write_text(serialize.dumps(doc))
+        started = time.monotonic()
+        assert run("dust-refute", "--tree", str(deep), "--cover", str(cp)) == 2
+        assert time.monotonic() - started < 0.5
 
 
 def test_console_script_in_subprocess(tmp_path):
@@ -270,3 +290,71 @@ def test_emitted_documents_reparse_and_revalidate(tmp_path):
         blob = path.read_bytes()
         obj = serialize.from_json(json.loads(blob))
         assert serialize.canonical_bytes(serialize.to_json(obj)) == blob
+
+
+def test_dust_gaps_tree_from_another_spec_is_input_error(tmp_path):
+    tp = tmp_path / "tree.json"
+    serialize.save(generate(DustSpec(n=1, b=3, depth=3, corner_order=(1, 0))), tp)
+    # the corner order does not change any gap
+    assert run("dust-gaps", "--n", "1", "--b", "3", "--depth", "3", "--tree", str(tp)) == 0
+    for n, b, depth in (("1", "5", "3"), ("1", "3", "2"), ("2", "3", "3"), ("1", "3", "4")):
+        assert run("dust-gaps", "--n", n, "--b", b, "--depth", depth, "--tree", str(tp)) == 2
+
+
+def _valid_documents() -> dict:
+    tree = generate(DustSpec(n=1, b=3, depth=2))
+    a, b = DigitalSet(1, 3, 1, ((0,),)), DigitalSet(1, 3, 1, ((2,),))
+    docs = [
+        a,
+        CoverSeq(n=1, eps=F(1, 2), strong=False, pieces=(box1(0, F(1, 2)),)),
+        CoverReport(False, False, (1, "budget"), (0,)),
+        BallSpec(n=1, boxes=(box1(F(1, 4), F(3, 4)),)),
+        tree,
+        gap_table(tree.spec),
+        survivor_refute(tree, CoverSeq(n=1, eps=F(1, 81), strong=False, pieces=())),
+        hausdorff_bracket(a, b, 2),
+    ]
+    return {doc["schema"]: doc for doc in map(serialize.to_json, docs)}
+
+
+def test_malformed_fields_load_or_raise_value_error():
+    docs = _valid_documents()
+    assert set(docs) == set(serialize._FROM_JSON)
+    for doc in docs.values():
+        for field in doc:
+            for value in (5, "x", None, []):
+                try:
+                    serialize.from_json({**doc, field: value})
+                except ValueError:
+                    pass
+
+
+def test_malformed_documents_exit_2_without_traceback(tmp_path):
+    docs = _valid_documents()
+    paths = {}
+    for schema, changes in (
+        ("digitalset/1", {}),
+        ("coverseq/1", {"pieces": 5}),
+        ("dusttree/1", {}),
+        ("survivor/1", {"survivor_word": 5}),
+    ):
+        paths[schema] = tmp_path / f"{schema.split('/')[0]}.json"
+        paths[schema].write_text(serialize.dumps({**docs[schema], **changes}))
+    cases = [
+        ["cover-verify", "--set", paths["digitalset/1"], "--cover", paths["coverseq/1"]],
+        ["dust-refute", "--tree", paths["dusttree/1"], "--cover", paths["coverseq/1"]],
+    ]
+    cover = tmp_path / "cover.json"
+    serialize.save(CoverSeq(n=1, eps=F(1, 81), strong=False, pieces=()), cover)
+    cases.append(
+        ["dust-refute", "--tree", paths["dusttree/1"], "--cover", cover,
+         "--check", paths["survivor/1"]]
+    )
+    for argv in cases:
+        proc = subprocess.run(
+            [sys.executable, "-m", "microset", *map(str, argv)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr

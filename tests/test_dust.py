@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 from fractions import Fraction
@@ -14,6 +15,8 @@ from microset.dust import (
     DustSpec,
     RefuterFailure,
     SurvivorCertificate,
+    _check_tree,
+    _survivor_walk,
     adversary_random,
     adversary_swallow,
     gap_table,
@@ -27,7 +30,7 @@ from microset.dust import (
     survivor_refute,
     validate,
 )
-from microset.geometry import Box, dist_sq, hausdorff_bracket, volume
+from microset.geometry import Box, Cube, dist_sq, hausdorff_bracket, volume
 from microset.rational import pow_lower, sqrt_upper
 
 F = Fraction
@@ -42,6 +45,9 @@ def test_spec_validation_errors():
         DustSpec(n=1, b=3, depth=0)
     with pytest.raises(ValueError):
         DustSpec(n=1, b=3, depth=1, corner_order=(0, 0))
+    # 2**40 corners would exhaust memory; the order's length is compared first
+    with pytest.raises(ValueError):
+        DustSpec(n=40, b=3, depth=1, corner_order=(0, 1))
 
 
 def test_validate_admissible_specs():
@@ -391,6 +397,12 @@ def test_revalidate_rejects_tampered_certificates():
     )
     with pytest.raises(ValueError):
         revalidate_survivor(tree, cover, short)
+    # level counts are recomputed by the survivor walk, not trusted
+    last = cert.level_counts[-1]
+    for counts in ((99,) * cert.depth, cert.level_counts[:-1] + (last - 1,)):
+        forged = dataclasses.replace(cert, level_counts=counts)
+        with pytest.raises(ValueError, match="level counts"):
+            revalidate_survivor(tree, cover, forged)
 
 
 def test_adversaries_respect_budgets():
@@ -425,3 +437,50 @@ def test_tree_construction_invariants_property(n, b):
         level = tree.level(k)
         assert len(level) == 2 ** (n * k)
         assert all(cube.side == F(1, b ** (k * k)) for _, cube in level)
+
+
+def _replace_entry(tree, k, i, word=None, cube=None):
+    level = list(tree.level(k))
+    old_word, old_cube = level[i]
+    level[i] = (old_word if word is None else word, old_cube if cube is None else cube)
+    levels = tree.levels[: k - 1] + (tuple(level),) + tree.levels[k:]
+    return dataclasses.replace(tree, levels=levels)
+
+
+def test_check_tree_catches_corrupted_trees():
+    tree = generate(DustSpec(n=2, b=3, depth=2))
+    (w0, c0), (_, c1) = tree.level(2)[:2]
+    corner = tuple(lo for lo, _ in c0.intervals)
+    corrupted = {
+        "leaves its parent": _replace_entry(
+            tree, 2, 0, cube=Cube.at_corner((F(1, 2), F(1, 2)), c0.side)
+        ),
+        "touching siblings": _replace_entry(tree, 2, 1, cube=Cube.at_corner(corner, c1.side)),
+        "not distinct": _replace_entry(tree, 2, 1, word=w0),
+        "wrong side": _replace_entry(tree, 2, 0, cube=Cube.at_corner(corner, c0.side / 3)),
+    }
+    _check_tree(tree)
+    for message, bad in corrupted.items():
+        with pytest.raises(AssertionError, match=message):
+            _check_tree(bad)
+
+
+def test_check_tree_sibling_gaps_equal_the_brute_force_minimum():
+    for spec in (DustSpec(1, 3, 4), DustSpec(2, 3, 3), DustSpec(3, 3, 2)):
+        tree = generate(spec)
+        brute = tuple(
+            min(
+                dist_sq(ca, cb)
+                for (wa, ca), (wb, cb) in itertools.combinations(tree.level(k), 2)
+                if wa[:-1] == wb[:-1]
+            )
+            for k in range(1, spec.depth + 1)
+        )
+        assert _check_tree(tree) == brute
+
+
+def test_survivor_walk_stops_at_the_first_empty_level():
+    tree = generate(DustSpec(n=1, b=3, depth=3))
+    # the whole cube is examined from level 2 on, so nothing survives there
+    cover = CoverSeq(n=1, eps=F(1, 2), strong=False, pieces=(Box(((F(0), F(1)),)),))
+    assert _survivor_walk(tree, cover) == [[(1,), (2,)], []]

@@ -1,4 +1,5 @@
 import itertools
+import sys
 from fractions import Fraction
 
 import pytest
@@ -175,6 +176,27 @@ def test_covers_box_matches_raster_oracle(instance):
     got = covers_box(target, pieces)
     # oracle grid step 1/12 divides every endpoint, so sampling is exact here
     assert got == _raster_covered(target, pieces, steps=24)
+
+
+def test_covers_box_thin_cover_needs_no_call_stack():
+    # 300 intervals left to right split the cell 300 times in a row; a
+    # recursive split would need 300 frames, more than the lowered limit
+    cell = DigitalSet(1, 3, 2, ((4,),)).cell_box((4,))
+    step = F(1, 9 * 300)
+    pieces = [box1(F(4, 9) + i * step, F(4, 9) + (i + 1) * step) for i in range(300)]
+    gapped = pieces[:150] + pieces[151:]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(150)
+    try:
+        verdicts = covers_box(cell, pieces), covers_box(cell, gapped)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert verdicts == (True, False)
+    # the oracle's grid halves the step, so every gap holds a probe point
+    assert verdicts == (
+        _raster_covered(cell, pieces, steps=600),
+        _raster_covered(cell, gapped, steps=600),
+    )
 
 
 def test_hausdorff_bracket_identity():
