@@ -14,8 +14,10 @@ a certified stability radius for the Hausdorff metric.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from math import ceil, floor
 from typing import Sequence
 
 from .geometry import Box, Cube, DigitalSet, Point, covers_box, dist_sq, volume
@@ -112,17 +114,59 @@ class BallSpec:
                     raise ValueError("box has empty interior relative to the cube")
 
 
+def _cell_window(piece: Box, scale: int, slack: int) -> tuple[tuple[int, int], ...]:
+    """Per-axis index range of the closed 1/scale-grid cells the piece holds.
+
+    With ``slack=1`` these are the cells the piece touches,
+    ``ceil(lo*scale) - 1 <= j <= floor(hi*scale)``; with ``slack=0`` the
+    cells it contains, ``ceil(lo*scale) <= j <= floor(hi*scale) - 1``.
+    """
+    return tuple(
+        (ceil(lo * scale) - slack, floor(hi * scale) - 1 + slack)
+        for lo, hi in piece.intervals
+    )
+
+
+def _in_window(cell: tuple[int, ...], window: tuple[tuple[int, int], ...]) -> bool:
+    return all(a <= j <= z for j, (a, z) in zip(cell, window))
+
+
+def _touching_pieces(e: DigitalSet, pieces: Sequence[Box]) -> list[list[Box]]:
+    """For each cell of e, in order, the pieces touching it, in cover order.
+
+    The cells are sorted, so a piece's first-axis window is one bisected
+    run of them; only the cells of that run test the remaining axes.
+    """
+    scale = e.b**e.m
+    firsts = [cell[0] for cell in e.cells]
+    touching: list[list[Box]] = [[] for _ in e.cells]
+    for piece in pieces:
+        (a, z), *rest = _cell_window(piece, scale, 1)
+        for i in range(bisect_left(firsts, a), bisect_right(firsts, z)):
+            if _in_window(e.cells[i][1:], rest):
+                touching[i].append(piece)
+    return touching
+
+
 def verify_cover(e: DigitalSet, cover: CoverSeq) -> CoverReport:
-    """Exact budget and coverage verdicts for a claimed cover of e."""
+    """Exact budget and coverage verdicts for a claimed cover of e.
+
+    Each cell goes to ``covers_box`` with only the pieces whose integer
+    touching window holds it.  ``covers_box`` drops non-touching pieces
+    first anyway, so the verdict and the first uncovered cell are those of
+    testing every cell against the whole cover.
+    """
     if e.n != cover.n:
         raise ValueError("dimension mismatch")
     k = cover.first_budget_violation()
-    witness = None
-    pieces = list(cover.pieces)
-    for cell in e.cells:
-        if not covers_box(e.cell_box(cell), pieces):
-            witness = cell
-            break
+    witness = next(
+        (
+            cell
+            for cell, live in zip(e.cells, _touching_pieces(e, cover.pieces))
+            if not covers_box(e.cell_box(cell), live)
+        ),
+        None,
+    )
     return CoverReport(
         budget_ok=k is None,
         coverage_ok=witness is None,
@@ -137,10 +181,6 @@ def _morton_key(cell: tuple[int, ...], width: int) -> int:
         for j in cell:
             key = (key << 1) | ((j >> bit) & 1)
     return key
-
-
-def _swallowed(cell: tuple[int, ...], cs: Fraction, lo: tuple[Fraction, ...], side: Fraction) -> bool:
-    return all(l <= j * cs and (j + 1) * cs <= l + side for j, l in zip(cell, lo))
 
 
 def greedy_strong_cover(
@@ -163,8 +203,8 @@ def greedy_strong_cover(
         raise ValueError("eps must lie strictly between 0 and 1")
     if max_pieces < 1:
         raise ValueError("max_pieces must be >= 1")
-    n, cs = e.n, e.cell_side
-    width = (e.b**e.m - 1).bit_length() or 1
+    n, cs, scale = e.n, e.cell_side, e.b**e.m
+    width = (scale - 1).bit_length() or 1
     order = sorted(e.cells, key=lambda c: (_morton_key(c, width), c))
     uncovered = set(order)
     root_lo = pow_lower(eps, 1, n, prec)
@@ -180,7 +220,8 @@ def greedy_strong_cover(
         target = next(c for c in order if c in uncovered)
         lo = tuple(min(j * cs, 1 - side) for j in target)
         pieces.append(Cube.at_corner(lo, side))
-        uncovered = {c for c in uncovered if not _swallowed(c, cs, lo, side)}
+        window = _cell_window(pieces[-1], scale, 0)
+        uncovered = {c for c in uncovered if not _in_window(c, window)}
     cover = CoverSeq(n=n, eps=eps, strong=True, pieces=tuple(pieces))
     report = verify_cover(e, cover)
     if not report.ok:

@@ -35,7 +35,9 @@ class DustSpec:
     ``corner_order`` maps child letters 1..2**n to parent corners; entry
     ``t-1`` is an integer whose binary digits (axis 0 most significant)
     pick the corner bits.  The default is the lexicographic order on
-    vertex coordinate tuples.  Admissibility (b large enough for positive
+    vertex coordinate tuples, kept implicit as ``()`` so that no list of
+    2**n corners is built before a tree needs one; an explicit identity
+    order is stored as ``()`` too.  Admissibility (b large enough for positive
     gaps) is deliberately left to ``validate`` so that defective
     parameters remain representable.
     """
@@ -55,10 +57,11 @@ class DustSpec:
         order = tuple(self.corner_order)
         if order and not _has_size(len(order), self.n):
             raise ValueError("corner_order must list 2**n corners")
-        order = order or tuple(range(2**self.n))
-        object.__setattr__(self, "corner_order", order)
         if sorted(order) != list(range(len(order))):
             raise ValueError("corner_order must permute the parent corners")
+        if order == tuple(range(len(order))):
+            order = ()
+        object.__setattr__(self, "corner_order", order)
 
     @property
     def c(self) -> int:
@@ -98,7 +101,7 @@ def _require_admissible(spec: DustSpec) -> None:
 
 
 def _corner_bits(spec: DustSpec, letter: int) -> tuple[int, ...]:
-    code = spec.corner_order[letter - 1]
+    code = spec.corner_order[letter - 1] if spec.corner_order else letter - 1
     return tuple((code >> (spec.n - 1 - axis)) & 1 for axis in range(spec.n))
 
 

@@ -155,7 +155,7 @@ def dusttree_to_json(tree: DustTree) -> dict:
         "n": spec.n,
         "b": spec.b,
         "depth": spec.depth,
-        "corner_order": list(spec.corner_order),
+        "corner_order": list(spec.corner_order or range(2**spec.n)),
         "levels": levels,
     }
 

@@ -18,6 +18,7 @@ from microset.dust import (
     survivor_refute,
 )
 from microset.geometry import Box, DigitalSet, hausdorff_bracket
+from microset.rational import parse_scalar
 
 F = Fraction
 
@@ -53,6 +54,21 @@ def test_dust_gaps_writes_canonical_table(tmp_path):
 def test_dust_hmeasure_prints_scalar(capsys):
     assert run("dust-hmeasure", "--n", "1", "--b", "3", "--alpha", "1", "--k", "3") == 0
     assert capsys.readouterr().out.strip() == "8/19683"
+
+
+def test_hmeasure_and_gaps_need_no_corner_list(tmp_path, capsys):
+    # n = 40 would list 2**40 corners if the default order were explicit
+    started = time.monotonic()
+    assert run("dust-hmeasure", "--n", "40", "--b", "3", "--alpha", "1", "--k", "1") == 0
+    assert time.monotonic() - started < 2
+    # closed form 2**40 * sqrt(40) * (3**-40)**(1/40), root of 40 rounded up
+    root = parse_scalar(capsys.readouterr().out.strip()) * 3 / 2**40
+    assert 40 <= root * root < 40 + F(1, 10**9)
+    out = tmp_path / "gaps.json"
+    started = time.monotonic()
+    assert run("dust-gaps", "--n", "40", "--b", "3", "--depth", "1", "-o", str(out)) == 0
+    assert time.monotonic() - started < 2
+    assert serialize.load(out).sibling_gap == (F(1, 3),)
 
 
 def test_cover_verify_exit_codes(tmp_path, capsys):

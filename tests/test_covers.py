@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -6,8 +7,10 @@ from hypothesis import strategies as st
 
 from microset.covers import (
     BallSpec,
+    CoverReport,
     CoverSeq,
     GreedyFailure,
+    _cell_window,
     ball_membership,
     ball_stability_radius,
     cover_measure_upper,
@@ -16,7 +19,7 @@ from microset.covers import (
     side_budget_sum,
     verify_cover,
 )
-from microset.geometry import Box, Cube, DigitalSet, Point, volume
+from microset.geometry import Box, Cube, DigitalSet, Point, covers_box, volume
 
 F = Fraction
 
@@ -84,6 +87,92 @@ def test_verify_fully_passing_cover():
 def test_verify_dimension_mismatch():
     with pytest.raises(ValueError):
         verify_cover(DigitalSet(2, 3, 1, ((0, 0),)), cover1(F(1, 2), box1(0, 1)))
+
+
+def _verify_cover_oracle(e: DigitalSet, cover: CoverSeq) -> CoverReport:
+    """Brute force: every cell against covers_box with the whole cover."""
+    k = cover.first_budget_violation()
+    pieces = list(cover.pieces)
+    witness = next((c for c in e.cells if not covers_box(e.cell_box(c), pieces)), None)
+    return CoverReport(
+        budget_ok=k is None,
+        coverage_ok=witness is None,
+        first_violation=None if k is None else (k, "budget"),
+        uncovered_witness=witness,
+    )
+
+
+@st.composite
+def claimed_covers(draw):
+    """Small sets with claimed covers that stress the touching windows.
+
+    Endpoints come from the cell grid (face and corner contacts), a grid of
+    half cells and sevenths (off-grid), and reach half a unit outside
+    [0, 1]; non-strong covers may hold zero-width intervals.  Every cell
+    but at most one also gets pieces of its own, whole or split, so that
+    coverage often holds and otherwise fails at a chosen cell.
+    """
+    n = draw(st.integers(min_value=1, max_value=2))
+    b = draw(st.sampled_from([2, 3]))
+    m = draw(st.integers(min_value=1, max_value=2))
+    top = b**m
+    cells = draw(
+        st.lists(st.tuples(*[st.integers(0, top - 1)] * n), min_size=1, max_size=6)
+    )
+    e = DigitalSet(n, b, m, tuple(cells))
+    strong = draw(st.booleans())
+    den = draw(st.sampled_from([top, 2 * top, 7]))
+    coord = st.integers(-den // 2, den + den // 2).map(lambda i: F(i, den))
+    pieces = []
+    for _ in range(draw(st.integers(0, 6))):
+        lo = [draw(coord) for _ in range(n)]
+        if strong:
+            side = F(draw(st.integers(1, den)), den)
+            pieces.append(Cube.at_corner(lo, side))
+        else:
+            pieces.append(Box(tuple(sorted((a, draw(coord))) for a in lo)))
+    bare = draw(st.one_of(st.none(), st.sampled_from(e.cells)))
+    half = e.cell_side / 2
+    for cell in e.cells:
+        box = e.cell_box(cell)
+        lo = [a for a, _ in box.intervals]
+        if cell == bare:
+            continue
+        if not draw(st.booleans()):
+            pieces.append(Cube.at_corner(lo, e.cell_side))
+        elif strong:
+            for bits in itertools.product((0, 1), repeat=n):
+                pieces.append(Cube.at_corner([a + t * half for a, t in zip(lo, bits)], half))
+        else:
+            axis = draw(st.integers(0, n - 1))
+            a, z = box.intervals[axis]
+            mid = a + (z - a) * F(draw(st.integers(0, 4)), 4)
+            for part in ((a, mid), (mid, z)):
+                pieces.append(Box(box.intervals[:axis] + (part,) + box.intervals[axis + 1 :]))
+    order = draw(st.permutations(pieces))
+    eps = F(draw(st.integers(1, 9)), 10)
+    return e, CoverSeq(n=n, eps=eps, strong=strong, pieces=tuple(order))
+
+
+@given(claimed_covers())
+def test_verify_cover_matches_all_pieces_oracle(instance):
+    e, cover = instance
+    assert verify_cover(e, cover) == _verify_cover_oracle(e, cover)
+
+
+@given(
+    st.tuples(st.integers(-10, 20), st.integers(-10, 20)).map(sorted),
+    st.sampled_from([1, 2, 3, 7]),
+    st.integers(-2, 10),
+)
+def test_cell_windows_match_fraction_tests(ends, den, j):
+    lo, hi = F(ends[0], den), F(ends[1], den)
+    piece, scale = box1(lo, hi), 9
+    cell_lo, cell_hi = F(j, scale), F(j + 1, scale)
+    (ta, tz), = _cell_window(piece, scale, 1)
+    (ca, cz), = _cell_window(piece, scale, 0)
+    assert (ta <= j <= tz) == (lo <= cell_hi and cell_lo <= hi)
+    assert (ca <= j <= cz) == (lo <= cell_lo and cell_hi <= hi)
 
 
 @st.composite

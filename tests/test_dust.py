@@ -101,6 +101,16 @@ def test_generate_rejects_inadmissible():
         generate(DustSpec(n=2, b=2, depth=1))
 
 
+def test_default_corner_order_stays_implicit():
+    # no list of 2**n corners for a spec that never builds a tree
+    assert DustSpec(n=40, b=3, depth=1).corner_order == ()
+    assert DustSpec(n=1, b=3, depth=2, corner_order=(0, 1)) == DustSpec(n=1, b=3, depth=2)
+    assert DustSpec(n=1, b=3, depth=2, corner_order=(1, 0)).corner_order == (1, 0)
+    # the tree document still lists the full order
+    doc = serialize.to_json(generate(DustSpec(n=2, b=3, depth=1)))
+    assert doc["corner_order"] == [0, 1, 2, 3]
+
+
 def test_generate_custom_corner_order():
     tree = generate(DustSpec(n=1, b=3, depth=1, corner_order=(1, 0)))
     first = tree.level(1)[0][1]

@@ -1,4 +1,5 @@
 import itertools
+import math
 import sys
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from microset import geometry
 from microset.geometry import (
     Box,
     Cube,
@@ -197,6 +199,31 @@ def test_covers_box_thin_cover_needs_no_call_stack():
         _raster_covered(cell, pieces, steps=600),
         _raster_covered(cell, gapped, steps=600),
     )
+
+
+def test_covers_box_thin_cover_splits_in_n_log_n(monkeypatch):
+    # splitting at the first crossing peels one boundary per split, which
+    # costs about N**2 / 2 touching tests here; the median split stays
+    # within a small multiple of N log2 N
+    n_pieces = 1200
+    cell = DigitalSet(1, 3, 2, ((4,),)).cell_box((4,))
+    step = F(1, 9 * n_pieces)
+    pieces = [box1(F(4, 9) + i * step, F(4, 9) + (i + 1) * step) for i in range(n_pieces)]
+    gapped = pieces[: n_pieces // 2] + pieces[n_pieces // 2 + 1 :]
+    calls = 0
+    touches = geometry._touches
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return touches(*args)
+
+    monkeypatch.setattr(geometry, "_touches", counting)
+    bound = 4 * n_pieces * math.log2(n_pieces)
+    for cover, verdict in ((pieces, True), (gapped, False)):
+        calls = 0
+        assert covers_box(cell, cover) is verdict
+        assert calls < bound
 
 
 def test_hausdorff_bracket_identity():
