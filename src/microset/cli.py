@@ -187,7 +187,7 @@ def _cmd_dust_generate(args) -> int:
         raise _Negative(f"inadmissible: {problem}")
     tree = dust.generate(spec)
     serialize.save(tree, args.out)
-    total = sum(len(tree.level(k)) for k in range(1, spec.depth + 1))
+    total = sum(len(level) for level in tree.levels)
     print(f"generated {total} cubes across {spec.depth} levels -> {args.out}")
     return 0
 
@@ -222,6 +222,8 @@ def _cmd_dust_hmeasure(args) -> int:
 def _cmd_dust_refute(args) -> int:
     tree = _load_as(args.tree, dust.DustTree, "dust tree")
     cover = _load_as(args.cover, CoverSeq, "cover")
+    if cover.n != tree.spec.n:
+        raise ValueError("cover and tree differ in dimension")
     if args.check is not None:
         cert = _load_as(args.check, dust.SurvivorCertificate, "survivor certificate")
         try:
@@ -279,6 +281,8 @@ def _cmd_cover_search(args) -> int:
 
 def _cmd_cover_merge(args) -> int:
     loaded = [_load_as(path, CoverSeq, "cover") for path in args.covers]
+    if len({cover.n for cover in loaded}) > 1:
+        raise ValueError("covers differ in dimension")
     try:
         merged = covers.merge_covers(loaded, args.eps)
     except ValueError as exc:

@@ -7,6 +7,9 @@ c**(-k**2), which shrinks fast enough that the limit set has Hausdorff
 dimension zero, yet the gap structure lets a survivor argument refute
 every sufficiently tight cover-budget claim.
 
+A level-k cube is one closed cell of the b**(k*k) grid, so the tree holds
+integer cell indices; Fractions appear only in its ``Cube`` view and its JSON.
+
 All verdicts are exact.  The only enclosures are the n-th roots inside
 ``refutation_budget_lower`` and ``hausdorff_measure_upper``, both directed
 so the reported number is safe in the stated direction.
@@ -19,8 +22,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
 
-from .covers import CoverSeq
-from .geometry import Box, Cube, DigitalSet, dist_sq, volume
+from .covers import CoverSeq, _cell_window, _in_window
+from .geometry import Box, Cube, DigitalSet, volume
 from .rational import (
     DEFAULT_PRECISION,
     pow_lower,
@@ -100,76 +103,70 @@ def _require_admissible(spec: DustSpec) -> None:
         raise ValueError(f"inadmissible dust spec: {problem}")
 
 
-def _corner_bits(spec: DustSpec, letter: int) -> tuple[int, ...]:
-    code = spec.corner_order[letter - 1] if spec.corner_order else letter - 1
-    return tuple((code >> (spec.n - 1 - axis)) & 1 for axis in range(spec.n))
-
-
 @dataclass(frozen=True)
 class DustTree:
-    spec: DustSpec
-    levels: tuple[tuple[tuple[tuple[int, ...], Cube], ...], ...]
+    """Per level, (word, cell) pairs in word order; ``level`` is the ``Cube`` view.
 
-    def level(self, k: int) -> tuple[tuple[tuple[int, ...], Cube], ...]:
+    A cell is the cube's integer index tuple on its level's b**(k*k) grid.
+    """
+
+    spec: DustSpec
+    levels: tuple[tuple[tuple[tuple[int, ...], tuple[int, ...]], ...], ...]
+
+    def level_cells(self, k: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
         if not 1 <= k <= self.spec.depth:
             raise ValueError("level out of range")
         return self.levels[k - 1]
+
+    def level(self, k: int) -> tuple[tuple[tuple[int, ...], Cube], ...]:
+        side = self.spec.level_side(k)
+        return tuple(
+            (word, Cube.at_corner(tuple(j * side for j in cell), side))
+            for word, cell in self.level_cells(k)
+        )
 
     def cubes_at(self, k: int) -> list[Cube]:
         return [cube for _, cube in self.level(k)]
 
     def level_digital(self, k: int) -> DigitalSet:
         """Level-k union as a digital set: each cube is one depth-k**2 cell."""
-        scale = self.spec.b ** (k * k)
-        cells = [
-            tuple(int(lo * scale) for lo, _ in cube.intervals)
-            for _, cube in self.level(k)
-        ]
-        return DigitalSet(self.spec.n, self.spec.b, k * k, tuple(cells))
+        cells = tuple(cell for _, cell in self.level_cells(k))
+        return DigitalSet(self.spec.n, self.spec.b, k * k, cells)
 
 
 def _check_tree(tree: DustTree) -> tuple[Fraction, ...]:
     """Exact structural re-check; returns each level's least squared sibling distance.
 
-    Only siblings are compared: by induction the level-(k-1) cubes are disjoint
-    and D_{k-1} apart, and each level-k cube lies in its parent, so level k is
-    disjoint and min(d_k, D_{k-1}) = D_k apart once its sibling minimum is d_k.
+    A level-k cell must sit flush in a corner of its parent p: index p*f or
+    p*f + f - 1 on every axis, f = b**(2k-1) >= 2.  By induction the level-(k-1)
+    cubes are disjoint and D_{k-1} apart, so level k is disjoint and
+    min(d_k, D_{k-1}) = D_k apart once its sibling minimum, the only one taken, is d_k.
     """
     spec = tree.spec
-    parent_lookup: dict[tuple[int, ...], Cube] = {
-        (): Cube.at_corner(tuple(Fraction(0) for _ in range(spec.n)), Fraction(1))
-    }
+    parent_lookup = {(): (0,) * spec.n}
     sibling_min: list[Fraction] = []
     for k in range(1, spec.depth + 1):
-        level = tree.level(k)
+        level = tree.level_cells(k)
         if len(level) != 2 ** (spec.n * k):
             raise AssertionError(f"level {k} cube count is wrong")
         lookup = dict(level)
         if len(lookup) != len(level) or any(w[:-1] not in parent_lookup for w in lookup):
             raise AssertionError(f"level {k} words are not distinct children")
-        families: dict[tuple[int, ...], list[Cube]] = {}
-        side = spec.level_side(k)
-        for word, cube in level:
-            if cube.side != side:
-                raise AssertionError(f"cube {word} has the wrong side")
-            if volume(cube) != spec.level_volume(k):
-                raise AssertionError(f"cube {word} has the wrong volume")
+        f = spec.b ** (2 * k - 1)
+        families: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        for word, cell in level:
             parent = parent_lookup[word[:-1]]
-            for (plo, phi), (lo, hi) in zip(parent.intervals, cube.intervals):
-                if not (plo <= lo and hi <= phi):
-                    raise AssertionError(f"cube {word} leaves its parent")
-            shared = set(cube.vertices()) & set(parent.vertices())
-            if len(shared) != 1:
-                raise AssertionError(f"cube {word} shares {len(shared)} vertices")
-            families.setdefault(word[:-1], []).append(cube)
+            if len(cell) != spec.n or any(j not in (p * f, p * f + f - 1) for p, j in zip(parent, cell)):
+                raise AssertionError(f"cube {word} is not flush in a corner of its parent")
+            families.setdefault(word[:-1], []).append(cell)
         least = min(
-            dist_sq(a, b)
+            sum(max(abs(i - j) - 1, 0) ** 2 for i, j in zip(a, c))
             for family in families.values()
-            for a, b in itertools.combinations(family, 2)
+            for a, c in itertools.combinations(family, 2)
         )
         if least == 0:
             raise AssertionError(f"level {k} has touching siblings")
-        sibling_min.append(least)
+        sibling_min.append(Fraction(least, spec.b ** (2 * k * k)))
         parent_lookup = lookup
     return tuple(sibling_min)
 
@@ -184,24 +181,19 @@ def generate(spec: DustSpec) -> DustTree:
 
 def _construct(spec: DustSpec) -> DustTree:
     """The tree the spec defines, without any check; ``generate`` checks it."""
-    levels = []
-    current: list[tuple[tuple[int, ...], Cube]] = [
-        ((), Cube.at_corner(tuple(Fraction(0) for _ in range(spec.n)), Fraction(1)))
-    ]
+    codes = spec.corner_order or range(2**spec.n)
+    corners = [[(code >> (spec.n - 1 - axis)) & 1 for axis in range(spec.n)] for code in codes]
+    levels, current = [], (((), (0,) * spec.n),)
     for k in range(1, spec.depth + 1):
-        side = spec.level_side(k)
-        nxt: list[tuple[tuple[int, ...], Cube]] = []
-        for word, parent in current:
-            for letter in range(1, 2**spec.n + 1):
-                bits = _corner_bits(spec, letter)
-                corner = tuple(
-                    plo if bit == 0 else phi - side
-                    for bit, (plo, phi) in zip(bits, parent.intervals)
-                )
-                nxt.append((word + (letter,), Cube.at_corner(corner, side)))
-        nxt.sort(key=lambda item: item[0])
-        levels.append(tuple(nxt))
-        current = nxt
+        f = spec.b ** (2 * k - 1)
+        # corner bit 0 or 1 puts a child of p at index p*f or p*f + f - 1; parent
+        # by parent and letter by letter, the level comes out in word order
+        current = tuple(
+            (word + (letter,), tuple(p * f + bit * (f - 1) for p, bit in zip(cell, bits)))
+            for word, cell in current
+            for letter, bits in enumerate(corners, start=1)
+        )
+        levels.append(current)
     return DustTree(spec=spec, levels=tuple(levels))
 
 
@@ -227,7 +219,7 @@ def gap_table(spec: DustSpec, tree: DustTree | None = None) -> GapTable:
 
     The gaps are computed through n-th roots of the volume column (exact
     because c = b**n makes every root rational), which keeps this an
-    independent route from the side lengths stored in the tree.
+    independent route from the integer cells of the tree.
     """
     _require_admissible(spec)
     vols, leftovers, d_vals, big_d = [], [], [], []
@@ -347,7 +339,8 @@ def intersect_count(tree: DustTree, k: int, box: Box) -> int:
     """How many level-k cubes the box touches (closed intersection)."""
     if box.n != tree.spec.n:
         raise ValueError("dimension mismatch")
-    return sum(1 for cube in tree.cubes_at(k) if dist_sq(cube, box) == 0)
+    window = _cell_window(box, tree.spec.b ** (k * k), 1)
+    return sum(1 for _, cell in tree.level_cells(k) if _in_window(cell, window))
 
 
 @dataclass(frozen=True)
@@ -476,18 +469,19 @@ def survivor_refute(
 def _survivor_walk(tree: DustTree, cover: CoverSeq) -> list[list[tuple[int, ...]]]:
     """Per level, the children of survivors that miss every active piece.
 
-    Level k's active pieces are those bucketed into levels 1..k; the walk
-    stops after the first level with no survivor.
+    Level k's active pieces are those bucketed into levels 1..k, each turned
+    once into its touching window on the level's grid; the walk stops after
+    the first level with no survivor.
     """
     walk: list[list[tuple[int, ...]]] = []
     survivors: set[tuple[int, ...]] = {()}
     for k in range(1, tree.spec.depth + 1):
         active = cover.pieces[: _examined_prefix(k, len(cover.pieces))]
+        windows = [_cell_window(piece, tree.spec.b ** (k * k), 1) for piece in active]
         alive = [
             word
-            for word, cube in tree.level(k)
-            if word[:-1] in survivors
-            and all(dist_sq(cube, piece) > 0 for piece in active)
+            for word, cell in tree.level_cells(k)
+            if word[:-1] in survivors and not any(_in_window(cell, w) for w in windows)
         ]
         walk.append(alive)
         if not alive:
@@ -500,6 +494,8 @@ def revalidate_survivor(
     tree: DustTree, cover: CoverSeq, cert: SurvivorCertificate
 ) -> None:
     """Re-check a certificate from scratch; raises when anything fails."""
+    if cover.n != tree.spec.n:
+        raise ValueError("dimension mismatch")
     _check_survivor(tree, cover, cert)
     if cert.level_counts != tuple(len(alive) for alive in _survivor_walk(tree, cover)):
         raise ValueError("certificate level counts differ from the survivor walk")
@@ -516,12 +512,12 @@ def _check_survivor(tree: DustTree, cover: CoverSeq, cert: SurvivorCertificate) 
         raise ValueError("certificate level counts are incomplete")
     if any(count < 1 for count in cert.level_counts):
         raise ValueError("certificate admits an empty survivor level")
-    lookup = {word: cube for word, cube in tree.level(spec.depth)}
+    lookup = dict(tree.level_cells(spec.depth))
     if cert.survivor_word not in lookup:
         raise ValueError("survivor word does not name a cube")
-    cube = lookup[cert.survivor_word]
+    cell, scale = lookup[cert.survivor_word], spec.b ** (spec.depth**2)
     for h in range(1, cert.checked_prefix + 1):
-        if dist_sq(cube, cover.pieces[h - 1]) == 0:
+        if _in_window(cell, _cell_window(cover.pieces[h - 1], scale, 1)):
             raise ValueError(f"survivor touches examined piece {h}")
 
 

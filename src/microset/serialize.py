@@ -140,15 +140,12 @@ def dusttree_to_json(tree: DustTree) -> dict:
     spec = tree.spec
     levels = []
     for k in range(1, spec.depth + 1):
-        level = []
-        for word, cube in tree.level(k):
-            level.append(
-                {
-                    "word": list(word),
-                    "lo": [format_scalar(lo) for lo, _ in cube.intervals],
-                    "side": format_scalar(cube.side),
-                }
-            )
+        side = spec.level_side(k)
+        text = format_scalar(side)
+        level = [
+            {"word": list(word), "lo": [format_scalar(j * side) for j in cell], "side": text}
+            for word, cell in tree.level_cells(k)
+        ]
         levels.append(level)
     return {
         "schema": "dusttree/1",

@@ -140,6 +140,10 @@ def test_cover_merge_cli(tmp_path):
     weak = tmp_path / "weak.json"
     serialize.save(CoverSeq(n=1, eps=F(1, 2), strong=False, pieces=(box1(0, F(1, 2)),)), weak)
     assert run("cover-merge", "--covers", str(weak), str(pb), "--eps", "1/2", "-o", str(out)) == 1
+    # covers of different dimensions are input error
+    plane = tmp_path / "plane.json"
+    serialize.save(CoverSeq(n=2, eps=F(1, 4), strong=False, pieces=()), plane)
+    assert run("cover-merge", "--covers", str(pa), str(plane), "--eps", "1/2", "-o", str(out)) == 2
 
 
 def test_ball_check_paths(tmp_path, capsys):
@@ -253,6 +257,12 @@ def test_refute_cli_full_cycle(tmp_path):
     doc["level_counts"] = [99] * spec.depth
     forgedp.write_text(serialize.dumps(doc))
     assert run("dust-refute", "--tree", str(tp), "--cover", str(cp), "--check", str(forgedp)) == 1
+    # a cover of another dimension is input error, with and without --check
+    plane = CoverSeq(n=2, eps=F(1, 2), strong=False, pieces=(Box(((0, 1), (0, 1))),))
+    planep = tmp_path / "plane.json"
+    serialize.save(plane, planep)
+    assert run("dust-refute", "--tree", str(tp), "--cover", str(planep)) == 2
+    assert run("dust-refute", "--tree", str(tp), "--cover", str(planep), "--check", str(certp)) == 2
 
 
 def test_tampered_tree_is_malformed_input(tmp_path):

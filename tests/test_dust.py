@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,9 @@ from microset.dust import (
     DustSpec,
     RefuterFailure,
     SurvivorCertificate,
+    _check_survivor,
     _check_tree,
+    _examined_prefix,
     _survivor_walk,
     adversary_random,
     adversary_swallow,
@@ -30,7 +33,7 @@ from microset.dust import (
     survivor_refute,
     validate,
 )
-from microset.geometry import Box, Cube, dist_sq, hausdorff_bracket, volume
+from microset.geometry import Box, dist_sq, hausdorff_bracket, volume
 from microset.rational import pow_lower, sqrt_upper
 
 F = Fraction
@@ -407,6 +410,11 @@ def test_revalidate_rejects_tampered_certificates():
     )
     with pytest.raises(ValueError):
         revalidate_survivor(tree, cover, short)
+    # a cover of another dimension is refused, not truncated to the tree's axes
+    wide = tuple(Box(piece.intervals + ((F(0), F(1)),)) for piece in cover.pieces)
+    plane = CoverSeq(n=2, eps=cover.eps, strong=False, pieces=wide)
+    with pytest.raises(ValueError, match="dimension"):
+        revalidate_survivor(tree, plane, cert)
     # level counts are recomputed by the survivor walk, not trusted
     last = cert.level_counts[-1]
     for counts in ((99,) * cert.depth, cert.level_counts[:-1] + (last - 1,)):
@@ -449,28 +457,29 @@ def test_tree_construction_invariants_property(n, b):
         assert all(cube.side == F(1, b ** (k * k)) for _, cube in level)
 
 
-def _replace_entry(tree, k, i, word=None, cube=None):
-    level = list(tree.level(k))
-    old_word, old_cube = level[i]
-    level[i] = (old_word if word is None else word, old_cube if cube is None else cube)
+def _replace_entry(tree, k, i, word=None, cell=None):
+    level = list(tree.level_cells(k))
+    old_word, old_cell = level[i]
+    level[i] = (old_word if word is None else word, old_cell if cell is None else cell)
     levels = tree.levels[: k - 1] + (tuple(level),) + tree.levels[k:]
     return dataclasses.replace(tree, levels=levels)
 
 
 def test_check_tree_catches_corrupted_trees():
     tree = generate(DustSpec(n=2, b=3, depth=2))
-    (w0, c0), (_, c1) = tree.level(2)[:2]
-    corner = tuple(lo for lo, _ in c0.intervals)
-    corrupted = {
-        "leaves its parent": _replace_entry(
-            tree, 2, 0, cube=Cube.at_corner((F(1, 2), F(1, 2)), c0.side)
-        ),
-        "touching siblings": _replace_entry(tree, 2, 1, cube=Cube.at_corner(corner, c1.side)),
-        "not distinct": _replace_entry(tree, 2, 1, word=w0),
-        "wrong side": _replace_entry(tree, 2, 0, cube=Cube.at_corner(corner, c0.side / 3)),
-    }
+    (w0, c0), (w1, c1) = tree.level_cells(2)[:2]
+    # level-1 parent (0, 0) spans level-2 indices 0..26 on each axis
+    assert tree.level_cells(1)[0] == ((1,), (0, 0))
+    assert w0[:-1] == w1[:-1] == (1,) and {c0, c1} <= {(0, 0), (0, 26), (26, 0), (26, 26)}
+    corrupted = [
+        # inside its parent but not in a corner, then just outside its parent
+        ("not flush in a corner", _replace_entry(tree, 2, 0, cell=(13, 0))),
+        ("not flush in a corner", _replace_entry(tree, 2, 0, cell=(27, 0))),
+        ("touching siblings", _replace_entry(tree, 2, 1, cell=c0)),
+        ("not distinct", _replace_entry(tree, 2, 1, word=w0)),
+    ]
     _check_tree(tree)
-    for message, bad in corrupted.items():
+    for message, bad in corrupted:
         with pytest.raises(AssertionError, match=message):
             _check_tree(bad)
 
@@ -494,3 +503,89 @@ def test_survivor_walk_stops_at_the_first_empty_level():
     # the whole cube is examined from level 2 on, so nothing survives there
     cover = CoverSeq(n=1, eps=F(1, 2), strong=False, pieces=(Box(((F(0), F(1)),)),))
     assert _survivor_walk(tree, cover) == [[(1,), (2,)], []]
+
+
+def _walk_oracle(tree, cover):
+    """The survivor walk as it was on Fraction cubes: dist_sq against every active piece."""
+    walk, survivors = [], {()}
+    for k in range(1, tree.spec.depth + 1):
+        active = cover.pieces[: _examined_prefix(k, len(cover.pieces))]
+        alive = [
+            word
+            for word, cube in tree.level(k)
+            if word[:-1] in survivors and all(dist_sq(cube, piece) > 0 for piece in active)
+        ]
+        walk.append(alive)
+        if not alive:
+            break
+        survivors = set(alive)
+    return walk
+
+
+@st.composite
+def _tree_and_cover(draw):
+    """A small tree and a non-strong cover whose endpoints sit on or near its cells."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    depth = draw(st.integers(min_value=1, max_value={1: 4, 2: 3, 3: 2}[n]))
+    tree = generate(DustSpec(n=n, b=draw(st.sampled_from((3, 4))), depth=depth))
+
+    def endpoint():
+        k = draw(st.integers(min_value=1, max_value=depth))
+        scale = tree.spec.b ** (k * k)
+        if draw(st.booleans()):
+            # a face of a dust cell, a half cell away, or one cell away
+            _, cell = draw(st.sampled_from(tree.level_cells(k)))
+            j = draw(st.sampled_from(cell)) + draw(st.sampled_from((0, 1)))
+            return F(2 * j + draw(st.integers(min_value=-2, max_value=2)), 2 * scale)
+        # any point on the level grid or half-way between, up to half a unit outside [0, 1]
+        return F(draw(st.integers(min_value=-scale, max_value=3 * scale)), 2 * scale)
+
+    pieces = []
+    for _ in range(draw(st.integers(min_value=0, max_value=8))):
+        ivs = []
+        for _ in range(n):
+            lo = endpoint()
+            hi = lo if draw(st.integers(min_value=0, max_value=3)) == 0 else endpoint()
+            ivs.append((min(lo, hi), max(lo, hi)))
+        pieces.append(Box(tuple(ivs)))
+    return tree, CoverSeq(n=n, eps=F(1, 2), strong=False, pieces=tuple(pieces))
+
+
+@given(_tree_and_cover())
+def test_integer_touching_matches_the_fraction_oracle(case):
+    tree, cover = case
+    depth = tree.spec.depth
+    assert _survivor_walk(tree, cover) == _walk_oracle(tree, cover)
+    for k in range(1, depth + 1):
+        cubes = tree.cubes_at(k)
+        for piece in cover.pieces:
+            want = sum(1 for cube in cubes if dist_sq(cube, piece) == 0)
+            assert intersect_count(tree, k, piece) == want
+    # _check_survivor names the first examined piece that touches the named leaf
+    prefix = _examined_prefix(depth, len(cover.pieces))
+    for word, cube in tree.level(depth):
+        cert = SurvivorCertificate(depth, prefix, word, (1,) * depth)
+        touching = [h for h in range(1, prefix + 1) if dist_sq(cube, cover.pieces[h - 1]) == 0]
+        if touching:
+            with pytest.raises(ValueError, match=f"touches examined piece {touching[0]}$"):
+                _check_survivor(tree, cover, cert)
+        else:
+            _check_survivor(tree, cover, cert)
+
+
+def test_integer_dust_scales_to_depth_seven(tmp_path):
+    # the whole cycle at 16,384 and 4,096 leaves, bounded as A01 bounds its own work
+    started = time.monotonic()
+    for n, depth in ((2, 7), (3, 4)):
+        spec = DustSpec(n=n, b=3, depth=depth)
+        tree = generate(spec)
+        gap_table(spec, tree)
+        count = _examined_prefix(depth, 10**9) + 2
+        cover = adversary_swallow(tree, refutation_budget_lower(spec), count)
+        cert = survivor_refute(tree, cover)
+        assert isinstance(cert, SurvivorCertificate)
+        revalidate_survivor(tree, cover, cert)
+        path = tmp_path / f"tree-{n}.json"
+        blob = serialize.save(tree, path)
+        assert serialize.canonical_bytes(serialize.to_json(serialize.load(path))) == blob
+    assert time.monotonic() - started < 10.0
