@@ -55,7 +55,7 @@ def main(argv=None) -> int:
     tree = generate(spec)
     eps = args.eps if args.eps is not None else refutation_budget_lower(spec, args.precision)
     print(f"tree: n={spec.n} b={spec.b} depth={spec.depth} "
-          f"leaves={len(tree.level(spec.depth))}")
+          f"leaves={len(tree.level_cells(spec.depth))}")
     print(f"budget eps = {eps} (~{float(eps):.3e})")
 
     out_dir = args.out_dir

@@ -8,7 +8,10 @@ reported as data rather than as refutations.
 
 Ball specifications (finite unions of boxes open relative to the unit
 cube, each required to meet the set) get an exact membership decision and
-a certified stability radius for the Hausdorff metric.
+a certified stability radius for the Hausdorff metric.  Both come from one
+arrangement: the box bounds cut a target box into faces, one sample point
+per face decides whether the face lies outside the union, and the radius
+is the least distance from a cell to an outside face near it.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .geometry import Box, Cube, DigitalSet, Point, covers_box, dist_sq, volume
 from .rational import DEFAULT_PRECISION, pow_lower, pow_upper, root_lower
@@ -337,86 +340,53 @@ def _strictly_inside(point: Point, box: Box) -> bool:
     return all(lo < c < hi for c, (lo, hi) in zip(point.coords, box.intervals))
 
 
-def _open_union_contains(target: Box, boxes: Sequence[Box]) -> bool:
-    """Exact decision of target ⊆ union of relative-open boxes.
+def _meets(box: Box, target: Box) -> bool:
+    """Whether the relative-open box meets the closed target."""
+    return all(
+        blo < thi and tlo < bhi
+        for (blo, bhi), (tlo, thi) in zip(box.intervals, target.intervals)
+    )
 
-    Builds the arrangement of box bounds inside the target and samples one
-    point per arrangement atom (bound values and midpoints); strict
-    membership is constant on each atom, so the sample decides it.
+
+def _outside_faces(target: Box, boxes: Sequence[Box]) -> Iterator[Box]:
+    """Closed faces of target's box-bound arrangement that no box strictly holds.
+
+    Per axis, the pieces are the target's bounds, the bounds of the boxes
+    meeting it that fall strictly inside, and the open gaps between them.
+    A face takes one piece per axis; strict membership in each box is
+    constant on it, so one sample point (a bound or a gap midpoint) decides
+    it.  The closures of the yielded faces make up target minus the union.
     """
-    # single-box fast path
-    for box in boxes:
-        if all(
-            blo < tlo and thi < bhi
-            for (blo, bhi), (tlo, thi) in zip(box.intervals, target.intervals)
-        ):
-            return True
-    axis_candidates: list[list[Fraction]] = []
+    live = [box for box in boxes if _meets(box, target)]
+    axes = []
     for axis, (tlo, thi) in enumerate(target.intervals):
-        breaks = {tlo, thi}
-        for box in boxes:
-            for v in box.intervals[axis]:
-                if tlo < v < thi:
-                    breaks.add(v)
-        ordered = sorted(breaks)
-        cands = list(ordered)
-        cands += [(x + y) / 2 for x, y in zip(ordered, ordered[1:])]
-        axis_candidates.append(cands)
-    for coords in itertools.product(*axis_candidates):
+        inner = {v for box in live for v in box.intervals[axis] if tlo < v < thi}
+        cuts = sorted(inner | {tlo, thi})
+        gaps = [(x, (x + y) / 2, y) for x, y in zip(cuts, cuts[1:])]
+        axes.append([(v, v, v) for v in cuts] + gaps)
+    for face in itertools.product(*axes):
         if not any(
-            all(blo < c < bhi for c, (blo, bhi) in zip(coords, box.intervals))
-            for box in boxes
+            all(blo < c < bhi for (_, c, _), (blo, bhi) in zip(face, box.intervals))
+            for box in live
         ):
-            return False
-    return True
+            yield Box(tuple((lo, hi) for lo, _, hi in face))
 
 
 def ball_membership(k_set: DigitalSet, ball: BallSpec) -> bool:
-    """Exact decision: k_set inside the union, and every box meets k_set."""
+    """Exact decision: k_set inside the union, and every box meets k_set.
+
+    Each cell is tested against the boxes in its integer touching window
+    only; no cell may have an outside face.
+    """
     if k_set.n != ball.n:
         raise ValueError("dimension mismatch")
-    for cell in k_set.cells:
-        if not _open_union_contains(k_set.cell_box(cell), ball.boxes):
+    met: set[Box] = set()
+    for cell, near in zip(k_set.cells, _touching_pieces(k_set, ball.boxes)):
+        target = k_set.cell_box(cell)
+        if next(_outside_faces(target, near), None) is not None:
             return False
-    scale = k_set.b**k_set.m
-    for box in ball.boxes:
-        if not any(
-            all(blo * scale < j + 1 and j < bhi * scale for j, (blo, bhi) in zip(cell, box.intervals))
-            for cell in k_set.cells
-        ):
-            return False
-    return True
-
-
-def _complement_slabs(box: Box) -> list[list[Box]]:
-    """Per-axis closed slabs of [0,1]^n minus a relative-open box."""
-    n = box.n
-    unit = [(Fraction(0), Fraction(1))] * n
-    slabs = []
-    for axis, (lo, hi) in enumerate(box.intervals):
-        here = []
-        if lo >= 0:
-            ivs = list(unit)
-            ivs[axis] = (Fraction(0), lo)
-            here.append(Box(tuple(ivs)))
-        if hi <= 1:
-            ivs = list(unit)
-            ivs[axis] = (hi, Fraction(1))
-            here.append(Box(tuple(ivs)))
-        slabs.append(here)
-    return [s for s in slabs if s]
-
-
-def _intersect_boxes(boxes: Sequence[Box]) -> Box | None:
-    n = boxes[0].n
-    ivs = []
-    for axis in range(n):
-        lo = max(b.intervals[axis][0] for b in boxes)
-        hi = min(b.intervals[axis][1] for b in boxes)
-        if lo > hi:
-            return None
-        ivs.append((lo, hi))
-    return Box(tuple(ivs))
+        met.update(box for box in near if _meets(box, target))
+    return met.issuperset(ball.boxes)
 
 
 def ball_stability_radius(
@@ -428,13 +398,13 @@ def ball_stability_radius(
     """Certified radius within which Hausdorff-perturbations stay in the ball.
 
     Every compact subset of the unit cube within Hausdorff distance of the
-    returned value from k_set still lies in the same ball.  Per-box radii
-    come from the witness's distance to the in-cube complement of its box
-    (or the box's clipped minimal side when the witness sits on a cube
-    vertex); the global radius adds the distance from k_set to the in-cube
-    complement of the union, or 1 when the union exhausts the cube.  The
-    result is exact except when a Euclidean root is needed, in which case
-    a certified lower enclosure is returned.
+    returned value from k_set still lies in the same ball.  The bound is the
+    least witness distance to the in-cube complement of its box, or 1 when
+    every box holds the whole cube.  A complement point nearer than the
+    bound to a cell lies in that cell grown by the bound and clipped to the
+    cube, so the least distance from a cell to an outside face of its grown
+    cell decides the rest: the bound when no face is nearer, else a
+    certified lower enclosure of that distance.
     """
     if k_set.n != ball.n:
         raise ValueError("dimension mismatch")
@@ -443,54 +413,33 @@ def ball_stability_radius(
     if not ball_membership(k_set, ball):
         raise ValueError("set is not a member of the ball")
     scale = k_set.b**k_set.m
+    cells = set(k_set.cells)
     radii: list[Fraction] = []
     for point, box in zip(witnesses, ball.boxes):
         if point.n != ball.n:
             raise ValueError("witness dimension mismatch")
         if not _strictly_inside(point, box):
             raise ValueError("witness must lie strictly inside its box")
-        if not any(
-            all(j <= c * scale <= j + 1 for c, j in zip(point.coords, cell))
-            for cell in k_set.cells
-        ):
+        # the closed cells holding x = c*scale on an axis are floor(x) and ceil(x) - 1
+        axes = ({floor(c * scale), ceil(c * scale) - 1} for c in point.coords)
+        if cells.isdisjoint(itertools.product(*axes)):
             raise ValueError("witness must lie in the set")
-        if all(c in (0, 1) for c in point.coords):
-            clipped = min(
-                min(hi, Fraction(1)) - max(lo, Fraction(0))
-                for lo, hi in box.intervals
-            )
-            radii.append(clipped)
-            continue
-        gaps = []
         for c, (lo, hi) in zip(point.coords, box.intervals):
             if lo >= 0:
-                gaps.append(c - lo)
+                radii.append(c - lo)
             if hi <= 1:
-                gaps.append(hi - c)
-        if gaps:
-            radii.append(min(gaps))
-    unit_box = Box(tuple((Fraction(0), Fraction(1)) for _ in range(ball.n)))
-    if _open_union_contains(unit_box, ball.boxes):
-        radii.append(Fraction(1))
-        return min(radii)
-    slab_families = [_complement_slabs(box) for box in ball.boxes]
-    if any(not family for family in slab_families):
-        radii.append(Fraction(1))
-        return min(radii)
-    complement_sq: Fraction | None = None
-    for choice in itertools.product(*(itertools.chain(*f) for f in slab_families)):
-        region = _intersect_boxes(list(choice))
-        if region is None:
-            continue
-        d = dist_sq(k_set, region)
-        if complement_sq is None or d < complement_sq:
-            complement_sq = d
-    if complement_sq is None:
-        radii.append(Fraction(1))
-        return min(radii)
-    if complement_sq == 0:
+                radii.append(hi - c)
+    bound = min(radii, default=Fraction(1))
+    near_sq = bound * bound
+    for cell in k_set.cells:
+        target = k_set.cell_box(cell)
+        grown = Box(
+            tuple((max(lo - bound, 0), min(hi + bound, 1)) for lo, hi in target.intervals)
+        )
+        for face in _outside_faces(grown, ball.boxes):
+            near_sq = min(near_sq, dist_sq(target, face))
+    if near_sq == 0:
         raise AssertionError("membership held but the complement touches the set")
-    best = min(radii) if radii else None
-    if best is not None and best * best <= complement_sq:
-        return best
-    return root_lower(complement_sq, 2, prec)
+    if near_sq == bound * bound:
+        return bound
+    return root_lower(near_sq, 2, prec)

@@ -532,17 +532,17 @@ def adversary_swallow(
     """
     spec = tree.spec
     eps = Fraction(eps)
-    leaves = tree.cubes_at(spec.depth)
+    leaves = tree.level_cells(spec.depth)
+    leaf_side = spec.level_side(spec.depth)
     root_lo = pow_lower(eps, 1, spec.n, prec)
     pieces = []
     for h in range(1, count + 1):
         budget_side = max(pow_lower(eps, h, spec.n, prec), root_lo**h)
-        target = leaves[(h - 1) % len(leaves)]
-        side = min(budget_side, target.side)
+        _, cell = leaves[(h - 1) % len(leaves)]
+        side = min(budget_side, leaf_side)
         if side <= 0:
             raise ValueError("budget too small to produce a piece")
-        corner = tuple(lo for lo, _ in target.intervals)
-        pieces.append(Cube.at_corner(corner, side))
+        pieces.append(Cube.at_corner(tuple(j * leaf_side for j in cell), side))
     return CoverSeq(n=spec.n, eps=eps, strong=True, pieces=tuple(pieces))
 
 
@@ -559,19 +559,20 @@ def adversary_random(
     spec = tree.spec
     eps = Fraction(eps)
     rng = SplitMix64(seed)
-    leaves = tree.cubes_at(spec.depth)
+    leaves = tree.level_cells(spec.depth)
+    leaf_side = spec.level_side(spec.depth)
     root_lo = pow_lower(eps, 1, spec.n, prec)
     pieces = []
     for h in range(1, count + 1):
         budget_side = max(pow_lower(eps, h, spec.n, prec), root_lo**h)
-        target = leaves[rng.next() % len(leaves)]
+        _, cell = leaves[rng.next() % len(leaves)]
         shrink = Fraction(rng.next() % 512 + 512, 1024)
-        side = min(budget_side, target.side) * shrink
+        side = min(budget_side, leaf_side) * shrink
         if side <= 0:
             raise ValueError("budget too small to produce a piece")
         corner = []
-        for lo, hi in target.intervals:
-            wiggle = (hi - lo - side) * Fraction(rng.next() % 1024, 1024)
-            corner.append(min(lo + wiggle, 1 - side))
+        for j in cell:
+            wiggle = (leaf_side - side) * Fraction(rng.next() % 1024, 1024)
+            corner.append(min(j * leaf_side + wiggle, 1 - side))
         pieces.append(Cube.at_corner(tuple(corner), side))
     return CoverSeq(n=spec.n, eps=eps, strong=True, pieces=tuple(pieces))

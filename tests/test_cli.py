@@ -159,6 +159,17 @@ def test_ball_check_paths(tmp_path, capsys):
     op = tmp_path / "o.json"
     serialize.save(outside, op)
     assert run("ball-check", "--set", str(op), "--ball", str(bp)) == 1
+    # six diagonal cells of the 1/27 grid, each box padded by a quarter cell
+    cells = tuple((2 * i + 1, 2 * i + 1) for i in range(6))
+    pad = F(1, 108)
+    diagonal = BallSpec(
+        n=2, boxes=tuple(Box(tuple((F(j, 27) - pad, F(j + 1, 27) + pad) for j in c)) for c in cells)
+    )
+    serialize.save(DigitalSet(2, 3, 3, cells), kp)
+    serialize.save(diagonal, bp)
+    centres = [arg for i in range(6) for arg in ("--witness", f"{4 * i + 3}/54,{4 * i + 3}/54")]
+    assert run("ball-check", "--set", str(kp), "--ball", str(bp), *centres) == 0
+    assert "stability radius 1/108" in capsys.readouterr().out
 
 
 def test_hausdorff_cli(tmp_path, capsys):

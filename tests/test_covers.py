@@ -1,10 +1,12 @@
 import itertools
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from microset import covers, geometry
 from microset.covers import (
     BallSpec,
     CoverReport,
@@ -19,7 +21,8 @@ from microset.covers import (
     side_budget_sum,
     verify_cover,
 )
-from microset.geometry import Box, Cube, DigitalSet, Point, covers_box, volume
+from microset.geometry import Box, Cube, DigitalSet, Point, covers_box, dist_sq, volume
+from microset.rational import root_lower
 
 F = Fraction
 
@@ -375,11 +378,17 @@ def test_ball_membership_examples():
     assert not ball_membership(k, BallSpec(n=1, boxes=(box1(F(1, 3), F(3, 4)),)))
     two = BallSpec(n=1, boxes=(box1(F(-1, 10), F(1, 2)), box1(F(1, 2), F(11, 10))))
     assert ball_membership(TWO_CELLS, two)
+    # the point 1/2 where two open boxes abut lies in the cell but in neither box
+    abutting = BallSpec(n=1, boxes=(box1(F(1, 4), F(1, 2)), box1(F(1, 2), F(3, 4))))
+    assert not ball_membership(k, abutting)
 
 
 def test_ball_membership_requires_meeting_every_box():
     k = DigitalSet(1, 3, 1, ((0,),))
     ball = BallSpec(n=1, boxes=(box1(F(-1, 10), F(1, 2)), box1(F(9, 10), F(11, 10))))
+    assert not ball_membership(k, ball)
+    # an open box touching the cell [0, 1/3] only at 1/3 does not meet it
+    ball = BallSpec(n=1, boxes=(box1(F(-1, 10), F(1, 2)), box1(F(1, 3), F(11, 10))))
     assert not ball_membership(k, ball)
 
 
@@ -403,7 +412,8 @@ def test_stability_radius_vertex_witness_uses_min_side():
     ball = BallSpec(n=1, boxes=(box1(F(-1, 5), F(1, 5)), box1(F(2, 5), F(3, 5))))
     assert ball_membership(k, ball)
     r = ball_stability_radius(k, ball, [Point((F(0),)), Point((F(1, 2),))])
-    assert r > 0
+    # cell 4 lies 2/45 inside its box, nearer than the witness bound 1/10
+    assert r == F(2, 45)
 
 
 def test_stability_radius_full_cover_branch():
@@ -422,6 +432,10 @@ def test_stability_radius_rejects_bad_witnesses():
         ball_stability_radius(k, ball, [Point((F(9, 10),))])
     with pytest.raises(ValueError):
         ball_stability_radius(k, ball, [])
+    # inside the box but outside the closed cell [13/27, 14/27]
+    with pytest.raises(ValueError, match="in the set"):
+        ball_stability_radius(k, ball, [Point((F(9, 20),))])
+    assert ball_stability_radius(k, ball, [Point((F(13, 27),))]) == F(11, 135)
 
 
 def test_stability_radius_guarantees_membership_margin():
@@ -434,3 +448,148 @@ def test_stability_radius_guarantees_membership_margin():
     assert shift >= 1
     moved = DigitalSet(1, 3, 5, tuple((j + shift,) for (j,) in fine.cells))
     assert ball_membership(moved, ball)
+
+
+def _oracle_open_union_contains(target, boxes):
+    # one sample per atom of the box-bound arrangement inside the target
+    axis_candidates = []
+    for axis, (tlo, thi) in enumerate(target.intervals):
+        breaks = {tlo, thi}
+        for box in boxes:
+            breaks.update(v for v in box.intervals[axis] if tlo < v < thi)
+        ordered = sorted(breaks)
+        axis_candidates.append(ordered + [(x + y) / 2 for x, y in zip(ordered, ordered[1:])])
+    return all(
+        any(all(lo < c < hi for c, (lo, hi) in zip(coords, box.intervals)) for box in boxes)
+        for coords in itertools.product(*axis_candidates)
+    )
+
+
+def _oracle_membership(k_set, ball):
+    scale = k_set.b**k_set.m
+    return all(
+        _oracle_open_union_contains(k_set.cell_box(cell), ball.boxes) for cell in k_set.cells
+    ) and all(
+        any(
+            all(lo * scale < j + 1 and j < hi * scale for j, (lo, hi) in zip(cell, box.intervals))
+            for cell in k_set.cells
+        )
+        for box in ball.boxes
+    )
+
+
+def _oracle_complement_slabs(box):
+    # closed slabs of [0,1]^n outside the relative-open box, over all axes
+    unit = [(F(0), F(1))] * box.n
+    slabs = []
+    for axis, (lo, hi) in enumerate(box.intervals):
+        if lo >= 0:
+            slabs.append(Box(tuple(unit[:axis] + [(F(0), lo)] + unit[axis + 1 :])))
+        if hi <= 1:
+            slabs.append(Box(tuple(unit[:axis] + [(hi, F(1))] + unit[axis + 1 :])))
+    return slabs
+
+
+def _oracle_radius(k_set, ball, witnesses):
+    """The slab product: the complement of the union is the union, over one
+    complement slab per box, of the slabs' intersections, (2n)**B in all."""
+    radii = []
+    for point, box in zip(witnesses, ball.boxes):
+        if all(c in (0, 1) for c in point.coords):
+            radii.append(min(min(hi, 1) - max(lo, 0) for lo, hi in box.intervals))
+            continue
+        gaps = [c - lo for c, (lo, _) in zip(point.coords, box.intervals) if lo >= 0]
+        gaps += [hi - c for c, (_, hi) in zip(point.coords, box.intervals) if hi <= 1]
+        if gaps:
+            radii.append(min(gaps))
+    families = [_oracle_complement_slabs(box) for box in ball.boxes]
+    unit = Box(((F(0), F(1)),) * ball.n)
+    if _oracle_open_union_contains(unit, ball.boxes) or not all(families):
+        return min(radii + [F(1)])
+    complement_sq = None
+    for choice in itertools.product(*families):
+        ivs = [
+            (max(s.intervals[a][0] for s in choice), min(s.intervals[a][1] for s in choice))
+            for a in range(ball.n)
+        ]
+        if all(lo <= hi for lo, hi in ivs):
+            d = dist_sq(k_set, Box(tuple(ivs)))
+            complement_sq = d if complement_sq is None else min(complement_sq, d)
+    best = min(radii)
+    if best * best <= complement_sq:
+        return best
+    return root_lower(complement_sq, 2)
+
+
+@st.composite
+def balls_with_witnesses(draw):
+    """Up to 5 boxes in n=1..3 at quarter-cell offsets around grid cells,
+    mostly cells of a small set, some spilling past the cube, each with a
+    witness on the half-cell grid of the set when one lies strictly inside."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    b = draw(st.sampled_from([2, 3]))
+    m = draw(st.integers(min_value=0, max_value=2 if n < 3 else 1))
+    scale = b**m
+    cell = st.tuples(*[st.integers(min_value=0, max_value=scale - 1)] * n)
+    k_set = DigitalSet(n, b, m, tuple(draw(st.lists(cell, min_size=1, max_size=4))))
+    pad = st.integers(min_value=-1, max_value=6)
+    spill = st.integers(min_value=0, max_value=5)
+    boxes = []
+    for _ in range(draw(st.integers(min_value=1, max_value=5))):
+        anchor = draw(st.one_of(st.sampled_from(k_set.cells), cell))
+        ivs = []
+        for j in anchor:
+            lo = F(-1, 2) if draw(spill) == 0 else F(4 * j - draw(pad), 4 * scale)
+            hi = F(3, 2) if draw(spill) == 0 else F(4 * j + 4 + draw(pad), 4 * scale)
+            ivs.append((lo, hi))
+        boxes.append(Box(tuple(ivs)))
+    grid = [
+        tuple(F(2 * j + o, 2 * scale) for j, o in zip(c, off))
+        for c in k_set.cells
+        for off in itertools.product(range(3), repeat=n)
+    ]
+    witnesses = []
+    for box in boxes:
+        inside = sorted({p for p in grid if covers._strictly_inside(Point(p), box)})
+        witnesses.append(Point(draw(st.sampled_from(inside))) if inside else None)
+    return k_set, BallSpec(n=n, boxes=tuple(boxes)), witnesses
+
+
+@settings(max_examples=200)
+@given(balls_with_witnesses())
+def test_ball_verdicts_match_the_slab_product_oracle(case):
+    k_set, ball, witnesses = case
+    member = ball_membership(k_set, ball)
+    assert member == _oracle_membership(k_set, ball)
+    if member and None not in witnesses:
+        assert ball_stability_radius(k_set, ball, witnesses) == _oracle_radius(
+            k_set, ball, witnesses
+        )
+
+
+def test_stability_radius_scales_to_200_diagonal_boxes(monkeypatch):
+    # one box per diagonal cell (2i+1, 2i+1), padded by a quarter cell: the
+    # slab product would take 4**200 choices, the arrangement 48 faces a cell
+    s = 3**6
+    pad = F(1, 4 * s)
+    cells = tuple((2 * i + 1, 2 * i + 1) for i in range(200))
+    k_set = DigitalSet(2, 3, 6, cells)
+    ball = BallSpec(
+        n=2, boxes=tuple(Box(tuple((F(j, s) - pad, F(j + 1, s) + pad) for j in c)) for c in cells)
+    )
+    witnesses = [Point(tuple(F(2 * j + 1, 2 * s) for j in c)) for c in cells]
+    # each exact box-to-box distance counts; the arrangement needs 9,600
+    calls = 0
+    exact = geometry._box_gap_sq
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        if calls > 20_000:
+            raise AssertionError("too many exact distance evaluations")
+        return exact(*args)
+
+    monkeypatch.setattr(geometry, "_box_gap_sq", counting)
+    start = time.perf_counter()
+    assert ball_stability_radius(k_set, ball, witnesses) == F(1, 2916)
+    assert time.perf_counter() - start < 2

@@ -33,8 +33,8 @@ from microset.dust import (
     survivor_refute,
     validate,
 )
-from microset.geometry import Box, dist_sq, hausdorff_bracket, volume
-from microset.rational import pow_lower, sqrt_upper
+from microset.geometry import Box, Cube, dist_sq, hausdorff_bracket, volume
+from microset.rational import DEFAULT_PRECISION, pow_lower, sqrt_upper
 
 F = Fraction
 
@@ -423,6 +423,38 @@ def test_revalidate_rejects_tampered_certificates():
             revalidate_survivor(tree, cover, forged)
 
 
+def _swallow_from_cubes(tree, eps, count):
+    # the adversary as first written, over the Cube view of every leaf
+    spec = tree.spec
+    leaves = tree.cubes_at(spec.depth)
+    root_lo = pow_lower(eps, 1, spec.n, DEFAULT_PRECISION)
+    pieces = []
+    for h in range(1, count + 1):
+        budget_side = max(pow_lower(eps, h, spec.n, DEFAULT_PRECISION), root_lo**h)
+        target = leaves[(h - 1) % len(leaves)]
+        side = min(budget_side, target.side)
+        pieces.append(Cube.at_corner(tuple(lo for lo, _ in target.intervals), side))
+    return CoverSeq(n=spec.n, eps=eps, strong=True, pieces=tuple(pieces))
+
+
+def _random_from_cubes(tree, eps, count, seed):
+    spec = tree.spec
+    rng = SplitMix64(seed)
+    leaves = tree.cubes_at(spec.depth)
+    root_lo = pow_lower(eps, 1, spec.n, DEFAULT_PRECISION)
+    pieces = []
+    for h in range(1, count + 1):
+        budget_side = max(pow_lower(eps, h, spec.n, DEFAULT_PRECISION), root_lo**h)
+        target = leaves[rng.next() % len(leaves)]
+        side = min(budget_side, target.side) * F(rng.next() % 512 + 512, 1024)
+        corner = []
+        for lo, hi in target.intervals:
+            wiggle = (hi - lo - side) * F(rng.next() % 1024, 1024)
+            corner.append(min(lo + wiggle, 1 - side))
+        pieces.append(Cube.at_corner(tuple(corner), side))
+    return CoverSeq(n=spec.n, eps=eps, strong=True, pieces=tuple(pieces))
+
+
 def test_adversaries_respect_budgets():
     spec = DustSpec(n=2, b=3, depth=3)
     tree = generate(spec)
@@ -434,6 +466,16 @@ def test_adversaries_respect_budgets():
         assert cover.strong
         for k, piece in enumerate(cover.pieces, start=1):
             assert volume(piece) <= eps**k
+    # built from the integer leaf cells, the covers equal the Cube-view ones;
+    # 20 swallow pieces wrap around the 16 leaves of n=1 depth=4
+    for n, depth in ((1, 4), (2, 3), (3, 2)):
+        tree = generate(DustSpec(n=n, b=3, depth=depth))
+        eps = refutation_budget_lower(tree.spec)
+        assert adversary_swallow(tree, eps, 20) == _swallow_from_cubes(tree, eps, 20)
+        for seed in (0, 5, 12):
+            assert adversary_random(tree, eps, 10, seed) == _random_from_cubes(
+                tree, eps, 10, seed
+            )
 
 
 def test_tree_serialization_is_byte_stable():
