@@ -134,9 +134,10 @@ def _in_window(cell: tuple[int, ...], window: tuple[tuple[int, int], ...]) -> bo
     return all(a <= j <= z for j, (a, z) in zip(cell, window))
 
 
-def _touching_pieces(e: DigitalSet, pieces: Sequence[Box]) -> list[list[Box]]:
+def _touching_pieces(e: DigitalSet, pieces: Sequence[Box], slack: int = 1) -> list[list[Box]]:
     """For each cell of e, in order, the pieces touching it, in cover order.
 
+    A ``slack`` of ``1 + g`` widens each piece's window by g cells each way.
     The cells are sorted, so a piece's first-axis window is one bisected
     run of them; only the cells of that run test the remaining axes.
     """
@@ -144,7 +145,7 @@ def _touching_pieces(e: DigitalSet, pieces: Sequence[Box]) -> list[list[Box]]:
     firsts = [cell[0] for cell in e.cells]
     touching: list[list[Box]] = [[] for _ in e.cells]
     for piece in pieces:
-        (a, z), *rest = _cell_window(piece, scale, 1)
+        (a, z), *rest = _cell_window(piece, scale, slack)
         for i in range(bisect_left(firsts, a), bisect_right(firsts, z)):
             if _in_window(e.cells[i][1:], rest):
                 touching[i].append(piece)
@@ -431,12 +432,15 @@ def ball_stability_radius(
                 radii.append(hi - c)
     bound = min(radii, default=Fraction(1))
     near_sq = bound * bound
-    for cell in k_set.cells:
+    # a box that meets the cell grown by the bound holds the cell in its
+    # touching window widened by ceil(bound * scale) cells each way
+    widened = _touching_pieces(k_set, ball.boxes, 1 + ceil(bound * scale))
+    for cell, near in zip(k_set.cells, widened):
         target = k_set.cell_box(cell)
         grown = Box(
             tuple((max(lo - bound, 0), min(hi + bound, 1)) for lo, hi in target.intervals)
         )
-        for face in _outside_faces(grown, ball.boxes):
+        for face in _outside_faces(grown, near):
             near_sq = min(near_sq, dist_sq(target, face))
     if near_sq == 0:
         raise AssertionError("membership held but the complement touches the set")

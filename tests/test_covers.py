@@ -567,6 +567,17 @@ def test_ball_verdicts_match_the_slab_product_oracle(case):
         )
 
 
+def test_stability_radius_hands_a_grown_cell_boxes_beyond_its_window():
+    # the bound is 5/18, two and a half cells, so windows widen by three:
+    # cell 0 grown to [0, 7/18] is covered only by A and C together, and C's
+    # widened window (from ceil(9 * 13/36) - 1 - 3 = 0) just reaches cell 0
+    k_set = DigitalSet(1, 3, 2, ((0,), (8,)))
+    ball = BallSpec(n=1, boxes=(box1(-1, F(3, 8)), box1(F(2, 3), 2), box1(F(13, 36), 2)))
+    witnesses = [Point((F(1, 18),)), Point((F(17, 18),)), Point((F(17, 18),))]
+    radius = ball_stability_radius(k_set, ball, witnesses)
+    assert radius == F(5, 18) == _oracle_radius(k_set, ball, witnesses)
+
+
 def test_stability_radius_scales_to_200_diagonal_boxes(monkeypatch):
     # one box per diagonal cell (2i+1, 2i+1), padded by a quarter cell: the
     # slab product would take 4**200 choices, the arrangement 48 faces a cell
@@ -590,6 +601,19 @@ def test_stability_radius_scales_to_200_diagonal_boxes(monkeypatch):
         return exact(*args)
 
     monkeypatch.setattr(geometry, "_box_gap_sq", counting)
+    # each grown cell is handed the boxes of its widened integer window
+    # (three here), not all 200: about 1,000 box-meets-target tests in all,
+    # where testing every box against every grown cell took 40,400
+    meets = 0
+    exact_meets = covers._meets
+
+    def counting_meets(*args):
+        nonlocal meets
+        meets += 1
+        return exact_meets(*args)
+
+    monkeypatch.setattr(covers, "_meets", counting_meets)
     start = time.perf_counter()
     assert ball_stability_radius(k_set, ball, witnesses) == F(1, 2916)
     assert time.perf_counter() - start < 2
+    assert meets < 2_000

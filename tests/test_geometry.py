@@ -1,10 +1,12 @@
 import itertools
 import math
+import random
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from microset import geometry
@@ -272,6 +274,131 @@ def test_hausdorff_bracket_triangle_up_to_widths(a, b, c):
     bc = hausdorff_bracket(b, c, 4)
     ac = hausdorff_bracket(a, c, 4)
     assert ac.lo <= ab.hi + bc.hi
+
+
+class _PairCounter:
+    """Stands in for the scan's per-pair gap, counting its calls."""
+
+    def __init__(self):
+        self.calls = 0
+        self.gap_sq = geometry._cell_gap_sq
+
+    def __call__(self, *args):
+        self.calls += 1
+        return self.gap_sq(*args)
+
+
+def _all_pairs_directed(cells_a, cells_b, far):
+    """The former scan: every A-cell center against every B-cell, doubled grid."""
+    worst = 0
+    for ca in cells_a:
+        best = min(
+            sum(max(2 * jb - 2 * ja - 1, 2 * ja - 2 * jb - 1, 0) ** 2 for ja, jb in zip(ca, cb))
+            for cb in cells_b
+        )
+        worst = max(worst, best)
+    return worst
+
+
+def _all_pairs_dist_sq(a, b):
+    """The former scan: every cell pair on the common integer grid."""
+    scale = math.lcm(a.b**a.m, b.b**b.m)
+    fa, fb = scale // a.b**a.m, scale // b.b**b.m
+    best = min(
+        sum(max(jb * fb - (ja + 1) * fa, ja * fa - (jb + 1) * fb, 0) ** 2 for ja, jb in zip(ca, cb))
+        for ca in a.cells
+        for cb in b.cells
+    )
+    return F(best, scale * scale)
+
+
+@st.composite
+def scan_pairs(draw):
+    """Two digital sets on one grid, in shapes that stress the sorted scan."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    b = draw(st.integers(min_value=2, max_value=3))
+    m = draw(st.integers(min_value=0, max_value=3))
+    top = b**m
+    shape = draw(st.sampled_from(["uniform", "subset", "equal", "single", "ends", "column"]))
+    column = draw(st.integers(min_value=0, max_value=top - 1))
+    half = max(1, top // 2)
+    anywhere = st.integers(min_value=0, max_value=top - 1)
+
+    def cells(first, size):
+        cell = st.tuples(first, *[anywhere] * (n - 1))
+        return tuple(draw(st.lists(cell, min_size=1, max_size=size)))
+
+    if shape == "ends":
+        # clusters at opposite ends of the first axis
+        a = cells(st.integers(min_value=0, max_value=half - 1), 8)
+        c = cells(st.integers(min_value=top - half, max_value=top - 1), 8)
+    elif shape == "column":
+        # one first-axis column, so the first-axis cut never fires
+        a = cells(st.just(column), 8)
+        c = cells(st.just(column), 8)
+    else:
+        size = 1 if shape == "single" else 8
+        a = cells(anywhere, size)
+        c = cells(anywhere, size)
+        if shape == "subset":
+            a = tuple(draw(st.lists(st.sampled_from(c), min_size=1, max_size=len(c))))
+        elif shape == "equal":
+            a = c
+    depth = m + draw(st.integers(min_value=0, max_value=1))
+    return DigitalSet(n, b, m, a), DigitalSet(n, b, m, c), depth
+
+
+@settings(max_examples=150)
+@given(scan_pairs())
+def test_sorted_scan_matches_the_all_pairs_oracle(pair):
+    a, b, depth = pair
+    fine = a.refine(depth)
+    pairs = _PairCounter()
+    with mock.patch.object(geometry, "_cell_gap_sq", pairs):
+        got = hausdorff_bracket(a, b, depth)
+        # no pair is tested twice in one direction
+        assert pairs.calls <= 2 * len(fine.cells) * len(b.refine(depth).cells)
+        # the finer set's cells scale by b against the coarser one's
+        for x, y in ((a, b), (fine, b), (b, fine)):
+            pairs.calls = 0
+            assert dist_sq(x, y) == _all_pairs_dist_sq(x, y)
+            assert pairs.calls <= len(x.cells) * len(y.cells)
+    with mock.patch.object(geometry, "_directed_max_min_dist_sq", _all_pairs_directed):
+        assert got == hausdorff_bracket(a, b, depth)
+
+
+def test_sorted_scan_stops_a_cell_at_a_tie(monkeypatch):
+    # A-cell (0, 0) finds distance 9 at (0, 2); (2, 1) is then cut by its
+    # first-axis gap, 9, alone.  A-cell (5, 0) meets 9 at (5, 2) first, which
+    # cannot raise the maximum, so (6, 2) is never tested
+    cells_a = ((0, 0), (5, 0))
+    cells_b = ((0, 2), (2, 1), (5, 2), (6, 2))
+    pairs = _PairCounter()
+    monkeypatch.setattr(geometry, "_cell_gap_sq", pairs)
+    far = 2 * 18**2
+    assert geometry._directed_max_min_dist_sq(cells_a, cells_b, far) == 9
+    assert pairs.calls == 2
+    assert _all_pairs_directed(cells_a, cells_b, far) == 9
+
+
+def test_sorted_scan_tests_few_pairs(monkeypatch):
+    # the all-pairs scans tested 800 * 900 pairs each way, and every pair of
+    # the two separated clusters for dist_sq
+    rng = random.Random(7)
+
+    def sample(count, lo, hi):
+        cells = set()
+        while len(cells) < count:
+            cells.add((rng.randrange(lo, hi), rng.randrange(81)))
+        return DigitalSet(2, 3, 4, tuple(cells))
+
+    pairs = _PairCounter()
+    monkeypatch.setattr(geometry, "_cell_gap_sq", pairs)
+    hausdorff_bracket(sample(800, 0, 81), sample(900, 0, 81), 4)
+    assert pairs.calls < 40_000  # 1,440,000 before
+    pairs.calls = 0
+    assert dist_sq(sample(800, 0, 20), sample(900, 61, 81)) == F(41**2, 81**2)
+    assert pairs.calls < 7_200  # 720,000 before
 
 
 def test_digitalset_refine_preserves_union():

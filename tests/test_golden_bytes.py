@@ -4,7 +4,8 @@ Each document is produced through ``microset.cli.main`` exactly as a user
 would produce it; any change to a canonical byte changes its digest.  The
 digests were recorded before the budget predicate and the rebuilding tree
 loader were introduced, so they also pin that those changes kept every
-output byte.
+output byte.  ``hbracket_n2_d3.json`` was recorded with the all-pairs
+Hausdorff scan, before the sorted scan replaced it.
 """
 
 import hashlib
@@ -28,6 +29,7 @@ GOLDEN = {
     "report_ok.json": "191b78edc16916986439c09295caa8f76ce6956dc2a73b736a0f41e9435a4b87",
     "report_uncovered.json": "37962bc23ea95fda67a1fb0296a49a4780388e5830fbb9e5ebe6415e8acf427b",
     "hbracket.json": "1b16039913c5148d256c72cedf85249a98e530f700db07575722f83cf086805a",
+    "hbracket_n2_d3.json": "780402f9b37f01020cf5760c81c94e517018fd967ad170da93863921b7bc8558",
 }
 
 
@@ -72,6 +74,16 @@ def docs(tmp_path_factory):
     assert _run(
         "hausdorff", "--a", d / "set_a.json", "--b", d / "set_b.json", "--depth", 3,
         "-o", d / "hbracket.json",
+    ) == 0
+    # 198 and 180 cells bracketed at their own depth, with no refinement
+    for seed in (6, 7):
+        assert _run(
+            "baire-sample", "--n", 2, "--b", 3, "--depth", 3, "--density", "1/4",
+            "--seed", seed, "-o", d / f"dense_{seed}.json",
+        ) == 0
+    assert _run(
+        "hausdorff", "--a", d / "dense_6.json", "--b", d / "dense_7.json", "--depth", 3,
+        "-o", d / "hbracket_n2_d3.json",
     ) == 0
     return d
 
