@@ -52,9 +52,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser(
-        "dust-generate", parents=[common], help="build and verify a dust tree"
-    )
+    p = sub.add_parser("dust-generate", help="build and verify a dust tree")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--depth", type=int, required=True)
@@ -65,9 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("-o", "--out", required=True)
 
-    p = sub.add_parser(
-        "dust-gaps", parents=[common], help="exact per-level gap table"
-    )
+    p = sub.add_parser("dust-gaps", help="exact per-level gap table")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--depth", type=int, required=True)
@@ -85,9 +81,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
 
     p = sub.add_parser(
-        "dust-refute",
-        parents=[common],
-        help="survivor certificate against a budgeted cover",
+        "dust-refute", help="survivor certificate against a budgeted cover"
     )
     p.add_argument("--tree", required=True)
     p.add_argument("--cover", required=True)
@@ -98,9 +92,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="re-validate this existing certificate instead of searching",
     )
 
-    p = sub.add_parser(
-        "cover-verify", parents=[common], help="verify budgets and coverage"
-    )
+    p = sub.add_parser("cover-verify", help="verify budgets and coverage")
     p.add_argument("--set", dest="set_path", required=True)
     p.add_argument("--cover", required=True)
     p.add_argument("-o", "--out", default=None)
@@ -115,9 +107,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-pieces", type=int, default=4096)
     p.add_argument("-o", "--out", default=None)
 
-    p = sub.add_parser(
-        "cover-merge", parents=[common], help="interleave covers into one sequence"
-    )
+    p = sub.add_parser("cover-merge", help="interleave covers into one sequence")
     p.add_argument("--covers", nargs="+", required=True)
     p.add_argument("--eps", type=_scalar, required=True)
     p.add_argument("-o", "--out", required=True)
@@ -144,9 +134,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("-o", "--out", default=None)
 
-    p = sub.add_parser(
-        "baire-sample", parents=[common], help="seeded random digital set"
-    )
+    p = sub.add_parser("baire-sample", help="seeded random digital set")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--depth", type=int, required=True)
@@ -154,9 +142,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("-o", "--out", required=True)
 
-    p = sub.add_parser(
-        "render-svg", parents=[common], help="static SVG of a planar tree or cover"
-    )
+    p = sub.add_parser("render-svg", help="static SVG of a planar tree or cover")
     p.add_argument("--tree", default=None)
     p.add_argument("--cover", default=None)
     p.add_argument("--max-level", type=int, default=None)

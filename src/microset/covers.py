@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import ceil, floor
 from typing import Iterator, Sequence
 
-from .geometry import Box, Cube, DigitalSet, Point, covers_box, dist_sq, volume
+from .geometry import Box, DigitalSet, Point, _box_gap_sq, covers_box, volume
 from .rational import DEFAULT_PRECISION, pow_lower, pow_upper, root_lower
 
 
@@ -72,10 +72,18 @@ class CoverSeq:
 
 @dataclass(frozen=True)
 class CoverReport:
-    budget_ok: bool
-    coverage_ok: bool
+    """Verdicts of ``verify_cover``; each flag is read off its witness."""
+
     first_violation: tuple[int, str] | None
     uncovered_witness: tuple[int, ...] | None
+
+    @property
+    def budget_ok(self) -> bool:
+        return self.first_violation is None
+
+    @property
+    def coverage_ok(self) -> bool:
+        return self.uncovered_witness is None
 
     @property
     def ok(self) -> bool:
@@ -172,8 +180,6 @@ def verify_cover(e: DigitalSet, cover: CoverSeq) -> CoverReport:
         None,
     )
     return CoverReport(
-        budget_ok=k is None,
-        coverage_ok=witness is None,
         first_violation=None if k is None else (k, "budget"),
         uncovered_witness=witness,
     )
@@ -212,7 +218,7 @@ def greedy_strong_cover(
     order = sorted(e.cells, key=lambda c: (_morton_key(c, width), c))
     uncovered = set(order)
     root_lo = pow_lower(eps, 1, n, prec)
-    pieces: list[Cube] = []
+    pieces: list[Box] = []
     k = 0
     while uncovered:
         if len(pieces) >= max_pieces:
@@ -223,7 +229,7 @@ def greedy_strong_cover(
             return _certify_infeasible(e, uncovered, k, eps, prec)
         target = next(c for c in order if c in uncovered)
         lo = tuple(min(j * cs, 1 - side) for j in target)
-        pieces.append(Cube.at_corner(lo, side))
+        pieces.append(Box.cube(lo, side))
         window = _cell_window(pieces[-1], scale, 0)
         uncovered = {c for c in uncovered if not _in_window(c, window)}
     cover = CoverSeq(n=n, eps=eps, strong=True, pieces=tuple(pieces))
@@ -319,9 +325,9 @@ def cover_measure_upper(
 ) -> Fraction:
     """Certified upper bound of sum_k (diam piece_k)**alpha for a strong cover.
 
-    Cube diameters obey diam <= sqrt(n) * eps**(k/n), so the sum is bounded
-    by n**(alpha/2) * sum_k eps**(alpha*k/n), evaluated as a finite prefix
-    plus geometric tail with every enclosure directed upward.
+    Each piece is a cube, so diam <= sqrt(n) * eps**(k/n) and the sum is
+    bounded by n**(alpha/2) * sum_k eps**(alpha*k/n), evaluated as a finite
+    prefix plus geometric tail with every enclosure directed upward.
     """
     alpha = Fraction(alpha)
     if alpha <= 0:
@@ -349,7 +355,7 @@ def _meets(box: Box, target: Box) -> bool:
     )
 
 
-def _outside_faces(target: Box, boxes: Sequence[Box]) -> Iterator[Box]:
+def _outside_faces(target: Box, boxes: Sequence[Box]) -> Iterator[tuple]:
     """Closed faces of target's box-bound arrangement that no box strictly holds.
 
     Per axis, the pieces are the target's bounds, the bounds of the boxes
@@ -357,6 +363,7 @@ def _outside_faces(target: Box, boxes: Sequence[Box]) -> Iterator[Box]:
     A face takes one piece per axis; strict membership in each box is
     constant on it, so one sample point (a bound or a gap midpoint) decides
     it.  The closures of the yielded faces make up target minus the union.
+    Each face comes as its per-axis (lo, hi) pairs, unvalidated.
     """
     live = [box for box in boxes if _meets(box, target)]
     axes = []
@@ -370,7 +377,7 @@ def _outside_faces(target: Box, boxes: Sequence[Box]) -> Iterator[Box]:
             all(blo < c < bhi for (_, c, _), (blo, bhi) in zip(face, box.intervals))
             for box in live
         ):
-            yield Box(tuple((lo, hi) for lo, _, hi in face))
+            yield tuple((lo, hi) for lo, _, hi in face)
 
 
 def ball_membership(k_set: DigitalSet, ball: BallSpec) -> bool:
@@ -441,7 +448,7 @@ def ball_stability_radius(
             tuple((max(lo - bound, 0), min(hi + bound, 1)) for lo, hi in target.intervals)
         )
         for face in _outside_faces(grown, near):
-            near_sq = min(near_sq, dist_sq(target, face))
+            near_sq = min(near_sq, _box_gap_sq(target.intervals, face))
     if near_sq == 0:
         raise AssertionError("membership held but the complement touches the set")
     if near_sq == bound * bound:

@@ -8,7 +8,7 @@ dimension zero, yet the gap structure lets a survivor argument refute
 every sufficiently tight cover-budget claim.
 
 A level-k cube is one closed cell of the b**(k*k) grid, so the tree holds
-integer cell indices; Fractions appear only in its ``Cube`` view and its JSON.
+integer cell indices; Fractions appear only in its box view and its JSON.
 
 All verdicts are exact.  The only enclosures are the n-th roots inside
 ``refutation_budget_lower`` and ``hausdorff_measure_upper``, both directed
@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .covers import CoverSeq, _cell_window, _in_window
-from .geometry import Box, Cube, DigitalSet, volume
+from .geometry import Box, DigitalSet, volume
 from .rational import (
     DEFAULT_PRECISION,
     pow_lower,
@@ -105,7 +105,7 @@ def _require_admissible(spec: DustSpec) -> None:
 
 @dataclass(frozen=True)
 class DustTree:
-    """Per level, (word, cell) pairs in word order; ``level`` is the ``Cube`` view.
+    """Per level, (word, cell) pairs in word order; ``level`` is the box view.
 
     A cell is the cube's integer index tuple on its level's b**(k*k) grid.
     """
@@ -118,14 +118,14 @@ class DustTree:
             raise ValueError("level out of range")
         return self.levels[k - 1]
 
-    def level(self, k: int) -> tuple[tuple[tuple[int, ...], Cube], ...]:
+    def level(self, k: int) -> tuple[tuple[tuple[int, ...], Box], ...]:
         side = self.spec.level_side(k)
         return tuple(
-            (word, Cube.at_corner(tuple(j * side for j in cell), side))
+            (word, Box.cube(tuple(j * side for j in cell), side))
             for word, cell in self.level_cells(k)
         )
 
-    def cubes_at(self, k: int) -> list[Cube]:
+    def cubes_at(self, k: int) -> list[Box]:
         return [cube for _, cube in self.level(k)]
 
     def level_digital(self, k: int) -> DigitalSet:
@@ -222,7 +222,7 @@ def gap_table(spec: DustSpec, tree: DustTree | None = None) -> GapTable:
     independent route from the integer cells of the tree.
     """
     _require_admissible(spec)
-    vols, leftovers, d_vals, big_d = [], [], [], []
+    vols, leftovers, d_vals = [], [], []
     for k in range(1, spec.depth + 1):
         v_prev = spec.level_volume(k - 1)
         v_here = spec.level_volume(k)
@@ -232,15 +232,13 @@ def gap_table(spec: DustSpec, tree: DustTree | None = None) -> GapTable:
             raise AssertionError("volume roots must be exact for c = b**n")
         vols.append(v_here)
         leftovers.append(v_prev - 2**spec.n * v_here)
-        d_k = side_prev - 2 * side_here
-        d_vals.append(d_k)
-        big_d.append(d_k if not big_d else min(d_k, big_d[-1]))
+        d_vals.append(side_prev - 2 * side_here)
     table = GapTable(
         depth=spec.depth,
         volume=tuple(vols),
         leftover=tuple(leftovers),
         sibling_gap=tuple(d_vals),
-        level_gap=tuple(big_d),
+        level_gap=tuple(itertools.accumulate(d_vals, min)),
     )
     if tree is not None:
         if (tree.spec.n, tree.spec.b, tree.spec.depth) != (spec.n, spec.b, spec.depth):
@@ -542,7 +540,7 @@ def adversary_swallow(
         side = min(budget_side, leaf_side)
         if side <= 0:
             raise ValueError("budget too small to produce a piece")
-        pieces.append(Cube.at_corner(tuple(j * leaf_side for j in cell), side))
+        pieces.append(Box.cube(tuple(j * leaf_side for j in cell), side))
     return CoverSeq(n=spec.n, eps=eps, strong=True, pieces=tuple(pieces))
 
 
@@ -574,5 +572,5 @@ def adversary_random(
         for j in cell:
             wiggle = (leaf_side - side) * Fraction(rng.next() % 1024, 1024)
             corner.append(min(j * leaf_side + wiggle, 1 - side))
-        pieces.append(Cube.at_corner(tuple(corner), side))
+        pieces.append(Box.cube(tuple(corner), side))
     return CoverSeq(n=spec.n, eps=eps, strong=True, pieces=tuple(pieces))

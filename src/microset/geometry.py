@@ -73,27 +73,13 @@ class Box:
     def vertices(self) -> Iterable[tuple[Fraction, ...]]:
         return itertools.product(*self.intervals)
 
-
-@dataclass(frozen=True)
-class Cube(Box):
-    """Box together with its witnessed common side length."""
-
-    side: Fraction
-
-    def __post_init__(self):
-        super().__post_init__()
-        object.__setattr__(self, "side", _frac(self.side))
-        if self.side <= 0:
-            raise ValueError("cube side must be positive")
-        for lo, hi in self.intervals:
-            if hi - lo != self.side:
-                raise ValueError("cube sides differ from the witnessed side")
-
     @classmethod
-    def at_corner(cls, corner: Sequence[Fraction], side: Fraction) -> "Cube":
+    def cube(cls, corner: Sequence[Fraction], side: Fraction) -> "Box":
+        """The cube [corner, corner + side] on every axis; side must be positive."""
         side = _frac(side)
-        ivs = tuple((_frac(c), _frac(c) + side) for c in corner)
-        return cls(intervals=ivs, side=side)
+        if side <= 0:
+            raise ValueError("cube side must be positive")
+        return cls(tuple((_frac(c), _frac(c) + side) for c in corner))
 
 
 @dataclass(frozen=True)
@@ -165,6 +151,8 @@ class HBracket:
     width_cap: Fraction
 
     def __post_init__(self):
+        if self.sample_depth < 0:
+            raise ValueError("sample depth must be >= 0")
         if self.lo < 0 or self.hi < self.lo:
             raise ValueError("bracket must satisfy 0 <= lo <= hi")
         if self.hi - self.lo > self.width_cap:
@@ -189,9 +177,10 @@ def diam_sq(box: Box) -> Fraction:
     return sum(((hi - lo) ** 2 for lo, hi in box.intervals), Fraction(0))
 
 
-def _box_gap_sq(a: Box, b: Box) -> Fraction:
+def _box_gap_sq(a: Sequence[tuple], b: Sequence[tuple]) -> Fraction:
+    """Squared gap between two boxes given as per-axis (lo, hi) pairs."""
     total = Fraction(0)
-    for (alo, ahi), (blo, bhi) in zip(a.intervals, b.intervals):
+    for (alo, ahi), (blo, bhi) in zip(a, b):
         gap = max(blo - ahi, alo - bhi)
         if gap > 0:
             total += gap * gap
@@ -235,7 +224,7 @@ def dist_sq(a: GeometricSet, b: GeometricSet) -> Fraction:
     best: Fraction | None = None
     for ba in boxes_a:
         for bb in boxes_b:
-            d = _box_gap_sq(ba, bb)
+            d = _box_gap_sq(ba.intervals, bb.intervals)
             if best is None or d < best:
                 best = d
                 if best == 0:

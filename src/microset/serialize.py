@@ -10,12 +10,15 @@ structure and re-run the type constructors, so a tampered file fails
 loudly rather than deserializing into an inconsistent object; every such
 failure, a field of the wrong JSON type included, is a ``ValueError``.
 A dust tree is fully determined by its spec, so its loader rebuilds the
-tree and rejects any document that differs from it.
+tree and rejects any document that differs from it.  A cover report's
+flags must agree with its witnesses, and a gap table's level gaps must be
+the running minimum of its sibling gaps.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import accumulate
 from pathlib import Path
 
 from .covers import BallSpec, CoverReport, CoverSeq
@@ -27,7 +30,7 @@ from .dust import (
     _construct,
     _has_size,
 )
-from .geometry import Box, Cube, DigitalSet, HBracket
+from .geometry import Box, DigitalSet, HBracket
 from .rational import format_scalar, parse_scalar
 
 
@@ -44,11 +47,7 @@ def _box_to_json(box: Box) -> list[list[str]]:
 
 
 def _box_from_json(data) -> Box:
-    intervals = tuple((parse_scalar(lo), parse_scalar(hi)) for lo, hi in data)
-    sides = {hi - lo for lo, hi in intervals}
-    if len(sides) == 1 and next(iter(sides)) > 0:
-        return Cube(intervals=intervals, side=next(iter(sides)))
-    return Box(intervals=intervals)
+    return Box(tuple((parse_scalar(lo), parse_scalar(hi)) for lo, hi in data))
 
 
 def digitalset_to_json(e: DigitalSet) -> dict:
@@ -112,12 +111,16 @@ def coverreport_from_json(data: dict) -> CoverReport:
     )
     violation = data["first_violation"]
     witness = data["uncovered_witness"]
-    return CoverReport(
-        budget_ok=bool(data["budget_ok"]),
-        coverage_ok=bool(data["coverage_ok"]),
-        first_violation=None if violation is None else (int(violation[0]), str(violation[1])),
+    if violation is not None and (len(violation) != 2 or violation[1] != "budget"):
+        raise ValueError('coverreport/1 violation must be [position, "budget"]')
+    report = CoverReport(
+        first_violation=None if violation is None else (int(violation[0]), "budget"),
         uncovered_witness=None if witness is None else tuple(int(j) for j in witness),
     )
+    for flag in ("budget_ok", "coverage_ok"):
+        if data[flag] is not getattr(report, flag):
+            raise ValueError(f"coverreport/1 {flag} disagrees with its witness")
+    return report
 
 
 def ballspec_to_json(ball: BallSpec) -> dict:
@@ -194,13 +197,19 @@ def gaptable_from_json(data: dict) -> GapTable:
     _expect(
         data, "gaptable/1", {"depth", "volume", "leftover", "sibling_gap", "level_gap"}
     )
-    return GapTable(
+    table = GapTable(
         depth=int(data["depth"]),
         volume=tuple(parse_scalar(v) for v in data["volume"]),
         leftover=tuple(parse_scalar(v) for v in data["leftover"]),
         sibling_gap=tuple(parse_scalar(v) for v in data["sibling_gap"]),
         level_gap=tuple(parse_scalar(v) for v in data["level_gap"]),
     )
+    columns = (table.volume, table.leftover, table.sibling_gap, table.level_gap)
+    if any(len(column) != table.depth for column in columns):
+        raise ValueError("gaptable/1 columns must hold depth entries each")
+    if table.level_gap != tuple(accumulate(table.sibling_gap, min)):
+        raise ValueError("gaptable/1 level_gap is not the running minimum of sibling_gap")
+    return table
 
 
 def survivor_to_json(cert: SurvivorCertificate) -> dict:

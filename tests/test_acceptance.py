@@ -41,7 +41,6 @@ from microset.dust import (
 )
 from microset.geometry import (
     Box,
-    Cube,
     DigitalSet,
     Point,
     dist_sq,
@@ -63,14 +62,14 @@ def test_a01_construction_is_exact_for_three_reference_trees():
     started = time.monotonic()
     for spec in _REFERENCE_SPECS:
         tree = generate(spec)
-        parents = {(): Cube.at_corner(tuple(F(0) for _ in range(spec.n)), F(1))}
+        parents = {(): Box.cube(tuple(F(0) for _ in range(spec.n)), F(1))}
         sides = [F(1)] + [F(1, 3 ** (k * k)) for k in range(1, spec.depth + 1)]
         gaps = [sides[k - 1] - 2 * sides[k] for k in range(1, spec.depth + 1)]
         for k in range(1, spec.depth + 1):
             level = tree.level(k)
             assert len(level) == 2 ** (spec.n * k)
             for word, cube in level:
-                assert cube.side == sides[k]
+                assert cube.sides() == (sides[k],) * spec.n
                 assert volume(cube) == F(1, 3 ** (spec.n * k * k))
                 parent = parents[word[:-1]]
                 assert len(set(cube.vertices()) & set(parent.vertices())) == 1
@@ -286,7 +285,7 @@ def test_a07_cover_verifier_agrees_with_integer_rasterization():
 
 def test_a08_merged_covers_reverify_and_obey_the_budget_series():
     single = CoverSeq(
-        n=1, eps=F(1, 4), strong=True, pieces=(Cube.at_corner((F(0),), F(1, 4)),)
+        n=1, eps=F(1, 4), strong=True, pieces=(Box.cube((F(0),), F(1, 4)),)
     )
     assert cover_measure_upper(single, F(1), 12) == F(1, 3)
     rng = SplitMix64(77001)

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from microset import serialize
-from microset.cli import main
+from microset.cli import _HANDLERS, main
 from microset.covers import BallSpec, CoverReport, CoverSeq
 from microset.dust import (
     DustSpec,
@@ -235,6 +235,20 @@ def test_precision_flag_validation(tmp_path):
                "--precision", "100") == 0
 
 
+def test_precision_flag_only_where_it_is_read(tmp_path, capsys):
+    readers = {"dust-hmeasure", "cover-search", "ball-check", "hausdorff"}
+    for command in _HANDLERS:
+        assert run(command, "--help") == 0
+        assert ("--precision" in capsys.readouterr().out) == (command in readers), command
+    e_path, cover_path = tmp_path / "e.json", tmp_path / "cover.json"
+    serialize.save(DigitalSet(1, 3, 1, ((0,),)), e_path)
+    cover = CoverSeq(n=1, eps=F(1, 2), strong=False, pieces=(box1(0, F(1, 3)),))
+    serialize.save(cover, cover_path)
+    argv = ["cover-verify", "--set", str(e_path), "--cover", str(cover_path)]
+    assert run(*argv) == 0
+    assert run(*argv, "--precision", "5") == 2
+
+
 def test_refute_cli_full_cycle(tmp_path):
     spec = DustSpec(n=1, b=3, depth=4)
     tree = generate(spec)
@@ -344,7 +358,7 @@ def _valid_documents() -> dict:
     docs = [
         a,
         CoverSeq(n=1, eps=F(1, 2), strong=False, pieces=(box1(0, F(1, 2)),)),
-        CoverReport(False, False, (1, "budget"), (0,)),
+        CoverReport((1, "budget"), (0,)),
         BallSpec(n=1, boxes=(box1(F(1, 4), F(3, 4)),)),
         tree,
         gap_table(tree.spec),
@@ -364,6 +378,30 @@ def test_malformed_fields_load_or_raise_value_error():
                     serialize.from_json({**doc, field: value})
                 except ValueError:
                     pass
+
+
+def test_output_documents_that_contradict_themselves_raise():
+    docs = _valid_documents()
+    table = docs["gaptable/1"]  # depth 2
+    forged = [
+        {"schema": "coverreport/1", "budget_ok": True, "coverage_ok": True,
+         "first_violation": [3, "nonsense"], "uncovered_witness": [0, 5]},
+        {**docs["coverreport/1"], "budget_ok": True},
+        {**docs["coverreport/1"], "coverage_ok": True},
+        {**docs["coverreport/1"], "first_violation": None},
+        {**docs["coverreport/1"], "first_violation": [1, "coverage"]},
+        {**table, "volume": table["volume"][:1], "leftover": [],
+         "sibling_gap": table["sibling_gap"] + table["sibling_gap"][:1],
+         "level_gap": table["level_gap"][:1]},
+        {**table, "volume": table["volume"][:1]},
+        {**table, "depth": 3},
+        # a level gap above the running minimum of the sibling gaps
+        {**table, "level_gap": table["sibling_gap"][:1] * 2},
+        {**docs["hbracket/1"], "sample_depth": -4},
+    ]
+    for doc in forged:
+        with pytest.raises(ValueError):
+            serialize.from_json(doc)
 
 
 def test_malformed_documents_exit_2_without_traceback(tmp_path):

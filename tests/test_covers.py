@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from microset import covers, geometry
+from microset import covers, serialize
 from microset.covers import (
     BallSpec,
     CoverReport,
@@ -21,7 +21,7 @@ from microset.covers import (
     side_budget_sum,
     verify_cover,
 )
-from microset.geometry import Box, Cube, DigitalSet, Point, covers_box, dist_sq, volume
+from microset.geometry import Box, DigitalSet, Point, covers_box, dist_sq, volume
 from microset.rational import root_lower
 
 F = Fraction
@@ -51,6 +51,19 @@ def test_coverseq_strong_requires_cubes():
         CoverSeq(n=2, eps=F(1, 2), strong=True, pieces=(rect,))
     # any 1-d box is a cube, so the strong flag accepts it
     CoverSeq(n=1, eps=F(1, 2), strong=True, pieces=(box1(0, F(1, 2)),))
+
+
+def test_covers_and_balls_load_equal_to_what_was_saved():
+    # a cube is a Box with equal sides, so a loaded piece equals the saved one
+    square = Box(((F(0), F(1, 2)), (F(1, 4), F(3, 4))))
+    docs = (
+        CoverSeq(n=1, eps=F(1, 2), strong=False, pieces=(box1(0, F(1, 2)), box1(F(1, 2), 1))),
+        CoverSeq(n=2, eps=F(1, 2), strong=False, pieces=(square, Box.cube((F(0), F(0)), 1))),
+        BallSpec(n=1, boxes=(box1(F(1, 4), F(3, 4)),)),
+        BallSpec(n=2, boxes=(square, Box(((F(0), F(1)), (F(0), F(1, 3)))))),
+    )
+    for doc in docs:
+        assert serialize.from_json(serialize.to_json(doc)) == doc
 
 
 def test_verify_budget_violation_at_first_position():
@@ -98,8 +111,6 @@ def _verify_cover_oracle(e: DigitalSet, cover: CoverSeq) -> CoverReport:
     pieces = list(cover.pieces)
     witness = next((c for c in e.cells if not covers_box(e.cell_box(c), pieces)), None)
     return CoverReport(
-        budget_ok=k is None,
-        coverage_ok=witness is None,
         first_violation=None if k is None else (k, "budget"),
         uncovered_witness=witness,
     )
@@ -131,7 +142,7 @@ def claimed_covers(draw):
         lo = [draw(coord) for _ in range(n)]
         if strong:
             side = F(draw(st.integers(1, den)), den)
-            pieces.append(Cube.at_corner(lo, side))
+            pieces.append(Box.cube(lo, side))
         else:
             pieces.append(Box(tuple(sorted((a, draw(coord))) for a in lo)))
     bare = draw(st.one_of(st.none(), st.sampled_from(e.cells)))
@@ -142,10 +153,10 @@ def claimed_covers(draw):
         if cell == bare:
             continue
         if not draw(st.booleans()):
-            pieces.append(Cube.at_corner(lo, e.cell_side))
+            pieces.append(Box.cube(lo, e.cell_side))
         elif strong:
             for bits in itertools.product((0, 1), repeat=n):
-                pieces.append(Cube.at_corner([a + t * half for a, t in zip(lo, bits)], half))
+                pieces.append(Box.cube([a + t * half for a, t in zip(lo, bits)], half))
         else:
             axis = draw(st.integers(0, n - 1))
             a, z = box.intervals[axis]
@@ -319,7 +330,7 @@ def test_cover_measure_upper_exact_values():
         eps=F(1, 4),
         strong=True,
         pieces=tuple(
-            Cube.at_corner((F(0),), F(1, 4) ** k) for k in range(1, 4)
+            Box.cube((F(0),), F(1, 4) ** k) for k in range(1, 4)
         ),
     )
     assert cover_measure_upper(c1, F(1), 50) == F(1, 3)
@@ -327,13 +338,13 @@ def test_cover_measure_upper_exact_values():
         n=2,
         eps=F(1, 16),
         strong=True,
-        pieces=(Cube.at_corner((F(0), F(0)), F(1, 4)),),
+        pieces=(Box.cube((F(0), F(0)), F(1, 4)),),
     )
     assert cover_measure_upper(c2, F(2), 50) == F(2, 15)
 
 
 def test_cover_measure_upper_monotone_in_terms():
-    c = CoverSeq(n=1, eps=F(1, 4), strong=True, pieces=(Cube.at_corner((F(0),), F(1, 4)),))
+    c = CoverSeq(n=1, eps=F(1, 4), strong=True, pieces=(Box.cube((F(0),), F(1, 4)),))
     vals = [cover_measure_upper(c, F(1, 2), t) for t in (5, 10, 20)]
     assert vals[0] >= vals[1] >= vals[2] > 0
 
@@ -342,7 +353,7 @@ def test_cover_measure_upper_requires_strong():
     weak = cover1(F(1, 4), box1(0, F(1, 4)))
     with pytest.raises(ValueError):
         cover_measure_upper(weak, F(1), 10)
-    c = CoverSeq(n=1, eps=F(1, 4), strong=True, pieces=(Cube.at_corner((F(0),), F(1, 4)),))
+    c = CoverSeq(n=1, eps=F(1, 4), strong=True, pieces=(Box.cube((F(0),), F(1, 4)),))
     with pytest.raises(ValueError):
         cover_measure_upper(c, F(0), 10)
 
@@ -589,9 +600,9 @@ def test_stability_radius_scales_to_200_diagonal_boxes(monkeypatch):
         n=2, boxes=tuple(Box(tuple((F(j, s) - pad, F(j + 1, s) + pad) for j in c)) for c in cells)
     )
     witnesses = [Point(tuple(F(2 * j + 1, 2 * s) for j in c)) for c in cells]
-    # each exact box-to-box distance counts; the arrangement needs 9,600
+    # each exact cell-to-face distance counts; the arrangement needs 9,600
     calls = 0
-    exact = geometry._box_gap_sq
+    exact = covers._box_gap_sq
 
     def counting(*args):
         nonlocal calls
@@ -600,7 +611,7 @@ def test_stability_radius_scales_to_200_diagonal_boxes(monkeypatch):
             raise AssertionError("too many exact distance evaluations")
         return exact(*args)
 
-    monkeypatch.setattr(geometry, "_box_gap_sq", counting)
+    monkeypatch.setattr(covers, "_box_gap_sq", counting)
     # each grown cell is handed the boxes of its widened integer window
     # (three here), not all 200: about 1,000 box-meets-target tests in all,
     # where testing every box against every grown cell took 40,400
@@ -616,4 +627,5 @@ def test_stability_radius_scales_to_200_diagonal_boxes(monkeypatch):
     start = time.perf_counter()
     assert ball_stability_radius(k_set, ball, witnesses) == F(1, 2916)
     assert time.perf_counter() - start < 2
+    assert 0 < calls < 20_000
     assert meets < 2_000

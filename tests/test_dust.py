@@ -33,7 +33,7 @@ from microset.dust import (
     survivor_refute,
     validate,
 )
-from microset.geometry import Box, Cube, dist_sq, hausdorff_bracket, volume
+from microset.geometry import Box, dist_sq, hausdorff_bracket, volume
 from microset.rational import DEFAULT_PRECISION, pow_lower, sqrt_upper
 
 F = Fraction
@@ -91,7 +91,7 @@ def test_generate_plane_level_two_structure():
     tree = generate(DustSpec(n=2, b=3, depth=2))
     level = tree.level(2)
     assert len(level) == 16
-    assert all(cube.side == F(1, 81) for _, cube in level)
+    assert all(cube.sides() == (F(1, 81),) * 2 for _, cube in level)
     assert all(volume(cube) == F(1, 6561) for _, cube in level)
     parents = dict(tree.level(1))
     for word, cube in level:
@@ -137,7 +137,7 @@ def test_gap_table_matches_side_recurrence():
         table = gap_table(spec, tree)
         prev = F(1)
         for k in range(1, spec.depth + 1):
-            side = tree.level(k)[0][1].side
+            side = tree.level(k)[0][1].sides()[0]
             assert table.sibling_gap[k - 1] == prev - 2 * side
             prev = side
 
@@ -424,7 +424,7 @@ def test_revalidate_rejects_tampered_certificates():
 
 
 def _swallow_from_cubes(tree, eps, count):
-    # the adversary as first written, over the Cube view of every leaf
+    # the adversary as first written, over the box view of every leaf
     spec = tree.spec
     leaves = tree.cubes_at(spec.depth)
     root_lo = pow_lower(eps, 1, spec.n, DEFAULT_PRECISION)
@@ -432,8 +432,8 @@ def _swallow_from_cubes(tree, eps, count):
     for h in range(1, count + 1):
         budget_side = max(pow_lower(eps, h, spec.n, DEFAULT_PRECISION), root_lo**h)
         target = leaves[(h - 1) % len(leaves)]
-        side = min(budget_side, target.side)
-        pieces.append(Cube.at_corner(tuple(lo for lo, _ in target.intervals), side))
+        side = min(budget_side, target.sides()[0])
+        pieces.append(Box.cube(tuple(lo for lo, _ in target.intervals), side))
     return CoverSeq(n=spec.n, eps=eps, strong=True, pieces=tuple(pieces))
 
 
@@ -446,12 +446,12 @@ def _random_from_cubes(tree, eps, count, seed):
     for h in range(1, count + 1):
         budget_side = max(pow_lower(eps, h, spec.n, DEFAULT_PRECISION), root_lo**h)
         target = leaves[rng.next() % len(leaves)]
-        side = min(budget_side, target.side) * F(rng.next() % 512 + 512, 1024)
+        side = min(budget_side, target.sides()[0]) * F(rng.next() % 512 + 512, 1024)
         corner = []
         for lo, hi in target.intervals:
             wiggle = (hi - lo - side) * F(rng.next() % 1024, 1024)
             corner.append(min(lo + wiggle, 1 - side))
-        pieces.append(Cube.at_corner(tuple(corner), side))
+        pieces.append(Box.cube(tuple(corner), side))
     return CoverSeq(n=spec.n, eps=eps, strong=True, pieces=tuple(pieces))
 
 
@@ -466,7 +466,7 @@ def test_adversaries_respect_budgets():
         assert cover.strong
         for k, piece in enumerate(cover.pieces, start=1):
             assert volume(piece) <= eps**k
-    # built from the integer leaf cells, the covers equal the Cube-view ones;
+    # built from the integer leaf cells, the covers equal the box-view ones;
     # 20 swallow pieces wrap around the 16 leaves of n=1 depth=4
     for n, depth in ((1, 4), (2, 3), (3, 2)):
         tree = generate(DustSpec(n=n, b=3, depth=depth))
@@ -496,7 +496,7 @@ def test_tree_construction_invariants_property(n, b):
     for k in range(1, depth + 1):
         level = tree.level(k)
         assert len(level) == 2 ** (n * k)
-        assert all(cube.side == F(1, b ** (k * k)) for _, cube in level)
+        assert all(cube.sides() == (F(1, b ** (k * k)),) * n for _, cube in level)
 
 
 def _replace_entry(tree, k, i, word=None, cell=None):

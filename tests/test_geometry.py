@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from microset import geometry
 from microset.geometry import (
     Box,
-    Cube,
     DigitalSet,
     Point,
     covers_box,
@@ -47,12 +46,13 @@ def test_box_validation():
 
 
 def test_cube_side_witness():
-    c = Cube.at_corner((F(0), F(1, 3)), F(1, 3))
-    assert c.side == F(1, 3)
+    c = Box.cube((F(0), F(1, 3)), F(1, 3))
+    assert c == Box(((F(0), F(1, 3)), (F(1, 3), F(2, 3))))
+    assert c.sides() == (F(1, 3), F(1, 3))
     with pytest.raises(ValueError):
-        Cube(intervals=((F(0), F(1, 2)), (F(0), F(1, 3))), side=F(1, 2))
-    with pytest.raises(ValueError):
-        Cube.at_corner((F(0),), F(0))
+        Box.cube((F(0),), F(0))
+    with pytest.raises(TypeError):
+        Box.cube((0.25,), F(1, 4))
 
 
 def test_volume_examples():
@@ -64,20 +64,20 @@ def test_volume_examples():
 def test_min_side_examples():
     assert min_side(Box(((F(0), F(1, 3)), (F(0), F(1, 2))))) == F(1, 3)
     assert min_side(box1(0, 1)) == 1
-    assert min_side(Cube.at_corner((F(0), F(0), F(0)), F(1, 81))) == F(1, 81)
+    assert min_side(Box.cube((F(0), F(0), F(0)), F(1, 81))) == F(1, 81)
 
 
 def test_diam_sq_examples():
     assert diam_sq(Box(((F(0), F(1)), (F(0), F(1))))) == 2
     assert diam_sq(Box(((F(1, 2), F(1, 2)),))) == 0
-    assert diam_sq(Cube.at_corner((F(0), F(0)), F(1, 3))) == F(2, 9)
+    assert diam_sq(Box.cube((F(0), F(0)), F(1, 3))) == F(2, 9)
 
 
 def test_dist_sq_examples():
     assert dist_sq(box1(0, F(1, 2)), box1(F(1, 4), 1)) == 0
     assert dist_sq(box1(0, F(1, 3)), box1(F(2, 3), 1)) == F(1, 9)
-    a = Cube.at_corner((F(0), F(0)), F(1, 3))
-    b = Cube.at_corner((F(2, 3), F(2, 3)), F(1, 3))
+    a = Box.cube((F(0), F(0)), F(1, 3))
+    b = Box.cube((F(2, 3), F(2, 3)), F(1, 3))
     assert dist_sq(a, b) == F(2, 9)
 
 
@@ -123,7 +123,7 @@ def test_covers_box_examples():
     assert covers_box(t, [box1(0, F(1, 2)), box1(F(1, 2), 1)])
     square = Box(((F(0), F(1)), (F(0), F(1))))
     corners = [
-        Cube.at_corner((x, y), F(1, 3))
+        Box.cube((x, y), F(1, 3))
         for x in (F(0), F(2, 3))
         for y in (F(0), F(2, 3))
     ]
