@@ -16,6 +16,7 @@ prove nor refute any category statement.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -78,23 +79,14 @@ def sample_compact(spec: SampleSpec) -> DigitalSet:
     first cell, because the sampled object must be a nonempty compact set.
     """
     rng = SplitMix64(spec.seed)
-    num = spec.density.numerator
     den = spec.density.denominator
-    count = spec.b**spec.depth
-    kept: list[tuple[int, ...]] = []
-    index = [0] * spec.n
-    for _ in range(count**spec.n):
-        u = rng.next()
-        if u * den < num * (1 << 64):
-            kept.append(tuple(index))
-        for axis in range(spec.n - 1, -1, -1):
-            index[axis] += 1
-            if index[axis] < count:
-                break
-            index[axis] = 0
-    if not kept:
-        kept.append(tuple(0 for _ in range(spec.n)))
-    return DigitalSet(spec.n, spec.b, spec.depth, tuple(kept))
+    limit = spec.density.numerator << 64
+    kept = tuple(
+        cell
+        for cell in itertools.product(range(spec.b**spec.depth), repeat=spec.n)
+        if rng.next() * den < limit
+    )
+    return DigitalSet(spec.n, spec.b, spec.depth, kept or ((0,) * spec.n,))
 
 
 def skeleton_depth(e: DigitalSet, delta: Fraction, prec: int = DEFAULT_PRECISION) -> int:
@@ -109,6 +101,18 @@ def skeleton_depth(e: DigitalSet, delta: Fraction, prec: int = DEFAULT_PRECISION
     return depth
 
 
+def _checked_refinement(
+    e: DigitalSet, delta: Fraction, prec: int
+) -> tuple[DigitalSet, HBracket]:
+    """The skeleton's refinement of e, with a Hausdorff bracket certified within delta."""
+    depth = skeleton_depth(e, delta, prec)
+    fine = e.refine(depth)
+    bracket = hausdorff_bracket(e, fine, depth, prec)
+    if bracket.hi > delta:
+        raise AssertionError("skeleton bracket exceeded delta")
+    return fine, bracket
+
+
 def finite_skeleton(
     e: DigitalSet, delta: Fraction, prec: int = DEFAULT_PRECISION
 ) -> list[Point]:
@@ -120,10 +124,7 @@ def finite_skeleton(
     lies in the set.  Each call re-certifies this by a Hausdorff bracket
     between the set and the refined cells carrying the centers.
     """
-    depth = skeleton_depth(e, delta, prec)
-    fine = e.refine(depth)
-    bracket = hausdorff_bracket(e, fine, depth, prec)
-    assert bracket.hi <= delta, "skeleton bracket exceeded delta"
+    fine, _ = _checked_refinement(e, delta, prec)
     half = Fraction(1, 2 * fine.b**fine.m)
     return [
         Point(tuple(Fraction(2 * j + 1) * half for j in cell)) for cell in fine.cells
@@ -186,9 +187,7 @@ def typicality_report(
     root_n_up = sqrt_upper(Fraction(spec.n), prec)
     delta = root_n_up / (2 * spec.b**spec.depth)
     probe = DigitalSet(spec.n, spec.b, spec.depth, ((0,) * spec.n,))
-    depth = skeleton_depth(probe, delta, prec)
-    bracket = hausdorff_bracket(probe, probe.refine(depth), depth, prec)
-    assert bracket.hi <= delta, "skeleton bracket exceeded delta"
+    _, bracket = _checked_refinement(probe, delta, prec)
     base = SplitMix64(spec.seed)
     records: list[TrialRecord] = []
     hits = {s: 0 for s in s_list}

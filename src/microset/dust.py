@@ -7,8 +7,9 @@ c**(-k**2), which shrinks fast enough that the limit set has Hausdorff
 dimension zero, yet the gap structure lets a survivor argument refute
 every sufficiently tight cover-budget claim.
 
-A level-k cube is one closed cell of the b**(k*k) grid, so the tree holds
-integer cell indices; Fractions appear only in its box view and its JSON.
+A level-k cube is one closed cell of the b**grid(k) grid; ``DustSpec.grid``
+is the only place the growth k*k is written.  The tree holds integer cell
+indices; Fractions appear only in its box view and its JSON.
 
 All verdicts are exact.  The only enclosures are the n-th roots inside
 ``refutation_budget_lower`` and ``hausdorff_measure_upper``, both directed
@@ -21,12 +22,15 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
+from typing import Iterator
 
+from .baire import SplitMix64
 from .covers import CoverSeq, _cell_window, _in_window
 from .geometry import Box, DigitalSet, volume
 from .rational import (
     DEFAULT_PRECISION,
     pow_lower,
+    pow_upper,
     root_lower,
 )
 
@@ -70,11 +74,23 @@ class DustSpec:
     def c(self) -> int:
         return self.b**self.n
 
+    def grid(self, k: int) -> int:
+        """Level k lives on the b**grid(k) grid; the only statement of the growth."""
+        return k * k
+
+    def scale(self, k: int) -> int:
+        """Cells per axis of the level-k grid."""
+        return self.b ** self.grid(k)
+
+    def factor(self, k: int) -> int:
+        """Level-k cells per axis of one level-(k-1) cell."""
+        return self.scale(k) // self.scale(k - 1)
+
     def level_side(self, k: int) -> Fraction:
-        return Fraction(1, self.b ** (k * k))
+        return Fraction(1, self.scale(k))
 
     def level_volume(self, k: int) -> Fraction:
-        return Fraction(1, self.c ** (k * k))
+        return self.level_side(k) ** self.n
 
 
 def _has_size(count: int, exponent: int) -> bool:
@@ -85,15 +101,14 @@ def _has_size(count: int, exponent: int) -> bool:
 def validate(spec: DustSpec) -> str | None:
     """First violated admissibility inequality, or None when all hold.
 
-    Checks the leftover measure delta_k = V_{k-1} - 2**n * V_k > 0 for
-    every level, then the piece-count bound c >= 2**n + 1.
+    The leftover measure delta_k = V_{k-1} - 2**n * V_k is positive exactly
+    when a parent is more than two children wide, factor(k) >= 3.  At k = 1
+    that is b >= 3, which also gives the piece-count bound c >= 2**n + 1.
     """
     for k in range(1, spec.depth + 1):
-        delta = spec.level_volume(k - 1) - 2**spec.n * spec.level_volume(k)
-        if delta <= 0:
+        if spec.factor(k) < 3:
+            delta = spec.level_volume(k - 1) - 2**spec.n * spec.level_volume(k)
             return f"delta_{k} = {delta} is not positive"
-    if spec.c < 2**spec.n + 1:
-        return f"c = {spec.c} is below 2**n + 1 = {2**spec.n + 1}"
     return None
 
 
@@ -125,50 +140,41 @@ class DustTree:
             for word, cell in self.level_cells(k)
         )
 
-    def cubes_at(self, k: int) -> list[Box]:
-        return [cube for _, cube in self.level(k)]
-
     def level_digital(self, k: int) -> DigitalSet:
         """Level-k union as a digital set: each cube is one depth-k**2 cell."""
         cells = tuple(cell for _, cell in self.level_cells(k))
-        return DigitalSet(self.spec.n, self.spec.b, k * k, cells)
+        return DigitalSet(self.spec.n, self.spec.b, self.spec.grid(k), cells)
 
 
-def _check_tree(tree: DustTree) -> tuple[Fraction, ...]:
-    """Exact structural re-check; returns each level's least squared sibling distance.
+def _check_tree(tree: DustTree) -> None:
+    """Exact structural re-check of a tree on an admissible spec; raises on a defect.
 
-    A level-k cell must sit flush in a corner of its parent p: index p*f or
-    p*f + f - 1 on every axis, f = b**(2k-1) >= 2.  By induction the level-(k-1)
-    cubes are disjoint and D_{k-1} apart, so level k is disjoint and
-    min(d_k, D_{k-1}) = D_k apart once its sibling minimum, the only one taken, is d_k.
+    Level k holds 2**(n*k) distinct words, each a level-(k-1) word plus a
+    letter in 1..2**n, so every family is full.  Its distinct cells sit flush
+    in a corner of their parent p, index p*f or p*f + f - 1 per axis with
+    f = factor(k) >= 3.  So a family fills its parent's corners, the least
+    sibling gap is f - 2 cells, d_k = side_{k-1} - 2 side_k, and by induction
+    over disjoint parents D_{k-1} apart, level k is min(d_k, D_{k-1}) = D_k apart.
     """
     spec = tree.spec
     parent_lookup = {(): (0,) * spec.n}
-    sibling_min: list[Fraction] = []
     for k in range(1, spec.depth + 1):
         level = tree.level_cells(k)
         if len(level) != 2 ** (spec.n * k):
             raise AssertionError(f"level {k} cube count is wrong")
         lookup = dict(level)
-        if len(lookup) != len(level) or any(w[:-1] not in parent_lookup for w in lookup):
+        if len(lookup) != len(level) or not all(
+            len(w) == k and w[:-1] in parent_lookup and 1 <= w[-1] <= 2**spec.n for w in lookup
+        ):
             raise AssertionError(f"level {k} words are not distinct children")
-        f = spec.b ** (2 * k - 1)
-        families: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        f = spec.factor(k)
         for word, cell in level:
             parent = parent_lookup[word[:-1]]
             if len(cell) != spec.n or any(j not in (p * f, p * f + f - 1) for p, j in zip(parent, cell)):
                 raise AssertionError(f"cube {word} is not flush in a corner of its parent")
-            families.setdefault(word[:-1], []).append(cell)
-        least = min(
-            sum(max(abs(i - j) - 1, 0) ** 2 for i, j in zip(a, c))
-            for family in families.values()
-            for a, c in itertools.combinations(family, 2)
-        )
-        if least == 0:
+        if len(set(lookup.values())) != len(level):
             raise AssertionError(f"level {k} has touching siblings")
-        sibling_min.append(Fraction(least, spec.b ** (2 * k * k)))
         parent_lookup = lookup
-    return tuple(sibling_min)
 
 
 def generate(spec: DustSpec) -> DustTree:
@@ -185,7 +191,7 @@ def _construct(spec: DustSpec) -> DustTree:
     corners = [[(code >> (spec.n - 1 - axis)) & 1 for axis in range(spec.n)] for code in codes]
     levels, current = [], (((), (0,) * spec.n),)
     for k in range(1, spec.depth + 1):
-        f = spec.b ** (2 * k - 1)
+        f = spec.factor(k)
         # corner bit 0 or 1 puts a child of p at index p*f or p*f + f - 1; parent
         # by parent and letter by letter, the level comes out in word order
         current = tuple(
@@ -215,37 +221,25 @@ class GapTable:
 
 
 def gap_table(spec: DustSpec, tree: DustTree | None = None) -> GapTable:
-    """Exact gap table; checked against the tree's sibling gaps when one is given.
+    """Exact gap table, read off the grid; a given tree is re-checked to have these gaps.
 
-    The gaps are computed through n-th roots of the volume column (exact
-    because c = b**n makes every root rational), which keeps this an
-    independent route from the integer cells of the tree.
+    The sibling gap is d_k = side_{k-1} - 2 side_k; ``_check_tree`` proves
+    that a tree's siblings are exactly d_k apart, so its level gaps are D_k.
     """
     _require_admissible(spec)
-    vols, leftovers, d_vals = [], [], []
-    for k in range(1, spec.depth + 1):
-        v_prev = spec.level_volume(k - 1)
-        v_here = spec.level_volume(k)
-        side_prev = root_lower(v_prev, spec.n)
-        side_here = root_lower(v_here, spec.n)
-        if side_prev**spec.n != v_prev or side_here**spec.n != v_here:
-            raise AssertionError("volume roots must be exact for c = b**n")
-        vols.append(v_here)
-        leftovers.append(v_prev - 2**spec.n * v_here)
-        d_vals.append(side_prev - 2 * side_here)
+    levels = range(1, spec.depth + 1)
+    d_vals = [spec.level_side(k - 1) - 2 * spec.level_side(k) for k in levels]
     table = GapTable(
         depth=spec.depth,
-        volume=tuple(vols),
-        leftover=tuple(leftovers),
+        volume=tuple(spec.level_volume(k) for k in levels),
+        leftover=tuple(spec.level_volume(k - 1) - 2**spec.n * spec.level_volume(k) for k in levels),
         sibling_gap=tuple(d_vals),
         level_gap=tuple(itertools.accumulate(d_vals, min)),
     )
     if tree is not None:
         if (tree.spec.n, tree.spec.b, tree.spec.depth) != (spec.n, spec.b, spec.depth):
             raise ValueError("tree was built for a different n, b or depth")
-        # with sibling minimum d_k, the nesting argument proves level_gap D_k
-        if _check_tree(tree) != tuple(d * d for d in d_vals):
-            raise AssertionError("tree sibling gaps differ from the volume roots")
+        _check_tree(tree)
     return table
 
 
@@ -263,8 +257,6 @@ def hausdorff_measure_upper(
         raise ValueError("alpha must be positive")
     if k < 1:
         raise ValueError("level must be >= 1")
-    from .rational import pow_upper
-
     a, q = alpha.numerator, alpha.denominator
     count = Fraction(2 ** (spec.n * k))
     diam_scale = pow_upper(Fraction(spec.n), a, 2 * q, prec)
@@ -337,7 +329,7 @@ def intersect_count(tree: DustTree, k: int, box: Box) -> int:
     """How many level-k cubes the box touches (closed intersection)."""
     if box.n != tree.spec.n:
         raise ValueError("dimension mismatch")
-    window = _cell_window(box, tree.spec.b ** (k * k), 1)
+    window = _cell_window(box, tree.spec.scale(k), 1)
     return sum(1 for _, cell in tree.level_cells(k) if _in_window(cell, window))
 
 
@@ -475,7 +467,7 @@ def _survivor_walk(tree: DustTree, cover: CoverSeq) -> list[list[tuple[int, ...]
     survivors: set[tuple[int, ...]] = {()}
     for k in range(1, tree.spec.depth + 1):
         active = cover.pieces[: _examined_prefix(k, len(cover.pieces))]
-        windows = [_cell_window(piece, tree.spec.b ** (k * k), 1) for piece in active]
+        windows = [_cell_window(piece, tree.spec.scale(k), 1) for piece in active]
         alive = [
             word
             for word, cell in tree.level_cells(k)
@@ -513,10 +505,21 @@ def _check_survivor(tree: DustTree, cover: CoverSeq, cert: SurvivorCertificate) 
     lookup = dict(tree.level_cells(spec.depth))
     if cert.survivor_word not in lookup:
         raise ValueError("survivor word does not name a cube")
-    cell, scale = lookup[cert.survivor_word], spec.b ** (spec.depth**2)
+    cell, scale = lookup[cert.survivor_word], spec.scale(spec.depth)
     for h in range(1, cert.checked_prefix + 1):
         if _in_window(cell, _cell_window(cover.pieces[h - 1], scale, 1)):
             raise ValueError(f"survivor touches examined piece {h}")
+
+
+def _budget_sides(spec: DustSpec, eps: Fraction, count: int, prec: int) -> Iterator[Fraction]:
+    """Per position h, a lower enclosure of eps**(h/n) capped at the leaf side."""
+    leaf_side = spec.level_side(spec.depth)
+    root_lo = pow_lower(eps, 1, spec.n, prec)
+    for h in range(1, count + 1):
+        side = min(max(pow_lower(eps, h, spec.n, prec), root_lo**h), leaf_side)
+        if side <= 0:
+            raise ValueError("budget too small to produce a piece")
+        yield side
 
 
 def adversary_swallow(
@@ -532,14 +535,9 @@ def adversary_swallow(
     eps = Fraction(eps)
     leaves = tree.level_cells(spec.depth)
     leaf_side = spec.level_side(spec.depth)
-    root_lo = pow_lower(eps, 1, spec.n, prec)
     pieces = []
-    for h in range(1, count + 1):
-        budget_side = max(pow_lower(eps, h, spec.n, prec), root_lo**h)
-        _, cell = leaves[(h - 1) % len(leaves)]
-        side = min(budget_side, leaf_side)
-        if side <= 0:
-            raise ValueError("budget too small to produce a piece")
+    for h, side in enumerate(_budget_sides(spec, eps, count, prec)):
+        _, cell = leaves[h % len(leaves)]
         pieces.append(Box.cube(tuple(j * leaf_side for j in cell), side))
     return CoverSeq(n=spec.n, eps=eps, strong=True, pieces=tuple(pieces))
 
@@ -552,22 +550,15 @@ def adversary_random(
     prec: int = DEFAULT_PRECISION,
 ) -> CoverSeq:
     """Seeded adversary placing budget-tight cubes near random leaf cubes."""
-    from .baire import SplitMix64
-
     spec = tree.spec
     eps = Fraction(eps)
     rng = SplitMix64(seed)
     leaves = tree.level_cells(spec.depth)
     leaf_side = spec.level_side(spec.depth)
-    root_lo = pow_lower(eps, 1, spec.n, prec)
     pieces = []
-    for h in range(1, count + 1):
-        budget_side = max(pow_lower(eps, h, spec.n, prec), root_lo**h)
+    for budget_side in _budget_sides(spec, eps, count, prec):
         _, cell = leaves[rng.next() % len(leaves)]
-        shrink = Fraction(rng.next() % 512 + 512, 1024)
-        side = min(budget_side, leaf_side) * shrink
-        if side <= 0:
-            raise ValueError("budget too small to produce a piece")
+        side = budget_side * Fraction(rng.next() % 512 + 512, 1024)
         corner = []
         for j in cell:
             wiggle = (leaf_side - side) * Fraction(rng.next() % 1024, 1024)

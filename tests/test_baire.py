@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -78,6 +81,32 @@ def test_skeleton_rejects_nonpositive_delta():
     e = DigitalSet(1, 3, 1, ((0,),))
     with pytest.raises(ValueError):
         finite_skeleton(e, F(0))
+
+
+def test_skeleton_bracket_check_holds_under_optimize():
+    # python -O strips assert statements; the certificate check must still raise
+    code = "\n".join([
+        "from fractions import Fraction",
+        "from microset import baire",
+        "from microset.geometry import DigitalSet, HBracket",
+        "wide = HBracket(Fraction(1), Fraction(1), 0, Fraction(1))",
+        "baire.hausdorff_bracket = lambda *args: wide",
+        "try:",
+        "    baire.finite_skeleton(DigitalSet(1, 3, 1, ((0,),)), Fraction(1, 6))",
+        "except AssertionError as exc:",
+        "    print(exc)",
+    ])
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "skeleton bracket exceeded delta\n"
 
 
 def test_skeleton_halving_growth_factor():

@@ -34,7 +34,7 @@ from microset.dust import (
     validate,
 )
 from microset.geometry import Box, dist_sq, hausdorff_bracket, volume
-from microset.rational import DEFAULT_PRECISION, pow_lower, sqrt_upper
+from microset.rational import DEFAULT_PRECISION, pow_lower, root_lower, sqrt_upper
 
 F = Fraction
 
@@ -65,6 +65,47 @@ def test_validate_rejects_base_two_in_plane():
     assert "delta_1" in problem and "0" in problem
 
 
+def _validate_oracle(spec):
+    # validate as first written: Fraction leftovers per level, then the piece-count bound
+    for k in range(1, spec.depth + 1):
+        delta = F(1, spec.c ** ((k - 1) ** 2)) - 2**spec.n * F(1, spec.c ** (k * k))
+        if delta <= 0:
+            return f"delta_{k} = {delta} is not positive"
+    if spec.c < 2**spec.n + 1:
+        return f"c = {spec.c} is below 2**n + 1 = {2**spec.n + 1}"
+    return None
+
+
+def _gap_columns_oracle(spec):
+    # gap_table as first written: sides as exact n-th roots of the volumes
+    vols, leftovers, gaps = [], [], []
+    for k in range(1, spec.depth + 1):
+        v_prev, v_here = F(1, spec.c ** ((k - 1) ** 2)), F(1, spec.c ** (k * k))
+        side_prev, side_here = root_lower(v_prev, spec.n), root_lower(v_here, spec.n)
+        assert side_prev**spec.n == v_prev and side_here**spec.n == v_here
+        vols.append(v_here)
+        leftovers.append(v_prev - 2**spec.n * v_here)
+        gaps.append(side_prev - 2 * side_here)
+    return tuple(vols), tuple(leftovers), tuple(gaps)
+
+
+def test_validate_and_gap_table_match_the_volume_route():
+    # the grid's integer reading agrees with the Fraction leftovers and the root route
+    rejected = 0
+    for n, b, depth in itertools.product((1, 2, 3), range(2, 7), range(1, 5)):
+        spec = DustSpec(n=n, b=b, depth=depth)
+        assert spec.scale(depth) == b ** (depth * depth)
+        assert spec.factor(depth) == b ** (2 * depth - 1)
+        problem = validate(spec)
+        assert problem == _validate_oracle(spec)
+        if problem is not None:
+            rejected += 1
+            continue
+        table = gap_table(spec)
+        assert (table.volume, table.leftover, table.sibling_gap) == _gap_columns_oracle(spec)
+    assert rejected == 12  # b = 2 in every n and depth
+
+
 def test_validate_leftover_values():
     spec = DustSpec(n=2, b=3, depth=2)
     table = gap_table(spec)
@@ -80,7 +121,7 @@ def test_generate_line_level_one():
 
 def test_generate_plane_level_one_distances():
     tree = generate(DustSpec(n=2, b=3, depth=1))
-    cubes = tree.cubes_at(1)
+    cubes = [box for _, box in tree.level(1)]
     dists = {
         dist_sq(a, b) for a, b in itertools.combinations(cubes, 2)
     }
@@ -216,7 +257,7 @@ def test_intersect_count_examples():
     assert intersect_count(tree, 2, unit) == 16
     strip = Box(((F(0), F(1)), (F(0), F(1, 100))))
     assert intersect_count(tree, 1, strip) == 2
-    lone = tree.cubes_at(1)[0]
+    lone = tree.level(1)[0][1]
     assert intersect_count(tree, 1, lone) == 1
     with pytest.raises(ValueError):
         intersect_count(tree, 1, Box(((F(0), F(1)),)))
@@ -426,7 +467,7 @@ def test_revalidate_rejects_tampered_certificates():
 def _swallow_from_cubes(tree, eps, count):
     # the adversary as first written, over the box view of every leaf
     spec = tree.spec
-    leaves = tree.cubes_at(spec.depth)
+    leaves = [box for _, box in tree.level(spec.depth)]
     root_lo = pow_lower(eps, 1, spec.n, DEFAULT_PRECISION)
     pieces = []
     for h in range(1, count + 1):
@@ -440,7 +481,7 @@ def _swallow_from_cubes(tree, eps, count):
 def _random_from_cubes(tree, eps, count, seed):
     spec = tree.spec
     rng = SplitMix64(seed)
-    leaves = tree.cubes_at(spec.depth)
+    leaves = [box for _, box in tree.level(spec.depth)]
     root_lo = pow_lower(eps, 1, spec.n, DEFAULT_PRECISION)
     pieces = []
     for h in range(1, count + 1):
@@ -519,6 +560,9 @@ def test_check_tree_catches_corrupted_trees():
         ("not flush in a corner", _replace_entry(tree, 2, 0, cell=(27, 0))),
         ("touching siblings", _replace_entry(tree, 2, 1, cell=c0)),
         ("not distinct", _replace_entry(tree, 2, 1, word=w0)),
+        # a letter outside 1..2**n names no corner, though its word is new
+        ("not distinct children", _replace_entry(tree, 2, 0, word=(1, 5))),
+        ("not distinct children", _replace_entry(tree, 2, 0, word=(1, 0))),
     ]
     _check_tree(tree)
     for message, bad in corrupted:
@@ -527,8 +571,10 @@ def test_check_tree_catches_corrupted_trees():
 
 
 def test_check_tree_sibling_gaps_equal_the_brute_force_minimum():
-    for spec in (DustSpec(1, 3, 4), DustSpec(2, 3, 3), DustSpec(3, 3, 2)):
+    # what _check_tree proves: siblings are exactly the table's sibling gap apart
+    for spec in (DustSpec(1, 3, 4), DustSpec(2, 3, 3), DustSpec(3, 3, 2), DustSpec(2, 4, 2)):
         tree = generate(spec)
+        _check_tree(tree)
         brute = tuple(
             min(
                 dist_sq(ca, cb)
@@ -537,7 +583,7 @@ def test_check_tree_sibling_gaps_equal_the_brute_force_minimum():
             )
             for k in range(1, spec.depth + 1)
         )
-        assert _check_tree(tree) == brute
+        assert brute == tuple(d * d for d in gap_table(spec).sibling_gap)
 
 
 def test_survivor_walk_stops_at_the_first_empty_level():
@@ -599,7 +645,7 @@ def test_integer_touching_matches_the_fraction_oracle(case):
     depth = tree.spec.depth
     assert _survivor_walk(tree, cover) == _walk_oracle(tree, cover)
     for k in range(1, depth + 1):
-        cubes = tree.cubes_at(k)
+        cubes = [box for _, box in tree.level(k)]
         for piece in cover.pieces:
             want = sum(1 for cube in cubes if dist_sq(cube, piece) == 0)
             assert intersect_count(tree, k, piece) == want
