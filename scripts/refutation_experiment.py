@@ -45,7 +45,6 @@ def parse_args(argv=None):
         default=None,
         help="directory for tree, covers, and certificates (optional)",
     )
-    parser.add_argument("--precision", type=int, default=10**12)
     return parser.parse_args(argv)
 
 
@@ -53,7 +52,7 @@ def main(argv=None) -> int:
     args = parse_args(argv)
     spec = DustSpec(n=args.n, b=args.b, depth=args.depth)
     tree = generate(spec)
-    eps = args.eps if args.eps is not None else refutation_budget_lower(spec, args.precision)
+    eps = args.eps if args.eps is not None else refutation_budget_lower(spec)
     print(f"tree: n={spec.n} b={spec.b} depth={spec.depth} "
           f"leaves={len(tree.level_cells(spec.depth))}")
     print(f"budget eps = {eps} (~{float(eps):.3e})")
@@ -68,10 +67,10 @@ def main(argv=None) -> int:
         pieces = 1 + i
         if i % 2 == 0:
             kind = "swallow"
-            cover = adversary_swallow(tree, eps, pieces, args.precision)
+            cover = adversary_swallow(tree, eps, pieces)
         else:
             kind = "random"
-            cover = adversary_random(tree, eps, pieces, args.seed + i, args.precision)
+            cover = adversary_random(tree, eps, pieces, args.seed + i)
         outcome = survivor_refute(tree, cover)
         if isinstance(outcome, RefuterFailure):
             failures += 1

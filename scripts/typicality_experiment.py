@@ -33,7 +33,6 @@ def parse_args(argv=None):
     parser.add_argument("--max-pieces", type=int, default=4096)
     parser.add_argument("--csv", default=None, help="per-trial CSV output path")
     parser.add_argument("--json", default=None, help="summary JSON output path")
-    parser.add_argument("--precision", type=int, default=10**12)
     return parser.parse_args(argv)
 
 
@@ -47,7 +46,7 @@ def main(argv=None) -> int:
         density=args.density,
         trials=args.trials,
     )
-    report = typicality_report(spec, args.s, args.max_pieces, args.precision)
+    report = typicality_report(spec, args.s, args.max_pieces)
     sizes = [rec.cells for rec in report.records]
     print(f"sampled {spec.trials} sets: n={spec.n} b={spec.b} depth={spec.depth} "
           f"density={spec.density}")

@@ -24,7 +24,7 @@ from pathlib import Path
 
 from .covers import CoverSeq, greedy_strong_cover
 from .geometry import DigitalSet, HBracket, Point, hausdorff_bracket
-from .rational import DEFAULT_PRECISION, format_scalar, sqrt_upper
+from .rational import format_scalar, root_upper
 
 _MASK = (1 << 64) - 1
 
@@ -89,33 +89,29 @@ def sample_compact(spec: SampleSpec) -> DigitalSet:
     return DigitalSet(spec.n, spec.b, spec.depth, kept or ((0,) * spec.n,))
 
 
-def skeleton_depth(e: DigitalSet, delta: Fraction, prec: int = DEFAULT_PRECISION) -> int:
+def skeleton_depth(e: DigitalSet, delta: Fraction) -> int:
     """Smallest refinement depth whose half cell diameter is at most delta."""
     delta = Fraction(delta)
     if delta <= 0:
         raise ValueError("delta must be positive")
-    root_n_up = sqrt_upper(Fraction(e.n), prec)
+    root_n_up = root_upper(Fraction(e.n), 2)
     depth = e.m
     while root_n_up > 2 * delta * e.b**depth:
         depth += 1
     return depth
 
 
-def _checked_refinement(
-    e: DigitalSet, delta: Fraction, prec: int
-) -> tuple[DigitalSet, HBracket]:
+def _checked_refinement(e: DigitalSet, delta: Fraction) -> tuple[DigitalSet, HBracket]:
     """The skeleton's refinement of e, with a Hausdorff bracket certified within delta."""
-    depth = skeleton_depth(e, delta, prec)
+    depth = skeleton_depth(e, delta)
     fine = e.refine(depth)
-    bracket = hausdorff_bracket(e, fine, depth, prec)
+    bracket = hausdorff_bracket(e, fine, depth)
     if bracket.hi > delta:
         raise AssertionError("skeleton bracket exceeded delta")
     return fine, bracket
 
 
-def finite_skeleton(
-    e: DigitalSet, delta: Fraction, prec: int = DEFAULT_PRECISION
-) -> list[Point]:
+def finite_skeleton(e: DigitalSet, delta: Fraction) -> list[Point]:
     """Finite delta-net inside the set: cell centers of a fine refinement.
 
     The refinement depth is chosen so half the cell diameter (certified
@@ -124,7 +120,7 @@ def finite_skeleton(
     lies in the set.  Each call re-certifies this by a Hausdorff bracket
     between the set and the refined cells carrying the centers.
     """
-    fine, _ = _checked_refinement(e, delta, prec)
+    fine, _ = _checked_refinement(e, delta)
     half = Fraction(1, 2 * fine.b**fine.m)
     return [
         Point(tuple(Fraction(2 * j + 1) * half for j in cell)) for cell in fine.cells
@@ -167,12 +163,7 @@ class TypicalityReport:
                 raise ValueError("frequencies must lie in [0, 1]")
 
 
-def typicality_report(
-    spec: SampleSpec,
-    s_list: list[int],
-    max_pieces: int,
-    prec: int = DEFAULT_PRECISION,
-) -> TypicalityReport:
+def typicality_report(spec: SampleSpec, s_list: list[int], max_pieces: int) -> TypicalityReport:
     """Run the seeded trials and tally cover-witness frequencies.
 
     Each trial uses a stream derived from (seed, trial index), so trials
@@ -180,14 +171,14 @@ def typicality_report(
     the search asks for a cube cover with budgets (1/s)**k; the search
     verifies every cover it returns.  The skeleton check uses the standard
     tolerance of one refined half diameter at the sampling depth, so its
-    bracket depends only on (n, b, depth, prec) and is computed once.
+    bracket depends only on (n, b, depth) and is computed once.
     """
     if any(s < 2 for s in s_list):
         raise ValueError("exponents must be >= 2")
-    root_n_up = sqrt_upper(Fraction(spec.n), prec)
+    root_n_up = root_upper(Fraction(spec.n), 2)
     delta = root_n_up / (2 * spec.b**spec.depth)
     probe = DigitalSet(spec.n, spec.b, spec.depth, ((0,) * spec.n,))
-    _, bracket = _checked_refinement(probe, delta, prec)
+    _, bracket = _checked_refinement(probe, delta)
     base = SplitMix64(spec.seed)
     records: list[TrialRecord] = []
     hits = {s: 0 for s in s_list}
@@ -203,7 +194,7 @@ def typicality_report(
         e = sample_compact(draw)
         outcomes = []
         for s in s_list:
-            found = isinstance(greedy_strong_cover(e, Fraction(1, s), max_pieces, prec), CoverSeq)
+            found = isinstance(greedy_strong_cover(e, Fraction(1, s), max_pieces), CoverSeq)
             hits[s] += found
             outcomes.append((s, "witness" if found else "unknown"))
         records.append(

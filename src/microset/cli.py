@@ -24,7 +24,7 @@ from fractions import Fraction
 from . import baire, covers, dust, serialize, svg
 from .covers import BallSpec, CoverSeq, GreedyFailure
 from .geometry import DigitalSet, Point, hausdorff_bracket
-from .rational import DEFAULT_PRECISION, format_scalar, parse_scalar
+from .rational import format_scalar, parse_scalar
 
 
 class _Negative(Exception):
@@ -42,13 +42,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="microset",
         description="exact cover certificates for compact subsets of the unit cube",
-    )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--precision",
-        type=int,
-        default=DEFAULT_PRECISION,
-        help="denominator for directed root enclosures (default 10**12)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -71,9 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--out", default=None)
 
     p = sub.add_parser(
-        "dust-hmeasure",
-        parents=[common],
-        help="certified upper bound for the alpha-measure at one level",
+        "dust-hmeasure", help="certified upper bound for the alpha-measure at one level"
     )
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
@@ -97,11 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cover", required=True)
     p.add_argument("-o", "--out", default=None)
 
-    p = sub.add_parser(
-        "cover-search",
-        parents=[common],
-        help="search for a cube cover with budgets eps**k",
-    )
+    p = sub.add_parser("cover-search", help="search for a cube cover with budgets eps**k")
     p.add_argument("--set", dest="set_path", required=True)
     p.add_argument("--eps", type=_scalar, required=True)
     p.add_argument("--max-pieces", type=int, default=4096)
@@ -114,7 +101,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "ball-check",
-        parents=[common],
         help="membership in a finite open-box union, optionally with a stability radius",
     )
     p.add_argument("--set", dest="set_path", required=True)
@@ -126,9 +112,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="point as comma-separated rationals, one per box, e.g. '1/2,1/3'",
     )
 
-    p = sub.add_parser(
-        "hausdorff", parents=[common], help="certified Hausdorff distance bracket"
-    )
+    p = sub.add_parser("hausdorff", help="certified Hausdorff distance bracket")
     p.add_argument("--a", dest="a_path", required=True)
     p.add_argument("--b", dest="b_path", required=True)
     p.add_argument("--depth", type=int, required=True)
@@ -200,7 +184,7 @@ def _cmd_dust_gaps(args) -> int:
 
 def _cmd_dust_hmeasure(args) -> int:
     spec = dust.DustSpec(n=args.n, b=args.b, depth=max(args.k, 1))
-    bound = dust.hausdorff_measure_upper(spec, args.alpha, args.k, args.precision)
+    bound = dust.hausdorff_measure_upper(spec, args.alpha, args.k)
     print(format_scalar(bound))
     return 0
 
@@ -254,7 +238,7 @@ def _cmd_cover_verify(args) -> int:
 def _cmd_cover_search(args) -> int:
     e = _load_as(args.set_path, DigitalSet, "digital set")
     # the search verifies what it emits; a failed check raises AssertionError
-    cover = covers.greedy_strong_cover(e, args.eps, args.max_pieces, args.precision)
+    cover = covers.greedy_strong_cover(e, args.eps, args.max_pieces)
     if isinstance(cover, GreedyFailure):
         raise _Negative(
             f"{cover.reason} at position {cover.position}"
@@ -288,7 +272,7 @@ def _cmd_ball_check(args) -> int:
         points = [
             Point(tuple(parse_scalar(c) for c in text.split(","))) for text in args.witness
         ]
-        radius = covers.ball_stability_radius(k_set, ball, points, args.precision)
+        radius = covers.ball_stability_radius(k_set, ball, points)
         print(f"member; stability radius {format_scalar(radius)}")
     else:
         print("member")
@@ -298,7 +282,7 @@ def _cmd_ball_check(args) -> int:
 def _cmd_hausdorff(args) -> int:
     a = _load_as(args.a_path, DigitalSet, "digital set")
     b = _load_as(args.b_path, DigitalSet, "digital set")
-    bracket = hausdorff_bracket(a, b, args.depth, args.precision)
+    bracket = hausdorff_bracket(a, b, args.depth)
     _emit(bracket, args.out)
     print(
         f"lo={format_scalar(bracket.lo)} hi={format_scalar(bracket.hi)}"
@@ -353,8 +337,6 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        if getattr(args, "precision", 2) < 2:
-            raise ValueError("--precision must be at least 2")
         return _HANDLERS[args.command](args)
     except _Negative as exc:
         print(str(exc), file=sys.stderr)

@@ -193,12 +193,18 @@ def _morton_key(cell: tuple[int, ...], width: int) -> int:
     return key
 
 
-def greedy_strong_cover(
-    e: DigitalSet,
-    eps: Fraction,
-    max_pieces: int,
-    prec: int = DEFAULT_PRECISION,
-) -> CoverSeq | GreedyFailure:
+def _budget_sides(eps: Fraction, n: int) -> Iterator[Fraction]:
+    """Per position k = 1, 2, ..., a certified lower enclosure of eps**(k/n).
+
+    The grid enclosure of eps**(k/n) and the k-th power of that of
+    eps**(1/n) are both lower bounds; the larger is kept.
+    """
+    root_lo = pow_lower(eps, 1, n)
+    for k in itertools.count(1):
+        yield max(pow_lower(eps, k, n), root_lo**k)
+
+
+def greedy_strong_cover(e: DigitalSet, eps: Fraction, max_pieces: int) -> CoverSeq | GreedyFailure:
     """Greedy search for a verified strong cover of e at budget eps.
 
     Cells are processed in Morton (bit-interleaved) order.  Position k
@@ -217,21 +223,19 @@ def greedy_strong_cover(
     width = (scale - 1).bit_length() or 1
     order = sorted(e.cells, key=lambda c: (_morton_key(c, width), c))
     uncovered = set(order)
-    root_lo = pow_lower(eps, 1, n, prec)
     pieces: list[Box] = []
-    k = 0
-    while uncovered:
-        if len(pieces) >= max_pieces:
-            return GreedyFailure("max-pieces", position=k + 1, uncovered=len(uncovered))
-        k += 1
-        side = max(pow_lower(eps, k, n, prec), root_lo**k)
+    for k, side in enumerate(_budget_sides(eps, n), start=1):
         if side < cs:
-            return _certify_infeasible(e, uncovered, k, eps, prec)
+            return _certify_infeasible(e, uncovered, k, eps)
         target = next(c for c in order if c in uncovered)
         lo = tuple(min(j * cs, 1 - side) for j in target)
         pieces.append(Box.cube(lo, side))
         window = _cell_window(pieces[-1], scale, 0)
         uncovered = {c for c in uncovered if not _in_window(c, window)}
+        if not uncovered:
+            break
+        if k == max_pieces:
+            return GreedyFailure("max-pieces", position=k + 1, uncovered=len(uncovered))
     cover = CoverSeq(n=n, eps=eps, strong=True, pieces=tuple(pieces))
     report = verify_cover(e, cover)
     if not report.ok:
@@ -240,22 +244,23 @@ def greedy_strong_cover(
 
 
 def _certify_infeasible(
-    e: DigitalSet, uncovered: set, position: int, eps: Fraction, prec: int
+    e: DigitalSet, uncovered: set, position: int, eps: Fraction
 ) -> GreedyFailure:
     # refutes any cover of e, not just this search: the total side budget
     # must span the projection of the whole set on every axis
     needed = max(len({c[axis] for c in e.cells}) * e.cell_side for axis in range(e.n))
-    reason = "budget-infeasible" if _series_upper(eps, 1, e.n, 0, prec) < needed else "stalled"
+    reason = "budget-infeasible" if _series_upper(eps, 1, e.n, 0) < needed else "stalled"
     return GreedyFailure(reason, position=position, uncovered=len(uncovered))
 
 
-def _series_upper(eps: Fraction, num: int, den: int, terms: int, prec: int) -> Fraction:
+def _series_upper(eps: Fraction, num: int, den: int, terms: int) -> Fraction:
     """Certified upper bound of sum_{k>=1} eps**(num*k/den).
 
     Finite prefix of per-term upper enclosures plus the geometric tail
     r**(terms+1)/(1-r), with r an upper enclosure of eps**(num/den) whose
     grid is refined until r < 1.
     """
+    prec = DEFAULT_PRECISION
     r = pow_upper(eps, num, den, prec)
     while r >= 1:
         prec *= 10
@@ -267,9 +272,7 @@ def _series_upper(eps: Fraction, num: int, den: int, terms: int, prec: int) -> F
     return partial + r ** (terms + 1) / (1 - r)
 
 
-def side_budget_sum(
-    eps: Fraction, n: int, terms: int, prec: int = DEFAULT_PRECISION
-) -> Fraction:
+def side_budget_sum(eps: Fraction, n: int, terms: int) -> Fraction:
     """Certified upper bound of sum_{k>=1} eps**(k/n).
 
     When the value is below the extent of a set's projection, no strong
@@ -280,7 +283,7 @@ def side_budget_sum(
         raise ValueError("eps must lie strictly between 0 and 1")
     if n < 1 or terms < 0:
         raise ValueError("bad arguments")
-    return _series_upper(eps, 1, n, terms, prec)
+    return _series_upper(eps, 1, n, terms)
 
 
 def merge_covers(covers: Sequence[CoverSeq], eps: Fraction) -> CoverSeq:
@@ -320,9 +323,7 @@ def merge_covers(covers: Sequence[CoverSeq], eps: Fraction) -> CoverSeq:
     return merged
 
 
-def cover_measure_upper(
-    cover: CoverSeq, alpha: Fraction, terms: int, prec: int = DEFAULT_PRECISION
-) -> Fraction:
+def cover_measure_upper(cover: CoverSeq, alpha: Fraction, terms: int) -> Fraction:
     """Certified upper bound of sum_k (diam piece_k)**alpha for a strong cover.
 
     Each piece is a cube, so diam <= sqrt(n) * eps**(k/n) and the sum is
@@ -339,8 +340,8 @@ def cover_measure_upper(
     if cover.first_budget_violation() is not None:
         raise ValueError("cover does not satisfy its budget")
     a, q = alpha.numerator, alpha.denominator
-    scale = pow_upper(Fraction(cover.n), a, 2 * q, prec)
-    return scale * _series_upper(cover.eps, a, q * cover.n, terms, prec)
+    scale = pow_upper(Fraction(cover.n), a, 2 * q)
+    return scale * _series_upper(cover.eps, a, q * cover.n, terms)
 
 
 def _strictly_inside(point: Point, box: Box) -> bool:
@@ -398,10 +399,7 @@ def ball_membership(k_set: DigitalSet, ball: BallSpec) -> bool:
 
 
 def ball_stability_radius(
-    k_set: DigitalSet,
-    ball: BallSpec,
-    witnesses: Sequence[Point],
-    prec: int = DEFAULT_PRECISION,
+    k_set: DigitalSet, ball: BallSpec, witnesses: Sequence[Point]
 ) -> Fraction:
     """Certified radius within which Hausdorff-perturbations stay in the ball.
 
@@ -412,7 +410,8 @@ def ball_stability_radius(
     bound to a cell lies in that cell grown by the bound and clipped to the
     cube, so the least distance from a cell to an outside face of its grown
     cell decides the rest: the bound when no face is nearer, else a
-    certified lower enclosure of that distance.
+    certified lower enclosure of that distance, on a grid at least as fine
+    as the squared distance's denominator, so that it is never 0.
     """
     if k_set.n != ball.n:
         raise ValueError("dimension mismatch")
@@ -453,4 +452,4 @@ def ball_stability_radius(
         raise AssertionError("membership held but the complement touches the set")
     if near_sq == bound * bound:
         return bound
-    return root_lower(near_sq, 2, prec)
+    return root_lower(near_sq, 2, max(DEFAULT_PRECISION, near_sq.denominator))

@@ -12,8 +12,9 @@ is the only place the growth k*k is written.  The tree holds integer cell
 indices; Fractions appear only in its box view and its JSON.
 
 All verdicts are exact.  The only enclosures are the n-th roots inside
-``refutation_budget_lower`` and ``hausdorff_measure_upper``, both directed
-so the reported number is safe in the stated direction.
+``refutation_budget_lower``, ``hausdorff_measure_upper`` and the
+adversaries' budget sides, each directed so the reported number is safe
+in the stated direction.
 """
 
 from __future__ import annotations
@@ -21,18 +22,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isqrt
-from typing import Iterator
+from math import ceil, isqrt
 
 from .baire import SplitMix64
-from .covers import CoverSeq, _cell_window, _in_window
+from .covers import CoverSeq, _budget_sides, _cell_window, _in_window
 from .geometry import Box, DigitalSet, volume
-from .rational import (
-    DEFAULT_PRECISION,
-    pow_lower,
-    pow_upper,
-    root_lower,
-)
+from .rational import DEFAULT_PRECISION, pow_upper, root_lower
 
 
 @dataclass(frozen=True)
@@ -243,14 +238,18 @@ def gap_table(spec: DustSpec, tree: DustTree | None = None) -> GapTable:
     return table
 
 
-def hausdorff_measure_upper(
-    spec: DustSpec, alpha: Fraction, k: int, prec: int = DEFAULT_PRECISION
-) -> Fraction:
+def hausdorff_measure_upper(spec: DustSpec, alpha: Fraction, k: int) -> Fraction:
     """Certified upper bound 2**(n k) * n**(alpha/2) * V_k**(alpha/n).
 
     Covering the limit set by the level-k cubes witnesses this bound on
     the alpha-dimensional Hausdorff outer measure; it tends to zero in k
     for every positive alpha, which pins the dimension at zero.
+
+    The side part V_k**(alpha/n) = b**-(grid(k) alpha) is enclosed on a
+    grid b**ceil(grid(k) alpha) times finer than ``DEFAULT_PRECISION``, so
+    each enclosed factor exceeds its value by a relative error of at most
+    1/DEFAULT_PRECISION, and the bound exceeds the true product by a factor
+    below 1 + 3/DEFAULT_PRECISION.
     """
     alpha = Fraction(alpha)
     if alpha <= 0:
@@ -259,12 +258,13 @@ def hausdorff_measure_upper(
         raise ValueError("level must be >= 1")
     a, q = alpha.numerator, alpha.denominator
     count = Fraction(2 ** (spec.n * k))
-    diam_scale = pow_upper(Fraction(spec.n), a, 2 * q, prec)
-    side_part = pow_upper(spec.level_volume(k), a, q * spec.n, prec)
+    diam_scale = pow_upper(Fraction(spec.n), a, 2 * q)
+    side_grid = DEFAULT_PRECISION * spec.b ** ceil(spec.grid(k) * alpha)
+    side_part = pow_upper(spec.level_volume(k), a, q * spec.n, side_grid)
     return count * diam_scale * side_part
 
 
-def refutation_budget_lower(spec: DustSpec, prec: int = DEFAULT_PRECISION) -> Fraction:
+def refutation_budget_lower(spec: DustSpec) -> Fraction:
     """Certified positive lower enclosure of the critical cover budget.
 
     Budgets eps at or below this value make every survivor refutation go
@@ -272,6 +272,7 @@ def refutation_budget_lower(spec: DustSpec, prec: int = DEFAULT_PRECISION) -> Fr
     (root_n(2**n + 1) - 2)**(4n) / c**4, with the root rounded down.
     """
     _require_admissible(spec)
+    prec = DEFAULT_PRECISION
     while True:
         t = root_lower(Fraction(2**spec.n + 1), spec.n, prec) - 2
         if t > 0:
@@ -284,8 +285,10 @@ def refutation_budget_lower(spec: DustSpec, prec: int = DEFAULT_PRECISION) -> Fr
 class BucketTable:
     """Positions 1, 2, ... bucketed by the level that must absorb them.
 
-    Bucket k holds the integers h with k**2 / 4 <= h < (k+1)**2 / 4; the
-    buckets tile the positive integers, verified up to ``verified_up_to``.
+    Bucket k holds the integers h with k**2 / 4 <= h < (k+1)**2 / 4, that
+    is ``range(_bucket_start(k), _bucket_start(k + 1))``; so the buckets
+    tile the positive integers, and ``bucket_of`` is checked to invert them
+    up to ``verified_up_to``.
     """
 
     k_max: int
@@ -304,22 +307,18 @@ class BucketTable:
         return isqrt(4 * h)
 
 
+def _bucket_start(k: int) -> int:
+    """Least position h >= k**2 / 4: the first position of bucket k."""
+    return (k * k + 3) // 4
+
+
 def level_buckets(k_max: int) -> BucketTable:
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    sets = []
-    expected = 1
-    for k in range(1, k_max + 1):
-        lo = max(1, (k * k + 3) // 4)
-        hi = ((k + 1) ** 2 + 3) // 4 - 1
-        bucket = tuple(range(lo, hi + 1))
-        sets.append(bucket)
-        for h in bucket:
-            if h != expected:
-                raise AssertionError("buckets failed to tile the positions")
-            expected += 1
-    table = BucketTable(k_max=k_max, sets=tuple(sets), verified_up_to=expected - 1)
-    for h in range(1, expected):
+    sets = tuple(tuple(range(_bucket_start(k), _bucket_start(k + 1))) for k in range(1, k_max + 1))
+    end = _bucket_start(k_max + 1)
+    table = BucketTable(k_max=k_max, sets=sets, verified_up_to=end - 1)
+    for h in range(1, end):
         if not (table.bucket_of(h) <= k_max and h in sets[table.bucket_of(h) - 1]):
             raise AssertionError("bucket_of disagrees with the enumeration")
     return table
@@ -415,7 +414,7 @@ class RefuterFailure:
 
 def _examined_prefix(depth: int, piece_count: int) -> int:
     """Pieces bucketed into levels 1..depth: positions below (depth+1)**2 / 4."""
-    return min(piece_count, ((depth + 1) ** 2 - 1) // 4)
+    return min(piece_count, _bucket_start(depth + 1) - 1)
 
 
 def survivor_refute(
@@ -511,20 +510,7 @@ def _check_survivor(tree: DustTree, cover: CoverSeq, cert: SurvivorCertificate) 
             raise ValueError(f"survivor touches examined piece {h}")
 
 
-def _budget_sides(spec: DustSpec, eps: Fraction, count: int, prec: int) -> Iterator[Fraction]:
-    """Per position h, a lower enclosure of eps**(h/n) capped at the leaf side."""
-    leaf_side = spec.level_side(spec.depth)
-    root_lo = pow_lower(eps, 1, spec.n, prec)
-    for h in range(1, count + 1):
-        side = min(max(pow_lower(eps, h, spec.n, prec), root_lo**h), leaf_side)
-        if side <= 0:
-            raise ValueError("budget too small to produce a piece")
-        yield side
-
-
-def adversary_swallow(
-    tree: DustTree, eps: Fraction, count: int, prec: int = DEFAULT_PRECISION
-) -> CoverSeq:
+def adversary_swallow(tree: DustTree, eps: Fraction, count: int) -> CoverSeq:
     """Budget-tight adversary that eats leaf cubes in word order.
 
     Piece h is the largest admissible cube (side a lower enclosure of
@@ -536,19 +522,13 @@ def adversary_swallow(
     leaves = tree.level_cells(spec.depth)
     leaf_side = spec.level_side(spec.depth)
     pieces = []
-    for h, side in enumerate(_budget_sides(spec, eps, count, prec)):
+    for h, side in enumerate(itertools.islice(_budget_sides(eps, spec.n), count)):
         _, cell = leaves[h % len(leaves)]
-        pieces.append(Box.cube(tuple(j * leaf_side for j in cell), side))
+        pieces.append(Box.cube(tuple(j * leaf_side for j in cell), min(side, leaf_side)))
     return CoverSeq(n=spec.n, eps=eps, strong=True, pieces=tuple(pieces))
 
 
-def adversary_random(
-    tree: DustTree,
-    eps: Fraction,
-    count: int,
-    seed: int,
-    prec: int = DEFAULT_PRECISION,
-) -> CoverSeq:
+def adversary_random(tree: DustTree, eps: Fraction, count: int, seed: int) -> CoverSeq:
     """Seeded adversary placing budget-tight cubes near random leaf cubes."""
     spec = tree.spec
     eps = Fraction(eps)
@@ -556,9 +536,9 @@ def adversary_random(
     leaves = tree.level_cells(spec.depth)
     leaf_side = spec.level_side(spec.depth)
     pieces = []
-    for budget_side in _budget_sides(spec, eps, count, prec):
+    for budget_side in itertools.islice(_budget_sides(eps, spec.n), count):
         _, cell = leaves[rng.next() % len(leaves)]
-        side = budget_side * Fraction(rng.next() % 512 + 512, 1024)
+        side = min(budget_side, leaf_side) * Fraction(rng.next() % 512 + 512, 1024)
         corner = []
         for j in cell:
             wiggle = (leaf_side - side) * Fraction(rng.next() % 1024, 1024)

@@ -346,9 +346,7 @@ def _directed_max_min_dist_sq(
     return worst
 
 
-def hausdorff_bracket(
-    a: DigitalSet, b: DigitalSet, sample_depth: int, prec: int = DEFAULT_PRECISION
-) -> HBracket:
+def hausdorff_bracket(a: DigitalSet, b: DigitalSet, sample_depth: int) -> HBracket:
     """Certified bracket around the Hausdorff distance of two digital sets.
 
     Both sets are refined to ``sample_depth``; cell centers sample each set
@@ -377,7 +375,7 @@ def hausdorff_bracket(
         _directed_max_min_dist_sq(br.cells, ar.cells, far),
     )
     # keep the enclosure grid fine enough for the certified width cap
-    eff = max(prec, unit * unit)
+    eff = max(DEFAULT_PRECISION, unit * unit)
     sq = Fraction(d2, unit * unit)
     root_n_up = root_upper(Fraction(a.n), 2, eff)
     half_cell = root_n_up / unit

@@ -6,9 +6,13 @@ irrational values that ever arise are roots (Euclidean norms, side budgets
 enclosures: ``root_lower`` never exceeds the true root, ``root_upper``
 never falls below it.  No floats participate in any verdict.
 
-Enclosures are reported on the grid ``1/prec`` with ``prec`` defaulting to
-``DEFAULT_PRECISION`` (10**12).  When the requested root is itself rational
-the exact value is returned regardless of ``prec``.
+Enclosures are reported on the grid ``1/prec``.  The grid is no caller
+option: operations outside this module start at ``DEFAULT_PRECISION``
+(10**12) and refine it only where their quantity needs a finer one (a
+series ratio or critical budget that must clear a bound, a bracket's width
+cap, a measure bound's relative slack, a positive radius).  When the
+requested root is itself rational the exact value is returned regardless
+of ``prec``.
 """
 
 from __future__ import annotations
@@ -88,14 +92,6 @@ def root_upper(x: Fraction, r: int, prec: int = DEFAULT_PRECISION) -> Fraction:
     a, _ = int_nth_root(x.numerator * prec**r // x.denominator, r)
     # a = floor(true * prec) and the root is irrational here, so a + 1 is strict
     return Fraction(a + 1, prec)
-
-
-def sqrt_lower(x: Fraction, prec: int = DEFAULT_PRECISION) -> Fraction:
-    return root_lower(x, 2, prec)
-
-
-def sqrt_upper(x: Fraction, prec: int = DEFAULT_PRECISION) -> Fraction:
-    return root_upper(x, 2, prec)
 
 
 def pow_lower(x: Fraction, num: int, den: int, prec: int = DEFAULT_PRECISION) -> Fraction:

@@ -112,7 +112,7 @@ def test_a03_measure_bounds_vanish_quickly_for_every_alpha():
         for alpha in (F(1, 10), F(1, 2), F(1), F(2)):
             vals = []
             for k in range(1, 61):
-                vals.append(hausdorff_measure_upper(spec, alpha, k, prec=10**40))
+                vals.append(hausdorff_measure_upper(spec, alpha, k))
                 if vals[-1] < threshold:
                     break
             assert vals[-1] < threshold, (n, alpha)

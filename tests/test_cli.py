@@ -229,17 +229,28 @@ def test_unknown_subcommand_is_usage_error():
 
 
 def test_precision_flag_validation(tmp_path):
-    assert run("dust-hmeasure", "--n", "1", "--b", "3", "--alpha", "1/2", "--k", "2",
-               "--precision", "1") == 2
-    assert run("dust-hmeasure", "--n", "1", "--b", "3", "--alpha", "1/2", "--k", "2",
-               "--precision", "100") == 0
+    e_path, a_path, b_path = tmp_path / "e.json", tmp_path / "a.json", tmp_path / "b.json"
+    ball_path = tmp_path / "ball.json"
+    serialize.save(DigitalSet(1, 3, 1, ((0,),)), e_path)
+    serialize.save(DigitalSet(1, 3, 2, ((0,),)), a_path)
+    serialize.save(DigitalSet(1, 3, 2, ((8,),)), b_path)
+    serialize.save(BallSpec(n=1, boxes=(box1(F(-1, 2), F(1, 2)),)), ball_path)
+    former_readers = [
+        ["dust-hmeasure", "--n", "1", "--b", "3", "--alpha", "1/2", "--k", "2"],
+        ["cover-search", "--set", str(e_path), "--eps", "1/2"],
+        ["ball-check", "--set", str(e_path), "--ball", str(ball_path), "--witness", "1/6"],
+        ["hausdorff", "--a", str(a_path), "--b", str(b_path), "--depth", "3"],
+    ]
+    for argv in former_readers:
+        assert run(*argv) == 0, argv
+        assert run(*argv, "--precision", "100") == 2, argv
 
 
 def test_precision_flag_only_where_it_is_read(tmp_path, capsys):
-    readers = {"dust-hmeasure", "cover-search", "ball-check", "hausdorff"}
+    # no subcommand reads --precision, so none lists or accepts it
     for command in _HANDLERS:
         assert run(command, "--help") == 0
-        assert ("--precision" in capsys.readouterr().out) == (command in readers), command
+        assert "--precision" not in capsys.readouterr().out, command
     e_path, cover_path = tmp_path / "e.json", tmp_path / "cover.json"
     serialize.save(DigitalSet(1, 3, 1, ((0,),)), e_path)
     cover = CoverSeq(n=1, eps=F(1, 2), strong=False, pieces=(box1(0, F(1, 3)),))

@@ -449,6 +449,24 @@ def test_stability_radius_rejects_bad_witnesses():
     assert ball_stability_radius(k, ball, [Point((F(13, 27),))]) == F(11, 135)
 
 
+def test_stability_radius_of_a_notch_finer_than_the_default_grid():
+    # the complement is the quadrant x, y >= 1/3 + d, at distance d*sqrt(2)
+    # from the cell [0, 1/3]**2; d*d*2 has a denominator above 10**12
+    k = DigitalSet(2, 3, 1, ((0, 0),))
+    d = F(1, 10**13)
+    ball = BallSpec(
+        n=2,
+        boxes=(
+            Box(((F(-1), F(1, 3) + d), (F(-1), F(2)))),
+            Box(((F(-1), F(2)), (F(-1), F(1, 3) + d))),
+        ),
+    )
+    centre = Point((F(1, 6), F(1, 6)))
+    r = ball_stability_radius(k, ball, [centre, centre])
+    assert 0 < r and r * r <= 2 * d * d
+    assert r == F(1414213562373, 10**25)
+
+
 def test_stability_radius_guarantees_membership_margin():
     k = DigitalSet(1, 3, 3, ((13,),))
     ball = BallSpec(n=1, boxes=(box1(F(2, 5), F(3, 5)),))

@@ -34,7 +34,7 @@ from microset.dust import (
     validate,
 )
 from microset.geometry import Box, dist_sq, hausdorff_bracket, volume
-from microset.rational import DEFAULT_PRECISION, pow_lower, root_lower, sqrt_upper
+from microset.rational import DEFAULT_PRECISION, pow_lower, root_lower, root_upper
 
 F = Fraction
 
@@ -189,7 +189,7 @@ def test_level_union_nesting_bracket():
     coarse = tree.level_digital(1)
     fine = tree.level_digital(2)
     br = hausdorff_bracket(coarse, fine, 4)
-    assert br.hi <= sqrt_upper(F(2)) * F(1, 3)
+    assert br.hi <= root_upper(F(2), 2) * F(1, 3)
 
 
 def test_hmeasure_line_values():
@@ -197,6 +197,18 @@ def test_hmeasure_line_values():
     assert hausdorff_measure_upper(spec, F(1), 1) == F(2, 3)
     assert hausdorff_measure_upper(spec, F(1), 2) == F(4, 81)
     assert hausdorff_measure_upper(spec, F(1), 3) == F(8, 19683)
+
+
+def test_hmeasure_is_within_relative_slack_of_the_true_bound():
+    # T = 2**(n k) n**(alpha/2) b**-(k*k*alpha) is irrational in general, so
+    # both sides are compared as exact 2q-th powers for alpha = a/q
+    slack = 1 + F(3, DEFAULT_PRECISION)
+    alphas = (F(1, 10), F(1, 3), F(1, 2), F(2, 3), F(1), F(3, 2), F(2))
+    for n, b, alpha, k in itertools.product((1, 2, 3), (3, 4, 5), alphas, range(1, 9)):
+        a, q = alpha.numerator, alpha.denominator
+        bound = hausdorff_measure_upper(DustSpec(n, b, 1), alpha, k)
+        true_2q = F(2 ** (2 * q * n * k) * n**a, b ** (2 * k * k * a))
+        assert true_2q <= bound ** (2 * q) <= true_2q * slack ** (2 * q), (n, b, alpha, k)
 
 
 def test_hmeasure_plane_value():

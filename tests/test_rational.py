@@ -12,8 +12,6 @@ from microset.rational import (
     pow_upper,
     root_lower,
     root_upper,
-    sqrt_lower,
-    sqrt_upper,
 )
 
 positive_fractions = st.fractions(min_value=Fraction(1, 10**6), max_value=10**6)
@@ -60,13 +58,13 @@ def test_exact_roots_ignore_precision_grid():
     assert root_lower(Fraction(25, 81), 2, prec=10) == Fraction(5, 9)
     assert root_upper(Fraction(25, 81), 2, prec=10) == Fraction(5, 9)
     assert root_lower(Fraction(8, 27), 3, prec=10) == Fraction(2, 3)
-    assert sqrt_lower(Fraction(4)) == 2
-    assert sqrt_upper(Fraction(4)) == 2
+    assert root_lower(Fraction(4), 2) == 2
+    assert root_upper(Fraction(4), 2) == 2
 
 
 def test_irrational_root_strictly_brackets():
-    lo = sqrt_lower(Fraction(2))
-    hi = sqrt_upper(Fraction(2))
+    lo = root_lower(Fraction(2), 2)
+    hi = root_upper(Fraction(2), 2)
     assert lo < hi
     assert lo**2 < 2 < hi**2
 
