@@ -8,7 +8,8 @@ byte-identical outputs.
 Exit codes:
   0  the requested construction or verification succeeded and re-validated
   1  verified negative: the operation ran and exactly established a "no"
-     (budget violated, not a member, premises refuted, search gave up)
+     (budget violated, not a member, premises refuted, no survivor at
+     some level, search gave up)
   2  usage error or malformed input file
   3  internal invariant failure (a re-validation the library performs on
      its own output did not pass) or any other unexpected exception,
@@ -167,10 +168,11 @@ def _cmd_dust_gaps(args) -> int:
     problem = dust.validate(spec)
     if problem is not None:
         raise _Negative(f"inadmissible: {problem}")
-    tree = None
     if args.tree is not None:
         tree = _load_as(args.tree, dust.DustTree, "dust tree")
-    table = dust.gap_table(spec, tree)
+        if (tree.spec.n, tree.spec.b, tree.spec.depth) != (spec.n, spec.b, spec.depth):
+            raise ValueError("tree was built for a different n, b or depth")
+    table = dust.gap_table(spec)
     _emit(table, args.out)
     for k in range(1, spec.depth + 1):
         print(
@@ -207,12 +209,10 @@ def _cmd_dust_refute(args) -> int:
     except ValueError as exc:
         raise _Negative(f"refutation premises not met: {exc}") from None
     if isinstance(outcome, dust.RefuterFailure):
-        print(
+        raise _Negative(
             f"refuter failure: no survivor at level {outcome.level} "
-            f"(checked prefix {outcome.checked_prefix})",
-            file=sys.stderr,
+            f"(checked prefix {outcome.checked_prefix})"
         )
-        return 3
     _emit(outcome, args.out)
     print(
         f"survivor {list(outcome.survivor_word)} disjoint from the first "

@@ -173,15 +173,11 @@ def _check_tree(tree: DustTree) -> None:
 
 
 def generate(spec: DustSpec) -> DustTree:
-    """Build the tree, then re-verify every structural invariant exactly."""
+    """Build the tree the spec defines, then re-verify every structural invariant exactly.
+
+    The only builder of a ``DustTree``: a loaded tree file is rebuilt here too.
+    """
     _require_admissible(spec)
-    tree = _construct(spec)
-    _check_tree(tree)
-    return tree
-
-
-def _construct(spec: DustSpec) -> DustTree:
-    """The tree the spec defines, without any check; ``generate`` checks it."""
     codes = spec.corner_order or range(2**spec.n)
     corners = [[(code >> (spec.n - 1 - axis)) & 1 for axis in range(spec.n)] for code in codes]
     levels, current = [], (((), (0,) * spec.n),)
@@ -195,7 +191,9 @@ def _construct(spec: DustSpec) -> DustTree:
             for letter, bits in enumerate(corners, start=1)
         )
         levels.append(current)
-    return DustTree(spec=spec, levels=tuple(levels))
+    tree = DustTree(spec=spec, levels=tuple(levels))
+    _check_tree(tree)
+    return tree
 
 
 @dataclass(frozen=True)
@@ -215,27 +213,23 @@ class GapTable:
     level_gap: tuple[Fraction, ...]
 
 
-def gap_table(spec: DustSpec, tree: DustTree | None = None) -> GapTable:
-    """Exact gap table, read off the grid; a given tree is re-checked to have these gaps.
+def gap_table(spec: DustSpec) -> GapTable:
+    """Exact gap table, read off the spec's grid alone.
 
-    The sibling gap is d_k = side_{k-1} - 2 side_k; ``_check_tree`` proves
-    that a tree's siblings are exactly d_k apart, so its level gaps are D_k.
+    The sibling gap is d_k = side_{k-1} - 2 side_k; ``_check_tree``, which
+    every tree passes when ``generate`` builds or reloads it, proves that the
+    siblings of a tree are exactly d_k apart, so its level gaps are D_k.
     """
     _require_admissible(spec)
     levels = range(1, spec.depth + 1)
     d_vals = [spec.level_side(k - 1) - 2 * spec.level_side(k) for k in levels]
-    table = GapTable(
+    return GapTable(
         depth=spec.depth,
         volume=tuple(spec.level_volume(k) for k in levels),
         leftover=tuple(spec.level_volume(k - 1) - 2**spec.n * spec.level_volume(k) for k in levels),
         sibling_gap=tuple(d_vals),
         level_gap=tuple(itertools.accumulate(d_vals, min)),
     )
-    if tree is not None:
-        if (tree.spec.n, tree.spec.b, tree.spec.depth) != (spec.n, spec.b, spec.depth):
-            raise ValueError("tree was built for a different n, b or depth")
-        _check_tree(tree)
-    return table
 
 
 def hausdorff_measure_upper(spec: DustSpec, alpha: Fraction, k: int) -> Fraction:
@@ -349,9 +343,7 @@ class HitTable:
     first_violation: int | None
 
 
-def hit_recursion_table(
-    n: int, k_max: int, buckets: BucketTable, seed_level: int = 4
-) -> HitTable:
+def hit_recursion_table(n: int, k_max: int, seed_level: int = 4) -> HitTable:
     """Iterate the worst-case hit recursion and check it against capacity.
 
     The recursion is seeded at ``seed_level`` with the capacity bound
@@ -365,8 +357,6 @@ def hit_recursion_table(
         raise ValueError("bad arguments")
     if seed_level < 1:
         raise ValueError("seed level must be >= 1")
-    if buckets.k_max < max(k_max, seed_level):
-        raise ValueError("bucket table too short")
 
     def capacity(k: int) -> int:
         return 2 ** (n * k) - k * 2 ** ((n - 1) * k)
@@ -378,7 +368,8 @@ def hit_recursion_table(
         if k <= seed_level:
             hits = capacity(k)
         else:
-            hits = 2**n * hits + 2 ** ((n - 1) * (k - 1)) * len(buckets.bucket(k))
+            bucket_size = _bucket_start(k + 1) - _bucket_start(k)
+            hits = 2**n * hits + 2 ** ((n - 1) * (k - 1)) * bucket_size
         ok = hits <= capacity(k)
         if not ok and first_violation is None:
             first_violation = k
@@ -417,16 +408,14 @@ def _examined_prefix(depth: int, piece_count: int) -> int:
     return min(piece_count, _bucket_start(depth + 1) - 1)
 
 
-def survivor_refute(
-    tree: DustTree, cover: CoverSeq
-) -> SurvivorCertificate | RefuterFailure:
-    """Survivor chain through the tree against a budgeted cover.
+def _refutation_premises(tree: DustTree, cover: CoverSeq) -> int:
+    """Check what the survivor argument assumes; the examined prefix, or ValueError.
 
-    Requires the cover to satisfy its own eps-budget and, piece by piece,
-    the direct gap budget: a piece at position h must have measure at most
-    level_gap(bucket_of(h)) ** n.  Checking the gap budget directly (rather
-    than trusting any chain of inequalities through eps) keeps the premise
-    of the survivor argument explicit and exact.
+    The cover must share the tree's dimension, satisfy its own eps-budget
+    and, piece by piece, the direct gap budget: a piece at position h must
+    have measure at most level_gap(bucket_of(h)) ** n.  Checking the gap
+    budget directly (rather than trusting any chain of inequalities through
+    eps) keeps the premise of the survivor argument explicit and exact.
     """
     spec = tree.spec
     if cover.n != spec.n:
@@ -441,11 +430,24 @@ def survivor_refute(
             raise AssertionError("examined piece bucketed past the tree depth")
         if volume(cover.pieces[h - 1]) > gaps.level_gap[j - 1] ** spec.n:
             raise ValueError(f"piece {h} exceeds the level-{j} gap budget")
+    return checked
+
+
+def survivor_refute(
+    tree: DustTree, cover: CoverSeq
+) -> SurvivorCertificate | RefuterFailure:
+    """Survivor chain through the tree against a budgeted cover.
+
+    Raises ValueError when the cover misses a premise of ``_refutation_premises``.
+    A level with no survivor, where every child of the previous level's
+    survivors touches an active piece, is returned as a ``RefuterFailure``.
+    """
+    checked = _refutation_premises(tree, cover)
     walk = _survivor_walk(tree, cover)
     if not walk[-1]:
         return RefuterFailure(level=len(walk), checked_prefix=checked)
     cert = SurvivorCertificate(
-        depth=spec.depth,
+        depth=tree.spec.depth,
         checked_prefix=checked,
         survivor_word=min(walk[-1]),
         level_counts=tuple(len(alive) for alive in walk),
@@ -482,9 +484,12 @@ def _survivor_walk(tree: DustTree, cover: CoverSeq) -> list[list[tuple[int, ...]
 def revalidate_survivor(
     tree: DustTree, cover: CoverSeq, cert: SurvivorCertificate
 ) -> None:
-    """Re-check a certificate from scratch; raises when anything fails."""
-    if cover.n != tree.spec.n:
-        raise ValueError("dimension mismatch")
+    """Re-check a certificate from scratch; raises ValueError when anything fails.
+
+    The cover must meet the same premises ``survivor_refute`` demands, so a
+    certificate is accepted exactly when the refuter could have emitted it.
+    """
+    _refutation_premises(tree, cover)
     _check_survivor(tree, cover, cert)
     if cert.level_counts != tuple(len(alive) for alive in _survivor_walk(tree, cover)):
         raise ValueError("certificate level counts differ from the survivor walk")

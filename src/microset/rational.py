@@ -67,21 +67,8 @@ def _exact_root(x: Fraction, r: int) -> Fraction | None:
     return Fraction(rp, rq)
 
 
-def root_lower(x: Fraction, r: int, prec: int = DEFAULT_PRECISION) -> Fraction:
-    """Rational lower bound of x**(1/r); exact when the root is rational."""
-    if x < 0:
-        raise ValueError("root of negative scalar")
-    if prec < 1:
-        raise ValueError("prec must be >= 1")
-    exact = _exact_root(x, r)
-    if exact is not None:
-        return exact
-    a, _ = int_nth_root(x.numerator * prec**r // x.denominator, r)
-    return Fraction(a, prec)
-
-
-def root_upper(x: Fraction, r: int, prec: int = DEFAULT_PRECISION) -> Fraction:
-    """Rational upper bound of x**(1/r); exact when the root is rational."""
+def _root(x: Fraction, r: int, prec: int, upper: bool) -> Fraction:
+    """x**(1/r) rounded on the 1/prec grid, down or up; exact when the root is rational."""
     if x < 0:
         raise ValueError("root of negative scalar")
     if prec < 1:
@@ -91,26 +78,35 @@ def root_upper(x: Fraction, r: int, prec: int = DEFAULT_PRECISION) -> Fraction:
         return exact
     a, _ = int_nth_root(x.numerator * prec**r // x.denominator, r)
     # a = floor(true * prec) and the root is irrational here, so a + 1 is strict
-    return Fraction(a + 1, prec)
+    return Fraction(a + 1 if upper else a, prec)
+
+
+def root_lower(x: Fraction, r: int, prec: int = DEFAULT_PRECISION) -> Fraction:
+    """Rational lower bound of x**(1/r); exact when the root is rational."""
+    return _root(x, r, prec, upper=False)
+
+
+def root_upper(x: Fraction, r: int, prec: int = DEFAULT_PRECISION) -> Fraction:
+    """Rational upper bound of x**(1/r); exact when the root is rational."""
+    return _root(x, r, prec, upper=True)
+
+
+def _pow(x: Fraction, num: int, den: int, prec: int, upper: bool) -> Fraction:
+    """x**(num/den) for x > 0, directed as ``_root`` is."""
+    if x <= 0:
+        raise ValueError("base must be positive")
+    if num < 0:
+        x, num = 1 / x, -num
+    if num % den == 0:
+        return x ** (num // den)
+    return _root(x**num, den, prec, upper)
 
 
 def pow_lower(x: Fraction, num: int, den: int, prec: int = DEFAULT_PRECISION) -> Fraction:
     """Certified lower bound of x**(num/den) for x > 0."""
-    if x <= 0:
-        raise ValueError("base must be positive")
-    if num < 0:
-        return pow_lower(1 / x, -num, den, prec)
-    if num % den == 0:
-        return x ** (num // den)
-    return root_lower(x**num, den, prec)
+    return _pow(x, num, den, prec, upper=False)
 
 
 def pow_upper(x: Fraction, num: int, den: int, prec: int = DEFAULT_PRECISION) -> Fraction:
     """Certified upper bound of x**(num/den) for x > 0."""
-    if x <= 0:
-        raise ValueError("base must be positive")
-    if num < 0:
-        return pow_upper(1 / x, -num, den, prec)
-    if num % den == 0:
-        return x ** (num // den)
-    return root_upper(x**num, den, prec)
+    return _pow(x, num, den, prec, upper=True)

@@ -10,9 +10,11 @@ structure and re-run the type constructors, so a tampered file fails
 loudly rather than deserializing into an inconsistent object; every such
 failure, a field of the wrong JSON type included, is a ``ValueError``.
 A dust tree is fully determined by its spec, so its loader rebuilds the
-tree and rejects any document that differs from it.  A cover report's
-flags must agree with its witnesses, and a gap table's level gaps must be
-the running minimum of its sibling gaps.
+tree with ``generate``, whose admissibility and structural checks reject
+a spec no ``dust-generate`` accepts, and then rejects any document that
+differs from the rebuilt tree.  A cover report's flags must agree with
+its witnesses, and a gap table's level gaps must be the running minimum
+of its sibling gaps.
 """
 
 from __future__ import annotations
@@ -22,14 +24,7 @@ from itertools import accumulate
 from pathlib import Path
 
 from .covers import BallSpec, CoverReport, CoverSeq
-from .dust import (
-    DustSpec,
-    DustTree,
-    GapTable,
-    SurvivorCertificate,
-    _construct,
-    _has_size,
-)
+from .dust import DustSpec, DustTree, GapTable, SurvivorCertificate, _has_size, generate
 from .geometry import Box, DigitalSet, HBracket
 from .rational import format_scalar, parse_scalar
 
@@ -176,7 +171,7 @@ def dusttree_from_json(data: dict) -> DustTree:
         depth=depth,
         corner_order=tuple(int(t) for t in data["corner_order"]),
     )
-    tree = _construct(spec)
+    tree = generate(spec)
     if dusttree_to_json(tree) != data:
         raise ValueError("dusttree/1 document differs from the tree its spec defines")
     return tree

@@ -85,7 +85,7 @@ def test_a01_construction_is_exact_for_three_reference_trees():
             assert sibling_min == gaps[k - 1] ** 2
             assert overall_min >= min(gaps[:k]) ** 2
             parents = dict(level)
-        gap_table(spec, tree)  # raises on any cross-check mismatch
+        assert gap_table(spec).sibling_gap == tuple(gaps)
     elapsed = time.monotonic() - started
     assert elapsed < 10.0
     print(f"[A01] PASS construction exact for the n=1,2,3 reference trees ({elapsed:.2f}s)")
@@ -143,9 +143,8 @@ def test_a04_buckets_partition_positions_with_small_sizes():
 
 
 def test_a05_hit_recursion_never_exceeds_capacity():
-    buckets = level_buckets(61)
     for n in (1, 2, 3):
-        table = hit_recursion_table(n, 60, buckets)
+        table = hit_recursion_table(n, 60)
         assert table.first_violation is None
         assert len(table.rows) == 60
         assert all(ok for (_, _, _, ok) in table.rows)

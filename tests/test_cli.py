@@ -11,6 +11,7 @@ from microset.cli import _HANDLERS, main
 from microset.covers import BallSpec, CoverReport, CoverSeq
 from microset.dust import (
     DustSpec,
+    RefuterFailure,
     adversary_swallow,
     gap_table,
     generate,
@@ -18,7 +19,7 @@ from microset.dust import (
     survivor_refute,
 )
 from microset.geometry import Box, DigitalSet, hausdorff_bracket
-from microset.rational import parse_scalar
+from microset.rational import format_scalar, parse_scalar
 
 F = Fraction
 
@@ -328,6 +329,80 @@ def test_tampered_tree_is_malformed_input(tmp_path):
         started = time.monotonic()
         assert run("dust-refute", "--tree", str(deep), "--cover", str(cp)) == 2
         assert time.monotonic() - started < 0.5
+
+
+def _corner_dust_doc(n: int, b: int, depth: int) -> dict:
+    """The dusttree/1 document of the corner construction, written for any spec."""
+    levels, current = [], [((), (0,) * n)]
+    for k in range(1, depth + 1):
+        f, side = b ** (2 * k - 1), F(1, b ** (k * k))
+        current = [
+            (word + (t,), tuple(p * f + ((t - 1) >> (n - 1 - axis) & 1) * (f - 1)
+                                for axis, p in enumerate(cell)))
+            for word, cell in current
+            for t in range(1, 2**n + 1)
+        ]
+        levels.append([
+            {"word": list(word), "lo": [format_scalar(j * side) for j in cell],
+             "side": format_scalar(side)}
+            for word, cell in current
+        ])
+    return {"schema": "dusttree/1", "n": n, "b": b, "depth": depth,
+            "corner_order": list(range(2**n)), "levels": levels}
+
+
+def test_inadmissible_tree_file_is_malformed_input(tmp_path):
+    # the hand-written document is the one generate writes on an admissible spec
+    assert _corner_dust_doc(2, 3, 2) == serialize.to_json(generate(DustSpec(n=2, b=3, depth=2)))
+    cover = tmp_path / "cover.json"
+    serialize.save(CoverSeq(n=2, eps=F(1, 81), strong=False, pieces=()), cover)
+    # b = 2 gives delta_1 = 0: no dust-generate writes these files, whose siblings touch
+    for n, depth in ((1, 1), (2, 2)):
+        tp = tmp_path / f"tree{n}.json"
+        tp.write_text(serialize.dumps(_corner_dust_doc(n, 2, depth)))
+        with pytest.raises(ValueError, match="inadmissible"):
+            serialize.load(tp)
+        assert run("dust-gaps", "--n", str(n), "--b", "3", "--depth", str(depth),
+                   "--tree", str(tp)) == 2
+    plane = str(tmp_path / "tree2.json")
+    assert run("dust-refute", "--tree", plane, "--cover", str(cover)) == 2
+    assert run("render-svg", "--tree", plane, "-o", str(tmp_path / "x.svg")) == 2
+    line_cover = tmp_path / "line_cover.json"
+    serialize.save(CoverSeq(n=1, eps=F(1, 81), strong=False, pieces=()), line_cover)
+    assert run("dust-refute", "--tree", str(tmp_path / "tree1.json"),
+               "--cover", str(line_cover)) == 2
+
+
+def test_check_is_as_strict_as_the_refuter(tmp_path, capsys):
+    spec = DustSpec(n=1, b=3, depth=4)
+    tree = generate(spec)
+    cover = adversary_swallow(tree, refutation_budget_lower(spec), 8)
+    tp, cp, certp = tmp_path / "tree.json", tmp_path / "cover.json", tmp_path / "cert.json"
+    serialize.save(tree, tp)
+    serialize.save(cover, cp)
+    assert run("dust-refute", "--tree", str(tp), "--cover", str(cp), "-o", str(certp)) == 0
+    # the same pieces under a far tighter eps break the budget the refuter demands
+    tight = tmp_path / "tight.json"
+    serialize.save(CoverSeq(n=1, eps=F(1, 10**9), strong=True, pieces=cover.pieces), tight)
+    capsys.readouterr()
+    assert run("dust-refute", "--tree", str(tp), "--cover", str(tight)) == 1
+    assert "eps budget" in capsys.readouterr().err
+    assert run("dust-refute", "--tree", str(tp), "--cover", str(tight), "--check", str(certp)) == 1
+    assert capsys.readouterr().err.startswith("certificate rejected: cover does not satisfy")
+
+
+def test_level_without_survivor_is_verified_negative(tmp_path, capsys):
+    # both pieces meet every premise, yet together they touch all four level-2 cubes
+    tree = generate(DustSpec(n=1, b=3, depth=2))
+    pieces = (box1(F(1, 81), F(26, 81)), box1(F(55, 81), F(80, 81)))
+    cover = CoverSeq(n=1, eps=F(5, 9), strong=True, pieces=pieces)
+    assert survivor_refute(tree, cover) == RefuterFailure(level=2, checked_prefix=2)
+    tp, cp = tmp_path / "tree.json", tmp_path / "cover.json"
+    serialize.save(tree, tp)
+    serialize.save(cover, cp)
+    assert run("dust-refute", "--tree", str(tp), "--cover", str(cp)) == 1
+    err = capsys.readouterr().err.strip()
+    assert err == "refuter failure: no survivor at level 2 (checked prefix 2)"
 
 
 def test_console_script_in_subprocess(tmp_path):

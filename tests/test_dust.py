@@ -163,7 +163,7 @@ def test_generate_custom_corner_order():
 
 def test_gap_table_line_values():
     spec = DustSpec(n=1, b=3, depth=4)
-    table = gap_table(spec, generate(spec))
+    table = gap_table(spec)
     assert table.sibling_gap[0] == F(1, 3)
     assert table.sibling_gap[1] == F(1, 3) - F(2, 81) == F(25, 81)
     assert table.level_gap[0] == table.sibling_gap[0]
@@ -175,7 +175,7 @@ def test_gap_table_matches_side_recurrence():
     # independent route: d_k = side_{k-1} - 2 side_k straight from tree sides
     for spec in (DustSpec(1, 3, 4), DustSpec(2, 3, 3), DustSpec(3, 3, 2)):
         tree = generate(spec)
-        table = gap_table(spec, tree)
+        table = gap_table(spec)
         prev = F(1)
         for k in range(1, spec.depth + 1):
             side = tree.level(k)[0][1].sides()[0]
@@ -319,15 +319,14 @@ def test_intersection_bound_empirically():
 
 
 def test_hit_capacity_plane_level_one():
-    table = hit_recursion_table(2, 1, level_buckets(4))
+    table = hit_recursion_table(2, 1)
     k, hits, cap, ok = table.rows[0]
     assert (k, cap, ok) == (1, 2, True)
 
 
 def test_hit_recursion_no_violation_up_to_sixty():
-    buckets = level_buckets(61)
     for n in (1, 2, 3):
-        table = hit_recursion_table(n, 60, buckets)
+        table = hit_recursion_table(n, 60)
         assert table.first_violation is None
         for k, hits, cap, ok in table.rows:
             assert ok and hits <= cap
@@ -338,8 +337,7 @@ def test_hit_recursion_seed_three_fails_in_line():
     # positions where the step from level 3 absorbs only two, so the count
     # first exceeds capacity at level 4 (13 > 12); the level-4 seed used
     # by default avoids this
-    buckets = level_buckets(8)
-    table = hit_recursion_table(1, 6, buckets, seed_level=3)
+    table = hit_recursion_table(1, 6, seed_level=3)
     assert table.first_violation == 4
     row = table.rows[3]
     assert (row[0], row[1], row[2]) == (4, 13, 12)
@@ -347,9 +345,7 @@ def test_hit_recursion_seed_three_fails_in_line():
 
 def test_hit_recursion_argument_checks():
     with pytest.raises(ValueError):
-        hit_recursion_table(1, 10, level_buckets(5))
-    with pytest.raises(ValueError):
-        hit_recursion_table(0, 5, level_buckets(6))
+        hit_recursion_table(0, 5)
 
 
 def _empty_cover(n: int) -> CoverSeq:
@@ -679,7 +675,6 @@ def test_integer_dust_scales_to_depth_seven(tmp_path):
     for n, depth in ((2, 7), (3, 4)):
         spec = DustSpec(n=n, b=3, depth=depth)
         tree = generate(spec)
-        gap_table(spec, tree)
         count = _examined_prefix(depth, 10**9) + 2
         cover = adversary_swallow(tree, refutation_budget_lower(spec), count)
         cert = survivor_refute(tree, cover)
