@@ -14,10 +14,6 @@ def parse_args(argv=None):
     parser.add_argument("--b", type=int, default=3)
     parser.add_argument("--depth", type=int, default=3)
     parser.add_argument("--max-level", type=int, default=None)
-    parser.add_argument(
-        "--corner-order", type=int, nargs="*", default=None,
-        help="permutation of 0..3 mapping child letters to parent corners",
-    )
     parser.add_argument("-o", "--out", type=Path, required=True)
     parser.add_argument(
         "--cover-pieces", type=int, default=0,
@@ -29,8 +25,7 @@ def parse_args(argv=None):
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    order = tuple(args.corner_order) if args.corner_order else ()
-    spec = DustSpec(n=2, b=args.b, depth=args.depth, corner_order=order)
+    spec = DustSpec(n=2, b=args.b, depth=args.depth)
     tree = generate(spec)
     write_svg(render_dust(tree, args.max_level), args.out)
     print(f"wrote {args.out}")

@@ -50,11 +50,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--depth", type=int, required=True)
-    p.add_argument(
-        "--corner-order",
-        default=None,
-        help="comma-separated permutation of 0..2**n-1 mapping child letters to corners",
-    )
     p.add_argument("-o", "--out", required=True)
 
     p = sub.add_parser("dust-gaps", help="exact per-level gap table")
@@ -149,10 +144,7 @@ def _emit(obj, out: str | None) -> None:
 
 
 def _cmd_dust_generate(args) -> int:
-    order: tuple[int, ...] = ()
-    if args.corner_order:
-        order = tuple(int(t) for t in args.corner_order.split(","))
-    spec = dust.DustSpec(n=args.n, b=args.b, depth=args.depth, corner_order=order)
+    spec = dust.DustSpec(n=args.n, b=args.b, depth=args.depth)
     problem = dust.validate(spec)
     if problem is not None:
         raise _Negative(f"inadmissible: {problem}")
@@ -170,7 +162,7 @@ def _cmd_dust_gaps(args) -> int:
         raise _Negative(f"inadmissible: {problem}")
     if args.tree is not None:
         tree = _load_as(args.tree, dust.DustTree, "dust tree")
-        if (tree.spec.n, tree.spec.b, tree.spec.depth) != (spec.n, spec.b, spec.depth):
+        if tree.spec != spec:
             raise ValueError("tree was built for a different n, b or depth")
     table = dust.gap_table(spec)
     _emit(table, args.out)

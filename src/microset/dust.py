@@ -8,8 +8,9 @@ dimension zero, yet the gap structure lets a survivor argument refute
 every sufficiently tight cover-budget claim.
 
 A level-k cube is one closed cell of the b**grid(k) grid; ``DustSpec.grid``
-is the only place the growth k*k is written.  The tree holds integer cell
-indices; Fractions appear only in its box view and its JSON.
+is the only place the growth k*k is written, and ``_children`` the only
+place a letter picks a corner.  The tree holds integer cell indices; the
+refuter and the adversaries place the cells they need from the spec alone.
 
 All verdicts are exact.  The only enclosures are the n-th roots inside
 ``refutation_budget_lower``, ``hausdorff_measure_upper`` and the
@@ -20,9 +21,10 @@ in the stated direction.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, isqrt
+from operator import add
 
 from .baire import SplitMix64
 from .covers import CoverSeq, _budget_sides, _cell_window, _in_window
@@ -32,22 +34,17 @@ from .rational import DEFAULT_PRECISION, pow_upper, root_lower
 
 @dataclass(frozen=True)
 class DustSpec:
-    """Parameters of the construction.
+    """Parameters of the construction: dimension n, base b and depth.
 
-    ``corner_order`` maps child letters 1..2**n to parent corners; entry
-    ``t-1`` is an integer whose binary digits (axis 0 most significant)
-    pick the corner bits.  The default is the lexicographic order on
-    vertex coordinate tuples, kept implicit as ``()`` so that no list of
-    2**n corners is built before a tree needs one; an explicit identity
-    order is stored as ``()`` too.  Admissibility (b large enough for positive
-    gaps) is deliberately left to ``validate`` so that defective
-    parameters remain representable.
+    The spec fixes the tree, labelling included: child letter t sits in the
+    parent corner whose bits are those of t - 1, axis 0 most significant.
+    Admissibility (b large enough for positive gaps) is deliberately left
+    to ``validate`` so that defective parameters remain representable.
     """
 
     n: int
     b: int
     depth: int
-    corner_order: tuple[int, ...] = field(default=())
 
     def __post_init__(self):
         if self.n < 1:
@@ -56,14 +53,6 @@ class DustSpec:
             raise ValueError("base must be >= 2")
         if self.depth < 1:
             raise ValueError("depth must be >= 1")
-        order = tuple(self.corner_order)
-        if order and not _has_size(len(order), self.n):
-            raise ValueError("corner_order must list 2**n corners")
-        if sorted(order) != list(range(len(order))):
-            raise ValueError("corner_order must permute the parent corners")
-        if order == tuple(range(len(order))):
-            order = ()
-        object.__setattr__(self, "corner_order", order)
 
     @property
     def c(self) -> int:
@@ -86,11 +75,6 @@ class DustSpec:
 
     def level_volume(self, k: int) -> Fraction:
         return self.level_side(k) ** self.n
-
-
-def _has_size(count: int, exponent: int) -> bool:
-    """count == 2**exponent, without building 2**exponent for a forged exponent."""
-    return exponent >= 0 and count.bit_length() == exponent + 1 and count == 1 << exponent
 
 
 def validate(spec: DustSpec) -> str | None:
@@ -172,25 +156,49 @@ def _check_tree(tree: DustTree) -> None:
         parent_lookup = lookup
 
 
+def _children(spec: DustSpec, family, k: int, letters=None) -> list:
+    """Level-k (word, cell) children of level-(k-1) (word, cell) pairs, in word order.
+
+    Letter t (each of ``letters``, by default all 2**n) takes the parent corner
+    whose bits are those of t - 1, axis 0 most significant: bit 0 or 1 puts the
+    child of parent index p at p*f or p*f + f - 1, with f = factor(k).
+    """
+    f, n = spec.factor(k), spec.n
+    corners = [
+        (t, [((t - 1) >> (n - 1 - axis) & 1) * (f - 1) for axis in range(n)])
+        for t in letters or range(1, 2**n + 1)
+    ]
+    children = []
+    for word, cell in family:
+        base = [p * f for p in cell]
+        children.extend((word + (t,), tuple(map(add, base, corner))) for t, corner in corners)
+    return children
+
+
+def _cell_of(spec: DustSpec, word: tuple[int, ...]) -> tuple[int, ...]:
+    """Cell of a word: ``_children`` letter by letter, in O(len(word))."""
+    family = [((), (0,) * spec.n)]
+    for k, letter in enumerate(word, start=1):
+        family = _children(spec, family, k, (letter,))
+    return family[0][1]
+
+
+def _leaf_cell(spec: DustSpec, i: int) -> tuple[int, ...]:
+    """Cell of leaf i mod 2**(n*depth) in word order: letters are i's base-2**n digits plus 1."""
+    n, depth = spec.n, spec.depth
+    return _cell_of(spec, tuple((i >> n * (depth - k)) % 2**n + 1 for k in range(1, depth + 1)))
+
+
 def generate(spec: DustSpec) -> DustTree:
     """Build the tree the spec defines, then re-verify every structural invariant exactly.
 
     The only builder of a ``DustTree``: a loaded tree file is rebuilt here too.
     """
     _require_admissible(spec)
-    codes = spec.corner_order or range(2**spec.n)
-    corners = [[(code >> (spec.n - 1 - axis)) & 1 for axis in range(spec.n)] for code in codes]
-    levels, current = [], (((), (0,) * spec.n),)
+    levels, current = [], [((), (0,) * spec.n)]
     for k in range(1, spec.depth + 1):
-        f = spec.factor(k)
-        # corner bit 0 or 1 puts a child of p at index p*f or p*f + f - 1; parent
-        # by parent and letter by letter, the level comes out in word order
-        current = tuple(
-            (word + (letter,), tuple(p * f + bit * (f - 1) for p, bit in zip(cell, bits)))
-            for word, cell in current
-            for letter, bits in enumerate(corners, start=1)
-        )
-        levels.append(current)
+        current = _children(spec, current, k)
+        levels.append(tuple(current))
     tree = DustTree(spec=spec, levels=tuple(levels))
     _check_tree(tree)
     return tree
@@ -461,23 +469,21 @@ def _survivor_walk(tree: DustTree, cover: CoverSeq) -> list[list[tuple[int, ...]
     """Per level, the children of survivors that miss every active piece.
 
     Level k's active pieces are those bucketed into levels 1..k, each turned
-    once into its touching window on the level's grid; the walk stops after
-    the first level with no survivor.
+    once into its touching window on the level's grid.  Only survivors'
+    children are placed; the walk stops after the first level with no survivor.
     """
-    walk: list[list[tuple[int, ...]]] = []
-    survivors: set[tuple[int, ...]] = {()}
+    walk, family = [], [((), (0,) * tree.spec.n)]
     for k in range(1, tree.spec.depth + 1):
         active = cover.pieces[: _examined_prefix(k, len(cover.pieces))]
         windows = [_cell_window(piece, tree.spec.scale(k), 1) for piece in active]
-        alive = [
-            word
-            for word, cell in tree.level_cells(k)
-            if word[:-1] in survivors and not any(_in_window(cell, w) for w in windows)
+        family = [
+            (word, cell)
+            for word, cell in _children(tree.spec, family, k)
+            if not any(_in_window(cell, w) for w in windows)
         ]
-        walk.append(alive)
-        if not alive:
+        walk.append([word for word, _ in family])
+        if not family:
             break
-        survivors = set(alive)
     return walk
 
 
@@ -506,10 +512,10 @@ def _check_survivor(tree: DustTree, cover: CoverSeq, cert: SurvivorCertificate) 
         raise ValueError("certificate level counts are incomplete")
     if any(count < 1 for count in cert.level_counts):
         raise ValueError("certificate admits an empty survivor level")
-    lookup = dict(tree.level_cells(spec.depth))
-    if cert.survivor_word not in lookup:
+    word = cert.survivor_word
+    if len(word) != spec.depth or not all(1 <= letter <= 2**spec.n for letter in word):
         raise ValueError("survivor word does not name a cube")
-    cell, scale = lookup[cert.survivor_word], spec.scale(spec.depth)
+    cell, scale = _cell_of(spec, word), spec.scale(spec.depth)
     for h in range(1, cert.checked_prefix + 1):
         if _in_window(cell, _cell_window(cover.pieces[h - 1], scale, 1)):
             raise ValueError(f"survivor touches examined piece {h}")
@@ -524,11 +530,10 @@ def adversary_swallow(tree: DustTree, eps: Fraction, count: int) -> CoverSeq:
     """
     spec = tree.spec
     eps = Fraction(eps)
-    leaves = tree.level_cells(spec.depth)
     leaf_side = spec.level_side(spec.depth)
     pieces = []
     for h, side in enumerate(itertools.islice(_budget_sides(eps, spec.n), count)):
-        _, cell = leaves[h % len(leaves)]
+        cell = _leaf_cell(spec, h)
         pieces.append(Box.cube(tuple(j * leaf_side for j in cell), min(side, leaf_side)))
     return CoverSeq(n=spec.n, eps=eps, strong=True, pieces=tuple(pieces))
 
@@ -538,11 +543,10 @@ def adversary_random(tree: DustTree, eps: Fraction, count: int, seed: int) -> Co
     spec = tree.spec
     eps = Fraction(eps)
     rng = SplitMix64(seed)
-    leaves = tree.level_cells(spec.depth)
     leaf_side = spec.level_side(spec.depth)
     pieces = []
     for budget_side in itertools.islice(_budget_sides(eps, spec.n), count):
-        _, cell = leaves[rng.next() % len(leaves)]
+        cell = _leaf_cell(spec, rng.next())
         side = min(budget_side, leaf_side) * Fraction(rng.next() % 512 + 512, 1024)
         corner = []
         for j in cell:

@@ -30,6 +30,8 @@ def format_scalar(x: Fraction) -> str:
 
 
 def parse_scalar(text: str) -> Fraction:
+    if not isinstance(text, str):
+        raise ValueError(f"not a rational scalar: {text!r}")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:

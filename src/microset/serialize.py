@@ -8,23 +8,26 @@ certificates be diffed and golden-filed.
 Each document carries a versioned ``schema`` field.  Parsers validate
 structure and re-run the type constructors, so a tampered file fails
 loudly rather than deserializing into an inconsistent object; every such
-failure, a field of the wrong JSON type included, is a ``ValueError``.
+failure is a ``ValueError``.  No JSON type is coerced into another: an
+integer field must hold a JSON integer, a flag a boolean, a rational a string.
 A dust tree is fully determined by its spec, so its loader rebuilds the
 tree with ``generate``, whose admissibility and structural checks reject
 a spec no ``dust-generate`` accepts, and then rejects any document that
-differs from the rebuilt tree.  A cover report's flags must agree with
-its witnesses, and a gap table's level gaps must be the running minimum
-of its sibling gaps.
+differs from the rebuilt tree; its ``corner_order`` is the identity list,
+written for byte compatibility and never read.  A cover report's flags
+must agree with its witnesses, and a gap table's level gaps must be the
+running minimum of its sibling gaps.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import accumulate
+from itertools import accumulate, chain
+from math import gcd
 from pathlib import Path
 
 from .covers import BallSpec, CoverReport, CoverSeq
-from .dust import DustSpec, DustTree, GapTable, SurvivorCertificate, _has_size, generate
+from .dust import DustSpec, DustTree, GapTable, SurvivorCertificate, generate
 from .geometry import Box, DigitalSet, HBracket
 from .rational import format_scalar, parse_scalar
 
@@ -57,8 +60,8 @@ def digitalset_to_json(e: DigitalSet) -> dict:
 
 def digitalset_from_json(data: dict) -> DigitalSet:
     _expect(data, "digitalset/1", {"n", "b", "m", "cells"})
-    cells = tuple(tuple(int(j) for j in cell) for cell in data["cells"])
-    return DigitalSet(int(data["n"]), int(data["b"]), int(data["m"]), cells)
+    cells = tuple(tuple(_int(j) for j in cell) for cell in data["cells"])
+    return DigitalSet(_int(data["n"]), _int(data["b"]), _int(data["m"]), cells)
 
 
 def coverseq_to_json(cover: CoverSeq) -> dict:
@@ -74,10 +77,12 @@ def coverseq_to_json(cover: CoverSeq) -> dict:
 def coverseq_from_json(data: dict) -> CoverSeq:
     _expect(data, "coverseq/1", {"n", "eps", "strong", "pieces"})
     pieces = tuple(_box_from_json(piece) for piece in data["pieces"])
+    if type(data["strong"]) is not bool:
+        raise ValueError("coverseq/1 strong must be true or false")
     return CoverSeq(
-        n=int(data["n"]),
+        n=_int(data["n"]),
         eps=parse_scalar(data["eps"]),
-        strong=bool(data["strong"]),
+        strong=data["strong"],
         pieces=pieces,
     )
 
@@ -109,8 +114,8 @@ def coverreport_from_json(data: dict) -> CoverReport:
     if violation is not None and (len(violation) != 2 or violation[1] != "budget"):
         raise ValueError('coverreport/1 violation must be [position, "budget"]')
     report = CoverReport(
-        first_violation=None if violation is None else (int(violation[0]), "budget"),
-        uncovered_witness=None if witness is None else tuple(int(j) for j in witness),
+        first_violation=None if violation is None else (_int(violation[0]), "budget"),
+        uncovered_witness=None if witness is None else tuple(_int(j) for j in witness),
     )
     for flag in ("budget_ok", "coverage_ok"):
         if data[flag] is not getattr(report, flag):
@@ -129,7 +134,7 @@ def ballspec_to_json(ball: BallSpec) -> dict:
 def ballspec_from_json(data: dict) -> BallSpec:
     _expect(data, "ballspec/1", {"n", "boxes"})
     return BallSpec(
-        n=int(data["n"]),
+        n=_int(data["n"]),
         boxes=tuple(_box_from_json(box) for box in data["boxes"]),
     )
 
@@ -138,69 +143,58 @@ def dusttree_to_json(tree: DustTree) -> dict:
     spec = tree.spec
     levels = []
     for k in range(1, spec.depth + 1):
-        side = spec.level_side(k)
-        text = format_scalar(side)
-        level = [
-            {"word": list(word), "lo": [format_scalar(j * side) for j in cell], "side": text}
+        # side and each lo are format_scalar(j / scale), written from the integers
+        scale = spec.scale(k)
+        levels.append([
+            {"word": list(word), "lo": [f"{j // (g := gcd(j, scale))}/{scale // g}" for j in cell],
+             "side": f"1/{scale}"}
             for word, cell in tree.level_cells(k)
-        ]
-        levels.append(level)
+        ])
     return {
         "schema": "dusttree/1",
         "n": spec.n,
         "b": spec.b,
         "depth": spec.depth,
-        "corner_order": list(spec.corner_order or range(2**spec.n)),
+        "corner_order": list(range(2**spec.n)),
         "levels": levels,
     }
 
 
+def _has_size(count: int, exponent: int) -> bool:
+    """count == 2**exponent, without building 2**exponent for a forged exponent."""
+    return exponent >= 0 and count.bit_length() == exponent + 1 and count == 1 << exponent
+
+
 def dusttree_from_json(data: dict) -> DustTree:
     _expect(data, "dusttree/1", {"n", "b", "depth", "corner_order", "levels"})
-    n, depth, levels = int(data["n"]), int(data["depth"]), data["levels"]
-    # cheap shape check on the raw numbers first, so a forged n or depth
-    # cannot force a huge build or a list of 2**n corners
+    n, depth, levels = _int(data["n"]), _int(data["depth"]), data["levels"]
+    # a forged n or depth fails this shape check before anything is built
     if not isinstance(levels, list) or len(levels) != depth or any(
         not isinstance(level, list) or not _has_size(len(level), n * k)
         for k, level in enumerate(levels, start=1)
     ):
         raise ValueError("dusttree/1 levels do not have the spec's cube counts")
-    spec = DustSpec(
-        n=n,
-        b=int(data["b"]),
-        depth=depth,
-        corner_order=tuple(int(t) for t in data["corner_order"]),
-    )
-    tree = generate(spec)
-    if dusttree_to_json(tree) != data:
+    tree = generate(DustSpec(n=n, b=_int(data["b"]), depth=depth))
+    # == holds between 1, 1.0 and True, so the letters' type is checked apart
+    letters = chain(data["corner_order"], *(entry["word"] for level in levels for entry in level))
+    if dusttree_to_json(tree) != data or any(type(t) is not int for t in letters):
         raise ValueError("dusttree/1 document differs from the tree its spec defines")
     return tree
 
 
+_GAP_COLUMNS = ("volume", "leftover", "sibling_gap", "level_gap")
+
+
 def gaptable_to_json(table: GapTable) -> dict:
-    return {
-        "schema": "gaptable/1",
-        "depth": table.depth,
-        "volume": [format_scalar(v) for v in table.volume],
-        "leftover": [format_scalar(v) for v in table.leftover],
-        "sibling_gap": [format_scalar(v) for v in table.sibling_gap],
-        "level_gap": [format_scalar(v) for v in table.level_gap],
-    }
+    columns = {name: [format_scalar(v) for v in getattr(table, name)] for name in _GAP_COLUMNS}
+    return {"schema": "gaptable/1", "depth": table.depth, **columns}
 
 
 def gaptable_from_json(data: dict) -> GapTable:
-    _expect(
-        data, "gaptable/1", {"depth", "volume", "leftover", "sibling_gap", "level_gap"}
-    )
-    table = GapTable(
-        depth=int(data["depth"]),
-        volume=tuple(parse_scalar(v) for v in data["volume"]),
-        leftover=tuple(parse_scalar(v) for v in data["leftover"]),
-        sibling_gap=tuple(parse_scalar(v) for v in data["sibling_gap"]),
-        level_gap=tuple(parse_scalar(v) for v in data["level_gap"]),
-    )
-    columns = (table.volume, table.leftover, table.sibling_gap, table.level_gap)
-    if any(len(column) != table.depth for column in columns):
+    _expect(data, "gaptable/1", {"depth", *_GAP_COLUMNS})
+    columns = {name: tuple(parse_scalar(v) for v in data[name]) for name in _GAP_COLUMNS}
+    table = GapTable(depth=_int(data["depth"]), **columns)
+    if any(len(column) != table.depth for column in columns.values()):
         raise ValueError("gaptable/1 columns must hold depth entries each")
     if table.level_gap != tuple(accumulate(table.sibling_gap, min)):
         raise ValueError("gaptable/1 level_gap is not the running minimum of sibling_gap")
@@ -222,10 +216,10 @@ def survivor_from_json(data: dict) -> SurvivorCertificate:
         data, "survivor/1", {"depth", "checked_prefix", "survivor_word", "level_counts"}
     )
     return SurvivorCertificate(
-        depth=int(data["depth"]),
-        checked_prefix=int(data["checked_prefix"]),
-        survivor_word=tuple(int(t) for t in data["survivor_word"]),
-        level_counts=tuple(int(c) for c in data["level_counts"]),
+        depth=_int(data["depth"]),
+        checked_prefix=_int(data["checked_prefix"]),
+        survivor_word=tuple(_int(t) for t in data["survivor_word"]),
+        level_counts=tuple(_int(c) for c in data["level_counts"]),
     )
 
 
@@ -244,7 +238,7 @@ def hbracket_from_json(data: dict) -> HBracket:
     return HBracket(
         lo=parse_scalar(data["lo"]),
         hi=parse_scalar(data["hi"]),
-        sample_depth=int(data["sample_depth"]),
+        sample_depth=_int(data["sample_depth"]),
         width_cap=parse_scalar(data["width_cap"]),
     )
 
@@ -304,6 +298,13 @@ def load(path: str | Path):
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: not valid JSON ({exc})") from exc
     return from_json(data)
+
+
+def _int(value) -> int:
+    """A JSON integer as written: a float, string or boolean is refused, never coerced."""
+    if type(value) is not int:
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
 
 
 def _expect(data: dict, schema: str, fields: set[str]) -> None:

@@ -331,13 +331,18 @@ def test_tampered_tree_is_malformed_input(tmp_path):
         assert time.monotonic() - started < 0.5
 
 
-def _corner_dust_doc(n: int, b: int, depth: int) -> dict:
-    """The dusttree/1 document of the corner construction, written for any spec."""
+def _corner_dust_doc(n: int, b: int, depth: int, order=None) -> dict:
+    """The dusttree/1 document of the corner construction, written for any spec.
+
+    ``order`` maps letter t to the corner whose bits are those of order[t - 1];
+    the construction's own labelling is the identity.
+    """
+    order = list(range(2**n)) if order is None else order
     levels, current = [], [((), (0,) * n)]
     for k in range(1, depth + 1):
         f, side = b ** (2 * k - 1), F(1, b ** (k * k))
         current = [
-            (word + (t,), tuple(p * f + ((t - 1) >> (n - 1 - axis) & 1) * (f - 1)
+            (word + (t,), tuple(p * f + (order[t - 1] >> (n - 1 - axis) & 1) * (f - 1)
                                 for axis, p in enumerate(cell)))
             for word, cell in current
             for t in range(1, 2**n + 1)
@@ -348,7 +353,26 @@ def _corner_dust_doc(n: int, b: int, depth: int) -> dict:
             for word, cell in current
         ])
     return {"schema": "dusttree/1", "n": n, "b": b, "depth": depth,
-            "corner_order": list(range(2**n)), "levels": levels}
+            "corner_order": order, "levels": levels}
+
+
+def test_corner_order_is_retired(tmp_path, capsys):
+    assert run("dust-generate", "--n", "1", "--b", "3", "--depth", "2",
+               "--corner-order", "1,0", "-o", str(tmp_path / "t.json")) == 2
+    assert not (tmp_path / "t.json").exists()
+    # a tree file written under another labelling no longer loads
+    cover = tmp_path / "cover.json"
+    serialize.save(CoverSeq(n=1, eps=F(1, 81), strong=False, pieces=()), cover)
+    for n, order in ((1, [1, 0]), (2, [1, 0, 2, 3]), (2, [3, 2, 1, 0])):
+        tp = tmp_path / f"tree{n}.json"
+        tp.write_text(serialize.dumps(_corner_dust_doc(n, 3, 2, order)))
+        capsys.readouterr()
+        if n == 1:
+            assert run("dust-refute", "--tree", str(tp), "--cover", str(cover)) == 2
+            assert "differs from the tree its spec defines" in capsys.readouterr().err
+        assert run("render-svg", "--tree", str(tp), "-o", str(tmp_path / "x.svg")) == 2
+        assert "differs from the tree its spec defines" in capsys.readouterr().err
+    assert not (tmp_path / "x.svg").exists()
 
 
 def test_inadmissible_tree_file_is_malformed_input(tmp_path):
@@ -431,8 +455,7 @@ def test_emitted_documents_reparse_and_revalidate(tmp_path):
 
 def test_dust_gaps_tree_from_another_spec_is_input_error(tmp_path):
     tp = tmp_path / "tree.json"
-    serialize.save(generate(DustSpec(n=1, b=3, depth=3, corner_order=(1, 0))), tp)
-    # the corner order does not change any gap
+    serialize.save(generate(DustSpec(n=1, b=3, depth=3)), tp)
     assert run("dust-gaps", "--n", "1", "--b", "3", "--depth", "3", "--tree", str(tp)) == 0
     for n, b, depth in (("1", "5", "3"), ("1", "3", "2"), ("2", "3", "3"), ("1", "3", "4")):
         assert run("dust-gaps", "--n", n, "--b", b, "--depth", depth, "--tree", str(tp)) == 2
@@ -519,3 +542,60 @@ def test_malformed_documents_exit_2_without_traceback(tmp_path):
         )
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+def test_fields_of_the_wrong_json_type_are_refused(tmp_path, capsys):
+    # a loader coerces nothing: each forgery loaded as a nearby value before
+    e = DigitalSet(1, 3, 1, ((0,), (2,)))
+    cover = CoverSeq(n=1, eps=F(1, 2), strong=False,
+                     pieces=(box1(0, F(1, 2)), box1(F(2, 3), F(11, 12)), box1(F(7, 8), 1)))
+    set_doc, cover_doc = serialize.to_json(e), serialize.to_json(cover)
+    sp, cp = tmp_path / "set.json", tmp_path / "cover.json"
+    serialize.save(e, sp)
+    serialize.save(cover, cp)
+    assert run("cover-verify", "--set", str(sp), "--cover", str(cp)) == 0
+    bad_sets = [{**set_doc, "cells": [[0], [1.9]]}, {**set_doc, "m": True}, {**set_doc, "b": "3"}]
+    bad_covers = [
+        {**cover_doc, "strong": "false"},
+        {**cover_doc, "strong": 0},
+        {**cover_doc, "n": 1.7},
+        {**cover_doc, "n": 1.0},
+        {**cover_doc, "eps": 0.5},
+        {**cover_doc, "pieces": [[["0/1", 0.5]], *cover_doc["pieces"][1:]]},
+        {**cover_doc, "pieces": [[[0, "1/2"]], *cover_doc["pieces"][1:]]},
+    ]
+    for doc in bad_sets + bad_covers:
+        with pytest.raises(ValueError):
+            serialize.from_json(doc)
+    for doc in bad_sets:
+        (tmp_path / "bad.json").write_text(json.dumps(doc))
+        assert run("cover-verify", "--set", str(tmp_path / "bad.json"), "--cover", str(cp)) == 2
+    for doc in bad_covers:
+        (tmp_path / "bad.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run("cover-verify", "--set", str(sp), "--cover", str(tmp_path / "bad.json")) == 2
+        assert "cover verified" not in capsys.readouterr().out
+    # every other integer field is read as strictly
+    docs = _valid_documents()
+    tree = docs["dusttree/1"]
+    forged = [
+        {**docs["survivor/1"], "survivor_word": [1.0, 1]},
+        {**docs["survivor/1"], "depth": 2.0},
+        {**docs["survivor/1"], "level_counts": [True, 2]},
+        {**docs["coverreport/1"], "uncovered_witness": [0.0]},
+        {**docs["coverreport/1"], "first_violation": ["1", "budget"]},
+        {**docs["ballspec/1"], "n": True},
+        {**docs["gaptable/1"], "depth": 2.0},
+        {**docs["hbracket/1"], "sample_depth": "2"},
+        {**tree, "n": 1.0},
+        {**tree, "b": 3.0},
+        {**tree, "corner_order": [False, True]},
+        {**tree, "levels": [tree["levels"][0], [{**tree["levels"][1][0], "word": [1.0, 1]},
+                                                 *tree["levels"][1][1:]]]},
+    ]
+    for doc in forged:
+        with pytest.raises(ValueError):
+            serialize.from_json(doc)
+    tp = tmp_path / "tree.json"
+    tp.write_text(json.dumps(forged[-1]))
+    assert run("dust-refute", "--tree", str(tp), "--cover", str(cp)) == 2

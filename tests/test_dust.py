@@ -17,8 +17,10 @@ from microset.dust import (
     RefuterFailure,
     SurvivorCertificate,
     _check_survivor,
+    _cell_of,
     _check_tree,
     _examined_prefix,
+    _leaf_cell,
     _survivor_walk,
     adversary_random,
     adversary_swallow,
@@ -46,11 +48,10 @@ def test_spec_validation_errors():
         DustSpec(n=1, b=1, depth=1)
     with pytest.raises(ValueError):
         DustSpec(n=1, b=3, depth=0)
-    with pytest.raises(ValueError):
-        DustSpec(n=1, b=3, depth=1, corner_order=(0, 0))
-    # 2**40 corners would exhaust memory; the order's length is compared first
-    with pytest.raises(ValueError):
-        DustSpec(n=40, b=3, depth=1, corner_order=(0, 1))
+    # the spec is n, b and depth alone: the labelling of the corners is fixed
+    assert [f.name for f in dataclasses.fields(DustSpec)] == ["n", "b", "depth"]
+    with pytest.raises(TypeError):
+        DustSpec(n=1, b=3, depth=1, corner_order=(1, 0))
 
 
 def test_validate_admissible_specs():
@@ -147,18 +148,30 @@ def test_generate_rejects_inadmissible():
 
 def test_default_corner_order_stays_implicit():
     # no list of 2**n corners for a spec that never builds a tree
-    assert DustSpec(n=40, b=3, depth=1).corner_order == ()
-    assert DustSpec(n=1, b=3, depth=2, corner_order=(0, 1)) == DustSpec(n=1, b=3, depth=2)
-    assert DustSpec(n=1, b=3, depth=2, corner_order=(1, 0)).corner_order == (1, 0)
-    # the tree document still lists the full order
+    spec = DustSpec(n=40, b=3, depth=1)
+    assert validate(spec) is None and gap_table(spec).sibling_gap == (F(1, 3),)
+    # the tree document still lists the identity order, for byte compatibility
     doc = serialize.to_json(generate(DustSpec(n=2, b=3, depth=1)))
     assert doc["corner_order"] == [0, 1, 2, 3]
 
 
-def test_generate_custom_corner_order():
-    tree = generate(DustSpec(n=1, b=3, depth=1, corner_order=(1, 0)))
-    first = tree.level(1)[0][1]
-    assert first.intervals == ((F(2, 3), F(1)),)
+def test_letters_take_corners_in_binary_order():
+    # letter t takes the corner whose bits are those of t - 1, axis 0 most significant
+    line = generate(DustSpec(n=1, b=3, depth=1))
+    assert [box.intervals for _, box in line.level(1)] == [((F(0), F(1, 3)),), ((F(2, 3), F(1)),)]
+    plane = generate(DustSpec(n=2, b=3, depth=2))
+    assert [cell for _, cell in plane.level_cells(1)] == [(0, 0), (0, 2), (2, 0), (2, 2)]
+    # at level 2 a parent at p holds its children at 27p or 27p + 26 per axis
+    assert dict(plane.level_cells(2))[(2, 3)] == (26, 54)
+    # a document written under another order is refused: it differs from the rebuilt tree
+    doc = serialize.to_json(line)
+    doc["corner_order"] = [1, 0]
+    doc["levels"][0].reverse()
+    for entry, word in zip(doc["levels"][0], ([1], [2])):
+        entry["word"] = word
+    assert doc["levels"][0][0]["lo"] == ["2/3"]
+    with pytest.raises(ValueError, match="differs from the tree its spec defines"):
+        serialize.from_json(doc)
 
 
 def test_gap_table_line_values():
@@ -684,3 +697,59 @@ def test_integer_dust_scales_to_depth_seven(tmp_path):
         blob = serialize.save(tree, path)
         assert serialize.canonical_bytes(serialize.to_json(serialize.load(path))) == blob
     assert time.monotonic() - started < 10.0
+
+
+_SMALL_DEPTHS = {1: 6, 2: 4, 3: 3}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_cell_of_a_word_matches_the_built_tree(data):
+    # every depth is admissible at b >= 3; the trees stay at most 512 leaves
+    n = data.draw(st.integers(min_value=1, max_value=3))
+    b = data.draw(st.integers(min_value=3, max_value=5))
+    depth = data.draw(st.integers(min_value=1, max_value=_SMALL_DEPTHS[n]))
+    spec = DustSpec(n=n, b=b, depth=depth)
+    assert validate(spec) is None
+    tree = generate(spec)
+    leaves = 2 ** (n * depth)
+    i = data.draw(st.integers(min_value=0, max_value=leaves - 1))
+    word, cell = tree.level_cells(depth)[i]
+    assert _cell_of(spec, word) == cell
+    # leaf i's letters are its base-2**n digits plus 1, read modulo the leaf count
+    assert _leaf_cell(spec, i) == _leaf_cell(spec, i + leaves * data.draw(st.integers(0, 9))) == cell
+    for k in range(1, depth + 1):
+        assert _cell_of(spec, word[:k]) == dict(tree.level_cells(k))[word[:k]]
+
+
+def test_refuter_and_adversaries_read_only_the_spec():
+    # a tree stripped of its levels gives the same covers, certificates and verdicts
+    for n, depth in ((1, 4), (2, 3), (3, 2)):
+        spec = DustSpec(n=n, b=3, depth=depth)
+        tree = generate(spec)
+        bare = dataclasses.replace(tree, levels=())
+        eps = refutation_budget_lower(spec)
+        count = _examined_prefix(depth, 10**9) + 2
+        covers = [adversary_swallow(tree, eps, count)]
+        assert adversary_swallow(bare, eps, count) == covers[0]
+        for seed in (0, 5, 12):
+            covers.append(adversary_random(tree, eps, count, seed))
+            assert adversary_random(bare, eps, count, seed) == covers[-1]
+        for cover in covers:
+            cert = survivor_refute(tree, cover)
+            assert isinstance(cert, SurvivorCertificate)
+            assert survivor_refute(bare, cover) == cert
+            revalidate_survivor(tree, cover, cert)
+            revalidate_survivor(bare, cover, cert)
+    # a level without survivor, and words that name no cube, fail alike
+    tree = generate(DustSpec(n=1, b=3, depth=2))
+    bare = dataclasses.replace(tree, levels=())
+    pieces = (Box(((F(1, 81), F(26, 81)),)), Box(((F(55, 81), F(80, 81)),)))
+    cover = CoverSeq(n=1, eps=F(5, 9), strong=True, pieces=pieces)
+    assert survivor_refute(tree, cover) == survivor_refute(bare, cover) == RefuterFailure(2, 2)
+    empty = CoverSeq(n=1, eps=F(5, 9), strong=True, pieces=())
+    for word in ((1,), (1, 1, 1), (0, 1), (1, 3), (2, -1)):
+        cert = SurvivorCertificate(depth=2, checked_prefix=0, survivor_word=word, level_counts=(2, 4))
+        for t in (tree, bare):
+            with pytest.raises(ValueError, match="does not name a cube"):
+                revalidate_survivor(t, empty, cert)

@@ -40,3 +40,11 @@ def test_render_dust_svg(tmp_path):
     assert out.splitlines() == [f"wrote {svg}", f"wrote {cover}"]
     assert svg.read_text().count("<rect") == 1 + 4 + 16
     assert cover.read_text().count("<rect") == 1 + 3
+    # the corner labelling is fixed, so the script takes no order
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "render_dust_svg.py"), "--corner-order", "1", "0", "-o", svg],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 2 and "--corner-order" in proc.stderr
