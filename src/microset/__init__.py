@@ -6,126 +6,97 @@ in the operation's name.  The package builds corner-dust trees whose
 cover budgets can be refuted by survivor certificates, verifies and
 searches budgeted covers, brackets Hausdorff distances, and samples
 random digital sets reproducibly.
+
+Every library submodule is registered lazily, so after ``import microset``
+each one is in ``sys.modules`` and reachable as ``microset.<module>``, but
+its code runs only on first attribute access.  Exported names resolve on
+first use (PEP 562), and a command line process runs only the modules its
+subcommand calls.
 """
 
-from .baire import (
-    SampleSpec,
-    SplitMix64,
-    TypicalityReport,
-    finite_skeleton,
-    sample_compact,
-    typicality_report,
-)
-from .covers import (
-    BallSpec,
-    CoverReport,
-    CoverSeq,
-    GreedyFailure,
-    ball_membership,
-    ball_stability_radius,
-    cover_measure_upper,
-    greedy_strong_cover,
-    merge_covers,
-    side_budget_sum,
-    verify_cover,
-)
-from .dust import (
-    BucketTable,
-    DustSpec,
-    DustTree,
-    GapTable,
-    HitTable,
-    RefuterFailure,
-    SurvivorCertificate,
-    adversary_random,
-    adversary_swallow,
-    gap_table,
-    generate,
-    hausdorff_measure_upper,
-    hit_recursion_table,
-    intersect_count,
-    level_buckets,
-    refutation_budget_lower,
-    revalidate_survivor,
-    survivor_refute,
-    validate,
-)
-from .geometry import (
-    Box,
-    DigitalSet,
-    HBracket,
-    Point,
-    covers_box,
-    diam_sq,
-    dist_sq,
-    hausdorff_bracket,
-    min_side,
-    volume,
-)
-from .rational import (
-    DEFAULT_PRECISION,
-    format_scalar,
-    parse_scalar,
-    pow_lower,
-    pow_upper,
-    root_lower,
-    root_upper,
-)
+import sys
+from importlib.util import LazyLoader, find_spec, module_from_spec
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BallSpec",
-    "Box",
-    "BucketTable",
-    "CoverReport",
-    "CoverSeq",
-    "DEFAULT_PRECISION",
-    "DigitalSet",
-    "DustSpec",
-    "DustTree",
-    "GapTable",
-    "GreedyFailure",
-    "HBracket",
-    "HitTable",
-    "Point",
-    "RefuterFailure",
-    "SampleSpec",
-    "SplitMix64",
-    "SurvivorCertificate",
-    "TypicalityReport",
-    "adversary_random",
-    "adversary_swallow",
-    "ball_membership",
-    "ball_stability_radius",
-    "cover_measure_upper",
-    "covers_box",
-    "diam_sq",
-    "dist_sq",
-    "finite_skeleton",
-    "format_scalar",
-    "gap_table",
-    "generate",
-    "greedy_strong_cover",
-    "hausdorff_bracket",
-    "hausdorff_measure_upper",
-    "hit_recursion_table",
-    "intersect_count",
-    "level_buckets",
-    "merge_covers",
-    "min_side",
-    "parse_scalar",
-    "pow_lower",
-    "pow_upper",
-    "refutation_budget_lower",
-    "revalidate_survivor",
-    "root_lower",
-    "root_upper",
-    "sample_compact",
-    "side_budget_sum",
-    "survivor_refute",
-    "typicality_report",
-    "validate",
-    "verify_cover",
-    "volume",
-]
+
+def _lazy(name: str):
+    spec = find_spec(f"{__name__}.{name}")
+    spec.loader = LazyLoader(spec.loader)
+    module = module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+rational, geometry, covers, dust, baire, serialize, svg = map(
+    _lazy, ("rational", "geometry", "covers", "dust", "baire", "serialize", "svg")
+)
+
+# each exported name and the submodule that defines it
+_EXPORTS = {
+    "BallSpec": "covers",
+    "Box": "geometry",
+    "BucketTable": "dust",
+    "CoverReport": "covers",
+    "CoverSeq": "covers",
+    "DEFAULT_PRECISION": "rational",
+    "DigitalSet": "geometry",
+    "DustSpec": "dust",
+    "DustTree": "dust",
+    "GapTable": "dust",
+    "GreedyFailure": "covers",
+    "HBracket": "geometry",
+    "HitTable": "dust",
+    "Point": "geometry",
+    "RefuterFailure": "dust",
+    "SampleSpec": "baire",
+    "SplitMix64": "baire",
+    "SurvivorCertificate": "dust",
+    "TypicalityReport": "baire",
+    "adversary_random": "dust",
+    "adversary_swallow": "dust",
+    "ball_membership": "covers",
+    "ball_stability_radius": "covers",
+    "cover_measure_upper": "covers",
+    "covers_box": "geometry",
+    "diam_sq": "geometry",
+    "dist_sq": "geometry",
+    "finite_skeleton": "baire",
+    "format_scalar": "rational",
+    "gap_table": "dust",
+    "generate": "dust",
+    "greedy_strong_cover": "covers",
+    "hausdorff_bracket": "geometry",
+    "hausdorff_measure_upper": "dust",
+    "hit_recursion_table": "dust",
+    "intersect_count": "dust",
+    "level_buckets": "dust",
+    "merge_covers": "covers",
+    "min_side": "geometry",
+    "parse_scalar": "rational",
+    "pow_lower": "rational",
+    "pow_upper": "rational",
+    "refutation_budget_lower": "dust",
+    "revalidate_survivor": "dust",
+    "root_lower": "rational",
+    "root_upper": "rational",
+    "sample_compact": "baire",
+    "side_budget_sum": "covers",
+    "survivor_refute": "dust",
+    "typicality_report": "baire",
+    "validate": "dust",
+    "verify_cover": "covers",
+    "volume": "geometry",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    home = _EXPORTS.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(globals()[home], name)
+    globals()[name] = value
+    return value

@@ -15,14 +15,12 @@ prove nor refute any category statement.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .covers import CoverSeq, greedy_strong_cover
 from .geometry import DigitalSet, HBracket, Point, hausdorff_bracket
 from .rational import format_scalar, root_upper
 
@@ -173,6 +171,8 @@ def typicality_report(spec: SampleSpec, s_list: list[int], max_pieces: int) -> T
     tolerance of one refined half diameter at the sampling depth, so its
     bracket depends only on (n, b, depth) and is computed once.
     """
+    from .covers import CoverSeq, greedy_strong_cover
+
     if any(s < 2 for s in s_list):
         raise ValueError("exponents must be >= 2")
     root_n_up = root_upper(Fraction(spec.n), 2)
@@ -219,6 +219,8 @@ def typicality_report(spec: SampleSpec, s_list: list[int], max_pieces: int) -> T
 
 def write_typicality_csv(report: TypicalityReport, path: str | Path) -> None:
     """One row per trial; outcome columns are keyed by exponent."""
+    import csv
+
     fields = ["trial", "seed", "cells"]
     fields += [f"outcome_s{s}" for s in report.s_list]
     fields += ["skeleton_lo", "skeleton_hi"]

@@ -3,7 +3,8 @@
 Thin shell: every subcommand parses arguments, loads canonical JSON
 documents, calls exactly one library operation, and writes canonical
 documents back.  No arithmetic happens here, and identical inputs give
-byte-identical outputs.
+byte-identical outputs.  Each handler imports the library modules it
+calls, so a process loads only what its subcommand runs.
 
 Exit codes:
   0  the requested construction or verification succeeded and re-validated
@@ -22,9 +23,6 @@ import argparse
 import sys
 from fractions import Fraction
 
-from . import baire, covers, dust, serialize, svg
-from .covers import BallSpec, CoverSeq, GreedyFailure
-from .geometry import DigitalSet, Point, hausdorff_bracket
 from .rational import format_scalar, parse_scalar
 
 
@@ -132,6 +130,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_as(path: str, klass, what: str):
+    from . import serialize
+
     obj = serialize.load(path)
     if not isinstance(obj, klass):
         raise ValueError(f"{path}: expected a {what} document")
@@ -140,10 +140,14 @@ def _load_as(path: str, klass, what: str):
 
 def _emit(obj, out: str | None) -> None:
     if out is not None:
+        from . import serialize
+
         serialize.save(obj, out)
 
 
 def _cmd_dust_generate(args) -> int:
+    from . import dust, serialize
+
     spec = dust.DustSpec(n=args.n, b=args.b, depth=args.depth)
     problem = dust.validate(spec)
     if problem is not None:
@@ -156,6 +160,8 @@ def _cmd_dust_generate(args) -> int:
 
 
 def _cmd_dust_gaps(args) -> int:
+    from . import dust
+
     spec = dust.DustSpec(n=args.n, b=args.b, depth=args.depth)
     problem = dust.validate(spec)
     if problem is not None:
@@ -177,6 +183,8 @@ def _cmd_dust_gaps(args) -> int:
 
 
 def _cmd_dust_hmeasure(args) -> int:
+    from . import dust
+
     spec = dust.DustSpec(n=args.n, b=args.b, depth=max(args.k, 1))
     bound = dust.hausdorff_measure_upper(spec, args.alpha, args.k)
     print(format_scalar(bound))
@@ -184,6 +192,9 @@ def _cmd_dust_hmeasure(args) -> int:
 
 
 def _cmd_dust_refute(args) -> int:
+    from . import dust
+    from .covers import CoverSeq
+
     tree = _load_as(args.tree, dust.DustTree, "dust tree")
     cover = _load_as(args.cover, CoverSeq, "cover")
     if cover.n != tree.spec.n:
@@ -214,6 +225,10 @@ def _cmd_dust_refute(args) -> int:
 
 
 def _cmd_cover_verify(args) -> int:
+    from . import covers
+    from .covers import CoverSeq
+    from .geometry import DigitalSet
+
     e = _load_as(args.set_path, DigitalSet, "digital set")
     cover = _load_as(args.cover, CoverSeq, "cover")
     report = covers.verify_cover(e, cover)
@@ -228,6 +243,10 @@ def _cmd_cover_verify(args) -> int:
 
 
 def _cmd_cover_search(args) -> int:
+    from . import covers
+    from .covers import GreedyFailure
+    from .geometry import DigitalSet
+
     e = _load_as(args.set_path, DigitalSet, "digital set")
     # the search verifies what it emits; a failed check raises AssertionError
     cover = covers.greedy_strong_cover(e, args.eps, args.max_pieces)
@@ -242,6 +261,9 @@ def _cmd_cover_search(args) -> int:
 
 
 def _cmd_cover_merge(args) -> int:
+    from . import covers, serialize
+    from .covers import CoverSeq
+
     loaded = [_load_as(path, CoverSeq, "cover") for path in args.covers]
     if len({cover.n for cover in loaded}) > 1:
         raise ValueError("covers differ in dimension")
@@ -255,6 +277,10 @@ def _cmd_cover_merge(args) -> int:
 
 
 def _cmd_ball_check(args) -> int:
+    from . import covers
+    from .covers import BallSpec
+    from .geometry import DigitalSet, Point
+
     k_set = _load_as(args.set_path, DigitalSet, "digital set")
     ball = _load_as(args.ball, BallSpec, "ball spec")
     member = covers.ball_membership(k_set, ball)
@@ -272,6 +298,8 @@ def _cmd_ball_check(args) -> int:
 
 
 def _cmd_hausdorff(args) -> int:
+    from .geometry import DigitalSet, hausdorff_bracket
+
     a = _load_as(args.a_path, DigitalSet, "digital set")
     b = _load_as(args.b_path, DigitalSet, "digital set")
     bracket = hausdorff_bracket(a, b, args.depth)
@@ -284,6 +312,8 @@ def _cmd_hausdorff(args) -> int:
 
 
 def _cmd_baire_sample(args) -> int:
+    from . import baire, serialize
+
     spec = baire.SampleSpec(
         seed=args.seed, n=args.n, b=args.b, depth=args.depth, density=args.density
     )
@@ -294,12 +324,20 @@ def _cmd_baire_sample(args) -> int:
 
 
 def _cmd_render_svg(args) -> int:
+    from . import svg
+
     if (args.tree is None) == (args.cover is None):
         raise ValueError("give exactly one of --tree or --cover")
+    if args.cover is not None and args.max_level is not None:
+        raise ValueError("--max-level applies to --tree only")
     if args.tree is not None:
-        tree = _load_as(args.tree, dust.DustTree, "dust tree")
+        from .dust import DustTree
+
+        tree = _load_as(args.tree, DustTree, "dust tree")
         text = svg.render_dust(tree, args.max_level)
     else:
+        from .covers import CoverSeq
+
         cover = _load_as(args.cover, CoverSeq, "cover")
         text = svg.render_cover(cover)
     svg.write_svg(text, args.out)

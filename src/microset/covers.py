@@ -23,7 +23,16 @@ from fractions import Fraction
 from math import ceil, floor
 from typing import Iterator, Sequence
 
-from .geometry import Box, DigitalSet, Point, _box_gap_sq, covers_box, volume
+from .geometry import (
+    Box,
+    DigitalSet,
+    Point,
+    _box_gap_sq,
+    _cell_window,
+    _in_window,
+    covers_box,
+    volume,
+)
 from .rational import DEFAULT_PRECISION, pow_lower, pow_upper, root_lower
 
 
@@ -123,23 +132,6 @@ class BallSpec:
             for lo, hi in box.intervals:
                 if not (max(lo, 0) < min(hi, 1)):
                     raise ValueError("box has empty interior relative to the cube")
-
-
-def _cell_window(piece: Box, scale: int, slack: int) -> tuple[tuple[int, int], ...]:
-    """Per-axis index range of the closed 1/scale-grid cells the piece holds.
-
-    With ``slack=1`` these are the cells the piece touches,
-    ``ceil(lo*scale) - 1 <= j <= floor(hi*scale)``; with ``slack=0`` the
-    cells it contains, ``ceil(lo*scale) <= j <= floor(hi*scale) - 1``.
-    """
-    return tuple(
-        (ceil(lo * scale) - slack, floor(hi * scale) - 1 + slack)
-        for lo, hi in piece.intervals
-    )
-
-
-def _in_window(cell: tuple[int, ...], window: tuple[tuple[int, int], ...]) -> bool:
-    return all(a <= j <= z for j, (a, z) in zip(cell, window))
 
 
 def _touching_pieces(e: DigitalSet, pieces: Sequence[Box], slack: int = 1) -> list[list[Box]]:

@@ -25,11 +25,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, isqrt
 from operator import add
+from typing import TYPE_CHECKING
 
-from .baire import SplitMix64
-from .covers import CoverSeq, _budget_sides, _cell_window, _in_window
-from .geometry import Box, DigitalSet, volume
+from .geometry import Box, DigitalSet, _cell_window, _in_window, volume
 from .rational import DEFAULT_PRECISION, pow_upper, root_lower
+
+if TYPE_CHECKING:
+    from .covers import CoverSeq
 
 
 @dataclass(frozen=True)
@@ -528,6 +530,8 @@ def adversary_swallow(tree: DustTree, eps: Fraction, count: int) -> CoverSeq:
     eps**(h/n), capped at the leaf side) anchored at the next untouched
     leaf cube's corner.
     """
+    from .covers import CoverSeq, _budget_sides
+
     spec = tree.spec
     eps = Fraction(eps)
     leaf_side = spec.level_side(spec.depth)
@@ -540,6 +544,9 @@ def adversary_swallow(tree: DustTree, eps: Fraction, count: int) -> CoverSeq:
 
 def adversary_random(tree: DustTree, eps: Fraction, count: int, seed: int) -> CoverSeq:
     """Seeded adversary placing budget-tight cubes near random leaf cubes."""
+    from .baire import SplitMix64
+    from .covers import CoverSeq, _budget_sides
+
     spec = tree.spec
     eps = Fraction(eps)
     rng = SplitMix64(seed)

@@ -17,7 +17,7 @@ import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import ceil, floor, lcm
 from typing import Iterable, Sequence, Union
 
 from .rational import DEFAULT_PRECISION, root_lower, root_upper
@@ -185,6 +185,23 @@ def _box_gap_sq(a: Sequence[tuple], b: Sequence[tuple]) -> Fraction:
         if gap > 0:
             total += gap * gap
     return total
+
+
+def _cell_window(piece: Box, scale: int, slack: int) -> tuple[tuple[int, int], ...]:
+    """Per-axis index range of the closed 1/scale-grid cells the piece holds.
+
+    With ``slack=1`` these are the cells the piece touches,
+    ``ceil(lo*scale) - 1 <= j <= floor(hi*scale)``; with ``slack=0`` the
+    cells it contains, ``ceil(lo*scale) <= j <= floor(hi*scale) - 1``.
+    """
+    return tuple(
+        (ceil(lo * scale) - slack, floor(hi * scale) - 1 + slack)
+        for lo, hi in piece.intervals
+    )
+
+
+def _in_window(cell: tuple[int, ...], window: tuple[tuple[int, int], ...]) -> bool:
+    return all(a <= j <= z for j, (a, z) in zip(cell, window))
 
 
 def _as_boxes(obj: GeometricSet) -> list[Box]:

@@ -9,7 +9,8 @@ Each document carries a versioned ``schema`` field.  Parsers validate
 structure and re-run the type constructors, so a tampered file fails
 loudly rather than deserializing into an inconsistent object; every such
 failure is a ``ValueError``.  No JSON type is coerced into another: an
-integer field must hold a JSON integer, a flag a boolean, a rational a string.
+integer field must hold a JSON integer, a flag a boolean, and a rational
+the "num/den" string ``format_scalar`` writes, in lowest terms.
 A dust tree is fully determined by its spec, so its loader rebuilds the
 tree with ``generate``, whose admissibility and structural checks reject
 a spec no ``dust-generate`` accepts, and then rejects any document that
@@ -17,19 +18,28 @@ differs from the rebuilt tree; its ``corner_order`` is the identity list,
 written for byte compatibility and never read.  A cover report's flags
 must agree with its witnesses, and a gap table's level gaps must be the
 running minimum of its sibling gaps.
+
+Each loader imports the class it builds when it runs, and ``to_json``
+dispatches on the class's import path, so importing this module loads no
+class module.
 """
 
 from __future__ import annotations
 
 import json
+import re
+from fractions import Fraction
 from itertools import accumulate, chain
 from math import gcd
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .covers import BallSpec, CoverReport, CoverSeq
-from .dust import DustSpec, DustTree, GapTable, SurvivorCertificate, generate
-from .geometry import Box, DigitalSet, HBracket
-from .rational import format_scalar, parse_scalar
+from .rational import format_scalar
+
+if TYPE_CHECKING:
+    from .covers import BallSpec, CoverReport, CoverSeq
+    from .dust import DustTree, GapTable, SurvivorCertificate
+    from .geometry import Box, DigitalSet, HBracket
 
 
 def dumps(payload: dict) -> str:
@@ -45,7 +55,9 @@ def _box_to_json(box: Box) -> list[list[str]]:
 
 
 def _box_from_json(data) -> Box:
-    return Box(tuple((parse_scalar(lo), parse_scalar(hi)) for lo, hi in data))
+    from .geometry import Box
+
+    return Box(tuple((_rational(lo), _rational(hi)) for lo, hi in data))
 
 
 def digitalset_to_json(e: DigitalSet) -> dict:
@@ -59,6 +71,8 @@ def digitalset_to_json(e: DigitalSet) -> dict:
 
 
 def digitalset_from_json(data: dict) -> DigitalSet:
+    from .geometry import DigitalSet
+
     _expect(data, "digitalset/1", {"n", "b", "m", "cells"})
     cells = tuple(tuple(_int(j) for j in cell) for cell in data["cells"])
     return DigitalSet(_int(data["n"]), _int(data["b"]), _int(data["m"]), cells)
@@ -75,13 +89,15 @@ def coverseq_to_json(cover: CoverSeq) -> dict:
 
 
 def coverseq_from_json(data: dict) -> CoverSeq:
+    from .covers import CoverSeq
+
     _expect(data, "coverseq/1", {"n", "eps", "strong", "pieces"})
     pieces = tuple(_box_from_json(piece) for piece in data["pieces"])
     if type(data["strong"]) is not bool:
         raise ValueError("coverseq/1 strong must be true or false")
     return CoverSeq(
         n=_int(data["n"]),
-        eps=parse_scalar(data["eps"]),
+        eps=_rational(data["eps"]),
         strong=data["strong"],
         pieces=pieces,
     )
@@ -104,6 +120,8 @@ def coverreport_to_json(report: CoverReport) -> dict:
 
 
 def coverreport_from_json(data: dict) -> CoverReport:
+    from .covers import CoverReport
+
     _expect(
         data,
         "coverreport/1",
@@ -132,6 +150,8 @@ def ballspec_to_json(ball: BallSpec) -> dict:
 
 
 def ballspec_from_json(data: dict) -> BallSpec:
+    from .covers import BallSpec
+
     _expect(data, "ballspec/1", {"n", "boxes"})
     return BallSpec(
         n=_int(data["n"]),
@@ -166,6 +186,8 @@ def _has_size(count: int, exponent: int) -> bool:
 
 
 def dusttree_from_json(data: dict) -> DustTree:
+    from .dust import DustSpec, generate
+
     _expect(data, "dusttree/1", {"n", "b", "depth", "corner_order", "levels"})
     n, depth, levels = _int(data["n"]), _int(data["depth"]), data["levels"]
     # a forged n or depth fails this shape check before anything is built
@@ -191,8 +213,10 @@ def gaptable_to_json(table: GapTable) -> dict:
 
 
 def gaptable_from_json(data: dict) -> GapTable:
+    from .dust import GapTable
+
     _expect(data, "gaptable/1", {"depth", *_GAP_COLUMNS})
-    columns = {name: tuple(parse_scalar(v) for v in data[name]) for name in _GAP_COLUMNS}
+    columns = {name: tuple(_rational(v) for v in data[name]) for name in _GAP_COLUMNS}
     table = GapTable(depth=_int(data["depth"]), **columns)
     if any(len(column) != table.depth for column in columns.values()):
         raise ValueError("gaptable/1 columns must hold depth entries each")
@@ -212,6 +236,8 @@ def survivor_to_json(cert: SurvivorCertificate) -> dict:
 
 
 def survivor_from_json(data: dict) -> SurvivorCertificate:
+    from .dust import SurvivorCertificate
+
     _expect(
         data, "survivor/1", {"depth", "checked_prefix", "survivor_word", "level_counts"}
     )
@@ -234,24 +260,27 @@ def hbracket_to_json(bracket: HBracket) -> dict:
 
 
 def hbracket_from_json(data: dict) -> HBracket:
+    from .geometry import HBracket
+
     _expect(data, "hbracket/1", {"lo", "hi", "sample_depth", "width_cap"})
     return HBracket(
-        lo=parse_scalar(data["lo"]),
-        hi=parse_scalar(data["hi"]),
+        lo=_rational(data["lo"]),
+        hi=_rational(data["hi"]),
         sample_depth=_int(data["sample_depth"]),
-        width_cap=parse_scalar(data["width_cap"]),
+        width_cap=_rational(data["width_cap"]),
     )
 
 
+# keyed by the class's import path, so dispatch loads no class module
 _TO_JSON = {
-    DigitalSet: digitalset_to_json,
-    CoverSeq: coverseq_to_json,
-    CoverReport: coverreport_to_json,
-    BallSpec: ballspec_to_json,
-    DustTree: dusttree_to_json,
-    GapTable: gaptable_to_json,
-    SurvivorCertificate: survivor_to_json,
-    HBracket: hbracket_to_json,
+    "microset.geometry.DigitalSet": digitalset_to_json,
+    "microset.covers.CoverSeq": coverseq_to_json,
+    "microset.covers.CoverReport": coverreport_to_json,
+    "microset.covers.BallSpec": ballspec_to_json,
+    "microset.dust.DustTree": dusttree_to_json,
+    "microset.dust.GapTable": gaptable_to_json,
+    "microset.dust.SurvivorCertificate": survivor_to_json,
+    "microset.geometry.HBracket": hbracket_to_json,
 }
 
 _FROM_JSON = {
@@ -267,7 +296,7 @@ _FROM_JSON = {
 
 
 def to_json(obj) -> dict:
-    encoder = _TO_JSON.get(type(obj))
+    encoder = _TO_JSON.get(f"{type(obj).__module__}.{type(obj).__qualname__}")
     if encoder is None:
         raise ValueError(f"no serializer for {type(obj).__name__}")
     return encoder(obj)
@@ -305,6 +334,21 @@ def _int(value) -> int:
     if type(value) is not int:
         raise ValueError(f"expected an integer, got {value!r}")
     return value
+
+
+# what format_scalar writes: no sign on zero, no leading zeros, a positive denominator
+_NUM_DEN = re.compile(r"(0|-?[1-9][0-9]*)/([1-9][0-9]*)")
+
+
+def _rational(value) -> Fraction:
+    """A rational as ``format_scalar`` writes it, "num/den" in lowest terms; any other spelling is refused.
+
+    The spelling is checked before any arithmetic, so an exponent such as "1e-1000000000" is never expanded.
+    """
+    match = _NUM_DEN.fullmatch(value) if type(value) is str else None
+    if match is None or gcd(int(match[1]), int(match[2])) != 1:
+        raise ValueError(f"expected a rational written as num/den in lowest terms, got {value!r}")
+    return Fraction(int(match[1]), int(match[2]))
 
 
 def _expect(data: dict, schema: str, fields: set[str]) -> None:

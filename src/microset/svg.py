@@ -11,10 +11,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .covers import CoverSeq
-from .dust import DustTree
-from .geometry import Box
+if TYPE_CHECKING:
+    from .covers import CoverSeq
+    from .dust import DustTree
+    from .geometry import Box
 
 CANVAS = 1000
 PLACES = 6

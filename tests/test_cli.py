@@ -599,3 +599,42 @@ def test_fields_of_the_wrong_json_type_are_refused(tmp_path, capsys):
     tp = tmp_path / "tree.json"
     tp.write_text(json.dumps(forged[-1]))
     assert run("dust-refute", "--tree", str(tp), "--cover", str(cp)) == 2
+
+
+def test_document_rationals_must_be_canonical(tmp_path, capsys):
+    # each spelling loaded as a nearby value before and re-dumped to other bytes
+    e = DigitalSet(1, 3, 1, ((0,),))
+    cover = CoverSeq(n=1, eps=F(1, 2), strong=False, pieces=(box1(0, F(1, 2)),))
+    doc = serialize.to_json(cover)
+    sp, bad = tmp_path / "set.json", tmp_path / "bad.json"
+    serialize.save(e, sp)
+    # "1e-1000000000" would expand a power of ten with a billion digits if parsed first
+    spellings = [" 0.5 ", "0.5", "1e-1", "2/4", "+1/2", "1_0/3_0", "1e-1000000000", "-0/1", "1/0", "01/2"]
+    forged = [{**doc, "eps": text} for text in spellings]
+    forged += [{**doc, "pieces": [[["0/1", text]]]} for text in spellings]
+    forged.append({**doc, "pieces": [[["0.0", "1/2"]]]})
+    for forgery in forged:
+        with pytest.raises(ValueError):
+            serialize.from_json(forgery)
+        bad.write_text(json.dumps(forgery))
+        capsys.readouterr()
+        assert run("cover-verify", "--set", str(sp), "--cover", str(bad)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+    # command line flags keep the lenient reader
+    out_a, out_b = tmp_path / "a.json", tmp_path / "b.json"
+    assert run("cover-search", "--set", str(sp), "--eps", "0.5", "-o", str(out_a)) == 0
+    assert run("cover-search", "--set", str(sp), "--eps", "1/2", "-o", str(out_b)) == 0
+    assert out_a.read_bytes() == out_b.read_bytes()
+
+
+def test_render_svg_max_level_is_for_trees_only(tmp_path, capsys):
+    cover = tmp_path / "cover.json"
+    serialize.save(CoverSeq(n=2, eps=F(1, 2), strong=True, pieces=(Box.cube((F(0), F(0)), F(1, 2)),)), cover)
+    out = tmp_path / "x.svg"
+    assert run("render-svg", "--cover", str(cover), "-o", str(out)) == 0
+    capsys.readouterr()
+    out.unlink()
+    assert run("render-svg", "--cover", str(cover), "--max-level", "1", "-o", str(out)) == 2
+    assert capsys.readouterr().err == "error: --max-level applies to --tree only\n"
+    assert not out.exists()

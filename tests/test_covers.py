@@ -12,7 +12,6 @@ from microset.covers import (
     CoverReport,
     CoverSeq,
     GreedyFailure,
-    _cell_window,
     ball_membership,
     ball_stability_radius,
     cover_measure_upper,
@@ -21,7 +20,7 @@ from microset.covers import (
     side_budget_sum,
     verify_cover,
 )
-from microset.geometry import Box, DigitalSet, Point, covers_box, dist_sq, volume
+from microset.geometry import Box, DigitalSet, Point, _cell_window, covers_box, dist_sq, volume
 from microset.rational import root_lower
 
 F = Fraction
