@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Batch refutation run: seeded adversarial covers against one dust tree.
 
-Builds the tree, derives the critical budget when none is given, throws a
-mix of swallowing and random adversaries at it, and prints one line per
-refutation.  Certificates can be dumped for later re-validation with
-``microset dust-refute --check``.
+Derives the critical budget when none is given, throws a mix of swallowing
+and random adversaries at the dust the spec defines, and prints one line per
+refutation.  With ``--out-dir`` the tree is built and written too, so that
+the dumped certificates can be re-validated with ``microset dust-refute --check``.
 """
 
 import argparse
@@ -51,27 +51,26 @@ def parse_args(argv=None):
 def main(argv=None) -> int:
     args = parse_args(argv)
     spec = DustSpec(n=args.n, b=args.b, depth=args.depth)
-    tree = generate(spec)
     eps = args.eps if args.eps is not None else refutation_budget_lower(spec)
     print(f"tree: n={spec.n} b={spec.b} depth={spec.depth} "
-          f"leaves={len(tree.level_cells(spec.depth))}")
+          f"leaves={2 ** (spec.n * spec.depth)}")
     print(f"budget eps = {eps} (~{float(eps):.3e})")
 
     out_dir = args.out_dir
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
-        serialize.save(tree, out_dir / "tree.json")
+        serialize.save(generate(spec), out_dir / "tree.json")
 
     failures = 0
     for i in range(args.adversaries):
         pieces = 1 + i
         if i % 2 == 0:
             kind = "swallow"
-            cover = adversary_swallow(tree, eps, pieces)
+            cover = adversary_swallow(spec, eps, pieces)
         else:
             kind = "random"
-            cover = adversary_random(tree, eps, pieces, args.seed + i)
-        outcome = survivor_refute(tree, cover)
+            cover = adversary_random(spec, eps, pieces, args.seed + i)
+        outcome = survivor_refute(spec, cover)
         if isinstance(outcome, RefuterFailure):
             failures += 1
             print(f"[{i:02d}] {kind:7s} pieces={pieces:2d}  "

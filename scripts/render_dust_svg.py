@@ -26,12 +26,11 @@ def parse_args(argv=None):
 def main(argv=None) -> int:
     args = parse_args(argv)
     spec = DustSpec(n=2, b=args.b, depth=args.depth)
-    tree = generate(spec)
-    write_svg(render_dust(tree, args.max_level), args.out)
+    write_svg(render_dust(generate(spec), args.max_level), args.out)
     print(f"wrote {args.out}")
     if args.cover_pieces > 0:
         eps = refutation_budget_lower(spec)
-        cover = adversary_random(tree, eps, args.cover_pieces, args.cover_seed)
+        cover = adversary_random(spec, eps, args.cover_pieces, args.cover_seed)
         cover_path = args.out.with_name(args.out.stem + "_cover" + args.out.suffix)
         write_svg(render_cover(cover), cover_path)
         print(f"wrote {cover_path}")

@@ -16,7 +16,6 @@ prove nor refute any category statement.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -238,6 +237,8 @@ def write_typicality_csv(report: TypicalityReport, path: str | Path) -> None:
 
 def write_typicality_json(report: TypicalityReport, path: str | Path) -> None:
     """Canonical JSON summary; rationals as "num/den" strings."""
+    from .serialize import dumps
+
     payload = {
         "schema": "typicality/1",
         "seed": report.spec.seed,
@@ -258,4 +259,4 @@ def write_typicality_json(report: TypicalityReport, path: str | Path) -> None:
         ),
     }
     with open(path, "w") as fh:
-        fh.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+        fh.write(dumps(payload))

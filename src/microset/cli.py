@@ -129,13 +129,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_as(path: str, klass, what: str):
+def _load_as(path: str, schema: str):
     from . import serialize
 
-    obj = serialize.load(path)
-    if not isinstance(obj, klass):
-        raise ValueError(f"{path}: expected a {what} document")
-    return obj
+    return serialize.load(path, schema)
 
 
 def _emit(obj, out: str | None) -> None:
@@ -167,7 +164,7 @@ def _cmd_dust_gaps(args) -> int:
     if problem is not None:
         raise _Negative(f"inadmissible: {problem}")
     if args.tree is not None:
-        tree = _load_as(args.tree, dust.DustTree, "dust tree")
+        tree = _load_as(args.tree, "dusttree/1")
         if tree.spec != spec:
             raise ValueError("tree was built for a different n, b or depth")
     table = dust.gap_table(spec)
@@ -193,22 +190,22 @@ def _cmd_dust_hmeasure(args) -> int:
 
 def _cmd_dust_refute(args) -> int:
     from . import dust
-    from .covers import CoverSeq
 
-    tree = _load_as(args.tree, dust.DustTree, "dust tree")
-    cover = _load_as(args.cover, CoverSeq, "cover")
-    if cover.n != tree.spec.n:
+    # the tree file is loaded, and so fully checked, though only its spec is used
+    spec = _load_as(args.tree, "dusttree/1").spec
+    cover = _load_as(args.cover, "coverseq/1")
+    if cover.n != spec.n:
         raise ValueError("cover and tree differ in dimension")
     if args.check is not None:
-        cert = _load_as(args.check, dust.SurvivorCertificate, "survivor certificate")
+        cert = _load_as(args.check, "survivor/1")
         try:
-            dust.revalidate_survivor(tree, cover, cert)
+            dust.revalidate_survivor(spec, cover, cert)
         except ValueError as exc:
             raise _Negative(f"certificate rejected: {exc}") from None
         print(f"certificate re-validated: survivor {list(cert.survivor_word)}")
         return 0
     try:
-        outcome = dust.survivor_refute(tree, cover)
+        outcome = dust.survivor_refute(spec, cover)
     except ValueError as exc:
         raise _Negative(f"refutation premises not met: {exc}") from None
     if isinstance(outcome, dust.RefuterFailure):
@@ -226,11 +223,9 @@ def _cmd_dust_refute(args) -> int:
 
 def _cmd_cover_verify(args) -> int:
     from . import covers
-    from .covers import CoverSeq
-    from .geometry import DigitalSet
 
-    e = _load_as(args.set_path, DigitalSet, "digital set")
-    cover = _load_as(args.cover, CoverSeq, "cover")
+    e = _load_as(args.set_path, "digitalset/1")
+    cover = _load_as(args.cover, "coverseq/1")
     report = covers.verify_cover(e, cover)
     _emit(report, args.out)
     if report.ok:
@@ -245,9 +240,8 @@ def _cmd_cover_verify(args) -> int:
 def _cmd_cover_search(args) -> int:
     from . import covers
     from .covers import GreedyFailure
-    from .geometry import DigitalSet
 
-    e = _load_as(args.set_path, DigitalSet, "digital set")
+    e = _load_as(args.set_path, "digitalset/1")
     # the search verifies what it emits; a failed check raises AssertionError
     cover = covers.greedy_strong_cover(e, args.eps, args.max_pieces)
     if isinstance(cover, GreedyFailure):
@@ -262,9 +256,8 @@ def _cmd_cover_search(args) -> int:
 
 def _cmd_cover_merge(args) -> int:
     from . import covers, serialize
-    from .covers import CoverSeq
 
-    loaded = [_load_as(path, CoverSeq, "cover") for path in args.covers]
+    loaded = [_load_as(path, "coverseq/1") for path in args.covers]
     if len({cover.n for cover in loaded}) > 1:
         raise ValueError("covers differ in dimension")
     try:
@@ -278,11 +271,10 @@ def _cmd_cover_merge(args) -> int:
 
 def _cmd_ball_check(args) -> int:
     from . import covers
-    from .covers import BallSpec
-    from .geometry import DigitalSet, Point
+    from .geometry import Point
 
-    k_set = _load_as(args.set_path, DigitalSet, "digital set")
-    ball = _load_as(args.ball, BallSpec, "ball spec")
+    k_set = _load_as(args.set_path, "digitalset/1")
+    ball = _load_as(args.ball, "ballspec/1")
     member = covers.ball_membership(k_set, ball)
     if not member:
         raise _Negative("not a member of the open-box union")
@@ -298,10 +290,10 @@ def _cmd_ball_check(args) -> int:
 
 
 def _cmd_hausdorff(args) -> int:
-    from .geometry import DigitalSet, hausdorff_bracket
+    from .geometry import hausdorff_bracket
 
-    a = _load_as(args.a_path, DigitalSet, "digital set")
-    b = _load_as(args.b_path, DigitalSet, "digital set")
+    a = _load_as(args.a_path, "digitalset/1")
+    b = _load_as(args.b_path, "digitalset/1")
     bracket = hausdorff_bracket(a, b, args.depth)
     _emit(bracket, args.out)
     print(
@@ -331,15 +323,9 @@ def _cmd_render_svg(args) -> int:
     if args.cover is not None and args.max_level is not None:
         raise ValueError("--max-level applies to --tree only")
     if args.tree is not None:
-        from .dust import DustTree
-
-        tree = _load_as(args.tree, DustTree, "dust tree")
-        text = svg.render_dust(tree, args.max_level)
+        text = svg.render_dust(_load_as(args.tree, "dusttree/1"), args.max_level)
     else:
-        from .covers import CoverSeq
-
-        cover = _load_as(args.cover, CoverSeq, "cover")
-        text = svg.render_cover(cover)
+        text = svg.render_cover(_load_as(args.cover, "coverseq/1"))
     svg.write_svg(text, args.out)
     print(f"wrote {args.out}")
     return 0

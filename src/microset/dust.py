@@ -9,8 +9,10 @@ every sufficiently tight cover-budget claim.
 
 A level-k cube is one closed cell of the b**grid(k) grid; ``DustSpec.grid``
 is the only place the growth k*k is written, and ``_children`` the only
-place a letter picks a corner.  The tree holds integer cell indices; the
-refuter and the adversaries place the cells they need from the spec alone.
+place a letter picks a corner.  Every dust algorithm takes the spec: the
+refuter, its checker and the adversaries place the cells they need from it.
+A ``DustTree`` holds the integer cells of every level, and is built only
+where one is written, loaded or drawn.
 
 All verdicts are exact.  The only enclosures are the n-th roots inside
 ``refutation_budget_lower``, ``hausdorff_measure_upper`` and the
@@ -418,69 +420,65 @@ def _examined_prefix(depth: int, piece_count: int) -> int:
     return min(piece_count, _bucket_start(depth + 1) - 1)
 
 
-def _refutation_premises(tree: DustTree, cover: CoverSeq) -> int:
+def _refutation_premises(spec: DustSpec, cover: CoverSeq) -> int:
     """Check what the survivor argument assumes; the examined prefix, or ValueError.
 
-    The cover must share the tree's dimension, satisfy its own eps-budget
-    and, piece by piece, the direct gap budget: a piece at position h must
-    have measure at most level_gap(bucket_of(h)) ** n.  Checking the gap
-    budget directly (rather than trusting any chain of inequalities through
-    eps) keeps the premise of the survivor argument explicit and exact.
+    The cover must share the spec's dimension, satisfy its own eps-budget
+    and, piece by piece, the direct gap budget: a piece in bucket j must
+    have measure at most level_gap(j) ** n.  Checking the gap budget
+    directly (rather than trusting any chain of inequalities through eps)
+    keeps the premise of the survivor argument explicit and exact.
     """
-    spec = tree.spec
     if cover.n != spec.n:
         raise ValueError("dimension mismatch")
     if cover.first_budget_violation() is not None:
         raise ValueError("cover does not satisfy its eps budget")
     checked = _examined_prefix(spec.depth, len(cover.pieces))
     gaps = gap_table(spec)
-    for h in range(1, checked + 1):
-        j = BucketTable.bucket_of(h)
-        if j > spec.depth:
-            raise AssertionError("examined piece bucketed past the tree depth")
-        if volume(cover.pieces[h - 1]) > gaps.level_gap[j - 1] ** spec.n:
-            raise ValueError(f"piece {h} exceeds the level-{j} gap budget")
+    for j in range(1, spec.depth + 1):
+        budget = gaps.level_gap[j - 1] ** spec.n
+        for h in range(_bucket_start(j), min(_bucket_start(j + 1), checked + 1)):
+            if volume(cover.pieces[h - 1]) > budget:
+                raise ValueError(f"piece {h} exceeds the level-{j} gap budget")
     return checked
 
 
-def survivor_refute(
-    tree: DustTree, cover: CoverSeq
-) -> SurvivorCertificate | RefuterFailure:
-    """Survivor chain through the tree against a budgeted cover.
+def survivor_refute(spec: DustSpec, cover: CoverSeq) -> SurvivorCertificate | RefuterFailure:
+    """Survivor chain through the spec's dust against a budgeted cover.
 
     Raises ValueError when the cover misses a premise of ``_refutation_premises``.
     A level with no survivor, where every child of the previous level's
     survivors touches an active piece, is returned as a ``RefuterFailure``.
     """
-    checked = _refutation_premises(tree, cover)
-    walk = _survivor_walk(tree, cover)
+    checked = _refutation_premises(spec, cover)
+    walk = _survivor_walk(spec, cover)
     if not walk[-1]:
         return RefuterFailure(level=len(walk), checked_prefix=checked)
     cert = SurvivorCertificate(
-        depth=tree.spec.depth,
+        depth=spec.depth,
         checked_prefix=checked,
         survivor_word=min(walk[-1]),
         level_counts=tuple(len(alive) for alive in walk),
     )
     # the counts are the walk's own; walking again could not disagree
-    _check_survivor(tree, cover, cert)
+    _check_survivor(spec, cover, cert)
     return cert
 
 
-def _survivor_walk(tree: DustTree, cover: CoverSeq) -> list[list[tuple[int, ...]]]:
+def _survivor_walk(spec: DustSpec, cover: CoverSeq) -> list[list[tuple[int, ...]]]:
     """Per level, the children of survivors that miss every active piece.
 
     Level k's active pieces are those bucketed into levels 1..k, each turned
     once into its touching window on the level's grid.  Only survivors'
     children are placed; the walk stops after the first level with no survivor.
     """
-    walk, family = [], [((), (0,) * tree.spec.n)]
-    for k in range(1, tree.spec.depth + 1):
+    walk, family = [], [((), (0,) * spec.n)]
+    for k in range(1, spec.depth + 1):
         active = cover.pieces[: _examined_prefix(k, len(cover.pieces))]
-        windows = [_cell_window(piece, tree.spec.scale(k), 1) for piece in active]
+        windows = [_cell_window(piece, spec.scale(k), 1) for piece in active]
         family = [
             (word, cell)
-            for word, cell in _children(tree.spec, family, k)
+            for word, cell in _children(spec, family, k)
             if not any(_in_window(cell, w) for w in windows)
         ]
         walk.append([word for word, _ in family])
@@ -489,25 +487,25 @@ def _survivor_walk(tree: DustTree, cover: CoverSeq) -> list[list[tuple[int, ...]
     return walk
 
 
-def revalidate_survivor(
-    tree: DustTree, cover: CoverSeq, cert: SurvivorCertificate
-) -> None:
+def revalidate_survivor(spec: DustSpec, cover: CoverSeq, cert: SurvivorCertificate) -> None:
     """Re-check a certificate from scratch; raises ValueError when anything fails.
 
-    The cover must meet the same premises ``survivor_refute`` demands, so a
-    certificate is accepted exactly when the refuter could have emitted it.
+    The cover must meet the premises ``survivor_refute`` demands.  The
+    certificate must carry the spec's depth, the prefix the cover's length
+    implies, a depth-level word whose cube touches no examined piece, and the
+    survivor walk's own per-level counts.  Any surviving word is accepted, not
+    only the least one, which is the word the refuter emits.
     """
-    _refutation_premises(tree, cover)
-    _check_survivor(tree, cover, cert)
-    if cert.level_counts != tuple(len(alive) for alive in _survivor_walk(tree, cover)):
+    _refutation_premises(spec, cover)
+    _check_survivor(spec, cover, cert)
+    if cert.level_counts != tuple(len(alive) for alive in _survivor_walk(spec, cover)):
         raise ValueError("certificate level counts differ from the survivor walk")
 
 
-def _check_survivor(tree: DustTree, cover: CoverSeq, cert: SurvivorCertificate) -> None:
+def _check_survivor(spec: DustSpec, cover: CoverSeq, cert: SurvivorCertificate) -> None:
     """Every claim of the certificate except the counts, which need the walk."""
-    spec = tree.spec
     if cert.depth != spec.depth:
-        raise ValueError("certificate depth differs from the tree")
+        raise ValueError("certificate depth differs from the spec")
     if cert.checked_prefix != _examined_prefix(spec.depth, len(cover.pieces)):
         raise ValueError("certificate examined a different prefix")
     if len(cert.level_counts) != spec.depth:
@@ -523,7 +521,7 @@ def _check_survivor(tree: DustTree, cover: CoverSeq, cert: SurvivorCertificate) 
             raise ValueError(f"survivor touches examined piece {h}")
 
 
-def adversary_swallow(tree: DustTree, eps: Fraction, count: int) -> CoverSeq:
+def adversary_swallow(spec: DustSpec, eps: Fraction, count: int) -> CoverSeq:
     """Budget-tight adversary that eats leaf cubes in word order.
 
     Piece h is the largest admissible cube (side a lower enclosure of
@@ -532,7 +530,6 @@ def adversary_swallow(tree: DustTree, eps: Fraction, count: int) -> CoverSeq:
     """
     from .covers import CoverSeq, _budget_sides
 
-    spec = tree.spec
     eps = Fraction(eps)
     leaf_side = spec.level_side(spec.depth)
     pieces = []
@@ -542,12 +539,11 @@ def adversary_swallow(tree: DustTree, eps: Fraction, count: int) -> CoverSeq:
     return CoverSeq(n=spec.n, eps=eps, strong=True, pieces=tuple(pieces))
 
 
-def adversary_random(tree: DustTree, eps: Fraction, count: int, seed: int) -> CoverSeq:
+def adversary_random(spec: DustSpec, eps: Fraction, count: int, seed: int) -> CoverSeq:
     """Seeded adversary placing budget-tight cubes near random leaf cubes."""
     from .baire import SplitMix64
     from .covers import CoverSeq, _budget_sides
 
-    spec = tree.spec
     eps = Fraction(eps)
     rng = SplitMix64(seed)
     leaf_side = spec.level_side(spec.depth)

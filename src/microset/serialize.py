@@ -321,11 +321,14 @@ def save(obj, path: str | Path) -> bytes:
     return blob
 
 
-def load(path: str | Path):
+def load(path: str | Path, schema: str | None = None):
+    """The object a document file holds; given ``schema``, any other schema is refused before decoding."""
     try:
         data = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: not valid JSON ({exc})") from exc
+    if schema is not None and (not isinstance(data, dict) or data.get("schema") != schema):
+        raise ValueError(f"{path}: expected a {schema} document")
     return from_json(data)
 
 

@@ -161,15 +161,15 @@ def test_a06_refuter_defeats_seeded_adversaries_with_checkable_certificates(tmp_
         covers = []
         for i in range(10):
             if i % 2 == 0:
-                covers.append(adversary_swallow(tree, eps, i + 1))
+                covers.append(adversary_swallow(spec, eps, i + 1))
             else:
-                covers.append(adversary_random(tree, eps, i + 1, seed=9000 + 37 * i))
+                covers.append(adversary_random(spec, eps, i + 1, seed=9000 + 37 * i))
         tree_path = tmp_path / f"tree{spec.n}.json"
         serialize.save(tree, tree_path)
         for i, cover in enumerate(covers):
-            outcome = survivor_refute(tree, cover)
+            outcome = survivor_refute(spec, cover)
             assert isinstance(outcome, SurvivorCertificate)
-            revalidate_survivor(tree, cover, outcome)
+            revalidate_survivor(spec, cover, outcome)
             survivor = leaf_lookup[outcome.survivor_word]
             for h in range(outcome.checked_prefix):
                 assert dist_sq(survivor, cover.pieces[h]) > 0

@@ -75,7 +75,7 @@ def test_refuter_survivors_pass_the_disjointness_oracle(spec, seed, style):
     rng = oracles.SplitMix64(seed)
     pieces = oracles.full_prefix(depth) + rng.below(4)
     doc = oracles.adversary_cover(rng, n, b, depth, pieces, style)
-    cert = survivor_refute(generate(DustSpec(n=n, b=b, depth=depth)), serialize.from_json(doc))
+    cert = survivor_refute(DustSpec(n=n, b=b, depth=depth), serialize.from_json(doc))
     assert isinstance(cert, SurvivorCertificate)
     checked = min(pieces, oracles.full_prefix(depth))
     assert (cert.depth, cert.checked_prefix) == (depth, checked)

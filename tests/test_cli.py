@@ -265,7 +265,7 @@ def test_refute_cli_full_cycle(tmp_path):
     spec = DustSpec(n=1, b=3, depth=4)
     tree = generate(spec)
     eps = refutation_budget_lower(spec)
-    cover = adversary_swallow(tree, eps, 8)
+    cover = adversary_swallow(spec, eps, 8)
     tp, cp, certp = tmp_path / "tree.json", tmp_path / "cover.json", tmp_path / "cert.json"
     serialize.save(tree, tp)
     serialize.save(cover, cp)
@@ -308,7 +308,7 @@ def test_tampered_tree_is_malformed_input(tmp_path):
     tree = generate(spec)
     tp, cp = tmp_path / "tree.json", tmp_path / "cover.json"
     serialize.save(tree, tp)
-    serialize.save(adversary_swallow(tree, refutation_budget_lower(spec), 8), cp)
+    serialize.save(adversary_swallow(spec, refutation_budget_lower(spec), 8), cp)
     doc = json.loads(tp.read_text())
     for entry in doc["levels"][2]:
         entry["lo"] = ["0/1"]
@@ -400,7 +400,7 @@ def test_inadmissible_tree_file_is_malformed_input(tmp_path):
 def test_check_is_as_strict_as_the_refuter(tmp_path, capsys):
     spec = DustSpec(n=1, b=3, depth=4)
     tree = generate(spec)
-    cover = adversary_swallow(tree, refutation_budget_lower(spec), 8)
+    cover = adversary_swallow(spec, refutation_budget_lower(spec), 8)
     tp, cp, certp = tmp_path / "tree.json", tmp_path / "cover.json", tmp_path / "cert.json"
     serialize.save(tree, tp)
     serialize.save(cover, cp)
@@ -420,7 +420,7 @@ def test_level_without_survivor_is_verified_negative(tmp_path, capsys):
     tree = generate(DustSpec(n=1, b=3, depth=2))
     pieces = (box1(F(1, 81), F(26, 81)), box1(F(55, 81), F(80, 81)))
     cover = CoverSeq(n=1, eps=F(5, 9), strong=True, pieces=pieces)
-    assert survivor_refute(tree, cover) == RefuterFailure(level=2, checked_prefix=2)
+    assert survivor_refute(tree.spec, cover) == RefuterFailure(level=2, checked_prefix=2)
     tp, cp = tmp_path / "tree.json", tmp_path / "cover.json"
     serialize.save(tree, tp)
     serialize.save(cover, cp)
@@ -471,7 +471,7 @@ def _valid_documents() -> dict:
         BallSpec(n=1, boxes=(box1(F(1, 4), F(3, 4)),)),
         tree,
         gap_table(tree.spec),
-        survivor_refute(tree, CoverSeq(n=1, eps=F(1, 81), strong=False, pieces=())),
+        survivor_refute(tree.spec, CoverSeq(n=1, eps=F(1, 81), strong=False, pieces=())),
         hausdorff_bracket(a, b, 2),
     ]
     return {doc["schema"]: doc for doc in map(serialize.to_json, docs)}
@@ -542,6 +542,18 @@ def test_malformed_documents_exit_2_without_traceback(tmp_path):
         )
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+def test_document_of_another_schema_is_refused_before_decoding(tmp_path, monkeypatch, capsys):
+    sp, tp = tmp_path / "set.json", tmp_path / "tree.json"
+    serialize.save(DigitalSet(2, 3, 1, ((0, 0),)), sp)
+    serialize.save(generate(DustSpec(n=2, b=3, depth=2)), tp)
+    decoded = []
+    monkeypatch.setitem(serialize._FROM_JSON, "dusttree/1", decoded.append)
+    capsys.readouterr()
+    assert run("cover-verify", "--set", str(sp), "--cover", str(tp)) == 2
+    assert decoded == []
+    assert capsys.readouterr().err == f"error: {tp}: expected a coverseq/1 document\n"
 
 
 def test_fields_of_the_wrong_json_type_are_refused(tmp_path, capsys):

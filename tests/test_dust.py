@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from microset import serialize
+from microset import dust, serialize
 from microset.baire import SplitMix64
 from microset.covers import CoverSeq, verify_cover
 from microset.dust import (
@@ -366,9 +366,7 @@ def _empty_cover(n: int) -> CoverSeq:
 
 
 def test_survivor_empty_cover():
-    spec = DustSpec(n=1, b=3, depth=3)
-    tree = generate(spec)
-    cert = survivor_refute(tree, _empty_cover(1))
+    cert = survivor_refute(DustSpec(n=1, b=3, depth=3), _empty_cover(1))
     assert isinstance(cert, SurvivorCertificate)
     assert cert.checked_prefix == 0
     assert cert.level_counts == (2, 4, 8)
@@ -379,14 +377,14 @@ def _swallow_instance(n: int, depth: int, count: int):
     spec = DustSpec(n=n, b=3, depth=depth)
     tree = generate(spec)
     eps = refutation_budget_lower(spec)
-    cover = adversary_swallow(tree, eps, count)
+    cover = adversary_swallow(spec, eps, count)
     return tree, cover
 
 
 def test_survivor_certificate_line():
     tree, cover = _swallow_instance(1, 4, 8)
     assert verify_cover(tree.level_digital(tree.spec.depth), cover).budget_ok
-    cert = survivor_refute(tree, cover)
+    cert = survivor_refute(tree.spec, cover)
     assert isinstance(cert, SurvivorCertificate)
     assert cert.checked_prefix == 6
     lookup = dict(tree.level(4))
@@ -397,7 +395,7 @@ def test_survivor_certificate_line():
 
 def test_survivor_certificate_plane():
     tree, cover = _swallow_instance(2, 3, 6)
-    cert = survivor_refute(tree, cover)
+    cert = survivor_refute(tree.spec, cover)
     assert isinstance(cert, SurvivorCertificate)
     assert cert.checked_prefix == 3
     # with every piece within the gap budget, at least k * 2**((n-1)k)
@@ -408,7 +406,7 @@ def test_survivor_certificate_plane():
 
 def test_survivor_counts_consistency_with_intersections():
     tree, cover = _swallow_instance(1, 4, 8)
-    cert = survivor_refute(tree, cover)
+    cert = survivor_refute(tree.spec, cover)
     prev = 1
     for k in range(1, tree.spec.depth + 1):
         active = cover.pieces[: min(len(cover.pieces), ((k + 1) ** 2 - 1) // 4)]
@@ -422,8 +420,8 @@ def test_survivor_random_adversaries_line_and_plane():
         spec = DustSpec(n=n, b=3, depth=depth)
         tree = generate(spec)
         eps = refutation_budget_lower(spec)
-        cover = adversary_random(tree, eps, count, seed)
-        cert = survivor_refute(tree, cover)
+        cover = adversary_random(spec, eps, count, seed)
+        cert = survivor_refute(spec, cover)
         assert isinstance(cert, SurvivorCertificate)
         lookup = dict(tree.level(depth))
         cube = lookup[cert.survivor_word]
@@ -433,29 +431,27 @@ def test_survivor_random_adversaries_line_and_plane():
 
 def test_survivor_rejects_over_budget_cover():
     spec = DustSpec(n=1, b=3, depth=3)
-    tree = generate(spec)
     big = CoverSeq(
         n=1, eps=F(1, 2), strong=False, pieces=(Box(((F(0), F(1, 2)),)),)
     )
     with pytest.raises(ValueError):
-        survivor_refute(tree, big)
+        survivor_refute(spec, big)
 
 
 def test_survivor_rejects_gap_budget_violation():
     # piece fits its eps budget but exceeds the level-gap budget for its
     # bucket, so the refutation premise fails loudly
     spec = DustSpec(n=1, b=3, depth=3)
-    tree = generate(spec)
     cover = CoverSeq(
         n=1, eps=F(2, 5), strong=False, pieces=(Box(((F(0), F(2, 5)),)),)
     )
     with pytest.raises(ValueError):
-        survivor_refute(tree, cover)
+        survivor_refute(spec, cover)
 
 
 def test_revalidate_rejects_tampered_certificates():
     tree, cover = _swallow_instance(1, 4, 8)
-    cert = survivor_refute(tree, cover)
+    cert = survivor_refute(tree.spec, cover)
     swapped = SurvivorCertificate(
         depth=cert.depth,
         checked_prefix=cert.checked_prefix,
@@ -463,7 +459,7 @@ def test_revalidate_rejects_tampered_certificates():
         level_counts=cert.level_counts,
     )
     with pytest.raises(ValueError):
-        revalidate_survivor(tree, cover, swapped)
+        revalidate_survivor(tree.spec, cover, swapped)
     short = SurvivorCertificate(
         depth=cert.depth,
         checked_prefix=cert.checked_prefix - 1,
@@ -471,18 +467,24 @@ def test_revalidate_rejects_tampered_certificates():
         level_counts=cert.level_counts,
     )
     with pytest.raises(ValueError):
-        revalidate_survivor(tree, cover, short)
+        revalidate_survivor(tree.spec, cover, short)
     # a cover of another dimension is refused, not truncated to the tree's axes
     wide = tuple(Box(piece.intervals + ((F(0), F(1)),)) for piece in cover.pieces)
     plane = CoverSeq(n=2, eps=cover.eps, strong=False, pieces=wide)
     with pytest.raises(ValueError, match="dimension"):
-        revalidate_survivor(tree, plane, cert)
+        revalidate_survivor(tree.spec, plane, cert)
     # level counts are recomputed by the survivor walk, not trusted
     last = cert.level_counts[-1]
     for counts in ((99,) * cert.depth, cert.level_counts[:-1] + (last - 1,)):
         forged = dataclasses.replace(cert, level_counts=counts)
         with pytest.raises(ValueError, match="level counts"):
-            revalidate_survivor(tree, cover, forged)
+            revalidate_survivor(tree.spec, cover, forged)
+    # any surviving word is accepted, not only the least one the refuter emits
+    plane_tree, plane_cover = _swallow_instance(2, 3, 6)
+    least = survivor_refute(plane_tree.spec, plane_cover)
+    assert least.survivor_word == (1, 2, 1)
+    greatest = dataclasses.replace(least, survivor_word=(4, 4, 4))
+    revalidate_survivor(plane_tree.spec, plane_cover, greatest)
 
 
 def _swallow_from_cubes(tree, eps, count):
@@ -519,11 +521,10 @@ def _random_from_cubes(tree, eps, count, seed):
 
 def test_adversaries_respect_budgets():
     spec = DustSpec(n=2, b=3, depth=3)
-    tree = generate(spec)
     eps = refutation_budget_lower(spec)
     for cover in (
-        adversary_swallow(tree, eps, 6),
-        adversary_random(tree, eps, 6, seed=5),
+        adversary_swallow(spec, eps, 6),
+        adversary_random(spec, eps, 6, seed=5),
     ):
         assert cover.strong
         for k, piece in enumerate(cover.pieces, start=1):
@@ -533,9 +534,9 @@ def test_adversaries_respect_budgets():
     for n, depth in ((1, 4), (2, 3), (3, 2)):
         tree = generate(DustSpec(n=n, b=3, depth=depth))
         eps = refutation_budget_lower(tree.spec)
-        assert adversary_swallow(tree, eps, 20) == _swallow_from_cubes(tree, eps, 20)
+        assert adversary_swallow(tree.spec, eps, 20) == _swallow_from_cubes(tree, eps, 20)
         for seed in (0, 5, 12):
-            assert adversary_random(tree, eps, 10, seed) == _random_from_cubes(
+            assert adversary_random(tree.spec, eps, 10, seed) == _random_from_cubes(
                 tree, eps, 10, seed
             )
 
@@ -608,10 +609,9 @@ def test_check_tree_sibling_gaps_equal_the_brute_force_minimum():
 
 
 def test_survivor_walk_stops_at_the_first_empty_level():
-    tree = generate(DustSpec(n=1, b=3, depth=3))
     # the whole cube is examined from level 2 on, so nothing survives there
     cover = CoverSeq(n=1, eps=F(1, 2), strong=False, pieces=(Box(((F(0), F(1)),)),))
-    assert _survivor_walk(tree, cover) == [[(1,), (2,)], []]
+    assert _survivor_walk(DustSpec(n=1, b=3, depth=3), cover) == [[(1,), (2,)], []]
 
 
 def _walk_oracle(tree, cover):
@@ -664,7 +664,7 @@ def _tree_and_cover(draw):
 def test_integer_touching_matches_the_fraction_oracle(case):
     tree, cover = case
     depth = tree.spec.depth
-    assert _survivor_walk(tree, cover) == _walk_oracle(tree, cover)
+    assert _survivor_walk(tree.spec, cover) == _walk_oracle(tree, cover)
     for k in range(1, depth + 1):
         cubes = [box for _, box in tree.level(k)]
         for piece in cover.pieces:
@@ -677,9 +677,9 @@ def test_integer_touching_matches_the_fraction_oracle(case):
         touching = [h for h in range(1, prefix + 1) if dist_sq(cube, cover.pieces[h - 1]) == 0]
         if touching:
             with pytest.raises(ValueError, match=f"touches examined piece {touching[0]}$"):
-                _check_survivor(tree, cover, cert)
+                _check_survivor(tree.spec, cover, cert)
         else:
-            _check_survivor(tree, cover, cert)
+            _check_survivor(tree.spec, cover, cert)
 
 
 def test_integer_dust_scales_to_depth_seven(tmp_path):
@@ -689,10 +689,10 @@ def test_integer_dust_scales_to_depth_seven(tmp_path):
         spec = DustSpec(n=n, b=3, depth=depth)
         tree = generate(spec)
         count = _examined_prefix(depth, 10**9) + 2
-        cover = adversary_swallow(tree, refutation_budget_lower(spec), count)
-        cert = survivor_refute(tree, cover)
+        cover = adversary_swallow(spec, refutation_budget_lower(spec), count)
+        cert = survivor_refute(spec, cover)
         assert isinstance(cert, SurvivorCertificate)
-        revalidate_survivor(tree, cover, cert)
+        revalidate_survivor(spec, cover, cert)
         path = tmp_path / f"tree-{n}.json"
         blob = serialize.save(tree, path)
         assert serialize.canonical_bytes(serialize.to_json(serialize.load(path))) == blob
@@ -723,33 +723,42 @@ def test_cell_of_a_word_matches_the_built_tree(data):
 
 
 def test_refuter_and_adversaries_read_only_the_spec():
-    # a tree stripped of its levels gives the same covers, certificates and verdicts
+    # computed from the spec alone, the survivors name leaves of the built tree
     for n, depth in ((1, 4), (2, 3), (3, 2)):
         spec = DustSpec(n=n, b=3, depth=depth)
-        tree = generate(spec)
-        bare = dataclasses.replace(tree, levels=())
+        leaves = dict(generate(spec).level(depth))
         eps = refutation_budget_lower(spec)
         count = _examined_prefix(depth, 10**9) + 2
-        covers = [adversary_swallow(tree, eps, count)]
-        assert adversary_swallow(bare, eps, count) == covers[0]
-        for seed in (0, 5, 12):
-            covers.append(adversary_random(tree, eps, count, seed))
-            assert adversary_random(bare, eps, count, seed) == covers[-1]
+        covers = [adversary_swallow(spec, eps, count)]
+        covers += [adversary_random(spec, eps, count, seed) for seed in (0, 5, 12)]
         for cover in covers:
-            cert = survivor_refute(tree, cover)
+            cert = survivor_refute(spec, cover)
             assert isinstance(cert, SurvivorCertificate)
-            assert survivor_refute(bare, cover) == cert
-            revalidate_survivor(tree, cover, cert)
-            revalidate_survivor(bare, cover, cert)
+            revalidate_survivor(spec, cover, cert)
+            survivor = leaves[cert.survivor_word]
+            assert all(dist_sq(survivor, piece) > 0 for piece in cover.pieces[: cert.checked_prefix])
     # a level without survivor, and words that name no cube, fail alike
-    tree = generate(DustSpec(n=1, b=3, depth=2))
-    bare = dataclasses.replace(tree, levels=())
+    spec = DustSpec(n=1, b=3, depth=2)
     pieces = (Box(((F(1, 81), F(26, 81)),)), Box(((F(55, 81), F(80, 81)),)))
     cover = CoverSeq(n=1, eps=F(5, 9), strong=True, pieces=pieces)
-    assert survivor_refute(tree, cover) == survivor_refute(bare, cover) == RefuterFailure(2, 2)
+    assert survivor_refute(spec, cover) == RefuterFailure(2, 2)
     empty = CoverSeq(n=1, eps=F(5, 9), strong=True, pieces=())
     for word in ((1,), (1, 1, 1), (0, 1), (1, 3), (2, -1)):
         cert = SurvivorCertificate(depth=2, checked_prefix=0, survivor_word=word, level_counts=(2, 4))
-        for t in (tree, bare):
-            with pytest.raises(ValueError, match="does not name a cube"):
-                revalidate_survivor(t, empty, cert)
+        with pytest.raises(ValueError, match="does not name a cube"):
+            revalidate_survivor(spec, empty, cert)
+
+
+def test_dust_algorithms_run_on_a_spec_never_built(monkeypatch):
+    def no_tree(spec):
+        raise AssertionError(f"a tree was built for {spec}")
+
+    monkeypatch.setattr(dust, "generate", no_tree)
+    for n, depth in ((1, 5), (2, 4), (3, 3)):
+        spec = DustSpec(n=n, b=3, depth=depth)
+        eps = refutation_budget_lower(spec)
+        count = _examined_prefix(depth, 10**9) + 2
+        for cover in (adversary_swallow(spec, eps, count), adversary_random(spec, eps, count, 7)):
+            cert = survivor_refute(spec, cover)
+            assert isinstance(cert, SurvivorCertificate) and cert.depth == depth
+            revalidate_survivor(spec, cover, cert)

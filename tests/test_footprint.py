@@ -60,7 +60,7 @@ def docs(tmp_path_factory):
     serialize.save(e, paths["set"])
     serialize.save(DigitalSet(2, 3, 1, ((1, 1),)), paths["other"])
     serialize.save(tree, paths["tree"])
-    serialize.save(adversary_swallow(tree, Fraction(1, 10**6), 2), paths["cover"])
+    serialize.save(adversary_swallow(tree.spec, Fraction(1, 10**6), 2), paths["cover"])
     serialize.save(CoverSeq(n=2, eps=Fraction(1, 2), strong=True, pieces=tuple(e.boxes())), paths["full"])
     return {name: str(path) for name, path in paths.items()}
 

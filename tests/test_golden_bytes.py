@@ -14,7 +14,7 @@ import pytest
 
 from microset import serialize
 from microset.cli import main
-from microset.dust import DustSpec, adversary_swallow, generate, refutation_budget_lower
+from microset.dust import DustSpec, adversary_swallow, refutation_budget_lower
 
 GOLDEN = {
     "tree_n2_d2.json": "7a97a0211661f5d2fea979b7f91b004f8bc768be152a1161cf9848448303b333",
@@ -44,7 +44,7 @@ def docs(tmp_path_factory):
     assert _run("dust-generate", "--n", 1, "--b", 3, "--depth", 4, "-o", d / "tree_n1_d4.json") == 0
     assert _run("dust-gaps", "--n", 2, "--b", 3, "--depth", 3, "-o", d / "gaps_n2_d3.json") == 0
     spec = DustSpec(n=1, b=3, depth=4)
-    cover = adversary_swallow(generate(spec), refutation_budget_lower(spec), 8)
+    cover = adversary_swallow(spec, refutation_budget_lower(spec), 8)
     serialize.save(cover, d / "adversary.json")
     assert _run(
         "dust-refute", "--tree", d / "tree_n1_d4.json", "--cover", d / "adversary.json",

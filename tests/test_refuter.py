@@ -28,7 +28,7 @@ _PLANE_EPS = refutation_budget_lower(_PLANE.spec)
 
 def _check_certificate(tree, cover, cert):
     assert isinstance(cert, SurvivorCertificate)
-    revalidate_survivor(tree, cover, cert)
+    revalidate_survivor(tree.spec, cover, cert)
     lookup = dict(tree.level(tree.spec.depth))
     cube = lookup[cert.survivor_word]
     for piece in cover.pieces[: cert.checked_prefix]:
@@ -42,31 +42,31 @@ def _check_certificate(tree, cover, cert):
 @settings(max_examples=20)
 @given(st.integers(min_value=0, max_value=2**32), st.integers(min_value=1, max_value=10))
 def test_random_adversaries_never_defeat_the_line_refuter(seed, count):
-    cover = adversary_random(_LINE, _LINE_EPS, count, seed)
+    cover = adversary_random(_LINE.spec, _LINE_EPS, count, seed)
     assert verify_cover(_LINE.level_digital(4), cover).budget_ok
-    cert = survivor_refute(_LINE, cover)
+    cert = survivor_refute(_LINE.spec, cover)
     _check_certificate(_LINE, cover, cert)
 
 
 @settings(max_examples=10)
 @given(st.integers(min_value=0, max_value=2**32), st.integers(min_value=1, max_value=6))
 def test_random_adversaries_never_defeat_the_plane_refuter(seed, count):
-    cover = adversary_random(_PLANE, _PLANE_EPS, count, seed)
-    cert = survivor_refute(_PLANE, cover)
+    cover = adversary_random(_PLANE.spec, _PLANE_EPS, count, seed)
+    cert = survivor_refute(_PLANE.spec, cover)
     _check_certificate(_PLANE, cover, cert)
 
 
 @settings(max_examples=10)
 @given(st.integers(min_value=1, max_value=12))
 def test_swallow_adversary_any_length_line(count):
-    cover = adversary_swallow(_LINE, _LINE_EPS, count)
-    cert = survivor_refute(_LINE, cover)
+    cover = adversary_swallow(_LINE.spec, _LINE_EPS, count)
+    cert = survivor_refute(_LINE.spec, cover)
     _check_certificate(_LINE, cover, cert)
 
 
 @settings(max_examples=8)
 @given(st.fractions(min_value=F(1, 10**6), max_value=F(1, 81)))
 def test_any_budget_below_threshold_refutes_line_swallows(eps):
-    cover = adversary_swallow(_LINE, eps, 6)
-    cert = survivor_refute(_LINE, cover)
+    cover = adversary_swallow(_LINE.spec, eps, 6)
+    cert = survivor_refute(_LINE.spec, cover)
     _check_certificate(_LINE, cover, cert)
