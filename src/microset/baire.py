@@ -16,11 +16,10 @@ prove nor refute any category statement.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .geometry import DigitalSet, HBracket, Point, hausdorff_bracket
+from .geometry import DigitalSet, HBracket, Point, Record, hausdorff_bracket
 from .rational import format_scalar, root_upper
 
 _MASK = (1 << 64) - 1
@@ -46,8 +45,7 @@ class SplitMix64:
         return child
 
 
-@dataclass(frozen=True)
-class SampleSpec:
+class SampleSpec(Record):
     """Parameters for seeded draws of random digital sets."""
 
     seed: int
@@ -55,16 +53,17 @@ class SampleSpec:
     b: int
     depth: int
     density: Fraction
-    trials: int = 1
+    trials: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "density", Fraction(self.density))
-        if not 0 < self.density <= 1:
+    def __init__(self, seed: int, n: int, b: int, depth: int, density: Fraction, trials: int = 1):
+        density = Fraction(density)
+        if not 0 < density <= 1:
             raise ValueError("density must lie in (0, 1]")
-        if self.n < 1 or self.b < 2 or self.depth < 0:
+        if n < 1 or b < 2 or depth < 0:
             raise ValueError("bad sample dimensions")
-        if self.trials < 1:
+        if trials < 1:
             raise ValueError("trials must be >= 1")
+        self._set(seed, n, b, depth, density, trials)
 
 
 def sample_compact(spec: SampleSpec) -> DigitalSet:
@@ -124,8 +123,7 @@ def finite_skeleton(e: DigitalSet, delta: Fraction) -> list[Point]:
     ]
 
 
-@dataclass(frozen=True)
-class TrialRecord:
+class TrialRecord(Record):
     """One sampled set: size, witness outcome per exponent, skeleton bracket."""
 
     trial: int
@@ -135,8 +133,7 @@ class TrialRecord:
     skeleton_bracket: HBracket
 
 
-@dataclass(frozen=True)
-class TypicalityReport:
+class TypicalityReport(Record):
     """Aggregate of seeded trials.
 
     ``witness_frequency`` maps each exponent s to the fraction of trials
@@ -152,12 +149,14 @@ class TypicalityReport:
     records: tuple[TrialRecord, ...]
     witness_frequency: tuple[tuple[int, Fraction], ...]
 
-    def __post_init__(self):
-        if len(self.records) != self.spec.trials:
+    def __init__(self, spec: SampleSpec, s_list: tuple[int, ...], max_pieces: int, delta: Fraction,
+                 records: tuple[TrialRecord, ...], witness_frequency: tuple[tuple[int, Fraction], ...]):
+        if len(records) != spec.trials:
             raise ValueError("record count must equal trials")
-        for _, freq in self.witness_frequency:
+        for _, freq in witness_frequency:
             if not 0 <= freq <= 1:
                 raise ValueError("frequencies must lie in [0, 1]")
+        self._set(spec, s_list, max_pieces, delta, records, witness_frequency)
 
 
 def typicality_report(spec: SampleSpec, s_list: list[int], max_pieces: int) -> TypicalityReport:

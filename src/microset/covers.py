@@ -18,15 +18,15 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .geometry import (
     Box,
     DigitalSet,
     Point,
+    Record,
     _box_gap_sq,
     _cell_window,
     _in_window,
@@ -36,8 +36,7 @@ from .geometry import (
 from .rational import DEFAULT_PRECISION, pow_lower, pow_upper, root_lower
 
 
-@dataclass(frozen=True)
-class CoverSeq:
+class CoverSeq(Record):
     """Ordered cover pieces under the budget volume(piece_k) <= eps**k.
 
     The budget is a claim checked by ``first_budget_violation``, not a
@@ -51,20 +50,20 @@ class CoverSeq:
     strong: bool
     pieces: tuple[Box, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "eps", Fraction(self.eps))
-        object.__setattr__(self, "pieces", tuple(self.pieces))
-        if self.n < 1:
+    def __init__(self, n: int, eps: Fraction, strong: bool, pieces: Iterable[Box]):
+        eps, pieces = Fraction(eps), tuple(pieces)
+        if n < 1:
             raise ValueError("dimension must be >= 1")
-        if not (0 < self.eps < 1):
+        if not (0 < eps < 1):
             raise ValueError("eps must lie strictly between 0 and 1")
-        for piece in self.pieces:
-            if piece.n != self.n:
+        for piece in pieces:
+            if piece.n != n:
                 raise ValueError("piece dimension mismatch")
-            if self.strong:
+            if strong:
                 sides = piece.sides()
                 if len(set(sides)) != 1 or sides[0] <= 0:
                     raise ValueError("strong cover pieces must be cubes")
+        self._set(n, eps, strong, pieces)
 
     def first_budget_violation(self, eps: Fraction | None = None) -> int | None:
         """First position k with volume(piece_k) > eps**k, or None.
@@ -79,8 +78,7 @@ class CoverSeq:
         return None
 
 
-@dataclass(frozen=True)
-class CoverReport:
+class CoverReport(Record):
     """Verdicts of ``verify_cover``; each flag is read off its witness."""
 
     first_violation: tuple[int, str] | None
@@ -99,8 +97,7 @@ class CoverReport:
         return self.budget_ok and self.coverage_ok
 
 
-@dataclass(frozen=True)
-class GreedyFailure:
+class GreedyFailure(Record):
     """Search gave up: 'budget-infeasible' is certified, the rest are not."""
 
     reason: str
@@ -108,8 +105,7 @@ class GreedyFailure:
     uncovered: int
 
 
-@dataclass(frozen=True)
-class BallSpec:
+class BallSpec(Record):
     """Finite tuple of boxes open relative to [0,1]^n.
 
     Interval bounds may spill outside the unit cube; membership is always
@@ -120,18 +116,19 @@ class BallSpec:
     n: int
     boxes: tuple[Box, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "boxes", tuple(self.boxes))
-        if self.n < 1:
+    def __init__(self, n: int, boxes: Iterable[Box]):
+        boxes = tuple(boxes)
+        if n < 1:
             raise ValueError("dimension must be >= 1")
-        if not self.boxes:
+        if not boxes:
             raise ValueError("ball spec needs at least one box")
-        for box in self.boxes:
-            if box.n != self.n:
+        for box in boxes:
+            if box.n != n:
                 raise ValueError("box dimension mismatch")
             for lo, hi in box.intervals:
                 if not (max(lo, 0) < min(hi, 1)):
                     raise ValueError("box has empty interior relative to the cube")
+        self._set(n, boxes)
 
 
 def _touching_pieces(e: DigitalSet, pieces: Sequence[Box], slack: int = 1) -> list[list[Box]]:

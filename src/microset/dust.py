@@ -23,21 +23,19 @@ in the stated direction.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, isqrt
 from operator import add
 from typing import TYPE_CHECKING
 
-from .geometry import Box, DigitalSet, _cell_window, _in_window, volume
+from .geometry import Box, DigitalSet, Record, _cell_window, _in_window, volume
 from .rational import DEFAULT_PRECISION, pow_upper, root_lower
 
 if TYPE_CHECKING:
     from .covers import CoverSeq
 
 
-@dataclass(frozen=True)
-class DustSpec:
+class DustSpec(Record):
     """Parameters of the construction: dimension n, base b and depth.
 
     The spec fixes the tree, labelling included: child letter t sits in the
@@ -50,13 +48,14 @@ class DustSpec:
     b: int
     depth: int
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, b: int, depth: int):
+        if n < 1:
             raise ValueError("dimension must be >= 1")
-        if self.b < 2:
+        if b < 2:
             raise ValueError("base must be >= 2")
-        if self.depth < 1:
+        if depth < 1:
             raise ValueError("depth must be >= 1")
+        self._set(n, b, depth)
 
     @property
     def c(self) -> int:
@@ -101,8 +100,7 @@ def _require_admissible(spec: DustSpec) -> None:
         raise ValueError(f"inadmissible dust spec: {problem}")
 
 
-@dataclass(frozen=True)
-class DustTree:
+class DustTree(Record):
     """Per level, (word, cell) pairs in word order; ``level`` is the box view.
 
     A cell is the cube's integer index tuple on its level's b**(k*k) grid.
@@ -208,8 +206,7 @@ def generate(spec: DustSpec) -> DustTree:
     return tree
 
 
-@dataclass(frozen=True)
-class GapTable:
+class GapTable(Record):
     """Per-level measures and gaps, all exact.
 
     volume: cube measure V_k.  leftover: measure of a parent minus its
@@ -287,8 +284,7 @@ def refutation_budget_lower(spec: DustSpec) -> Fraction:
     return t ** (4 * spec.n) / Fraction(spec.c**4)
 
 
-@dataclass(frozen=True)
-class BucketTable:
+class BucketTable(Record):
     """Positions 1, 2, ... bucketed by the level that must absorb them.
 
     Bucket k holds the integers h with k**2 / 4 <= h < (k+1)**2 / 4, that
@@ -338,8 +334,7 @@ def intersect_count(tree: DustTree, k: int, box: Box) -> int:
     return sum(1 for _, cell in tree.level_cells(k) if _in_window(cell, window))
 
 
-@dataclass(frozen=True)
-class HitTable:
+class HitTable(Record):
     """Worst-case counts of cubes touched by budgeted pieces, per level.
 
     Rows are (k, hits, capacity, ok) with capacity the survivor-floor
@@ -391,8 +386,7 @@ def hit_recursion_table(n: int, k_max: int, seed_level: int = 4) -> HitTable:
     )
 
 
-@dataclass(frozen=True)
-class SurvivorCertificate:
+class SurvivorCertificate(Record):
     """Machine-checkable witness that a cover misses part of the dust.
 
     ``checked_prefix`` pieces were examined (those whose position is below
@@ -407,8 +401,7 @@ class SurvivorCertificate:
     level_counts: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class RefuterFailure:
+class RefuterFailure(Record):
     """No survivor at some level: data, never silently swallowed."""
 
     level: int

@@ -9,13 +9,15 @@ nearest cell of a sorted set is found by a pruned scan rather than by
 testing all pairs: ``_nearest_gap_sq`` runs outward from a bisected
 position and stops a run once the first-axis gap alone reaches the best
 distance found, which no later cell of that run can beat.
+
+Every record of the package is a ``Record``: a frozen value class whose
+methods are written once here, not generated for each class at import.
 """
 
 from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, lcm
 from typing import Iterable, Sequence, Union
@@ -29,39 +31,82 @@ def _frac(value) -> Fraction:
     return Fraction(value)
 
 
-@dataclass(frozen=True)
-class Point:
+class Record:
+    """Frozen value record; its fields are its annotated names, in order.
+
+    Records equal only records of their own class with equal fields, hash by
+    their fields, and refuse assignment and deletion with ``AttributeError``.
+    A record that normalises or checks its fields sets each one once in its
+    own ``__init__``; the others take them as positional or keyword arguments.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        cls._fields += tuple(cls.__dict__.get("__annotations__", ()))
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        values = dict(zip(names, args))
+        if len(args) > len(names) or values.keys() & kwargs or {*values, *kwargs} != {*names}:
+            raise TypeError(f"{type(self).__name__} takes exactly the fields {names}")
+        values.update(kwargs)
+        self._set(*(values[name] for name in names))
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign or delete {name!r}: {type(self).__name__} is frozen")
+
+    __delattr__ = __setattr__
+
+
+class Point(Record):
     """A point of the closed unit cube."""
 
     coords: tuple[Fraction, ...]
 
-    def __post_init__(self):
-        coords = tuple(_frac(c) for c in self.coords)
-        object.__setattr__(self, "coords", coords)
+    def __init__(self, coords: Iterable):
+        coords = tuple(_frac(c) for c in coords)
         if not coords:
             raise ValueError("point needs at least one coordinate")
         if any(c < 0 or c > 1 for c in coords):
             raise ValueError("point coordinates must lie in [0, 1]")
+        object.__setattr__(self, "coords", coords)  # not _set: one call less per point
 
     @property
     def n(self) -> int:
         return len(self.coords)
 
 
-@dataclass(frozen=True)
-class Box:
+class Box(Record):
     """Closed axis-aligned box, one (lo, hi) pair per axis, lo <= hi."""
 
     intervals: tuple[tuple[Fraction, Fraction], ...]
 
-    def __post_init__(self):
-        ivs = tuple((_frac(lo), _frac(hi)) for lo, hi in self.intervals)
-        object.__setattr__(self, "intervals", ivs)
+    def __init__(self, intervals: Iterable[tuple]):
+        ivs = tuple((_frac(lo), _frac(hi)) for lo, hi in intervals)
         if not ivs:
             raise ValueError("box needs at least one axis")
         for lo, hi in ivs:
             if lo > hi:
                 raise ValueError(f"inverted interval [{lo}, {hi}]")
+        object.__setattr__(self, "intervals", ivs)  # not _set: one call less per piece
 
     @property
     def n(self) -> int:
@@ -82,8 +127,7 @@ class Box:
         return cls(tuple((_frac(c), _frac(c) + side) for c in corner))
 
 
-@dataclass(frozen=True)
-class DigitalSet:
+class DigitalSet(Record):
     """Nonempty union of closed depth-m grid cells of [0,1]^n in base b.
 
     A cell index tuple (j_1, ..., j_n) names the box
@@ -96,23 +140,23 @@ class DigitalSet:
     m: int
     cells: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, b: int, m: int, cells: Iterable[tuple[int, ...]]):
+        if n < 1:
             raise ValueError("dimension must be >= 1")
-        if self.b < 2:
+        if b < 2:
             raise ValueError("base must be >= 2")
-        if self.m < 0:
+        if m < 0:
             raise ValueError("depth must be >= 0")
-        cells = tuple(sorted({tuple(int(j) for j in cell) for cell in self.cells}))
-        object.__setattr__(self, "cells", cells)
+        cells = tuple(sorted({tuple(int(j) for j in cell) for cell in cells}))
         if not cells:
             raise ValueError("digital set must be nonempty")
-        top = self.b**self.m
+        top = b**m
         for cell in cells:
-            if len(cell) != self.n:
+            if len(cell) != n:
                 raise ValueError("cell arity differs from dimension")
             if any(j < 0 or j >= top for j in cell):
                 raise ValueError(f"cell index out of range: {cell}")
+        self._set(n, b, m, cells)
 
     @property
     def cell_side(self) -> Fraction:
@@ -141,8 +185,7 @@ class DigitalSet:
         return DigitalSet(self.n, self.b, depth, tuple(cells))
 
 
-@dataclass(frozen=True)
-class HBracket:
+class HBracket(Record):
     """Certified rational bracket [lo, hi] around a Hausdorff distance."""
 
     lo: Fraction
@@ -150,13 +193,14 @@ class HBracket:
     sample_depth: int
     width_cap: Fraction
 
-    def __post_init__(self):
-        if self.sample_depth < 0:
+    def __init__(self, lo: Fraction, hi: Fraction, sample_depth: int, width_cap: Fraction):
+        if sample_depth < 0:
             raise ValueError("sample depth must be >= 0")
-        if self.lo < 0 or self.hi < self.lo:
+        if lo < 0 or hi < lo:
             raise ValueError("bracket must satisfy 0 <= lo <= hi")
-        if self.hi - self.lo > self.width_cap:
+        if hi - lo > width_cap:
             raise ValueError("bracket wider than its certified cap")
+        self._set(lo, hi, sample_depth, width_cap)
 
 
 GeometricSet = Union[Point, Box, DigitalSet]

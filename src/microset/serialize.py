@@ -5,8 +5,9 @@ every rational rendered "num/den" with an explicit denominator.  Loading
 then dumping any document reproduces it byte for byte, which is what lets
 certificates be diffed and golden-filed.
 
-Each document carries a versioned ``schema`` field.  Parsers validate
-structure and re-run the type constructors, so a tampered file fails
+Each document carries a versioned ``schema`` field and exactly the fields
+its schema defines.  Parsers validate structure and re-run the type
+constructors, so a tampered file fails
 loudly rather than deserializing into an inconsistent object; every such
 failure is a ``ValueError``.  No JSON type is coerced into another: an
 integer field must hold a JSON integer, a flag a boolean, and a rational
@@ -360,3 +361,6 @@ def _expect(data: dict, schema: str, fields: set[str]) -> None:
     missing = fields - set(data)
     if missing:
         raise ValueError(f"{schema} document missing fields {sorted(missing)}")
+    unknown = set(data) - fields - {"schema"}
+    if unknown:
+        raise ValueError(f"{schema} document has unknown fields {sorted(unknown)}")

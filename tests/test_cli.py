@@ -489,6 +489,31 @@ def test_malformed_fields_load_or_raise_value_error():
                     pass
 
 
+def test_every_loader_refuses_a_field_its_schema_does_not_define(tmp_path, capsys):
+    docs = _valid_documents()
+    for schema, doc in docs.items():
+        reloaded = serialize.to_json(serialize.from_json(doc))
+        assert serialize.canonical_bytes(reloaded) == serialize.canonical_bytes(doc), schema
+        with pytest.raises(ValueError, match=r"unknown fields \['note'\]"):
+            serialize.from_json({**doc, "note": "trust me"})
+    # an annotated certificate or set is malformed input, not a verdict
+    tree = generate(DustSpec(n=1, b=3, depth=2))
+    cover = CoverSeq(n=1, eps=F(1, 81), strong=False, pieces=())
+    e = DigitalSet(1, 3, 1, ((0,),))
+    paths = {name: tmp_path / f"{name}.json" for name in ("tree", "cover", "cert", "set", "full")}
+    serialize.save(tree, paths["tree"])
+    serialize.save(cover, paths["cover"])
+    serialize.save(CoverSeq(n=1, eps=F(1, 2), strong=True, pieces=tuple(e.boxes())), paths["full"])
+    cert = serialize.to_json(survivor_refute(tree.spec, cover))
+    paths["cert"].write_text(serialize.dumps({**cert, "note": "trust me"}))
+    paths["set"].write_text(serialize.dumps({**serialize.to_json(e), "note": 1}))
+    capsys.readouterr()
+    assert run("dust-refute", "--tree", str(paths["tree"]), "--cover", str(paths["cover"]),
+               "--check", str(paths["cert"])) == 2
+    assert run("cover-verify", "--set", str(paths["set"]), "--cover", str(paths["full"])) == 2
+    assert "unknown fields ['note']" in capsys.readouterr().err
+
+
 def test_output_documents_that_contradict_themselves_raise():
     docs = _valid_documents()
     table = docs["gaptable/1"]  # depth 2

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import json
 import time
@@ -14,6 +13,7 @@ from microset.covers import CoverSeq, verify_cover
 from microset.dust import (
     BucketTable,
     DustSpec,
+    DustTree,
     RefuterFailure,
     SurvivorCertificate,
     _check_survivor,
@@ -49,7 +49,7 @@ def test_spec_validation_errors():
     with pytest.raises(ValueError):
         DustSpec(n=1, b=3, depth=0)
     # the spec is n, b and depth alone: the labelling of the corners is fixed
-    assert [f.name for f in dataclasses.fields(DustSpec)] == ["n", "b", "depth"]
+    assert DustSpec._fields == ("n", "b", "depth")
     with pytest.raises(TypeError):
         DustSpec(n=1, b=3, depth=1, corner_order=(1, 0))
 
@@ -476,14 +476,14 @@ def test_revalidate_rejects_tampered_certificates():
     # level counts are recomputed by the survivor walk, not trusted
     last = cert.level_counts[-1]
     for counts in ((99,) * cert.depth, cert.level_counts[:-1] + (last - 1,)):
-        forged = dataclasses.replace(cert, level_counts=counts)
+        forged = SurvivorCertificate(cert.depth, cert.checked_prefix, cert.survivor_word, counts)
         with pytest.raises(ValueError, match="level counts"):
             revalidate_survivor(tree.spec, cover, forged)
     # any surviving word is accepted, not only the least one the refuter emits
     plane_tree, plane_cover = _swallow_instance(2, 3, 6)
     least = survivor_refute(plane_tree.spec, plane_cover)
     assert least.survivor_word == (1, 2, 1)
-    greatest = dataclasses.replace(least, survivor_word=(4, 4, 4))
+    greatest = SurvivorCertificate(least.depth, least.checked_prefix, (4, 4, 4), least.level_counts)
     revalidate_survivor(plane_tree.spec, plane_cover, greatest)
 
 
@@ -567,7 +567,7 @@ def _replace_entry(tree, k, i, word=None, cell=None):
     old_word, old_cell = level[i]
     level[i] = (old_word if word is None else word, old_cell if cell is None else cell)
     levels = tree.levels[: k - 1] + (tuple(level),) + tree.levels[k:]
-    return dataclasses.replace(tree, levels=levels)
+    return DustTree(spec=tree.spec, levels=levels)
 
 
 def test_check_tree_catches_corrupted_trees():
