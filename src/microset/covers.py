@@ -12,6 +12,10 @@ a certified stability radius for the Hausdorff metric.  Both come from one
 arrangement: the box bounds cut a target box into faces, one sample point
 per face decides whether the face lies outside the union, and the radius
 is the least distance from a cell to an outside face near it.
+
+Every one of these decisions runs on one integer frame per call
+(``geometry._frame``): the bounds become ints once, and only what is
+reported, a witness cell or a radius, goes back to a Fraction.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from math import ceil, floor
+from math import ceil, floor, lcm
 from typing import Iterable, Iterator, Sequence
 
 from .geometry import (
@@ -29,9 +33,10 @@ from .geometry import (
     Record,
     _box_gap_sq,
     _cell_window,
+    _covers,
+    _frame,
     _in_window,
-    covers_box,
-    volume,
+    _on_frame,
 )
 from .rational import DEFAULT_PRECISION, pow_lower, pow_upper, root_lower
 
@@ -69,11 +74,21 @@ class CoverSeq(Record):
         """First position k with volume(piece_k) > eps**k, or None.
 
         ``eps`` defaults to the cover's own; ``merge_covers`` passes the
-        strengthened budget its inputs must meet.
+        strengthened budget its inputs must meet.  With eps = p/q and the
+        pieces on their integer frame D, the test is
+        prod(hi - lo) * q**k > p**k * D**n, with running powers.
         """
         eps = self.eps if eps is None else eps
+        frame = _frame(self.pieces)
+        room = frame**self.n
+        p_k = q_k = 1
         for k, piece in enumerate(self.pieces, start=1):
-            if volume(piece) > eps**k:
+            p_k *= eps.numerator
+            q_k *= eps.denominator
+            vol = 1
+            for lo, hi in _on_frame(piece, frame):
+                vol *= hi - lo
+            if vol * q_k > p_k * room:
                 return k
         return None
 
@@ -131,40 +146,67 @@ class BallSpec(Record):
         self._set(n, boxes)
 
 
-def _touching_pieces(e: DigitalSet, pieces: Sequence[Box], slack: int = 1) -> list[list[Box]]:
-    """For each cell of e, in order, the pieces touching it, in cover order.
+def _touching_pieces(
+    cells: Sequence[tuple[int, ...]], pieces: Sequence[tuple], f: int, slack: int = 1
+) -> list[list[tuple]]:
+    """For each cell, in order, the pieces touching it, in cover order.
 
-    A ``slack`` of ``1 + g`` widens each piece's window by g cells each way.
-    The cells are sorted, so a piece's first-axis window is one bisected
-    run of them; only the cells of that run test the remaining axes.
+    Cells are sorted and cell j spans j*f..(j+1)*f on the pieces' integer
+    frame, so a piece touches the cells ``ceil(lo/f) - 1 <= j <= floor(hi/f)``
+    on each axis; a ``slack`` of ``1 + g`` widens that window by g cells
+    each way.  Only the first-axis columns that hold cells are visited, by
+    bisection, so a piece reaching far outside the cube costs no more than
+    one that does not.  In each such column the cells of the second-axis
+    range are one bisected run, and only they test the remaining axes.
     """
-    scale = e.b**e.m
-    firsts = [cell[0] for cell in e.cells]
-    touching: list[list[Box]] = [[] for _ in e.cells]
+    columns, starts = [], []
+    for i, cell in enumerate(cells):
+        if not columns or columns[-1] != cell[0]:
+            columns.append(cell[0])
+            starts.append(i)
+    starts.append(len(cells))
+    touching: list[list[tuple]] = [[] for _ in cells]
     for piece in pieces:
-        (a, z), *rest = _cell_window(piece, scale, slack)
-        for i in range(bisect_left(firsts, a), bisect_right(firsts, z)):
-            if _in_window(e.cells[i][1:], rest):
-                touching[i].append(piece)
+        (a, z), *rest = ((-(-lo // f) - slack, hi // f - 1 + slack) for lo, hi in piece)
+        more = rest[1:]
+        for c in range(bisect_left(columns, a), bisect_right(columns, z)):
+            i, end = starts[c], starts[c + 1]
+            if rest:
+                a1, z1 = rest[0]
+                i = bisect_left(cells, (columns[c], a1), i, end)
+                end = bisect_left(cells, (columns[c], z1 + 1), i, end)
+            for j in range(i, end):
+                if not more or _in_window(cells[j][2:], more):
+                    touching[j].append(piece)
     return touching
+
+
+def _cell_bounds(cell: tuple[int, ...], f: int) -> tuple[tuple[int, int], ...]:
+    return tuple((j * f, (j + 1) * f) for j in cell)
 
 
 def verify_cover(e: DigitalSet, cover: CoverSeq) -> CoverReport:
     """Exact budget and coverage verdicts for a claimed cover of e.
 
-    Each cell goes to ``covers_box`` with only the pieces whose integer
-    touching window holds it.  ``covers_box`` drops non-touching pieces
+    The pieces and the cells go onto one integer frame, the lcm of ``b**m``
+    and the pieces' bound denominators, where cell j spans j*f..(j+1)*f.
+    Each cell goes to the integer ``covers_box`` core with only the pieces
+    whose touching window holds it.  The core drops non-touching pieces
     first anyway, so the verdict and the first uncovered cell are those of
     testing every cell against the whole cover.
     """
     if e.n != cover.n:
         raise ValueError("dimension mismatch")
     k = cover.first_budget_violation()
+    scale = e.b**e.m
+    frame = _frame(cover.pieces, scale)
+    f = frame // scale
+    pieces = [_on_frame(piece, frame) for piece in cover.pieces]
     witness = next(
         (
             cell
-            for cell, live in zip(e.cells, _touching_pieces(e, cover.pieces))
-            if not covers_box(e.cell_box(cell), live)
+            for cell, live in zip(e.cells, _touching_pieces(e.cells, pieces, f))
+            if not _covers(_cell_bounds(cell, f), live)
         ),
         None,
     )
@@ -337,54 +379,61 @@ def _strictly_inside(point: Point, box: Box) -> bool:
     return all(lo < c < hi for c, (lo, hi) in zip(point.coords, box.intervals))
 
 
-def _meets(box: Box, target: Box) -> bool:
-    """Whether the relative-open box meets the closed target."""
-    return all(
-        blo < thi and tlo < bhi
-        for (blo, bhi), (tlo, thi) in zip(box.intervals, target.intervals)
-    )
+def _meets(box: tuple, target: tuple) -> bool:
+    """Whether the relative-open box meets the closed target, both as (lo, hi) pairs."""
+    return all(blo < thi and tlo < bhi for (blo, bhi), (tlo, thi) in zip(box, target))
 
 
-def _outside_faces(target: Box, boxes: Sequence[Box]) -> Iterator[tuple]:
+def _outside_faces(target: tuple, boxes: Sequence[tuple]) -> Iterator[tuple]:
     """Closed faces of target's box-bound arrangement that no box strictly holds.
 
-    Per axis, the pieces are the target's bounds, the bounds of the boxes
-    meeting it that fall strictly inside, and the open gaps between them.
-    A face takes one piece per axis; strict membership in each box is
-    constant on it, so one sample point (a bound or a gap midpoint) decides
-    it.  The closures of the yielded faces make up target minus the union.
-    Each face comes as its per-axis (lo, hi) pairs, unvalidated.
+    Target and boxes are per-axis (lo, hi) pairs of even ints on one
+    doubled frame, so that every gap midpoint is an int.  Per axis, the
+    pieces are the target's bounds, the bounds of the boxes meeting it that
+    fall strictly inside, and the open gaps between them.  A face takes one
+    piece per axis; strict membership in each box is constant on it, so one
+    sample point (a bound or a gap midpoint) decides it.  The closures of
+    the yielded faces make up target minus the union.  Each face comes as
+    its per-axis (lo, hi) pairs.
     """
     live = [box for box in boxes if _meets(box, target)]
     axes = []
-    for axis, (tlo, thi) in enumerate(target.intervals):
-        inner = {v for box in live for v in box.intervals[axis] if tlo < v < thi}
+    for axis, (tlo, thi) in enumerate(target):
+        inner = {v for box in live for v in box[axis] if tlo < v < thi}
         cuts = sorted(inner | {tlo, thi})
-        gaps = [(x, (x + y) / 2, y) for x, y in zip(cuts, cuts[1:])]
+        gaps = [(x, (x + y) // 2, y) for x, y in zip(cuts, cuts[1:])]
         axes.append([(v, v, v) for v in cuts] + gaps)
     for face in itertools.product(*axes):
         if not any(
-            all(blo < c < bhi for (_, c, _), (blo, bhi) in zip(face, box.intervals))
+            all(blo < c < bhi for (_, c, _), (blo, bhi) in zip(face, box))
             for box in live
         ):
             yield tuple((lo, hi) for lo, _, hi in face)
 
 
+def _ball_frame(k_set: DigitalSet, ball: BallSpec, base: int) -> tuple[int, int, list[tuple]]:
+    """The doubled frame 2D of the set and the ball, with D a multiple of
+    ``base``; its cell width f, and the boxes on it."""
+    frame = 2 * _frame(ball.boxes, lcm(base, k_set.b**k_set.m))
+    return frame, frame // k_set.b**k_set.m, [_on_frame(box, frame) for box in ball.boxes]
+
+
 def ball_membership(k_set: DigitalSet, ball: BallSpec) -> bool:
     """Exact decision: k_set inside the union, and every box meets k_set.
 
-    Each cell is tested against the boxes in its integer touching window
-    only; no cell may have an outside face.
+    On the doubled frame, each cell is tested against the boxes in its
+    integer touching window only; no cell may have an outside face.
     """
     if k_set.n != ball.n:
         raise ValueError("dimension mismatch")
-    met: set[Box] = set()
-    for cell, near in zip(k_set.cells, _touching_pieces(k_set, ball.boxes)):
-        target = k_set.cell_box(cell)
+    _, f, boxes = _ball_frame(k_set, ball, 1)
+    met: set[tuple] = set()
+    for cell, near in zip(k_set.cells, _touching_pieces(k_set.cells, boxes, f)):
+        target = _cell_bounds(cell, f)
         if next(_outside_faces(target, near), None) is not None:
             return False
         met.update(box for box in near if _meets(box, target))
-    return met.issuperset(ball.boxes)
+    return met.issuperset(boxes)
 
 
 def ball_stability_radius(
@@ -426,19 +475,21 @@ def ball_stability_radius(
             if hi <= 1:
                 radii.append(hi - c)
     bound = min(radii, default=Fraction(1))
-    near_sq = bound * bound
+    # the frame holds the bound too, so that the grown cells stay on it
+    frame, f, boxes = _ball_frame(k_set, ball, bound.denominator)
+    reach = bound.numerator * (frame // bound.denominator)
+    near_sq = reach * reach
     # a box that meets the cell grown by the bound holds the cell in its
     # touching window widened by ceil(bound * scale) cells each way
-    widened = _touching_pieces(k_set, ball.boxes, 1 + ceil(bound * scale))
+    widened = _touching_pieces(k_set.cells, boxes, f, 1 + -(-reach // f))
     for cell, near in zip(k_set.cells, widened):
-        target = k_set.cell_box(cell)
-        grown = Box(
-            tuple((max(lo - bound, 0), min(hi + bound, 1)) for lo, hi in target.intervals)
-        )
+        target = _cell_bounds(cell, f)
+        grown = tuple((max(lo - reach, 0), min(hi + reach, frame)) for lo, hi in target)
         for face in _outside_faces(grown, near):
-            near_sq = min(near_sq, _box_gap_sq(target.intervals, face))
+            near_sq = min(near_sq, _box_gap_sq(target, face))
     if near_sq == 0:
         raise AssertionError("membership held but the complement touches the set")
-    if near_sq == bound * bound:
+    if near_sq == reach * reach:
         return bound
+    near_sq = Fraction(near_sq, frame * frame)
     return root_lower(near_sq, 2, max(DEFAULT_PRECISION, near_sq.denominator))

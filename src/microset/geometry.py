@@ -1,8 +1,13 @@
 """Exact geometry over the unit cube: points, boxes, digital sets, brackets.
 
-Coordinates are Fractions.  Distances are handled as squared values so that
-every comparison stays rational; Euclidean roots appear only inside
-``hausdorff_bracket``, which returns a certified rational enclosure.
+Points and boxes store their coordinates as Fractions.  A box query maps
+every bound in play onto one integer frame: with ``D`` the lcm of the
+bounds' denominators (and of a set's ``b**m``), ``_frame`` gives ``D`` and
+``_on_frame`` each bound times ``D``, once per call, so the decision itself
+compares and subtracts ints; ``covers_box`` runs its median split there.
+Distances are handled as squared values so that every comparison stays
+exact; Euclidean roots appear only inside ``hausdorff_bracket``, which
+returns a certified rational enclosure.
 
 Between digital sets, distances are integers on a common grid, and the
 nearest cell of a sorted set is found by a pruned scan rather than by
@@ -26,6 +31,8 @@ from .rational import DEFAULT_PRECISION, root_lower, root_upper
 
 
 def _frac(value) -> Fraction:
+    if isinstance(value, Fraction):
+        return value
     if isinstance(value, float):
         raise TypeError("floats are not accepted; use Fraction")
     return Fraction(value)
@@ -221,9 +228,12 @@ def diam_sq(box: Box) -> Fraction:
     return sum(((hi - lo) ** 2 for lo, hi in box.intervals), Fraction(0))
 
 
-def _box_gap_sq(a: Sequence[tuple], b: Sequence[tuple]) -> Fraction:
-    """Squared gap between two boxes given as per-axis (lo, hi) pairs."""
-    total = Fraction(0)
+def _box_gap_sq(a: Sequence[tuple], b: Sequence[tuple]):
+    """Squared gap between two boxes given as per-axis (lo, hi) pairs.
+
+    Exact in the bounds' own type: Fractions give a Fraction, frame integers an int.
+    """
+    total = 0
     for (alo, ahi), (blo, bhi) in zip(a, b):
         gap = max(blo - ahi, alo - bhi)
         if gap > 0:
@@ -241,6 +251,19 @@ def _cell_window(piece: Box, scale: int, slack: int) -> tuple[tuple[int, int], .
     return tuple(
         (ceil(lo * scale) - slack, floor(hi * scale) - 1 + slack)
         for lo, hi in piece.intervals
+    )
+
+
+def _frame(boxes: Iterable[Box], base: int = 1) -> int:
+    """The lcm of ``base`` and every bound denominator of the boxes."""
+    return lcm(base, *{v.denominator for box in boxes for iv in box.intervals for v in iv})
+
+
+def _on_frame(box: Box, frame: int) -> tuple[tuple[int, int], ...]:
+    """The box's bounds times ``frame``, a multiple of their denominators, as ints."""
+    return tuple(
+        (lo.numerator * (frame // lo.denominator), hi.numerator * (frame // hi.denominator))
+        for lo, hi in box.intervals
     )
 
 
@@ -294,22 +317,31 @@ def dist_sq(a: GeometricSet, b: GeometricSet) -> Fraction:
     return best
 
 
-def _contains(piece: Box, lo: tuple, hi: tuple) -> bool:
-    return all(
-        plo <= tlo and thi <= phi
-        for (plo, phi), tlo, thi in zip(piece.intervals, lo, hi)
-    )
+def _contains(piece: tuple, lo: tuple, hi: tuple) -> bool:
+    return all(plo <= tlo and thi <= phi for (plo, phi), tlo, thi in zip(piece, lo, hi))
 
 
-def _touches(piece: Box, lo: tuple, hi: tuple) -> bool:
-    return all(
-        plo <= thi and tlo <= phi
-        for (plo, phi), tlo, thi in zip(piece.intervals, lo, hi)
-    )
+def _touches(piece: tuple, lo: tuple, hi: tuple) -> bool:
+    return all(plo <= thi and tlo <= phi for (plo, phi), tlo, thi in zip(piece, lo, hi))
 
 
 def covers_box(target: Box, pieces: Sequence[Box]) -> bool:
     """Exact decision of target ⊆ union(pieces), all boxes closed.
+
+    Maps the target and the pieces onto their integer frame and decides
+    there with ``_covers``.
+    """
+    n = target.n
+    for p in pieces:
+        if p.n != n:
+            raise ValueError("dimension mismatch")
+    frame = _frame([target, *pieces])
+    return _covers(_on_frame(target, frame), [_on_frame(p, frame) for p in pieces])
+
+
+def _covers(target: tuple, pieces: Sequence[tuple]) -> bool:
+    """Whether target lies in the union of pieces, closed boxes given as
+    per-axis (lo, hi) int pairs on one frame.
 
     Splits the target at the median piece boundary crossing its interior on
     the first crossed axis, left half first, on an explicit stack.  Each
@@ -318,14 +350,8 @@ def covers_box(target: Box, pieces: Sequence[Box]) -> bool:
     crosses a sub-box, the sub-box is covered iff a single piece contains
     it, which makes the verdict exact whichever crossing is split at.
     """
-    n = target.n
-    for p in pieces:
-        if p.n != n:
-            raise ValueError("dimension mismatch")
-
-    lo = tuple(iv[0] for iv in target.intervals)
-    hi = tuple(iv[1] for iv in target.intervals)
-    stack = [(lo, hi, list(pieces))]
+    lo, hi = zip(*target)
+    stack = [(lo, hi, pieces)]
     while stack:
         lo, hi, live = stack.pop()
         live = [p for p in live if _touches(p, lo, hi)]
@@ -340,10 +366,10 @@ def covers_box(target: Box, pieces: Sequence[Box]) -> bool:
     return True
 
 
-def _crossing(pieces: list[Box], lo: tuple, hi: tuple) -> tuple[int, Fraction] | None:
+def _crossing(pieces: list[tuple], lo: tuple, hi: tuple) -> tuple[int, int] | None:
     """Median piece boundary strictly inside lo..hi on the first axis that has one."""
     for axis, (tlo, thi) in enumerate(zip(lo, hi)):
-        inside = sorted({v for p in pieces for v in p.intervals[axis] if tlo < v < thi})
+        inside = sorted({v for p in pieces for v in p[axis] if tlo < v < thi})
         if inside:
             return axis, inside[len(inside) // 2]
     return None

@@ -1,0 +1,133 @@
+"""The box queries in ``Fraction`` arithmetic, kept as test oracles.
+
+These are the decisions the library makes on one integer frame per call,
+written as they stood before the frame: every bound stays a ``Fraction``,
+no touching window prefilters anything, and each cell meets every piece or
+box.  ``covers_box`` splits at the median crossing boundary,
+``outside_faces`` samples one point per face of the box-bound arrangement,
+and ``membership`` and ``stability_radius`` run that arrangement on every
+cell.  A box is passed as its per-axis (lo, hi) pairs.
+"""
+
+import itertools
+from fractions import Fraction
+
+from microset.geometry import volume
+from microset.rational import DEFAULT_PRECISION, root_lower
+
+
+def budget_violation(cover, eps=None):
+    """First position k with volume(piece_k) > eps**k, or None."""
+    eps = cover.eps if eps is None else eps
+    for k, piece in enumerate(cover.pieces, start=1):
+        if volume(piece) > eps**k:
+            return k
+    return None
+
+
+def _contains(piece, lo, hi):
+    return all(plo <= tlo and thi <= phi for (plo, phi), tlo, thi in zip(piece, lo, hi))
+
+
+def _touches(piece, lo, hi):
+    return all(plo <= thi and tlo <= phi for (plo, phi), tlo, thi in zip(piece, lo, hi))
+
+
+def _crossing(pieces, lo, hi):
+    for axis, (tlo, thi) in enumerate(zip(lo, hi)):
+        inside = sorted({v for p in pieces for v in p[axis] if tlo < v < thi})
+        if inside:
+            return axis, inside[len(inside) // 2]
+    return None
+
+
+def covers_box(target, pieces):
+    """Whether the closed target lies in the union of the closed pieces."""
+    lo = tuple(iv[0] for iv in target)
+    hi = tuple(iv[1] for iv in target)
+    stack = [(lo, hi, list(pieces))]
+    while stack:
+        lo, hi, live = stack.pop()
+        live = [p for p in live if _touches(p, lo, hi)]
+        if any(_contains(p, lo, hi) for p in live):
+            continue
+        split = _crossing(live, lo, hi)
+        if split is None:
+            return False
+        axis, v = split
+        stack.append((lo[:axis] + (v,) + lo[axis + 1 :], hi, live))
+        stack.append((lo, hi[:axis] + (v,) + hi[axis + 1 :], live))
+    return True
+
+
+def verify(e, cover):
+    """(first budget violation, first uncovered cell) against the whole cover."""
+    pieces = [piece.intervals for piece in cover.pieces]
+    witness = next((c for c in e.cells if not covers_box(e.cell_box(c).intervals, pieces)), None)
+    return budget_violation(cover), witness
+
+
+def meets(box, target):
+    """Whether the relative-open box meets the closed target."""
+    return all(blo < thi and tlo < bhi for (blo, bhi), (tlo, thi) in zip(box, target))
+
+
+def outside_faces(target, boxes):
+    """Closed faces of target's box-bound arrangement that no box strictly holds."""
+    live = [box for box in boxes if meets(box, target)]
+    axes = []
+    for axis, (tlo, thi) in enumerate(target):
+        inner = {v for box in live for v in box[axis] if tlo < v < thi}
+        cuts = sorted(inner | {tlo, thi})
+        gaps = [(x, (x + y) / 2, y) for x, y in zip(cuts, cuts[1:])]
+        axes.append([(v, v, v) for v in cuts] + gaps)
+    for face in itertools.product(*axes):
+        if not any(
+            all(blo < c < bhi for (_, c, _), (blo, bhi) in zip(face, box)) for box in live
+        ):
+            yield tuple((lo, hi) for lo, _, hi in face)
+
+
+def gap_sq(a, b):
+    total = Fraction(0)
+    for (alo, ahi), (blo, bhi) in zip(a, b):
+        gap = max(blo - ahi, alo - bhi)
+        if gap > 0:
+            total += gap * gap
+    return total
+
+
+def membership(k_set, ball):
+    """Every cell inside the union of the open boxes, and every box meets a cell."""
+    boxes = [box.intervals for box in ball.boxes]
+    met = set()
+    for cell in k_set.cells:
+        target = k_set.cell_box(cell).intervals
+        if next(outside_faces(target, boxes), None) is not None:
+            return False
+        met.update(box for box in boxes if meets(box, target))
+    return met.issuperset(boxes)
+
+
+def stability_radius(k_set, ball, witnesses):
+    """The certified radius of a member with valid witnesses, every cell
+    grown by the witness bound against every box."""
+    radii = []
+    for point, box in zip(witnesses, ball.boxes):
+        for c, (lo, hi) in zip(point.coords, box.intervals):
+            if lo >= 0:
+                radii.append(c - lo)
+            if hi <= 1:
+                radii.append(hi - c)
+    bound = min(radii, default=Fraction(1))
+    near_sq = bound * bound
+    boxes = [box.intervals for box in ball.boxes]
+    for cell in k_set.cells:
+        target = k_set.cell_box(cell).intervals
+        grown = tuple((max(lo - bound, 0), min(hi + bound, 1)) for lo, hi in target)
+        for face in outside_faces(grown, boxes):
+            near_sq = min(near_sq, gap_sq(target, face))
+    assert near_sq > 0
+    if near_sq == bound * bound:
+        return bound
+    return root_lower(near_sq, 2, max(DEFAULT_PRECISION, near_sq.denominator))

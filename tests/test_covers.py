@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from microset import covers, serialize
+import fraction_oracles
+from microset import covers, geometry, serialize
 from microset.covers import (
     BallSpec,
     CoverReport,
@@ -20,7 +21,7 @@ from microset.covers import (
     side_budget_sum,
     verify_cover,
 )
-from microset.geometry import Box, DigitalSet, Point, _cell_window, covers_box, dist_sq, volume
+from microset.geometry import Box, DigitalSet, Point, _cell_window, dist_sq, volume
 from microset.rational import root_lower
 
 F = Fraction
@@ -105,10 +106,8 @@ def test_verify_dimension_mismatch():
 
 
 def _verify_cover_oracle(e: DigitalSet, cover: CoverSeq) -> CoverReport:
-    """Brute force: every cell against covers_box with the whole cover."""
-    k = cover.first_budget_violation()
-    pieces = list(cover.pieces)
-    witness = next((c for c in e.cells if not covers_box(e.cell_box(c), pieces)), None)
+    """Brute force in Fractions: every cell against the whole cover."""
+    k, witness = fraction_oracles.verify(e, cover)
     return CoverReport(
         first_violation=None if k is None else (k, "budget"),
         uncovered_witness=witness,
@@ -479,18 +478,9 @@ def test_stability_radius_guarantees_membership_margin():
 
 
 def _oracle_open_union_contains(target, boxes):
-    # one sample per atom of the box-bound arrangement inside the target
-    axis_candidates = []
-    for axis, (tlo, thi) in enumerate(target.intervals):
-        breaks = {tlo, thi}
-        for box in boxes:
-            breaks.update(v for v in box.intervals[axis] if tlo < v < thi)
-        ordered = sorted(breaks)
-        axis_candidates.append(ordered + [(x + y) / 2 for x, y in zip(ordered, ordered[1:])])
-    return all(
-        any(all(lo < c < hi for c, (lo, hi) in zip(coords, box.intervals)) for box in boxes)
-        for coords in itertools.product(*axis_candidates)
-    )
+    # one sample per face of the box-bound arrangement inside the target
+    faces = fraction_oracles.outside_faces(target.intervals, [box.intervals for box in boxes])
+    return next(faces, None) is None
 
 
 def _oracle_membership(k_set, ball):
@@ -643,6 +633,30 @@ def test_stability_radius_scales_to_200_diagonal_boxes(monkeypatch):
     monkeypatch.setattr(covers, "_meets", counting_meets)
     start = time.perf_counter()
     assert ball_stability_radius(k_set, ball, witnesses) == F(1, 2916)
-    assert time.perf_counter() - start < 2
+    assert time.perf_counter() - start < 0.5
     assert 0 < calls < 20_000
     assert meets < 2_000
+
+
+def test_thin_cover_of_1200_intervals_splits_once_per_inner_bound(monkeypatch):
+    # the shape of the benchmark's thin cover: one n=1 cell cut left to right
+    # into 1,200 intervals of widths 4 +- 2 on the 1/43200 grid; the median
+    # split cuts at each of the 1,199 inner bounds exactly once
+    bounds = [4 * 4800] + [4 * 4800 + 4 * i + i * i % 3 for i in range(1, 1200)] + [5 * 4800]
+    pieces = [box1(F(lo, 43200), F(hi, 43200)) for lo, hi in zip(bounds, bounds[1:])]
+    e = DigitalSet(1, 3, 2, ((4,),))
+    cover = CoverSeq(n=1, eps=F(999, 1000), strong=True, pieces=tuple(pieces))
+    splits = 0
+    crossing = geometry._crossing
+
+    def counting(*args):
+        nonlocal splits
+        split = crossing(*args)
+        splits += split is not None
+        return split
+
+    monkeypatch.setattr(geometry, "_crossing", counting)
+    start = time.perf_counter()
+    assert verify_cover(e, cover).ok
+    assert time.perf_counter() - start < 1
+    assert splits == 1199

@@ -5,16 +5,25 @@ would produce it; any change to a canonical byte changes its digest.  The
 digests were recorded before the budget predicate and the rebuilding tree
 loader were introduced, so they also pin that those changes kept every
 output byte.  ``hbracket_n2_d3.json`` was recorded with the all-pairs
-Hausdorff scan, before the sorted scan replaced it.
+Hausdorff scan, before the sorted scan replaced it.  ``report_over_budget``,
+``report_thin_900`` and ``ballcheck_stdout.txt`` were recorded with the
+``Fraction`` box queries, before they moved onto one integer frame.
 """
 
+import contextlib
 import hashlib
+import io
+from fractions import Fraction
 
 import pytest
 
 from microset import serialize
 from microset.cli import main
+from microset.covers import BallSpec, CoverSeq
 from microset.dust import DustSpec, adversary_swallow, refutation_budget_lower
+from microset.geometry import Box, DigitalSet
+
+F = Fraction
 
 GOLDEN = {
     "tree_n2_d2.json": "7a97a0211661f5d2fea979b7f91b004f8bc768be152a1161cf9848448303b333",
@@ -30,6 +39,9 @@ GOLDEN = {
     "report_uncovered.json": "37962bc23ea95fda67a1fb0296a49a4780388e5830fbb9e5ebe6415e8acf427b",
     "hbracket.json": "1b16039913c5148d256c72cedf85249a98e530f700db07575722f83cf086805a",
     "hbracket_n2_d3.json": "780402f9b37f01020cf5760c81c94e517018fd967ad170da93863921b7bc8558",
+    "report_over_budget.json": "ad19894ef2305c9ebfc9b0e18a5f835e2ba8877f09d530b88ac9d5eb3c5974cf",
+    "report_thin_900.json": "191b78edc16916986439c09295caa8f76ce6956dc2a73b736a0f41e9435a4b87",
+    "ballcheck_stdout.txt": "afe2654e90ccaf76c8fc57616230b9fa000a21828f7a9bfc159636c18b7ca6c3",
 }
 
 
@@ -85,6 +97,37 @@ def docs(tmp_path_factory):
         "hausdorff", "--a", d / "dense_6.json", "--b", d / "dense_7.json", "--depth", 3,
         "-o", d / "hbracket_n2_d3.json",
     ) == 0
+    # cover_a with its second piece swapped for the unit square
+    cover = serialize.load(d / "cover_a.json", "coverseq/1")
+    square = Box(((F(0), F(1)), (F(0), F(1))))
+    pieces = cover.pieces[:1] + (square,) + cover.pieces[2:]
+    serialize.save(CoverSeq(n=2, eps=cover.eps, strong=True, pieces=pieces), d / "over_budget.json")
+    assert _run(
+        "cover-verify", "--set", d / "set_a.json", "--cover", d / "over_budget.json",
+        "-o", d / "report_over_budget.json",
+    ) == 1
+    # cell 4 of the 1/9 grid cut into 900 intervals of widths 4 +- 2 on the 1/32400 grid
+    bounds = [4 * 3600] + [4 * 3600 + 4 * i + i * i % 3 for i in range(1, 900)] + [5 * 3600]
+    thin = tuple(Box(((F(lo, 32400), F(hi, 32400)),)) for lo, hi in zip(bounds, bounds[1:]))
+    serialize.save(DigitalSet(1, 3, 2, ((4,),)), d / "thin_cell.json")
+    serialize.save(CoverSeq(n=1, eps=F(999, 1000), strong=True, pieces=thin), d / "thin_900.json")
+    assert _run(
+        "cover-verify", "--set", d / "thin_cell.json", "--cover", d / "thin_900.json",
+        "-o", d / "report_thin_900.json",
+    ) == 0
+    # the six diagonal cells of the 1/27 grid of test_cli, each box padded by a quarter cell
+    cells = tuple((2 * i + 1, 2 * i + 1) for i in range(6))
+    pad = F(1, 108)
+    ball = BallSpec(
+        n=2, boxes=tuple(Box(tuple((F(j, 27) - pad, F(j + 1, 27) + pad) for j in c)) for c in cells)
+    )
+    serialize.save(DigitalSet(2, 3, 3, cells), d / "diagonal.json")
+    serialize.save(ball, d / "diagonal_ball.json")
+    centres = [arg for i in range(6) for arg in ("--witness", f"{4 * i + 3}/54,{4 * i + 3}/54")]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert _run("ball-check", "--set", d / "diagonal.json", "--ball", d / "diagonal_ball.json", *centres) == 0
+    (d / "ballcheck_stdout.txt").write_text(out.getvalue())
     return d
 
 

@@ -1,0 +1,187 @@
+"""The integer-frame box queries against their Fraction oracles.
+
+Bounds are drawn with coprime denominators (sevenths, elevenths,
+thirteenths and the set's own grid), reach outside [0, 1], and may be
+zero-width in non-strong covers, so the lcm frame of each call mixes
+several denominators.  Budget verdicts, coverage witnesses, ball
+membership and stability radii must equal those of ``fraction_oracles``.
+"""
+
+import itertools
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import fraction_oracles
+from microset.covers import (
+    BallSpec,
+    CoverSeq,
+    _strictly_inside,
+    ball_membership,
+    ball_stability_radius,
+    verify_cover,
+)
+from microset.geometry import Box, DigitalSet, Point, _frame, covers_box
+
+F = Fraction
+COPRIME = (7, 11, 13)
+
+
+@st.composite
+def small_sets(draw):
+    n = draw(st.integers(min_value=1, max_value=3))
+    b = draw(st.sampled_from([2, 3]))
+    m = draw(st.integers(min_value=0, max_value=2 if n < 3 else 1))
+    cell = st.tuples(*[st.integers(0, b**m - 1)] * n)
+    return DigitalSet(n, b, m, tuple(draw(st.lists(cell, min_size=1, max_size=5))))
+
+
+def coords(e):
+    """Rationals of mixed denominators, up to half a unit outside [0, 1]."""
+    return st.sampled_from(COPRIME + (e.b**e.m, 4 * e.b**e.m)).flatmap(
+        lambda den: st.integers(-den // 2, den + den // 2).map(lambda i: F(i, den))
+    )
+
+
+@st.composite
+def coprime_covers(draw):
+    """Claimed covers of a small set: random pieces, and for every cell but
+    at most one a piece of its own, grown or split off the grid."""
+    e = draw(small_sets())
+    n, side = e.n, e.cell_side
+    strong = draw(st.booleans())
+    coord = coords(e)
+    pieces = []
+    for _ in range(draw(st.integers(0, 5))):
+        lo = [draw(coord) for _ in range(n)]
+        if strong:
+            pieces.append(Box.cube(lo, draw(coord.filter(lambda v: v > 0))))
+        elif draw(st.booleans()):
+            pieces.append(Box(tuple(sorted((a, draw(coord))) for a in lo)))
+        else:
+            # zero-width on one axis
+            axis = draw(st.integers(0, n - 1))
+            ivs = [tuple(sorted((a, draw(coord)))) for a in lo]
+            ivs[axis] = (lo[axis], lo[axis])
+            pieces.append(Box(tuple(ivs)))
+    bare = draw(st.one_of(st.none(), st.sampled_from(e.cells)))
+    for cell in e.cells:
+        if cell == bare:
+            continue
+        lo = [a for a, _ in e.cell_box(cell).intervals]
+        grow = [F(draw(st.integers(0, 1)), draw(st.sampled_from(COPRIME))) for _ in range(2)]
+        if strong or draw(st.booleans()):
+            pieces.append(Box.cube([a - grow[0] for a in lo], side + grow[0] + grow[1]))
+        else:
+            axis = draw(st.integers(0, n - 1))
+            a, z = e.cell_box(cell).intervals[axis]
+            mid = a + side * F(draw(st.integers(0, 13)), 13)
+            for part in ((a, mid), (mid, z)):
+                ivs = list(e.cell_box(cell).intervals)
+                ivs[axis] = part
+                pieces.append(Box(tuple(ivs)))
+    order = draw(st.permutations(pieces))
+    den = draw(st.sampled_from((13, 10)))
+    eps = F(draw(st.integers(1, den - 1)), den)
+    return e, CoverSeq(n=n, eps=eps, strong=strong, pieces=tuple(order))
+
+
+@settings(max_examples=150)
+@given(coprime_covers(), st.sampled_from(COPRIME))
+def test_cover_verdicts_match_the_fraction_oracle(case, den):
+    e, cover = case
+    report = verify_cover(e, cover)
+    k, witness = fraction_oracles.verify(e, cover)
+    assert report.first_violation == (None if k is None else (k, "budget"))
+    assert report.uncovered_witness == witness
+    strengthened = F(den - 1, den) ** 2
+    assert cover.first_budget_violation(strengthened) == fraction_oracles.budget_violation(
+        cover, strengthened
+    )
+    for cell in e.cells[:2]:
+        target = e.cell_box(cell)
+        assert covers_box(target, cover.pieces) == fraction_oracles.covers_box(
+            target.intervals, [p.intervals for p in cover.pieces]
+        )
+
+
+@st.composite
+def coprime_balls(draw):
+    """Up to 4 boxes around cells of a small set, bounds off the grid or
+    spilling past the cube, each with a witness strictly inside it on a
+    grid of thirds and sevenths of the set's cells, when one is."""
+    k_set = draw(small_sets())
+    scale = k_set.b**k_set.m
+    boxes = []
+    for _ in range(draw(st.integers(1, 4))):
+        anchor = draw(st.sampled_from(k_set.cells))
+        ivs = []
+        for j in anchor:
+            den = draw(st.sampled_from(COPRIME))
+            pad = st.integers(-2, 9).map(lambda i: F(i, den * scale))
+            lo = F(-1, 3) if draw(st.integers(0, 5)) == 0 else F(j, scale) - draw(pad)
+            hi = F(4, 3) if draw(st.integers(0, 5)) == 0 else F(j + 1, scale) + draw(pad)
+            ivs.append((lo, max(hi, lo + F(1, 7 * scale))))
+        if all(max(lo, 0) < min(hi, 1) for lo, hi in ivs):
+            boxes.append(Box(tuple(ivs)))
+    if not boxes:
+        boxes.append(Box(((F(-1, 2), F(3, 2)),) * k_set.n))
+    offsets = (F(0), F(1, 3), F(1, 2), F(4, 7), F(1))
+    grid = sorted(
+        {
+            tuple((j + t) / scale for j, t in zip(c, off))
+            for c in k_set.cells
+            for off in itertools.product(offsets, repeat=k_set.n)
+        }
+    )
+    witnesses = []
+    for box in boxes:
+        inside = [p for p in grid if _strictly_inside(Point(p), box)]
+        witnesses.append(Point(draw(st.sampled_from(inside))) if inside else None)
+    return k_set, BallSpec(n=k_set.n, boxes=tuple(boxes)), witnesses
+
+
+@settings(max_examples=150)
+@given(coprime_balls())
+def test_ball_verdicts_match_the_fraction_oracle(case):
+    k_set, ball, witnesses = case
+    member = ball_membership(k_set, ball)
+    assert member == fraction_oracles.membership(k_set, ball)
+    if member and None not in witnesses:
+        assert ball_stability_radius(k_set, ball, witnesses) == fraction_oracles.stability_radius(
+            k_set, ball, witnesses
+        )
+
+
+def test_a_frame_of_more_than_200_bits_decides_as_the_oracle():
+    # three Mersenne-prime denominators make each frame over 320 bits
+    m1, m2, m3 = 2**89 - 1, 2**107 - 1, 2**127 - 1
+    e = DigitalSet(2, 3, 2, ((3, 4), (4, 4), (5, 5)))
+    c0, c1, c2 = F(3, 9) + F(1, m1), F(4, 9) + F(1, m2), F(5, 9) - F(1, m3)
+    unit = (F(0), F(1))
+    # cell (4, 4) keeps the corner c1..c2 x c2..5/9 uncovered
+    pieces = (
+        Box(((F(0), c0), unit)),
+        Box(((c0, c1), unit)),
+        Box(((c1, c2), (F(1, 3), c2))),
+        Box(((c2, F(1)), unit)),
+    )
+    assert _frame(pieces, 9).bit_length() > 200
+    for extra, witness in (((), (4, 4)), ((Box(((c1, c2), (c2, F(1)))),), None)):
+        cover = CoverSeq(n=2, eps=F(999, 1000), strong=False, pieces=pieces + extra)
+        report = verify_cover(e, cover)
+        assert (None, witness) == fraction_oracles.verify(e, cover)
+        assert (report.first_violation, report.uncovered_witness) == (None, witness)
+    ball = BallSpec(
+        n=2,
+        boxes=(
+            Box(((F(3, 9) - F(1, m1), F(5, 9) + F(1, m2)), (F(4, 9) - F(1, m3), F(5, 9) + F(1, m1)))),
+            Box(((F(5, 9) - F(1, m3), F(6, 9) + F(1, m2)), (F(5, 9) - F(1, m2), F(6, 9) + F(1, m3)))),
+        ),
+    )
+    witnesses = [Point((F(4, 9), F(1, 2))), Point((F(11, 18), F(11, 18)))]
+    assert ball_membership(e, ball) and fraction_oracles.membership(e, ball)
+    radius = ball_stability_radius(e, ball, witnesses)
+    assert 0 < radius < F(1, m1)
+    assert radius == fraction_oracles.stability_radius(e, ball, witnesses)
