@@ -61,12 +61,13 @@ class CoverSeq(Record):
             raise ValueError("dimension must be >= 1")
         if not (0 < eps < 1):
             raise ValueError("eps must lie strictly between 0 and 1")
-        for piece in pieces:
-            if piece.n != n:
-                raise ValueError("piece dimension mismatch")
-            if strong:
-                sides = piece.sides()
-                if len(set(sides)) != 1 or sides[0] <= 0:
+        if any(piece.n != n for piece in pieces):
+            raise ValueError("piece dimension mismatch")
+        if strong:
+            frame = _frame(pieces)
+            for piece in pieces:
+                sides = {hi - lo for lo, hi in _on_frame(piece, frame)}
+                if len(sides) != 1 or min(sides) <= 0:
                     raise ValueError("strong cover pieces must be cubes")
         self._set(n, eps, strong, pieces)
 
@@ -98,6 +99,11 @@ class CoverReport(Record):
 
     first_violation: tuple[int, str] | None
     uncovered_witness: tuple[int, ...] | None
+
+    def __init__(self, first_violation, uncovered_witness):
+        if first_violation is not None and (len(first_violation) != 2 or first_violation[1] != "budget"):
+            raise ValueError('a violation must be (position, "budget")')
+        self._set(first_violation, uncovered_witness)
 
     @property
     def budget_ok(self) -> bool:

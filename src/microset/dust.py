@@ -221,6 +221,14 @@ class GapTable(Record):
     sibling_gap: tuple[Fraction, ...]
     level_gap: tuple[Fraction, ...]
 
+    def __init__(self, depth: int, volume, leftover, sibling_gap, level_gap):
+        columns = tuple(map(tuple, (volume, leftover, sibling_gap, level_gap)))
+        if any(len(column) != depth for column in columns):
+            raise ValueError("gap table columns must hold depth entries each")
+        if columns[3] != tuple(itertools.accumulate(columns[2], min)):
+            raise ValueError("level_gap is not the running minimum of sibling_gap")
+        self._set(depth, *columns)
+
 
 def gap_table(spec: DustSpec) -> GapTable:
     """Exact gap table, read off the spec's grid alone.
@@ -392,13 +400,21 @@ class SurvivorCertificate(Record):
     ``checked_prefix`` pieces were examined (those whose position is below
     (depth+1)**2 / 4); ``survivor_word`` names a depth-level cube exactly
     disjoint from every one of them, and ``level_counts`` are the exact
-    survivor counts per level along the way.
+    survivor counts per level along the way, so each is at least 1.
     """
 
     depth: int
     checked_prefix: int
     survivor_word: tuple[int, ...]
     level_counts: tuple[int, ...]
+
+    def __init__(self, depth: int, checked_prefix: int, survivor_word, level_counts):
+        survivor_word, level_counts = tuple(survivor_word), tuple(level_counts)
+        if depth < 1 or checked_prefix < 0:
+            raise ValueError("certificate needs depth >= 1 and an examined prefix >= 0")
+        if len(level_counts) != depth or min(level_counts) < 1:
+            raise ValueError("certificate needs one survivor count of at least 1 per level")
+        self._set(depth, checked_prefix, survivor_word, level_counts)
 
 
 class RefuterFailure(Record):
@@ -496,15 +512,11 @@ def revalidate_survivor(spec: DustSpec, cover: CoverSeq, cert: SurvivorCertifica
 
 
 def _check_survivor(spec: DustSpec, cover: CoverSeq, cert: SurvivorCertificate) -> None:
-    """Every claim of the certificate except the counts, which need the walk."""
+    """The certificate's claims about the spec and the cover, except the counts, which need the walk."""
     if cert.depth != spec.depth:
         raise ValueError("certificate depth differs from the spec")
     if cert.checked_prefix != _examined_prefix(spec.depth, len(cover.pieces)):
         raise ValueError("certificate examined a different prefix")
-    if len(cert.level_counts) != spec.depth:
-        raise ValueError("certificate level counts are incomplete")
-    if any(count < 1 for count in cert.level_counts):
-        raise ValueError("certificate admits an empty survivor level")
     word = cert.survivor_word
     if len(word) != spec.depth or not all(1 <= letter <= 2**spec.n for letter in word):
         raise ValueError("survivor word does not name a cube")

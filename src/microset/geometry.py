@@ -134,6 +134,15 @@ class Box(Record):
         return cls(tuple((_frac(c), _frac(c) + side) for c in corner))
 
 
+def _below_power(x: int, b: int, m: int) -> bool:
+    """x < b**m for x >= 0, decided by bit lengths before any power is formed.
+
+    With L = b.bit_length(), 2**(L-1) <= b < 2**L: b**m is formed only for an x of more than (L-1)*m bits.
+    """
+    bits, top = x.bit_length(), b.bit_length()
+    return bits <= (top - 1) * m or (bits <= top * m and x < b**m)
+
+
 class DigitalSet(Record):
     """Nonempty union of closed depth-m grid cells of [0,1]^n in base b.
 
@@ -157,12 +166,10 @@ class DigitalSet(Record):
         cells = tuple(sorted({tuple(int(j) for j in cell) for cell in cells}))
         if not cells:
             raise ValueError("digital set must be nonempty")
-        top = b**m
-        for cell in cells:
-            if len(cell) != n:
-                raise ValueError("cell arity differs from dimension")
-            if any(j < 0 or j >= top for j in cell):
-                raise ValueError(f"cell index out of range: {cell}")
+        if any(len(cell) != n for cell in cells):
+            raise ValueError("cell arity differs from dimension")
+        if min(map(min, cells)) < 0 or not _below_power(max(map(max, cells)), b, m):
+            raise ValueError(f"cell index out of range for depth {m}")
         self._set(n, b, m, cells)
 
     @property

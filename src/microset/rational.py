@@ -30,7 +30,11 @@ def format_scalar(x: Fraction) -> str:
 
 
 def parse_scalar(text: str) -> Fraction:
-    if not isinstance(text, str):
+    """An integer, a decimal or "num/den", read in time linear in the text.
+
+    Exponent notation is refused: ``Fraction`` would expand "1e-1000000000" into a billion digits.
+    """
+    if not isinstance(text, str) or "e" in text or "E" in text:
         raise ValueError(f"not a rational scalar: {text!r}")
     try:
         return Fraction(text)

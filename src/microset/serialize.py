@@ -1,28 +1,21 @@
-"""Canonical JSON for every certificate and object the CLI exchanges.
+"""Canonical JSON for every document the CLI exchanges, described by one schema table.
 
-One canonical form: keys sorted, no whitespace, one trailing newline,
-every rational rendered "num/den" with an explicit denominator.  Loading
-then dumping any document reproduces it byte for byte, which is what lets
-certificates be diffed and golden-filed.
+One canonical form (sorted keys, no whitespace, one trailing newline,
+rationals "num/den") makes loading then saving a document reproduce it
+byte for byte, so certificates can be diffed and golden-filed.
 
-Each document carries a versioned ``schema`` field and exactly the fields
-its schema defines.  Parsers validate structure and re-run the type
-constructors, so a tampered file fails
-loudly rather than deserializing into an inconsistent object; every such
-failure is a ``ValueError``.  No JSON type is coerced into another: an
-integer field must hold a JSON integer, a flag a boolean, and a rational
-the "num/den" string ``format_scalar`` writes, in lowest terms.
-A dust tree is fully determined by its spec, so its loader rebuilds the
-tree with ``generate``, whose admissibility and structural checks reject
-a spec no ``dust-generate`` accepts, and then rejects any document that
-differs from the rebuilt tree; its ``corner_order`` is the identity list,
-written for byte compatibility and never read.  A cover report's flags
-must agree with its witnesses, and a gap table's level gaps must be the
-running minimum of its sibling gaps.
-
-Each loader imports the class it builds when it runs, and ``to_json``
-dispatches on the class's import path, so importing this module loads no
-class module.
+``_SCHEMAS`` names each schema's class, by import path, and each field
+with its codec; ``to_json``, ``from_json`` and the field-set check read
+that table alone.  No codec coerces one JSON type into another: an
+integer must be a JSON integer, a flag a boolean, a list a list, and a
+rational the "num/den" string ``format_scalar`` writes, in lowest terms.
+A record refuses what no loader would accept: each class checks its own
+invariants in ``__init__``, and a table field the class does not store is
+a claim the loader compares with the built object, as a cover report's
+flags are.  ``dusttree/1`` alone has its own pair: its loader rebuilds the
+tree from its spec with ``generate`` and refuses any other document.
+Every failure is a ``ValueError``, and a class module is imported only
+when a document of its schema is decoded.
 """
 
 from __future__ import annotations
@@ -30,7 +23,8 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from itertools import accumulate, chain
+from importlib import import_module
+from itertools import chain
 from math import gcd
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -38,9 +32,8 @@ from typing import TYPE_CHECKING
 from .rational import format_scalar
 
 if TYPE_CHECKING:
-    from .covers import BallSpec, CoverReport, CoverSeq
-    from .dust import DustTree, GapTable, SurvivorCertificate
-    from .geometry import Box, DigitalSet, HBracket
+    from .dust import DustTree
+    from .geometry import Box
 
 
 def dumps(payload: dict) -> str:
@@ -51,113 +44,101 @@ def canonical_bytes(payload: dict) -> bytes:
     return dumps(payload).encode("ascii")
 
 
-def _box_to_json(box: Box) -> list[list[str]]:
-    return [[format_scalar(lo), format_scalar(hi)] for lo, hi in box.intervals]
+def _int(value) -> int:
+    """A JSON integer as written: a float, string or boolean is refused, never coerced."""
+    if type(value) is not int:
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
 
 
-def _box_from_json(data) -> Box:
+def _bool(value) -> bool:
+    if type(value) is not bool:
+        raise ValueError(f"expected true or false, got {value!r}")
+    return value
+
+
+# what format_scalar writes: no sign on zero, no leading zeros, a positive denominator
+_NUM_DEN = re.compile(r"(0|-?[1-9][0-9]*)/([1-9][0-9]*)")
+
+
+def _rational(value) -> Fraction:
+    """A rational as ``format_scalar`` writes it, "num/den" in lowest terms; any other spelling is refused.
+
+    The spelling is checked before any arithmetic, so an exponent such as "1e-1000000000" is never expanded.
+    """
+    match = _NUM_DEN.fullmatch(value) if type(value) is str else None
+    if match is None or gcd(int(match[1]), int(match[2])) != 1:
+        raise ValueError(f"expected a rational written as num/den in lowest terms, got {value!r}")
+    return Fraction(int(match[1]), int(match[2]))
+
+
+# A codec is a (dump, load) pair: dump writes a stored value as JSON, and
+# load reads it back, refusing any other JSON type with ValueError.
+def _list(codec):
+    """Codec of a JSON list whose items use ``codec``, held as a tuple."""
+    dump, load = codec
+
+    def load_list(data) -> tuple:
+        if type(data) is not list:
+            raise ValueError(f"expected a list, got {type(data).__name__}")
+        return tuple(map(load, data))
+
+    return (lambda values: [dump(v) for v in values]), load_list
+
+
+def _optional(codec):
+    """Codec of a value that may be JSON null, held as None."""
+    dump, load = codec
+    return (lambda v: None if v is None else dump(v)), (lambda data: None if data is None else load(data))
+
+
+def _load_box(data) -> Box:
     from .geometry import Box
 
-    return Box(tuple((_rational(lo), _rational(hi)) for lo, hi in data))
+    return Box(_load_intervals(data))
 
 
-def digitalset_to_json(e: DigitalSet) -> dict:
-    return {
-        "schema": "digitalset/1",
-        "n": e.n,
-        "b": e.b,
-        "m": e.m,
-        "cells": [list(cell) for cell in e.cells],
-    }
+def _load_violation(data) -> tuple:
+    if type(data) is not list or len(data) != 2:
+        raise ValueError("expected a violation [position, kind]")
+    return _int(data[0]), data[1]
 
 
-def digitalset_from_json(data: dict) -> DigitalSet:
-    from .geometry import DigitalSet
+_INT, _BOOL, _RATIONAL = (int, _int), (bool, _bool), (format_scalar, _rational)
+_INTS, _RATIONALS = _list(_INT), _list(_RATIONAL)
+_dump_intervals, _load_intervals = _list(_RATIONALS)
+_BOXES = _list(((lambda box: _dump_intervals(box.intervals)), _load_box))
 
-    _expect(data, "digitalset/1", {"n", "b", "m", "cells"})
-    cells = tuple(tuple(_int(j) for j in cell) for cell in data["cells"])
-    return DigitalSet(_int(data["n"]), _int(data["b"]), _int(data["m"]), cells)
+# schema -> (class import path, {field: codec}); a field the class does not
+# store is a claim checked against the built object
+_SCHEMAS = {
+    "digitalset/1": ("microset.geometry.DigitalSet", {
+        "n": _INT, "b": _INT, "m": _INT, "cells": _list(_INTS),
+    }),
+    "coverseq/1": ("microset.covers.CoverSeq", {
+        "n": _INT, "eps": _RATIONAL, "strong": _BOOL, "pieces": _BOXES,
+    }),
+    "coverreport/1": ("microset.covers.CoverReport", {
+        "budget_ok": _BOOL,
+        "coverage_ok": _BOOL,
+        "first_violation": _optional((list, _load_violation)),
+        "uncovered_witness": _optional(_INTS),
+    }),
+    "ballspec/1": ("microset.covers.BallSpec", {"n": _INT, "boxes": _BOXES}),
+    # read and written by its own pair, dusttree_from_json and dusttree_to_json
+    "dusttree/1": ("microset.dust.DustTree", dict.fromkeys(("n", "b", "depth", "corner_order", "levels"))),
+    "gaptable/1": ("microset.dust.GapTable", {
+        "depth": _INT, **dict.fromkeys(("volume", "leftover", "sibling_gap", "level_gap"), _RATIONALS),
+    }),
+    "survivor/1": ("microset.dust.SurvivorCertificate", {
+        "depth": _INT, "checked_prefix": _INT, "survivor_word": _INTS, "level_counts": _INTS,
+    }),
+    "hbracket/1": ("microset.geometry.HBracket", {
+        "lo": _RATIONAL, "hi": _RATIONAL, "sample_depth": _INT, "width_cap": _RATIONAL,
+    }),
+}
 
-
-def coverseq_to_json(cover: CoverSeq) -> dict:
-    return {
-        "schema": "coverseq/1",
-        "n": cover.n,
-        "eps": format_scalar(cover.eps),
-        "strong": cover.strong,
-        "pieces": [_box_to_json(piece) for piece in cover.pieces],
-    }
-
-
-def coverseq_from_json(data: dict) -> CoverSeq:
-    from .covers import CoverSeq
-
-    _expect(data, "coverseq/1", {"n", "eps", "strong", "pieces"})
-    pieces = tuple(_box_from_json(piece) for piece in data["pieces"])
-    if type(data["strong"]) is not bool:
-        raise ValueError("coverseq/1 strong must be true or false")
-    return CoverSeq(
-        n=_int(data["n"]),
-        eps=_rational(data["eps"]),
-        strong=data["strong"],
-        pieces=pieces,
-    )
-
-
-def coverreport_to_json(report: CoverReport) -> dict:
-    violation = None
-    if report.first_violation is not None:
-        violation = [report.first_violation[0], report.first_violation[1]]
-    witness = None
-    if report.uncovered_witness is not None:
-        witness = list(report.uncovered_witness)
-    return {
-        "schema": "coverreport/1",
-        "budget_ok": report.budget_ok,
-        "coverage_ok": report.coverage_ok,
-        "first_violation": violation,
-        "uncovered_witness": witness,
-    }
-
-
-def coverreport_from_json(data: dict) -> CoverReport:
-    from .covers import CoverReport
-
-    _expect(
-        data,
-        "coverreport/1",
-        {"budget_ok", "coverage_ok", "first_violation", "uncovered_witness"},
-    )
-    violation = data["first_violation"]
-    witness = data["uncovered_witness"]
-    if violation is not None and (len(violation) != 2 or violation[1] != "budget"):
-        raise ValueError('coverreport/1 violation must be [position, "budget"]')
-    report = CoverReport(
-        first_violation=None if violation is None else (_int(violation[0]), "budget"),
-        uncovered_witness=None if witness is None else tuple(_int(j) for j in witness),
-    )
-    for flag in ("budget_ok", "coverage_ok"):
-        if data[flag] is not getattr(report, flag):
-            raise ValueError(f"coverreport/1 {flag} disagrees with its witness")
-    return report
-
-
-def ballspec_to_json(ball: BallSpec) -> dict:
-    return {
-        "schema": "ballspec/1",
-        "n": ball.n,
-        "boxes": [_box_to_json(box) for box in ball.boxes],
-    }
-
-
-def ballspec_from_json(data: dict) -> BallSpec:
-    from .covers import BallSpec
-
-    _expect(data, "ballspec/1", {"n", "boxes"})
-    return BallSpec(
-        n=_int(data["n"]),
-        boxes=tuple(_box_from_json(box) for box in data["boxes"]),
-    )
+_SCHEMA_OF = {path: schema for schema, (path, _) in _SCHEMAS.items()}
 
 
 def dusttree_to_json(tree: DustTree) -> dict:
@@ -187,9 +168,9 @@ def _has_size(count: int, exponent: int) -> bool:
 
 
 def dusttree_from_json(data: dict) -> DustTree:
+    """The tree a ``dusttree/1`` document holds; ``from_json`` has checked its field set."""
     from .dust import DustSpec, generate
 
-    _expect(data, "dusttree/1", {"n", "b", "depth", "corner_order", "levels"})
     n, depth, levels = _int(data["n"]), _int(data["depth"]), data["levels"]
     # a forged n or depth fails this shape check before anything is built
     if not isinstance(levels, list) or len(levels) != depth or any(
@@ -205,115 +186,38 @@ def dusttree_from_json(data: dict) -> DustTree:
     return tree
 
 
-_GAP_COLUMNS = ("volume", "leftover", "sibling_gap", "level_gap")
-
-
-def gaptable_to_json(table: GapTable) -> dict:
-    columns = {name: [format_scalar(v) for v in getattr(table, name)] for name in _GAP_COLUMNS}
-    return {"schema": "gaptable/1", "depth": table.depth, **columns}
-
-
-def gaptable_from_json(data: dict) -> GapTable:
-    from .dust import GapTable
-
-    _expect(data, "gaptable/1", {"depth", *_GAP_COLUMNS})
-    columns = {name: tuple(_rational(v) for v in data[name]) for name in _GAP_COLUMNS}
-    table = GapTable(depth=_int(data["depth"]), **columns)
-    if any(len(column) != table.depth for column in columns.values()):
-        raise ValueError("gaptable/1 columns must hold depth entries each")
-    if table.level_gap != tuple(accumulate(table.sibling_gap, min)):
-        raise ValueError("gaptable/1 level_gap is not the running minimum of sibling_gap")
-    return table
-
-
-def survivor_to_json(cert: SurvivorCertificate) -> dict:
-    return {
-        "schema": "survivor/1",
-        "depth": cert.depth,
-        "checked_prefix": cert.checked_prefix,
-        "survivor_word": list(cert.survivor_word),
-        "level_counts": list(cert.level_counts),
-    }
-
-
-def survivor_from_json(data: dict) -> SurvivorCertificate:
-    from .dust import SurvivorCertificate
-
-    _expect(
-        data, "survivor/1", {"depth", "checked_prefix", "survivor_word", "level_counts"}
-    )
-    return SurvivorCertificate(
-        depth=_int(data["depth"]),
-        checked_prefix=_int(data["checked_prefix"]),
-        survivor_word=tuple(_int(t) for t in data["survivor_word"]),
-        level_counts=tuple(_int(c) for c in data["level_counts"]),
-    )
-
-
-def hbracket_to_json(bracket: HBracket) -> dict:
-    return {
-        "schema": "hbracket/1",
-        "lo": format_scalar(bracket.lo),
-        "hi": format_scalar(bracket.hi),
-        "sample_depth": bracket.sample_depth,
-        "width_cap": format_scalar(bracket.width_cap),
-    }
-
-
-def hbracket_from_json(data: dict) -> HBracket:
-    from .geometry import HBracket
-
-    _expect(data, "hbracket/1", {"lo", "hi", "sample_depth", "width_cap"})
-    return HBracket(
-        lo=_rational(data["lo"]),
-        hi=_rational(data["hi"]),
-        sample_depth=_int(data["sample_depth"]),
-        width_cap=_rational(data["width_cap"]),
-    )
-
-
-# keyed by the class's import path, so dispatch loads no class module
-_TO_JSON = {
-    "microset.geometry.DigitalSet": digitalset_to_json,
-    "microset.covers.CoverSeq": coverseq_to_json,
-    "microset.covers.CoverReport": coverreport_to_json,
-    "microset.covers.BallSpec": ballspec_to_json,
-    "microset.dust.DustTree": dusttree_to_json,
-    "microset.dust.GapTable": gaptable_to_json,
-    "microset.dust.SurvivorCertificate": survivor_to_json,
-    "microset.geometry.HBracket": hbracket_to_json,
-}
-
-_FROM_JSON = {
-    "digitalset/1": digitalset_from_json,
-    "coverseq/1": coverseq_from_json,
-    "coverreport/1": coverreport_from_json,
-    "ballspec/1": ballspec_from_json,
-    "dusttree/1": dusttree_from_json,
-    "gaptable/1": gaptable_from_json,
-    "survivor/1": survivor_from_json,
-    "hbracket/1": hbracket_from_json,
-}
-
-
 def to_json(obj) -> dict:
-    encoder = _TO_JSON.get(f"{type(obj).__module__}.{type(obj).__qualname__}")
-    if encoder is None:
+    schema = _SCHEMA_OF.get(f"{type(obj).__module__}.{type(obj).__qualname__}")
+    if schema is None:
         raise ValueError(f"no serializer for {type(obj).__name__}")
-    return encoder(obj)
+    if schema == "dusttree/1":
+        return dusttree_to_json(obj)
+    fields = _SCHEMAS[schema][1]
+    return {"schema": schema, **{name: dump(getattr(obj, name)) for name, (dump, _) in fields.items()}}
 
 
 def from_json(data: dict):
     if not isinstance(data, dict):
         raise ValueError("document must be a JSON object")
     schema = data.get("schema")
-    decoder = _FROM_JSON.get(schema) if isinstance(schema, str) else None
-    if decoder is None:
+    if not isinstance(schema, str) or schema not in _SCHEMAS:
         raise ValueError(f"unknown schema {schema!r}")
+    _expect(data, schema)
+    path, fields = _SCHEMAS[schema]
     try:
-        return decoder(data)
+        if schema == "dusttree/1":
+            return dusttree_from_json(data)
+        # the class is imported first, so compiling its module and the decoded fields never peak together
+        module, _, class_name = path.rpartition(".")
+        cls = getattr(import_module(module), class_name)
+        values = {name: load(data[name]) for name, (_, load) in fields.items()}
+        obj = cls(**{field: values.pop(field) for field in cls._fields})
     except (TypeError, KeyError, IndexError) as exc:
         raise ValueError(f"malformed {schema} document: {exc!r}") from exc
+    for name, claim in values.items():
+        if claim != getattr(obj, name):
+            raise ValueError(f"{schema} {name} disagrees with the document's other fields")
+    return obj
 
 
 def save(obj, path: str | Path) -> bytes:
@@ -333,31 +237,8 @@ def load(path: str | Path, schema: str | None = None):
     return from_json(data)
 
 
-def _int(value) -> int:
-    """A JSON integer as written: a float, string or boolean is refused, never coerced."""
-    if type(value) is not int:
-        raise ValueError(f"expected an integer, got {value!r}")
-    return value
-
-
-# what format_scalar writes: no sign on zero, no leading zeros, a positive denominator
-_NUM_DEN = re.compile(r"(0|-?[1-9][0-9]*)/([1-9][0-9]*)")
-
-
-def _rational(value) -> Fraction:
-    """A rational as ``format_scalar`` writes it, "num/den" in lowest terms; any other spelling is refused.
-
-    The spelling is checked before any arithmetic, so an exponent such as "1e-1000000000" is never expanded.
-    """
-    match = _NUM_DEN.fullmatch(value) if type(value) is str else None
-    if match is None or gcd(int(match[1]), int(match[2])) != 1:
-        raise ValueError(f"expected a rational written as num/den in lowest terms, got {value!r}")
-    return Fraction(int(match[1]), int(match[2]))
-
-
-def _expect(data: dict, schema: str, fields: set[str]) -> None:
-    if data.get("schema") != schema:
-        raise ValueError(f"expected schema {schema}, got {data.get('schema')!r}")
+def _expect(data: dict, schema: str) -> None:
+    fields = _SCHEMAS[schema][1].keys()
     missing = fields - set(data)
     if missing:
         raise ValueError(f"{schema} document missing fields {sorted(missing)}")

@@ -1,10 +1,17 @@
+import contextlib
+import copy
+import io
 import json
+import re
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from microset import serialize
 from microset.cli import _HANDLERS, main
@@ -479,14 +486,17 @@ def _valid_documents() -> dict:
 
 def test_malformed_fields_load_or_raise_value_error():
     docs = _valid_documents()
-    assert set(docs) == set(serialize._FROM_JSON)
+    assert set(docs) == set(serialize._SCHEMAS)
     for doc in docs.values():
-        for field in doc:
-            for value in (5, "x", None, []):
+        for path in _paths(doc):
+            for value in (5, "x", None, [], *_near_misses(_get(doc, path))):
+                forged = copy.deepcopy(doc)
+                _replace(forged, path, value)
                 try:
-                    serialize.from_json({**doc, field: value})
+                    loaded = serialize.from_json(forged)
                 except ValueError:
-                    pass
+                    continue
+                assert _saves_back(loaded, forged), (path, value)  # so nothing was coerced
 
 
 def test_every_loader_refuses_a_field_its_schema_does_not_define(tmp_path, capsys):
@@ -574,7 +584,7 @@ def test_document_of_another_schema_is_refused_before_decoding(tmp_path, monkeyp
     serialize.save(DigitalSet(2, 3, 1, ((0, 0),)), sp)
     serialize.save(generate(DustSpec(n=2, b=3, depth=2)), tp)
     decoded = []
-    monkeypatch.setitem(serialize._FROM_JSON, "dusttree/1", decoded.append)
+    monkeypatch.setattr(serialize, "dusttree_from_json", decoded.append)
     capsys.readouterr()
     assert run("cover-verify", "--set", str(sp), "--cover", str(tp)) == 2
     assert decoded == []
@@ -675,3 +685,181 @@ def test_render_svg_max_level_is_for_trees_only(tmp_path, capsys):
     assert run("render-svg", "--cover", str(cover), "--max-level", "1", "-o", str(out)) == 2
     assert capsys.readouterr().err == "error: --max-level applies to --tree only\n"
     assert not out.exists()
+
+
+def test_survivor_counts_the_record_refuses_are_malformed_input(tmp_path, capsys):
+    # short counts or a level without survivor: SurvivorCertificate refuses them, so the
+    # file is malformed (exit 2); counts that are merely false stay a verified negative (1)
+    spec = DustSpec(n=1, b=3, depth=4)
+    cover = adversary_swallow(spec, refutation_budget_lower(spec), 8)
+    tp, cp, certp = tmp_path / "tree.json", tmp_path / "cover.json", tmp_path / "cert.json"
+    serialize.save(generate(spec), tp)
+    serialize.save(cover, cp)
+    cert = serialize.to_json(survivor_refute(spec, cover))
+    counts = cert["level_counts"]
+    for forged, code in ((counts[:-1], 2), ([0, *counts[1:]], 2), ([99] * spec.depth, 1)):
+        certp.write_text(serialize.dumps({**cert, "level_counts": forged}))
+        capsys.readouterr()
+        assert run("dust-refute", "--tree", str(tp), "--cover", str(cp), "--check", str(certp)) == code
+        assert capsys.readouterr().err.startswith("error: " if code == 2 else "certificate rejected")
+
+
+def test_exponent_notation_on_the_command_line_is_refused_at_once(tmp_path):
+    # Fraction("1e-10000000") alone runs for seconds; every rational flag refuses it as a usage error
+    k, ball = tmp_path / "k.json", tmp_path / "ball.json"
+    serialize.save(DigitalSet(1, 3, 3, ((13,),)), k)
+    serialize.save(BallSpec(n=1, boxes=(box1(F(2, 5), F(3, 5)),)), ball)
+    huge = "1e-10000000"
+    for argv in (
+        ["dust-hmeasure", "--n", "1", "--b", "3", "--alpha", huge, "--k", "1"],
+        ["cover-search", "--set", k, "--eps", huge],
+        ["baire-sample", "--n", "1", "--b", "3", "--depth", "1", "--density", huge,
+         "--seed", "1", "-o", tmp_path / "s.json"],
+        ["ball-check", "--set", k, "--ball", ball, "--witness", huge],
+    ):
+        proc = subprocess.run([sys.executable, "-m", "microset", *map(str, argv)],
+                              capture_output=True, text=True, timeout=20)
+        assert proc.returncode == 2, proc.stderr
+        assert "not a rational scalar" in proc.stderr and "Traceback" not in proc.stderr
+
+
+# The two tests below walk serialize._SCHEMAS, so a new schema is fuzzed once
+# _valid_documents() holds a document of it.
+_EXTREMES = (2**64, 2**64 - 1, 2**63, -(2**64), -1, 0)
+_ANY_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=4) | st.sampled_from(_EXTREMES),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _near_misses(value) -> list:
+    """Values of another JSON type, or another spelling, that a lax reader would take for ``value``."""
+    if type(value) is bool:
+        return [int(value), str(value).lower()]
+    if type(value) is int:
+        return [value != 0, float(value), str(value)]
+    if isinstance(value, str) and re.fullmatch(r"-?[0-9]+/[1-9][0-9]*", value):
+        x = Fraction(value)
+        return [float(x), str(float(x)), f"{2 * x.numerator}/{2 * x.denominator}", f" {value}"]
+    if isinstance(value, list):
+        return [{str(i): item for i, item in enumerate(value)}, {}, json.dumps(value), None]
+    return [None, [value]]
+
+
+def _seed_documents() -> list[dict]:
+    docs = _valid_documents()
+    assert set(docs) == set(serialize._SCHEMAS)
+    return [*docs.values(), _corner_dust_doc(2, 2, 2)]  # the inadmissible tree
+
+
+def _paths(value, path=()):
+    """Paths to every value inside a JSON document, the schema name excepted."""
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, item in items:
+        if path or key != "schema":
+            yield (*path, key)
+            yield from _paths(item, (*path, key))
+
+
+def _get(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _replace(doc, path, value):
+    _get(doc, path[:-1])[path[-1]] = value
+
+
+def _saves_back(loaded, doc) -> bool:
+    """Whether saving the loaded object writes the document, byte for byte.
+
+    The one record that normalises is the digital set, whose cells are kept sorted and distinct.
+    """
+    if doc["schema"] == "digitalset/1":
+        doc = {**doc, "cells": sorted(map(list, {tuple(cell) for cell in doc["cells"]}))}
+    return serialize.canonical_bytes(serialize.to_json(loaded)) == serialize.canonical_bytes(doc)
+
+
+@pytest.fixture(scope="module")
+def readers(tmp_path_factory) -> tuple[Path, dict]:
+    """A document path, and for each schema a subcommand reads an argv that reads it from there."""
+    tmp = tmp_path_factory.mktemp("readers")
+    docs = _valid_documents()
+    paths = {name: str(tmp / f"{name}.json") for name in ("doc", "set", "tree", "cover")}
+    Path(paths["set"]).write_text(serialize.dumps(docs["digitalset/1"]))
+    Path(paths["tree"]).write_text(serialize.dumps(docs["dusttree/1"]))
+    serialize.save(CoverSeq(n=1, eps=F(1, 81), strong=False, pieces=()), paths["cover"])
+    return Path(paths["doc"]), {
+        "digitalset/1": ["cover-verify", "--set", paths["doc"], "--cover", paths["cover"]],
+        "coverseq/1": ["cover-verify", "--set", paths["set"], "--cover", paths["doc"]],
+        "ballspec/1": ["ball-check", "--set", paths["set"], "--ball", paths["doc"]],
+        "dusttree/1": ["dust-refute", "--tree", paths["doc"], "--cover", paths["cover"]],
+        "survivor/1": ["dust-refute", "--tree", paths["tree"], "--cover", paths["cover"],
+                       "--check", paths["doc"]],
+    }
+
+
+@settings(max_examples=300)
+@given(data=st.data())
+def test_mutated_documents_of_every_schema_load_or_exit_2(data, readers):
+    # field deletions, additions, values of another type anywhere, and integer extremes
+    seed = data.draw(st.sampled_from(_seed_documents()))
+    doc = copy.deepcopy(seed)
+    for _ in range(data.draw(st.integers(1, 3))):
+        fields = sorted(set(doc) - {"schema"})
+        kind = data.draw(st.sampled_from(("delete", "add", "swap", "extreme")))
+        ints = [path for path in _paths(doc) if type(_get(doc, path)) is int]
+        if kind == "delete" and fields:
+            del doc[data.draw(st.sampled_from(fields))]
+        elif kind == "add":
+            key = data.draw(st.text(min_size=1, max_size=6).filter(lambda key: key not in doc))
+            doc[key] = data.draw(_ANY_JSON)
+        elif kind == "swap" and fields:
+            path = data.draw(st.sampled_from(list(_paths(doc))))
+            _replace(doc, path, data.draw(st.sampled_from(_near_misses(_get(doc, path))) | _ANY_JSON))
+        elif ints:
+            _replace(doc, data.draw(st.sampled_from(ints)), data.draw(st.sampled_from(_EXTREMES)))
+    try:
+        loaded = serialize.from_json(doc)
+    except ValueError:
+        pass
+    else:
+        assert _saves_back(loaded, doc)  # so nothing was coerced
+        return
+    path, argv = readers[0], readers[1].get(seed["schema"])
+    if argv is None:
+        return  # a schema the command line writes and never reads
+    path.write_text(json.dumps(doc))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    assert code == 2, err.getvalue()
+    assert err.getvalue().startswith("error: ") and "Traceback" not in err.getvalue()
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_every_schema_loads_then_saves_byte_identically(data):
+    # each seed, and each seed with one to three values changed within their JSON type
+    seed = data.draw(st.sampled_from(list(_valid_documents().values())))
+    doc = copy.deepcopy(seed)
+    leaves = [path for path in _paths(doc) if not isinstance(_get(doc, path), (list, dict))]
+    for path in data.draw(st.lists(st.sampled_from(leaves), max_size=3)):
+        value = _get(doc, path)
+        if type(value) is bool:
+            value = data.draw(st.booleans())
+        elif type(value) is int:
+            value = data.draw(st.integers(-2, 12) | st.sampled_from(_EXTREMES))
+        elif isinstance(value, str) and "/" in value:
+            value = format_scalar(F(data.draw(st.integers(-3, 20)), data.draw(st.integers(1, 12))))
+        _replace(doc, path, value)
+    try:
+        loaded = serialize.from_json(doc)
+    except ValueError:
+        assert doc != seed
+        return
+    assert _saves_back(loaded, doc)
+    assert serialize.from_json(serialize.to_json(loaded)) == loaded

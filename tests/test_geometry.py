@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import sys
+import time
 from fractions import Fraction
 from unittest import mock
 
@@ -420,3 +421,21 @@ def test_digitalset_validation():
     # canonicalizes order and duplicates
     e = DigitalSet(1, 3, 1, ((2,), (0,), (2,)))
     assert e.cells == ((0,), (2,))
+
+
+@given(st.integers(2, 40), st.integers(0, 30), st.integers(0, 2**200))
+def test_cell_bound_by_bit_lengths_matches_the_power(b, m, x):
+    x %= 2 * b**m + 1
+    assert geometry._below_power(x, b, m) == (x < b**m)
+    for edge in (b**m - 1, b**m):
+        assert geometry._below_power(edge, b, m) == (edge < b**m)
+
+
+def test_huge_depth_is_bounded_without_forming_the_power():
+    # b**m has 1.6e8 bits here and took minutes to form; the bit lengths decide at once
+    started = time.monotonic()
+    e = DigitalSet(2, 3, 10**8, ((0, 0), (2**64, 5)))
+    assert e.m == 10**8
+    with pytest.raises(ValueError, match="out of range"):
+        DigitalSet(1, 3, 10**8, ((1 << 2 * 10**8,),))
+    assert time.monotonic() - started < 1

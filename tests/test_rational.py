@@ -29,6 +29,14 @@ def test_parse_rejects_garbage():
         parse_scalar("not-a-number")
 
 
+def test_parse_refuses_exponent_notation():
+    assert [parse_scalar(text) for text in ("0.5", "1/4", "3", " -2/6 ")] == [
+        Fraction(1, 2), Fraction(1, 4), Fraction(3), Fraction(-1, 3)]
+    for text in ("1e-10000000", "1E5", "2.5e-1", "1/1e9"):
+        with pytest.raises(ValueError):
+            parse_scalar(text)
+
+
 def test_int_nth_root_small_cases():
     assert int_nth_root(0, 3) == (0, True)
     assert int_nth_root(1, 7) == (1, True)

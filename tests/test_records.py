@@ -118,6 +118,28 @@ def test_missing_or_unknown_argument_is_a_type_error(cls, kwargs):
         cls(kwargs[first], **kwargs)
 
 
+def test_records_refuse_inconsistent_fields():
+    gaps = dict(SAMPLES)[GapTable]
+    cert = dict(SAMPLES)[SurvivorCertificate]
+    inconsistent = [
+        (GapTable, {**gaps, "volume": ()}),  # a column without depth entries
+        (GapTable, {**gaps, "depth": 2}),
+        (GapTable, {**gaps, "level_gap": (F(1, 2),)}),  # not the running minimum of sibling_gap
+        (GapTable, {"depth": 2, "volume": (F(1, 3), F(1, 9)), "leftover": (F(0), F(0)),
+                    "sibling_gap": (F(1, 3), F(1, 9)), "level_gap": (F(1, 3), F(1, 3))}),
+        (CoverReport, {"first_violation": (1, "coverage"), "uncovered_witness": None}),
+        (CoverReport, {"first_violation": (1,), "uncovered_witness": (0,)}),
+        (SurvivorCertificate, {**cert, "depth": 0, "level_counts": ()}),
+        (SurvivorCertificate, {**cert, "checked_prefix": -1}),
+        (SurvivorCertificate, {**cert, "level_counts": ()}),  # short
+        (SurvivorCertificate, {**cert, "level_counts": (2, 4)}),  # long
+        (SurvivorCertificate, {**cert, "level_counts": (0,)}),  # a level without survivor
+    ]
+    for cls, kwargs in inconsistent:
+        with pytest.raises(ValueError):
+            cls(**kwargs)
+
+
 def test_sample_spec_trials_defaults_to_one():
     spec = SampleSpec(seed=1, n=1, b=3, depth=1, density=F(1, 2))
     assert spec.trials == 1
