@@ -22,6 +22,18 @@ from microset.dust import (
     refutation_budget_lower,
     survivor_refute,
 )
+from microset.rational import parse_scalar
+
+
+def budget(text: str) -> Fraction:
+    """A rational strictly between 0 and 1, written as the ``microset`` command reads it."""
+    try:
+        eps = parse_scalar(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    if not 0 < eps < 1:
+        raise argparse.ArgumentTypeError(f"eps must lie strictly between 0 and 1: {text!r}")
+    return eps
 
 
 def parse_args(argv=None):
@@ -35,7 +47,7 @@ def parse_args(argv=None):
     parser.add_argument("--seed", type=int, default=2026, help="adversary seed")
     parser.add_argument(
         "--eps",
-        type=Fraction,
+        type=budget,
         default=None,
         help="cover budget; defaults to the certified critical budget",
     )

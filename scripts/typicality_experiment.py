@@ -17,6 +17,18 @@ from microset.baire import (
     write_typicality_csv,
     write_typicality_json,
 )
+from microset.rational import parse_scalar
+
+
+def density(text: str) -> Fraction:
+    """A rational in (0, 1], written as the ``microset`` command reads it."""
+    try:
+        value = parse_scalar(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    if not 0 < value <= 1:
+        raise argparse.ArgumentTypeError(f"density must lie in (0, 1]: {text!r}")
+    return value
 
 
 def parse_args(argv=None):
@@ -25,7 +37,7 @@ def parse_args(argv=None):
     parser.add_argument("--n", type=int, default=2)
     parser.add_argument("--b", type=int, default=3)
     parser.add_argument("--depth", type=int, default=3)
-    parser.add_argument("--density", type=Fraction, default=Fraction(1, 20))
+    parser.add_argument("--density", type=density, default=Fraction(1, 20))
     parser.add_argument("--trials", type=int, default=20)
     parser.add_argument(
         "--s", type=int, nargs="+", default=[2, 3, 4], help="budget exponents"

@@ -37,7 +37,6 @@ rational, geometry, covers, dust, baire, serialize, svg = map(
 _EXPORTS = {
     "BallSpec": "covers",
     "Box": "geometry",
-    "BucketTable": "dust",
     "CoverReport": "covers",
     "CoverSeq": "covers",
     "DEFAULT_PRECISION": "rational",
@@ -47,7 +46,6 @@ _EXPORTS = {
     "GapTable": "dust",
     "GreedyFailure": "covers",
     "HBracket": "geometry",
-    "HitTable": "dust",
     "Point": "geometry",
     "RefuterFailure": "dust",
     "SampleSpec": "baire",
@@ -58,10 +56,7 @@ _EXPORTS = {
     "adversary_swallow": "dust",
     "ball_membership": "covers",
     "ball_stability_radius": "covers",
-    "cover_measure_upper": "covers",
     "covers_box": "geometry",
-    "diam_sq": "geometry",
-    "dist_sq": "geometry",
     "finite_skeleton": "baire",
     "format_scalar": "rational",
     "gap_table": "dust",
@@ -69,11 +64,7 @@ _EXPORTS = {
     "greedy_strong_cover": "covers",
     "hausdorff_bracket": "geometry",
     "hausdorff_measure_upper": "dust",
-    "hit_recursion_table": "dust",
-    "intersect_count": "dust",
-    "level_buckets": "dust",
     "merge_covers": "covers",
-    "min_side": "geometry",
     "parse_scalar": "rational",
     "pow_lower": "rational",
     "pow_upper": "rational",
@@ -82,7 +73,6 @@ _EXPORTS = {
     "root_lower": "rational",
     "root_upper": "rational",
     "sample_compact": "baire",
-    "side_budget_sum": "covers",
     "survivor_refute": "dust",
     "typicality_report": "baire",
     "validate": "dust",

@@ -309,20 +309,6 @@ def _series_upper(eps: Fraction, num: int, den: int, terms: int) -> Fraction:
     return partial + r ** (terms + 1) / (1 - r)
 
 
-def side_budget_sum(eps: Fraction, n: int, terms: int) -> Fraction:
-    """Certified upper bound of sum_{k>=1} eps**(k/n).
-
-    When the value is below the extent of a set's projection, no strong
-    cover at budget eps can exist for that set.
-    """
-    eps = Fraction(eps)
-    if not (0 < eps < 1):
-        raise ValueError("eps must lie strictly between 0 and 1")
-    if n < 1 or terms < 0:
-        raise ValueError("bad arguments")
-    return _series_upper(eps, 1, n, terms)
-
-
 def merge_covers(covers: Sequence[CoverSeq], eps: Fraction) -> CoverSeq:
     """Interleave m covers with strengthened budgets into one eps-cover.
 
@@ -358,27 +344,6 @@ def merge_covers(covers: Sequence[CoverSeq], eps: Fraction) -> CoverSeq:
     if merged.first_budget_violation() is not None:
         raise AssertionError("merge produced an over-budget piece")
     return merged
-
-
-def cover_measure_upper(cover: CoverSeq, alpha: Fraction, terms: int) -> Fraction:
-    """Certified upper bound of sum_k (diam piece_k)**alpha for a strong cover.
-
-    Each piece is a cube, so diam <= sqrt(n) * eps**(k/n) and the sum is
-    bounded by n**(alpha/2) * sum_k eps**(alpha*k/n), evaluated as a finite
-    prefix plus geometric tail with every enclosure directed upward.
-    """
-    alpha = Fraction(alpha)
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    if terms < 0:
-        raise ValueError("terms must be >= 0")
-    if not cover.strong:
-        raise ValueError("measure bound requires a strong cover")
-    if cover.first_budget_violation() is not None:
-        raise ValueError("cover does not satisfy its budget")
-    a, q = alpha.numerator, alpha.denominator
-    scale = pow_upper(Fraction(cover.n), a, 2 * q)
-    return scale * _series_upper(cover.eps, a, q * cover.n, terms)
 
 
 def _strictly_inside(point: Point, box: Box) -> bool:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import ceil, isqrt
+from math import ceil
 from operator import add
 from typing import TYPE_CHECKING
 
@@ -292,106 +292,13 @@ def refutation_budget_lower(spec: DustSpec) -> Fraction:
     return t ** (4 * spec.n) / Fraction(spec.c**4)
 
 
-class BucketTable(Record):
-    """Positions 1, 2, ... bucketed by the level that must absorb them.
-
-    Bucket k holds the integers h with k**2 / 4 <= h < (k+1)**2 / 4, that
-    is ``range(_bucket_start(k), _bucket_start(k + 1))``; so the buckets
-    tile the positive integers, and ``bucket_of`` is checked to invert them
-    up to ``verified_up_to``.
-    """
-
-    k_max: int
-    sets: tuple[tuple[int, ...], ...]
-    verified_up_to: int
-
-    def bucket(self, k: int) -> tuple[int, ...]:
-        if not 1 <= k <= self.k_max:
-            raise ValueError("bucket index out of range")
-        return self.sets[k - 1]
-
-    @staticmethod
-    def bucket_of(h: int) -> int:
-        if h < 1:
-            raise ValueError("positions start at 1")
-        return isqrt(4 * h)
-
-
 def _bucket_start(k: int) -> int:
-    """Least position h >= k**2 / 4: the first position of bucket k."""
+    """Least position h >= k**2 / 4: the first position of bucket k.
+
+    Bucket k holds the cover positions h with k**2 / 4 <= h < (k+1)**2 / 4,
+    the pieces that level k of the survivor walk must absorb.
+    """
     return (k * k + 3) // 4
-
-
-def level_buckets(k_max: int) -> BucketTable:
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
-    sets = tuple(tuple(range(_bucket_start(k), _bucket_start(k + 1))) for k in range(1, k_max + 1))
-    end = _bucket_start(k_max + 1)
-    table = BucketTable(k_max=k_max, sets=sets, verified_up_to=end - 1)
-    for h in range(1, end):
-        if not (table.bucket_of(h) <= k_max and h in sets[table.bucket_of(h) - 1]):
-            raise AssertionError("bucket_of disagrees with the enumeration")
-    return table
-
-
-def intersect_count(tree: DustTree, k: int, box: Box) -> int:
-    """How many level-k cubes the box touches (closed intersection)."""
-    if box.n != tree.spec.n:
-        raise ValueError("dimension mismatch")
-    window = _cell_window(box, tree.spec.scale(k), 1)
-    return sum(1 for _, cell in tree.level_cells(k) if _in_window(cell, window))
-
-
-class HitTable(Record):
-    """Worst-case counts of cubes touched by budgeted pieces, per level.
-
-    Rows are (k, hits, capacity, ok) with capacity the survivor-floor
-    bound 2**(n k) - k * 2**((n-1) k).  Rows below ``seed_level`` carry the
-    capacity itself (assumed, not derived); from the seed on, hits follow
-    the recursion hits_{k+1} = 2**n * hits_k + 2**((n-1) k) * |bucket_{k+1}|
-    with exact bucket sizes.
-    """
-
-    n: int
-    seed_level: int
-    rows: tuple[tuple[int, int, int, bool], ...]
-    first_violation: int | None
-
-
-def hit_recursion_table(n: int, k_max: int, seed_level: int = 4) -> HitTable:
-    """Iterate the worst-case hit recursion and check it against capacity.
-
-    The recursion is seeded at ``seed_level`` with the capacity bound
-    itself.  Level 4 is the default seed because bucket 4 holds three
-    positions, one more than the capacity recursion absorbs at the step
-    from level 3, so a level-3 seed would overshoot in dimension one; from
-    level 4 on every bucket k+1 holds at most k-1 positions and the
-    recursion preserves the bound.
-    """
-    if n < 1 or k_max < 1:
-        raise ValueError("bad arguments")
-    if seed_level < 1:
-        raise ValueError("seed level must be >= 1")
-
-    def capacity(k: int) -> int:
-        return 2 ** (n * k) - k * 2 ** ((n - 1) * k)
-
-    rows: list[tuple[int, int, int, bool]] = []
-    first_violation: int | None = None
-    hits = 0
-    for k in range(1, k_max + 1):
-        if k <= seed_level:
-            hits = capacity(k)
-        else:
-            bucket_size = _bucket_start(k + 1) - _bucket_start(k)
-            hits = 2**n * hits + 2 ** ((n - 1) * (k - 1)) * bucket_size
-        ok = hits <= capacity(k)
-        if not ok and first_violation is None:
-            first_violation = k
-        rows.append((k, hits, capacity(k), ok))
-    return HitTable(
-        n=n, seed_level=seed_level, rows=tuple(rows), first_violation=first_violation
-    )
 
 
 class SurvivorCertificate(Record):

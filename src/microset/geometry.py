@@ -9,9 +9,10 @@ Distances are handled as squared values so that every comparison stays
 exact; Euclidean roots appear only inside ``hausdorff_bracket``, which
 returns a certified rational enclosure.
 
-Between digital sets, distances are integers on a common grid, and the
-nearest cell of a sorted set is found by a pruned scan rather than by
-testing all pairs: ``_nearest_gap_sq`` runs outward from a bisected
+A Hausdorff bracket measures from cell centers to cells on the doubled
+grid, where every squared distance is an integer.  The nearest cell of a
+sorted set to a point is found by a pruned scan rather than by testing
+every cell: ``_nearest_gap_sq`` runs outward from the point's bisected
 position and stops a run once the first-axis gap alone reaches the best
 distance found, which no later cell of that run can beat.
 
@@ -25,7 +26,7 @@ import itertools
 from bisect import bisect_left
 from fractions import Fraction
 from math import ceil, floor, lcm
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 from .rational import DEFAULT_PRECISION, root_lower, root_upper
 
@@ -217,22 +218,11 @@ class HBracket(Record):
         self._set(lo, hi, sample_depth, width_cap)
 
 
-GeometricSet = Union[Point, Box, DigitalSet]
-
-
 def volume(box: Box) -> Fraction:
     v = Fraction(1)
     for lo, hi in box.intervals:
         v *= hi - lo
     return v
-
-
-def min_side(box: Box) -> Fraction:
-    return min(hi - lo for lo, hi in box.intervals)
-
-
-def diam_sq(box: Box) -> Fraction:
-    return sum(((hi - lo) ** 2 for lo, hi in box.intervals), Fraction(0))
 
 
 def _box_gap_sq(a: Sequence[tuple], b: Sequence[tuple]):
@@ -276,52 +266,6 @@ def _on_frame(box: Box, frame: int) -> tuple[tuple[int, int], ...]:
 
 def _in_window(cell: tuple[int, ...], window: tuple[tuple[int, int], ...]) -> bool:
     return all(a <= j <= z for j, (a, z) in zip(cell, window))
-
-
-def _as_boxes(obj: GeometricSet) -> list[Box]:
-    if isinstance(obj, Point):
-        return [Box(tuple((c, c) for c in obj.coords))]
-    if isinstance(obj, Box):
-        return [obj]
-    if isinstance(obj, DigitalSet):
-        return obj.boxes()
-    raise TypeError(f"unsupported geometric object: {type(obj)!r}")
-
-
-def _dist_sq_digital(a: DigitalSet, b: DigitalSet) -> Fraction:
-    # common integer scale keeps the whole scan in integer arithmetic
-    scale = lcm(a.b**a.m, b.b**b.m)
-    fa, fb = scale // a.b**a.m, scale // b.b**b.m
-    best = a.n * scale * scale  # exceeds every squared gap on this grid
-    for ca in a.cells:
-        lo = tuple(j * fa for j in ca)
-        hi = tuple(j + fa for j in lo)
-        best = _nearest_gap_sq(lo, hi, b.cells, fb, best, 0)
-        if best == 0:
-            return Fraction(0)
-    return Fraction(best, scale * scale)
-
-
-def dist_sq(a: GeometricSet, b: GeometricSet) -> Fraction:
-    """Exact squared Euclidean distance between two compact sets.
-
-    Zero exactly when the (closed) sets intersect.
-    """
-    if a.n != b.n:
-        raise ValueError("dimension mismatch")
-    if isinstance(a, DigitalSet) and isinstance(b, DigitalSet):
-        return _dist_sq_digital(a, b)
-    boxes_a, boxes_b = _as_boxes(a), _as_boxes(b)
-    best: Fraction | None = None
-    for ba in boxes_a:
-        for bb in boxes_b:
-            d = _box_gap_sq(ba.intervals, bb.intervals)
-            if best is None or d < best:
-                best = d
-                if best == 0:
-                    return Fraction(0)
-    assert best is not None
-    return best
 
 
 def _contains(piece: tuple, lo: tuple, hi: tuple) -> bool:
@@ -382,14 +326,14 @@ def _crossing(pieces: list[tuple], lo: tuple, hi: tuple) -> tuple[int, int] | No
     return None
 
 
-def _cell_gap_sq(lo: tuple, hi: tuple, cell: tuple[int, ...], f: int, cap: int) -> int:
-    """Squared gap from the integer box lo..hi to the box cell*f..(cell+1)*f.
+def _cell_gap_sq(point: tuple, cell: tuple[int, ...], f: int, cap: int) -> int:
+    """Squared gap from the integer point to the box cell*f..(cell+1)*f.
 
     The sum stops once it reaches ``cap``, so a value ``>= cap`` says only that.
     """
     total = 0
-    for x0, x1, j in zip(lo, hi, cell):
-        gap = max(j * f - x1, x0 - (j + 1) * f)
+    for x, j in zip(point, cell):
+        gap = max(j * f - x, x - (j + 1) * f)
         if gap > 0:
             total += gap * gap
             if total >= cap:
@@ -398,27 +342,28 @@ def _cell_gap_sq(lo: tuple, hi: tuple, cell: tuple[int, ...], f: int, cap: int) 
 
 
 def _nearest_gap_sq(
-    lo: tuple, hi: tuple, cells: Sequence[tuple[int, ...]], f: int, best: int, floor: int
+    point: tuple, cells: Sequence[tuple[int, ...]], f: int, best: int, floor: int
 ) -> int:
-    """min(best, least squared gap from the box lo..hi to a cell), cut short at floor.
+    """min(best, least squared gap from the integer point to a cell), cut short at floor.
 
     ``cells`` are sorted and cell j spans j*f..(j+1)*f.  The scan starts at
-    the bisected position of ``lo // f``, the cell holding the corner
-    ``lo``, and runs outward both ways.  That cell's column has first-axis
-    gap 0, cells after it have no smaller first index and cells before it
-    no larger, so along either run the first-axis gap never shrinks: a run
+    the bisected position of ``point // f``, the cell holding the point,
+    and runs outward both ways.  That cell's column has first-axis gap 0,
+    cells after it have no smaller first index and cells before it no
+    larger, so along either run the first-axis gap never shrinks: a run
     stops once that gap alone reaches ``best``, and the value is exact.
     Once ``best <= floor`` the caller needs no smaller value, and it is
     returned at once.
     """
-    i = bisect_left(cells, tuple(x // f for x in lo))
+    x = point[0]
+    i = bisect_left(cells, tuple(c // f for c in point))
     for run in (range(i, len(cells)), range(i - 1, -1, -1)):
         for k in run:
             cell = cells[k]
-            gap = max(cell[0] * f - hi[0], lo[0] - (cell[0] + 1) * f, 0)
+            gap = max(cell[0] * f - x, x - (cell[0] + 1) * f, 0)
             if gap * gap >= best:
                 break
-            best = min(best, _cell_gap_sq(lo, hi, cell, f, best))
+            best = min(best, _cell_gap_sq(point, cell, f, best))
             if best <= floor:
                 return best
     return best
@@ -436,7 +381,7 @@ def _directed_max_min_dist_sq(
     worst = 0
     for ca in cells_a:
         center = tuple(2 * j + 1 for j in ca)
-        worst = max(worst, _nearest_gap_sq(center, center, cells_b, 2, far, worst))
+        worst = max(worst, _nearest_gap_sq(center, cells_b, 2, far, worst))
     return worst
 
 

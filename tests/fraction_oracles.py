@@ -7,12 +7,17 @@ box.  ``covers_box`` splits at the median crossing boundary,
 ``outside_faces`` samples one point per face of the box-bound arrangement,
 and ``membership`` and ``stability_radius`` run that arrangement on every
 cell.  A box is passed as its per-axis (lo, hi) pairs.
+
+``dist_sq`` takes the least gap over every pair of boxes of two sets, and
+``intersect_count`` counts the dust cubes of one level at distance 0 from a
+box.  ``bucket`` and ``hit_rows`` state the survivor argument's position
+buckets and worst-case hit counts in closed form.
 """
 
 import itertools
 from fractions import Fraction
 
-from microset.geometry import volume
+from microset.geometry import Box, Point, volume
 from microset.rational import DEFAULT_PRECISION, root_lower
 
 
@@ -95,6 +100,47 @@ def gap_sq(a, b):
         if gap > 0:
             total += gap * gap
     return total
+
+
+def _boxes(obj):
+    """A point, box or digital set as the per-axis (lo, hi) pairs of its boxes."""
+    if isinstance(obj, Point):
+        return [tuple((c, c) for c in obj.coords)]
+    if isinstance(obj, Box):
+        return [obj.intervals]
+    return [box.intervals for box in obj.boxes()]
+
+
+def dist_sq(a, b):
+    """Exact squared distance of two points, boxes or digital sets; 0 iff they meet."""
+    if a.n != b.n:
+        raise ValueError("dimension mismatch")
+    return min(gap_sq(x, y) for x in _boxes(a) for y in _boxes(b))
+
+
+def intersect_count(tree, k, box):
+    """How many level-k cubes of the tree the closed box touches."""
+    return sum(1 for _, cube in tree.level(k) if dist_sq(cube, box) == 0)
+
+
+def bucket(k):
+    """The positions h >= 1 with k**2 <= 4h < (k+1)**2, which level k must absorb."""
+    return tuple(range(-(-k * k // 4), -(-(k + 1) ** 2 // 4)))
+
+
+def hit_rows(n, k_max, seed_level):
+    """Rows (k, hits, capacity, ok) of the worst-case hit recursion.
+
+    Capacity is the survivor floor 2**(n k) - k * 2**((n-1) k).  Up to
+    ``seed_level`` the hits are the capacity itself; after it each level
+    multiplies them by 2**n and adds 2**((n-1)(k-1)) per position of bucket k.
+    """
+    rows, hits = [], 0
+    for k in range(1, k_max + 1):
+        capacity = 2 ** (n * k) - k * 2 ** ((n - 1) * k)
+        hits = capacity if k <= seed_level else 2**n * hits + 2 ** ((n - 1) * (k - 1)) * len(bucket(k))
+        rows.append((k, hits, capacity, hits <= capacity))
+    return rows
 
 
 def membership(k_set, ball):

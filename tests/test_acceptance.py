@@ -10,7 +10,8 @@ import sys
 import time
 from fractions import Fraction
 
-from microset import serialize
+from fraction_oracles import bucket, dist_sq, hit_rows
+from microset import covers, dust, serialize
 from microset.baire import SplitMix64
 from microset.covers import (
     BallSpec,
@@ -18,14 +19,11 @@ from microset.covers import (
     GreedyFailure,
     ball_membership,
     ball_stability_radius,
-    cover_measure_upper,
     greedy_strong_cover,
     merge_covers,
-    side_budget_sum,
     verify_cover,
 )
 from microset.dust import (
-    BucketTable,
     DustSpec,
     SurvivorCertificate,
     adversary_random,
@@ -33,8 +31,6 @@ from microset.dust import (
     gap_table,
     generate,
     hausdorff_measure_upper,
-    hit_recursion_table,
-    level_buckets,
     refutation_budget_lower,
     revalidate_survivor,
     survivor_refute,
@@ -43,7 +39,6 @@ from microset.geometry import (
     Box,
     DigitalSet,
     Point,
-    dist_sq,
     hausdorff_bracket,
     volume,
 )
@@ -127,15 +122,16 @@ def test_a03_measure_bounds_vanish_quickly_for_every_alpha():
 
 
 def test_a04_buckets_partition_positions_with_small_sizes():
-    table = level_buckets(200)
-    assert table.verified_up_to >= 10000
-    flattened = [h for bucket in table.sets for h in bucket]
-    assert flattened == list(range(1, table.verified_up_to + 1))
-    assert len(table.bucket(4)) == 3
+    buckets = [bucket(k) for k in range(1, 201)]
+    flattened = [h for positions in buckets for h in positions]
+    assert len(flattened) >= 10000
+    assert flattened == list(range(1, len(flattened) + 1))
+    assert len(bucket(4)) == 3
     for k in range(5, 201):
-        assert len(table.bucket(k)) <= k - 2
-    for h in (1, 2, 3, 4, 9, 12, 5000, 10000):
-        assert h in table.bucket(BucketTable.bucket_of(h))
+        assert len(bucket(k)) <= k - 2
+    # at depth d the refuter examines exactly the positions of buckets 1..d
+    for depth in range(1, 201):
+        assert dust._examined_prefix(depth, 10**9) == sum(map(len, buckets[:depth]))
     print(
         "[A04] PASS buckets tile positions 1..10000 with |bucket k| <= k-2"
         " from k=5 on and |bucket 4| = 3"
@@ -144,10 +140,9 @@ def test_a04_buckets_partition_positions_with_small_sizes():
 
 def test_a05_hit_recursion_never_exceeds_capacity():
     for n in (1, 2, 3):
-        table = hit_recursion_table(n, 60)
-        assert table.first_violation is None
-        assert len(table.rows) == 60
-        assert all(ok for (_, _, _, ok) in table.rows)
+        rows = hit_rows(n, 60, 4)
+        assert len(rows) == 60
+        assert all(ok for (_, _, _, ok) in rows)
     print("[A05] PASS worst-case hit recursion stays within capacity for n=1,2,3 through level 60")
 
 
@@ -286,7 +281,8 @@ def test_a08_merged_covers_reverify_and_obey_the_budget_series():
     single = CoverSeq(
         n=1, eps=F(1, 4), strong=True, pieces=(Box.cube((F(0),), F(1, 4)),)
     )
-    assert cover_measure_upper(single, F(1), 12) == F(1, 3)
+    # sum_k diam(piece_k) <= sum_k (1/4)**k over any strong 1/4-cover of a line set
+    assert covers._series_upper(single.eps, 1, single.n, 12) == F(1, 3)
     rng = SplitMix64(77001)
     for trial in range(200):
         n = 1 + trial % 2
@@ -321,7 +317,7 @@ def test_a09_thin_segment_separates_weak_from_strong_budgets():
     outcome = greedy_strong_cover(segment, F(1, 100), 4096)
     assert isinstance(outcome, GreedyFailure)
     assert outcome.reason == "budget-infeasible"
-    total = side_budget_sum(F(1, 100), 2, 50)
+    total = covers._series_upper(F(1, 100), 1, 2, 50)
     assert total == F(1, 9)
     assert total < 1  # the segment projects onto the whole unit interval
     print(

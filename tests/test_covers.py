@@ -15,14 +15,12 @@ from microset.covers import (
     GreedyFailure,
     ball_membership,
     ball_stability_radius,
-    cover_measure_upper,
     greedy_strong_cover,
     merge_covers,
-    side_budget_sum,
     verify_cover,
 )
-from microset.geometry import Box, DigitalSet, Point, _cell_window, dist_sq, volume
-from microset.rational import root_lower
+from microset.geometry import Box, DigitalSet, Point, _cell_window, volume
+from microset.rational import pow_lower, root_lower
 
 F = Fraction
 
@@ -257,9 +255,10 @@ def test_greedy_rejects_bad_eps():
 
 
 def test_side_budget_sum_exact_values():
-    assert side_budget_sum(F(1, 2), 1, 50) >= 1
-    assert side_budget_sum(F(1, 100), 2, 50) == F(1, 9)
-    assert side_budget_sum(F(81, 100), 2, 50) == 9
+    # sum_k eps**(k/n); a greedy search whose set projects wider is infeasible
+    assert covers._series_upper(F(1, 2), 1, 1, 50) >= 1
+    assert covers._series_upper(F(1, 100), 1, 2, 50) == F(1, 9)
+    assert covers._series_upper(F(81, 100), 1, 2, 50) == 9
 
 
 @given(
@@ -268,12 +267,10 @@ def test_side_budget_sum_exact_values():
     st.integers(min_value=1, max_value=30),
 )
 def test_side_budget_sum_monotone_in_terms(eps, n, terms):
-    a = side_budget_sum(eps, n, terms)
-    b = side_budget_sum(eps, n, terms + 1)
+    a = covers._series_upper(eps, 1, n, terms)
+    b = covers._series_upper(eps, 1, n, terms + 1)
     assert b <= a
     # always an upper bound for the true partial sum it encloses
-    from microset.rational import pow_lower
-
     partial_lower = sum(pow_lower(eps, k, n) for k in range(1, terms + 1))
     assert a >= partial_lower
 
@@ -323,37 +320,15 @@ def test_merge_rejects_mixed_dimension():
 
 
 def test_cover_measure_upper_exact_values():
-    c1 = CoverSeq(
-        n=1,
-        eps=F(1, 4),
-        strong=True,
-        pieces=tuple(
-            Box.cube((F(0),), F(1, 4) ** k) for k in range(1, 4)
-        ),
-    )
-    assert cover_measure_upper(c1, F(1), 50) == F(1, 3)
-    c2 = CoverSeq(
-        n=2,
-        eps=F(1, 16),
-        strong=True,
-        pieces=(Box.cube((F(0), F(0)), F(1, 4)),),
-    )
-    assert cover_measure_upper(c2, F(2), 50) == F(2, 15)
+    # sum_k eps**(alpha*k/n), which bounds sum_k (diam piece_k)**alpha of a
+    # strong cover up to the factor n**(alpha/2)
+    assert covers._series_upper(F(1, 4), 1, 1, 50) == F(1, 3)
+    assert covers._series_upper(F(1, 16), 2, 2, 50) == F(1, 15)
 
 
 def test_cover_measure_upper_monotone_in_terms():
-    c = CoverSeq(n=1, eps=F(1, 4), strong=True, pieces=(Box.cube((F(0),), F(1, 4)),))
-    vals = [cover_measure_upper(c, F(1, 2), t) for t in (5, 10, 20)]
+    vals = [covers._series_upper(F(1, 4), 1, 2, t) for t in (5, 10, 20)]
     assert vals[0] >= vals[1] >= vals[2] > 0
-
-
-def test_cover_measure_upper_requires_strong():
-    weak = cover1(F(1, 4), box1(0, F(1, 4)))
-    with pytest.raises(ValueError):
-        cover_measure_upper(weak, F(1), 10)
-    c = CoverSeq(n=1, eps=F(1, 4), strong=True, pieces=(Box.cube((F(0),), F(1, 4)),))
-    with pytest.raises(ValueError):
-        cover_measure_upper(c, F(0), 10)
 
 
 def test_strong_cover_witness_small_sets():
@@ -531,7 +506,7 @@ def _oracle_radius(k_set, ball, witnesses):
             for a in range(ball.n)
         ]
         if all(lo <= hi for lo, hi in ivs):
-            d = dist_sq(k_set, Box(tuple(ivs)))
+            d = fraction_oracles.dist_sq(k_set, Box(tuple(ivs)))
             complement_sq = d if complement_sq is None else min(complement_sq, d)
     best = min(radii)
     if best * best <= complement_sq:

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fraction_oracles import bucket, dist_sq, hit_rows, intersect_count
 from microset import dust, serialize
 from microset.baire import SplitMix64
 from microset.covers import CoverSeq, verify_cover
 from microset.dust import (
-    BucketTable,
     DustSpec,
     DustTree,
     RefuterFailure,
@@ -27,15 +27,12 @@ from microset.dust import (
     gap_table,
     generate,
     hausdorff_measure_upper,
-    hit_recursion_table,
-    intersect_count,
-    level_buckets,
     refutation_budget_lower,
     revalidate_survivor,
     survivor_refute,
     validate,
 )
-from microset.geometry import Box, dist_sq, hausdorff_bracket, volume
+from microset.geometry import Box, _cell_window, _in_window, hausdorff_bracket, volume
 from microset.rational import DEFAULT_PRECISION, pow_lower, root_lower, root_upper
 
 F = Fraction
@@ -249,24 +246,19 @@ def test_epsilon_threshold_positive_for_dimensions():
 
 
 def test_bucket_examples():
-    table = level_buckets(10)
-    assert table.bucket(1) == ()
-    assert table.bucket(2) == (1, 2)
-    assert table.bucket(3) == (3,)
-    assert table.bucket(4) == (4, 5, 6)
-    assert table.bucket(6) == (9, 10, 11, 12)
-    assert table.bucket_of(1) == 2
-    assert table.bucket_of(6) == 4
-    with pytest.raises(ValueError):
-        table.bucket(11)
-    with pytest.raises(ValueError):
-        BucketTable.bucket_of(0)
+    assert bucket(1) == ()
+    assert bucket(2) == (1, 2)
+    assert bucket(3) == (3,)
+    assert bucket(4) == (4, 5, 6)
+    assert bucket(6) == (9, 10, 11, 12)
+    # the refuter reads each bucket off its first position
+    for k in range(1, 11):
+        assert bucket(k) == tuple(range(dust._bucket_start(k), dust._bucket_start(k + 1)))
 
 
 def test_bucket_partition_and_size_bounds():
-    table = level_buckets(200)
-    assert table.verified_up_to >= 10_000
-    sizes = {k: len(table.bucket(k)) for k in range(1, 201)}
+    sizes = {k: len(bucket(k)) for k in range(1, 201)}
+    assert sum(sizes.values()) >= 10_000
     assert sizes[4] == 3
     for k in range(5, 201):
         assert sizes[k] <= k - 2
@@ -332,33 +324,23 @@ def test_intersection_bound_empirically():
 
 
 def test_hit_capacity_plane_level_one():
-    table = hit_recursion_table(2, 1)
-    k, hits, cap, ok = table.rows[0]
+    (k, hits, cap, ok), = hit_rows(2, 1, 4)
     assert (k, cap, ok) == (1, 2, True)
 
 
 def test_hit_recursion_no_violation_up_to_sixty():
     for n in (1, 2, 3):
-        table = hit_recursion_table(n, 60)
-        assert table.first_violation is None
-        for k, hits, cap, ok in table.rows:
+        for k, hits, cap, ok in hit_rows(n, 60, 4):
             assert ok and hits <= cap
 
 
 def test_hit_recursion_seed_three_fails_in_line():
     # seeding at level 3 overshoots in dimension one: bucket 4 has three
     # positions where the step from level 3 absorbs only two, so the count
-    # first exceeds capacity at level 4 (13 > 12); the level-4 seed used
-    # by default avoids this
-    table = hit_recursion_table(1, 6, seed_level=3)
-    assert table.first_violation == 4
-    row = table.rows[3]
-    assert (row[0], row[1], row[2]) == (4, 13, 12)
-
-
-def test_hit_recursion_argument_checks():
-    with pytest.raises(ValueError):
-        hit_recursion_table(0, 5)
+    # first exceeds capacity at level 4 (13 > 12); a level-4 seed avoids this
+    rows = hit_rows(1, 6, 3)
+    assert next(k for k, _, _, ok in rows if not ok) == 4
+    assert rows[3][:3] == (4, 13, 12)
 
 
 def _empty_cover(n: int) -> CoverSeq:
@@ -665,11 +647,12 @@ def test_integer_touching_matches_the_fraction_oracle(case):
     tree, cover = case
     depth = tree.spec.depth
     assert _survivor_walk(tree.spec, cover) == _walk_oracle(tree, cover)
+    # the refuter's touching window holds exactly the cells at distance 0
     for k in range(1, depth + 1):
-        cubes = [box for _, box in tree.level(k)]
-        for piece in cover.pieces:
-            want = sum(1 for cube in cubes if dist_sq(cube, piece) == 0)
-            assert intersect_count(tree, k, piece) == want
+        windows = [_cell_window(piece, tree.spec.scale(k), 1) for piece in cover.pieces]
+        for (_, cube), (_, cell) in zip(tree.level(k), tree.level_cells(k)):
+            for piece, window in zip(cover.pieces, windows):
+                assert _in_window(cell, window) == (dist_sq(cube, piece) == 0)
     # _check_survivor names the first examined piece that touches the named leaf
     prefix = _examined_prefix(depth, len(cover.pieces))
     for word, cube in tree.level(depth):

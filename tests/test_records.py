@@ -7,11 +7,9 @@ import pytest
 from microset.baire import SampleSpec, TrialRecord, TypicalityReport
 from microset.covers import BallSpec, CoverReport, CoverSeq, GreedyFailure
 from microset.dust import (
-    BucketTable,
     DustSpec,
     DustTree,
     GapTable,
-    HitTable,
     RefuterFailure,
     SurvivorCertificate,
     generate,
@@ -38,8 +36,6 @@ SAMPLES = [
     (DustTree, {"spec": _SPEC, "levels": generate(_SPEC).levels}),
     (GapTable, {"depth": 1, "volume": (F(1, 3),), "leftover": (F(1, 9),),
                 "sibling_gap": (F(1, 3),), "level_gap": (F(1, 3),)}),
-    (BucketTable, {"k_max": 1, "sets": ((1,),), "verified_up_to": 1}),
-    (HitTable, {"n": 1, "seed_level": 4, "rows": ((1, 1, 1, True),), "first_violation": None}),
     (SurvivorCertificate, {"depth": 1, "checked_prefix": 0, "survivor_word": (1,), "level_counts": (2,)}),
     (RefuterFailure, {"level": 2, "checked_prefix": 2}),
     (SampleSpec, {"seed": 1, "n": 1, "b": 3, "depth": 1, "density": F(1, 2), "trials": 1}),
@@ -54,7 +50,7 @@ CASES = pytest.mark.parametrize("cls, kwargs", SAMPLES, ids=[cls.__name__ for cl
 
 def test_every_record_class_has_a_sample():
     assert {cls for cls, _ in SAMPLES} == set(Record.__subclasses__())
-    assert len(SAMPLES) == 18
+    assert len(SAMPLES) == 16
 
 
 @CASES

@@ -5,6 +5,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fraction_oracles import dist_sq
 from microset.covers import verify_cover
 from microset.dust import (
     DustSpec,
@@ -16,7 +17,6 @@ from microset.dust import (
     revalidate_survivor,
     survivor_refute,
 )
-from microset.geometry import dist_sq
 
 F = Fraction
 

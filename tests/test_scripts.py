@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -48,3 +50,22 @@ def test_render_dust_svg(tmp_path):
         timeout=120,
     )
     assert proc.returncode == 2 and "--corner-order" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "name, args",
+    [
+        ("typicality_experiment.py", ("--density", "1e-10000000")),
+        ("typicality_experiment.py", ("--density", "0")),
+        ("refutation_experiment.py", ("--depth", "2", "--adversaries", "1", "--eps", "1e-1000000")),
+        ("refutation_experiment.py", ("--eps", "2")),
+    ],
+)
+def test_scripts_refuse_a_bad_rational_before_running(name, args):
+    # read as the command line reads it: exponent notation and out-of-range values are usage errors
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / name), *args], capture_output=True, text=True, timeout=10
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines()[-1].startswith(f"{name}: error: argument --")
