@@ -19,114 +19,98 @@ Exit codes:
 
 from __future__ import annotations
 
-import argparse
 import sys
-from fractions import Fraction
 
 from .rational import format_scalar, parse_scalar
+
+
+def _flag(names: str, kind="path", default=..., count=1, dest=None, help=""):
+    """A flag's spellings ("-o/--out"), value kind (int, rational, path or point), default (...
+    if required), count (1, "+" for one or more values, "append" for one per use) and attribute."""
+    names = tuple(names.split("/"))
+    return names, dest or names[-1].lstrip("-").replace("-", "_"), kind, default, count, help
 
 
 class _Negative(Exception):
     """Verified-negative outcome: message for stdout, exit code 1."""
 
 
-def _scalar(text: str) -> Fraction:
-    try:
-        return parse_scalar(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+class _Args:
+    """A subcommand's flag values, one attribute each."""
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="microset",
-        description="exact cover certificates for compact subsets of the unit cube",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _named(token: str, flags: dict):
+    """None for a value, else the flag a token names (None if unknown) and the value after "=".
+    As in argparse, a token naming no flag is a value unless it starts with "-" and is not "-",
+    a text with a space or a negative number such as "-3" or "-.5" (one final newline allowed)."""
+    if token in flags:
+        return flags[token], None
+    name, eq, value = token.partition("=")
+    if eq and name in flags:
+        return flags[name], value
+    digits = token[1:].removesuffix("\n")
+    number = not digits.endswith(".") and digits.replace(".", "", 1).isdecimal()
+    return None if token[:1] != "-" or token == "-" or " " in token or number else (None, None)
 
-    p = sub.add_parser("dust-generate", help="build and verify a dust tree")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
-    p.add_argument("--depth", type=int, required=True)
-    p.add_argument("-o", "--out", required=True)
 
-    p = sub.add_parser("dust-gaps", help="exact per-level gap table")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
-    p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--tree", default=None, help="cross-check against this tree file")
-    p.add_argument("-o", "--out", default=None)
+def _parse(argv: list[str]):
+    """(handler, args) read from argv by _COMMANDS, or None once a help text is printed; a usage
+    error raises ValueError.  The rules are argparse's, except that no flag may be abbreviated."""
+    def fail(message: str) -> ValueError:  # the usage line of the subcommand read so far follows
+        return ValueError(f"{message}\n{_help(command).splitlines()[0]}")
+    command, flags, spec, args, unknown = None, dict.fromkeys(_HELP[0], _HELP), (), _Args(), []
+    tokens = list(argv)
+    while tokens:
+        token = tokens.pop(0)
+        named = _named(token, flags)
+        if named is None and command is None:
+            if token not in _COMMANDS:
+                raise fail(f"invalid subcommand {token!r}")
+            command, spec = token, _COMMANDS[token][1]
+            flags = {name: flag for flag in (_HELP, *spec) for name in flag[0]}
+            vars(args).update((flag[1], flag[3]) for flag in spec)  # ... marks a required flag
+        elif named is None or named[0] is None:
+            unknown.append(token)
+        elif named[0] is _HELP and named[1] is None:
+            print(_help(command))
+            return None
+        else:
+            (names, dest, kind, _, count, _), value = named
+            texts = [] if value is None else [value]
+            while value is None and tokens and (count == "+" or not texts) and not _named(tokens[0], flags):
+                texts.append(tokens.pop(0))
+            if not texts or not count:
+                raise fail(f"argument {'/'.join(names)}: expected {'a' if count else 'no'} value")
+            read = {"int": int, "rational": parse_scalar}.get(kind, str)  # looked up per call, for tracers
+            try:
+                got = [read(text) for text in texts]
+            except ValueError as exc:
+                raise fail(f"argument {'/'.join(names)}: {exc}") from None
+            vars(args)[dest] = got[0] if count == 1 else got if count == "+" else vars(args)[dest] + got
+    missing = ["/".join(flag[0]) for flag in spec if vars(args)[flag[1]] is ...]
+    if command is None or missing:
+        raise fail(f"the following arguments are required: {', '.join(missing) or 'COMMAND'}")
+    if unknown:
+        raise fail(f"unrecognized arguments: {' '.join(unknown)}")
+    return _COMMANDS[command][2], args
 
-    p = sub.add_parser(
-        "dust-hmeasure", help="certified upper bound for the alpha-measure at one level"
-    )
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
-    p.add_argument("--alpha", type=_scalar, required=True)
-    p.add_argument("--k", type=int, required=True)
 
-    p = sub.add_parser(
-        "dust-refute", help="survivor certificate against a budgeted cover"
-    )
-    p.add_argument("--tree", required=True)
-    p.add_argument("--cover", required=True)
-    p.add_argument("-o", "--out", default=None)
-    p.add_argument(
-        "--check",
-        default=None,
-        help="re-validate this existing certificate instead of searching",
-    )
-
-    p = sub.add_parser("cover-verify", help="verify budgets and coverage")
-    p.add_argument("--set", dest="set_path", required=True)
-    p.add_argument("--cover", required=True)
-    p.add_argument("-o", "--out", default=None)
-
-    p = sub.add_parser("cover-search", help="search for a cube cover with budgets eps**k")
-    p.add_argument("--set", dest="set_path", required=True)
-    p.add_argument("--eps", type=_scalar, required=True)
-    p.add_argument("--max-pieces", type=int, default=4096)
-    p.add_argument("-o", "--out", default=None)
-
-    p = sub.add_parser("cover-merge", help="interleave covers into one sequence")
-    p.add_argument("--covers", nargs="+", required=True)
-    p.add_argument("--eps", type=_scalar, required=True)
-    p.add_argument("-o", "--out", required=True)
-
-    p = sub.add_parser(
-        "ball-check",
-        help="membership in a finite open-box union, optionally with a stability radius",
-    )
-    p.add_argument("--set", dest="set_path", required=True)
-    p.add_argument("--ball", required=True)
-    p.add_argument(
-        "--witness",
-        action="append",
-        default=[],
-        help="point as comma-separated rationals, one per box, e.g. '1/2,1/3'",
-    )
-
-    p = sub.add_parser("hausdorff", help="certified Hausdorff distance bracket")
-    p.add_argument("--a", dest="a_path", required=True)
-    p.add_argument("--b", dest="b_path", required=True)
-    p.add_argument("--depth", type=int, required=True)
-    p.add_argument("-o", "--out", default=None)
-
-    p = sub.add_parser("baire-sample", help="seeded random digital set")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
-    p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--density", type=_scalar, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("-o", "--out", required=True)
-
-    p = sub.add_parser("render-svg", help="static SVG of a planar tree or cover")
-    p.add_argument("--tree", default=None)
-    p.add_argument("--cover", default=None)
-    p.add_argument("--max-level", type=int, default=None)
-    p.add_argument("-o", "--out", required=True)
-
-    return parser
+def _help(command: str | None) -> str:
+    """The usage line, then the subcommands, or one subcommand's flags, with their help."""
+    if command is None:
+        usage, about = "[-h] COMMAND ...", "exact cover certificates for compact subsets of the unit cube"
+        title = "subcommands ('microset COMMAND --help' lists one's flags)"
+        rows = [(name, entry[0]) for name, entry in _COMMANDS.items()]
+    else:
+        (about, spec, _), usage, title, rows = _COMMANDS[command], command, "flags", []
+        for names, _, kind, default, count, text in (_HELP, *spec):
+            meta = f" {kind.upper()}" * (count != 0) + " ..." * (count == "+")
+            usage += f" {names[0]}{meta}" if default is ... else f" [{names[0]}{meta}]"
+            given = "required" if default is ... else "" if default in (None, []) else f"default {default}"
+            rows.append((", ".join(names) + meta, "; ".join(filter(None, (text, given)))))
+    width = max(len(left) for left, _ in rows) + 2
+    lines = "\n".join(f"  {left:<{width}}{right}".rstrip() for left, right in rows)
+    return f"usage: microset {usage}\n\n{about}\n\n{title}:\n{lines}"
 
 
 def _load_as(path: str, schema: str):
@@ -331,29 +315,45 @@ def _cmd_render_svg(args) -> int:
     return 0
 
 
-_HANDLERS = {
-    "dust-generate": _cmd_dust_generate,
-    "dust-gaps": _cmd_dust_gaps,
-    "dust-hmeasure": _cmd_dust_hmeasure,
-    "dust-refute": _cmd_dust_refute,
-    "cover-verify": _cmd_cover_verify,
-    "cover-search": _cmd_cover_search,
-    "cover-merge": _cmd_cover_merge,
-    "ball-check": _cmd_ball_check,
-    "hausdorff": _cmd_hausdorff,
-    "baire-sample": _cmd_baire_sample,
-    "render-svg": _cmd_render_svg,
+_HELP = _flag("-h/--help", default=None, count=0, help="show this help")
+_N, _B, _DEPTH = _flag("--n", "int"), _flag("--b", "int"), _flag("--depth", "int")
+_SET, _EPS, _COVER = _flag("--set", dest="set_path"), _flag("--eps", "rational"), _flag("--cover")
+_OUT, _MAYBE_OUT = _flag("-o/--out"), _flag("-o/--out", default=None)
+
+_COMMANDS = {  # subcommand -> (help, flags, handler)
+    "dust-generate": ("build and verify a dust tree", (_N, _B, _DEPTH, _OUT), _cmd_dust_generate),
+    "dust-gaps": ("exact per-level gap table", (
+        _N, _B, _DEPTH, _flag("--tree", default=None, help="cross-check against this tree file"),
+        _MAYBE_OUT), _cmd_dust_gaps),
+    "dust-hmeasure": ("certified upper bound for the alpha-measure at one level", (
+        _N, _B, _flag("--alpha", "rational"), _flag("--k", "int")), _cmd_dust_hmeasure),
+    "dust-refute": ("survivor certificate against a budgeted cover", (
+        _flag("--tree"), _COVER, _MAYBE_OUT,
+        _flag("--check", default=None, help="re-validate this existing certificate instead of searching")),
+        _cmd_dust_refute),
+    "cover-verify": ("verify budgets and coverage", (_SET, _COVER, _MAYBE_OUT), _cmd_cover_verify),
+    "cover-search": ("search for a cube cover with budgets eps**k", (
+        _SET, _EPS, _flag("--max-pieces", "int", default=4096), _MAYBE_OUT), _cmd_cover_search),
+    "cover-merge": ("interleave covers into one sequence", (
+        _flag("--covers", count="+"), _EPS, _OUT), _cmd_cover_merge),
+    "ball-check": ("membership in a finite open-box union, optionally with a stability radius", (
+        _SET, _flag("--ball"), _flag("--witness", "point", default=[], count="append",
+                                     help="comma-separated rationals, one per box, e.g. '1/2,1/3'")),
+        _cmd_ball_check),
+    "hausdorff": ("certified Hausdorff distance bracket", (
+        _flag("--a", dest="a_path"), _flag("--b", dest="b_path"), _DEPTH, _MAYBE_OUT), _cmd_hausdorff),
+    "baire-sample": ("seeded random digital set", (
+        _N, _B, _DEPTH, _flag("--density", "rational"), _flag("--seed", "int"), _OUT), _cmd_baire_sample),
+    "render-svg": ("static SVG of a planar tree or cover", (
+        _flag("--tree", default=None), _flag("--cover", default=None),
+        _flag("--max-level", "int", default=None), _OUT), _cmd_render_svg),
 }
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
-        return _HANDLERS[args.command](args)
+        parsed = _parse(list(sys.argv[1:] if argv is None else argv))
+        return 0 if parsed is None else parsed[0](parsed[1])
     except _Negative as exc:
         print(str(exc), file=sys.stderr)
         return 1

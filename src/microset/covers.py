@@ -286,27 +286,22 @@ def _certify_infeasible(
     # refutes any cover of e, not just this search: the total side budget
     # must span the projection of the whole set on every axis
     needed = max(len({c[axis] for c in e.cells}) * e.cell_side for axis in range(e.n))
-    reason = "budget-infeasible" if _series_upper(eps, 1, e.n, 0) < needed else "stalled"
+    reason = "budget-infeasible" if _series_upper(eps, e.n) < needed else "stalled"
     return GreedyFailure(reason, position=position, uncovered=len(uncovered))
 
 
-def _series_upper(eps: Fraction, num: int, den: int, terms: int) -> Fraction:
-    """Certified upper bound of sum_{k>=1} eps**(num*k/den).
+def _series_upper(eps: Fraction, n: int) -> Fraction:
+    """Certified upper bound of sum_{k>=1} eps**(k/n), the side budget of a strong cover.
 
-    Finite prefix of per-term upper enclosures plus the geometric tail
-    r**(terms+1)/(1-r), with r an upper enclosure of eps**(num/den) whose
-    grid is refined until r < 1.
+    The geometric sum r/(1-r), with r an upper enclosure of eps**(1/n)
+    whose grid is refined until r < 1.
     """
     prec = DEFAULT_PRECISION
-    r = pow_upper(eps, num, den, prec)
+    r = pow_upper(eps, 1, n, prec)
     while r >= 1:
         prec *= 10
-        r = pow_upper(eps, num, den, prec)
-    partial = sum(
-        (min(pow_upper(eps, num * k, den, prec), r**k) for k in range(1, terms + 1)),
-        Fraction(0),
-    )
-    return partial + r ** (terms + 1) / (1 - r)
+        r = pow_upper(eps, 1, n, prec)
+    return r / (1 - r)
 
 
 def merge_covers(covers: Sequence[CoverSeq], eps: Fraction) -> CoverSeq:

@@ -11,14 +11,16 @@ cell.  A box is passed as its per-axis (lo, hi) pairs.
 ``dist_sq`` takes the least gap over every pair of boxes of two sets, and
 ``intersect_count`` counts the dust cubes of one level at distance 0 from a
 box.  ``bucket`` and ``hit_rows`` state the survivor argument's position
-buckets and worst-case hit counts in closed form.
+buckets and worst-case hit counts in closed form.  ``series_upper`` bounds
+``sum_k eps**(num*k/den)`` by a prefix of per-term enclosures plus a
+geometric tail; the library keeps only its tail, ``covers._series_upper``.
 """
 
 import itertools
 from fractions import Fraction
 
 from microset.geometry import Box, Point, volume
-from microset.rational import DEFAULT_PRECISION, root_lower
+from microset.rational import DEFAULT_PRECISION, pow_upper, root_lower
 
 
 def budget_violation(cover, eps=None):
@@ -177,3 +179,22 @@ def stability_radius(k_set, ball, witnesses):
     if near_sq == bound * bound:
         return bound
     return root_lower(near_sq, 2, max(DEFAULT_PRECISION, near_sq.denominator))
+
+
+def series_upper(eps, num, den, terms):
+    """Certified upper bound of sum_{k>=1} eps**(num*k/den).
+
+    Finite prefix of per-term upper enclosures plus the geometric tail
+    r**(terms+1)/(1-r), with r an upper enclosure of eps**(num/den) whose
+    grid is refined until r < 1.
+    """
+    prec = DEFAULT_PRECISION
+    r = pow_upper(eps, num, den, prec)
+    while r >= 1:
+        prec *= 10
+        r = pow_upper(eps, num, den, prec)
+    partial = sum(
+        (min(pow_upper(eps, num * k, den, prec), r**k) for k in range(1, terms + 1)),
+        Fraction(0),
+    )
+    return partial + r ** (terms + 1) / (1 - r)

@@ -282,7 +282,7 @@ def test_a08_merged_covers_reverify_and_obey_the_budget_series():
         n=1, eps=F(1, 4), strong=True, pieces=(Box.cube((F(0),), F(1, 4)),)
     )
     # sum_k diam(piece_k) <= sum_k (1/4)**k over any strong 1/4-cover of a line set
-    assert covers._series_upper(single.eps, 1, single.n, 12) == F(1, 3)
+    assert covers._series_upper(single.eps, single.n) == F(1, 3)
     rng = SplitMix64(77001)
     for trial in range(200):
         n = 1 + trial % 2
@@ -317,7 +317,7 @@ def test_a09_thin_segment_separates_weak_from_strong_budgets():
     outcome = greedy_strong_cover(segment, F(1, 100), 4096)
     assert isinstance(outcome, GreedyFailure)
     assert outcome.reason == "budget-infeasible"
-    total = covers._series_upper(F(1, 100), 1, 2, 50)
+    total = covers._series_upper(F(1, 100), 2)
     assert total == F(1, 9)
     assert total < 1  # the segment projects onto the whole unit interval
     print(

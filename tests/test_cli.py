@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from microset import serialize
-from microset.cli import _HANDLERS, main
+from microset.cli import _COMMANDS, main
 from microset.covers import BallSpec, CoverReport, CoverSeq
 from microset.dust import (
     DustSpec,
@@ -256,7 +256,7 @@ def test_precision_flag_validation(tmp_path):
 
 def test_precision_flag_only_where_it_is_read(tmp_path, capsys):
     # no subcommand reads --precision, so none lists or accepts it
-    for command in _HANDLERS:
+    for command in _COMMANDS:
         assert run(command, "--help") == 0
         assert "--precision" not in capsys.readouterr().out, command
     e_path, cover_path = tmp_path / "e.json", tmp_path / "cover.json"

@@ -256,9 +256,9 @@ def test_greedy_rejects_bad_eps():
 
 def test_side_budget_sum_exact_values():
     # sum_k eps**(k/n); a greedy search whose set projects wider is infeasible
-    assert covers._series_upper(F(1, 2), 1, 1, 50) >= 1
-    assert covers._series_upper(F(1, 100), 1, 2, 50) == F(1, 9)
-    assert covers._series_upper(F(81, 100), 1, 2, 50) == 9
+    assert covers._series_upper(F(1, 2), 1) >= 1
+    assert covers._series_upper(F(1, 100), 2) == F(1, 9)
+    assert covers._series_upper(F(81, 100), 2) == 9
 
 
 @given(
@@ -267,9 +267,11 @@ def test_side_budget_sum_exact_values():
     st.integers(min_value=1, max_value=30),
 )
 def test_side_budget_sum_monotone_in_terms(eps, n, terms):
-    a = covers._series_upper(eps, 1, n, terms)
-    b = covers._series_upper(eps, 1, n, terms + 1)
-    assert b <= a
+    # the library bound is the oracle's with no prefix, and a longer prefix only tightens it
+    assert covers._series_upper(eps, n) == fraction_oracles.series_upper(eps, 1, n, 0)
+    a = fraction_oracles.series_upper(eps, 1, n, terms)
+    b = fraction_oracles.series_upper(eps, 1, n, terms + 1)
+    assert b <= a <= covers._series_upper(eps, n)
     # always an upper bound for the true partial sum it encloses
     partial_lower = sum(pow_lower(eps, k, n) for k in range(1, terms + 1))
     assert a >= partial_lower
@@ -322,12 +324,12 @@ def test_merge_rejects_mixed_dimension():
 def test_cover_measure_upper_exact_values():
     # sum_k eps**(alpha*k/n), which bounds sum_k (diam piece_k)**alpha of a
     # strong cover up to the factor n**(alpha/2)
-    assert covers._series_upper(F(1, 4), 1, 1, 50) == F(1, 3)
-    assert covers._series_upper(F(1, 16), 2, 2, 50) == F(1, 15)
+    assert covers._series_upper(F(1, 4), 1) == F(1, 3)
+    assert fraction_oracles.series_upper(F(1, 16), 2, 2, 50) == F(1, 15)
 
 
 def test_cover_measure_upper_monotone_in_terms():
-    vals = [covers._series_upper(F(1, 4), 1, 2, t) for t in (5, 10, 20)]
+    vals = [fraction_oracles.series_upper(F(1, 4), 1, 2, t) for t in (5, 10, 20)]
     assert vals[0] >= vals[1] >= vals[2] > 0
 
 
