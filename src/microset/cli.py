@@ -172,6 +172,29 @@ def _cmd_dust_hmeasure(args) -> int:
     return 0
 
 
+def _cmd_dust_adversary(args) -> int:
+    from . import dust, serialize
+
+    if args.count < 1:
+        raise ValueError("--count must be at least 1")
+    if args.eps is not None and not 0 < args.eps < 1:
+        raise ValueError("--eps must lie strictly between 0 and 1")
+    spec = dust.DustSpec(n=args.n, b=args.b, depth=args.depth)
+    problem = dust.validate(spec)
+    if problem is not None:
+        raise _Negative(f"inadmissible: {problem}")
+    eps = dust.refutation_budget_lower(spec) if args.eps is None else args.eps
+    if args.seed is None:
+        kind, cover = "swallow", dust.adversary_swallow(spec, eps, args.count)
+    else:
+        kind, cover = "random", dust.adversary_random(spec, eps, args.count, args.seed)
+    if cover.first_budget_violation() is not None:
+        raise AssertionError("the adversary broke its own budget")
+    serialize.save(cover, args.out)
+    print(f"{kind} cover with {args.count} pieces -> {args.out}")
+    return 0
+
+
 def _cmd_dust_refute(args) -> int:
     from . import dust
 
@@ -327,6 +350,11 @@ _COMMANDS = {  # subcommand -> (help, flags, handler)
         _MAYBE_OUT), _cmd_dust_gaps),
     "dust-hmeasure": ("certified upper bound for the alpha-measure at one level", (
         _N, _B, _flag("--alpha", "rational"), _flag("--k", "int")), _cmd_dust_hmeasure),
+    "dust-adversary": ("budget-tight cover that the refuter must beat", (
+        _N, _B, _DEPTH, _flag("--count", "int"),
+        _flag("--eps", "rational", default=None, help="default: the critical budget"),
+        _flag("--seed", "int", default=None, help="random cover from this seed; default: swallow leaves"),
+        _OUT), _cmd_dust_adversary),
     "dust-refute": ("survivor certificate against a budgeted cover", (
         _flag("--tree"), _COVER, _MAYBE_OUT,
         _flag("--check", default=None, help="re-validate this existing certificate instead of searching")),

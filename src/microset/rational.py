@@ -18,7 +18,7 @@ of ``prec``.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, log2
 
 DEFAULT_PRECISION = 10**12
 
@@ -53,8 +53,13 @@ def int_nth_root(a: int, r: int) -> tuple[int, bool]:
     if r == 2:
         s = isqrt(a)
         return s, s * s == a
-    # integer Newton iteration, started above the root
-    x = 1 << -(-a.bit_length() // r)
+    # integer Newton from a float estimate good to about 30 bits: from far above the
+    # root each step lowers x by only about x/r, this close each doubles the correct bits;
+    # the float only picks the start, and the exact steps decide the result
+    e = log2(a) / r
+    k = max(int(e) - 50, 0)
+    x = (int(2.0 ** (e - k)) + 1) << k
+    x = ((r - 1) * x + a // x ** (r - 1)) // r  # by AM-GM, at or above the floor root
     while True:
         y = ((r - 1) * x + a // x ** (r - 1)) // r
         if y >= x:

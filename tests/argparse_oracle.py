@@ -61,6 +61,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=_scalar, required=True)
     p.add_argument("--k", type=int, required=True)
 
+    p = sub.add_parser("dust-adversary", help="budget-tight cover that the refuter must beat")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--b", type=int, required=True)
+    p.add_argument("--depth", type=int, required=True)
+    p.add_argument("--count", type=int, required=True)
+    p.add_argument("--eps", type=_scalar, default=None, help="default: the critical budget")
+    p.add_argument(
+        "--seed", type=int, default=None, help="random cover from this seed; default: swallow leaves"
+    )
+    p.add_argument("-o", "--out", required=True)
+
     p = sub.add_parser(
         "dust-refute", help="survivor certificate against a budgeted cover"
     )

@@ -19,6 +19,7 @@ from microset.covers import BallSpec, CoverReport, CoverSeq
 from microset.dust import (
     DustSpec,
     RefuterFailure,
+    adversary_random,
     adversary_swallow,
     gap_table,
     generate,
@@ -307,6 +308,95 @@ def test_refute_cli_full_cycle(tmp_path):
     serialize.save(plane, planep)
     assert run("dust-refute", "--tree", str(tp), "--cover", str(planep)) == 2
     assert run("dust-refute", "--tree", str(tp), "--cover", str(planep), "--check", str(certp)) == 2
+
+
+def _adversary(tmp_path, n, count, *extra, b=3, depth=3):
+    """Run dust-adversary; its exit code and output path."""
+    out = tmp_path / f"cover_{n}_{count}.json"
+    argv = ["--n", str(n), "--b", str(b), "--depth", str(depth), "--count", str(count)]
+    return run("dust-adversary", *argv, *extra, "-o", str(out)), out
+
+
+def test_dust_study_runs_as_a_pipeline(tmp_path, capsys):
+    # the line study: a tree, a swallow and a random adversary, each refuted and re-checked
+    tp = tmp_path / "tree.json"
+    assert run("dust-generate", "--n", "1", "--b", "3", "--depth", "3", "-o", str(tp)) == 0
+    assert len(json.loads(tp.read_text())["levels"][-1]) == 8  # leaves
+    for kind, count, extra in (("swallow", 1, ()), ("random", 2, ("--seed", "2027"))):
+        capsys.readouterr()
+        code, cp = _adversary(tmp_path, 1, count, *extra)
+        assert (code, capsys.readouterr().out) == (0, f"{kind} cover with {count} pieces -> {cp}\n")
+        certp = tmp_path / f"{kind}_cert.json"
+        assert run("dust-refute", "--tree", str(tp), "--cover", str(cp), "-o", str(certp)) == 0
+        assert re.fullmatch(rf"survivor \[[\d, ]+\] disjoint from the first {count} pieces\n",
+                            capsys.readouterr().out)
+        assert run("dust-refute", "--tree", str(tp), "--cover", str(cp), "--check", str(certp)) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "cover_1_1.json", "cover_1_2.json", "random_cert.json", "swallow_cert.json", "tree.json"
+    ]
+
+
+def test_dust_and_adversary_render_one_rect_per_cube(tmp_path, capsys):
+    tp, svg, cover_svg = tmp_path / "tree.json", tmp_path / "dust.svg", tmp_path / "dust_cover.svg"
+    assert run("dust-generate", "--n", "2", "--b", "3", "--depth", "2", "-o", str(tp)) == 0
+    code, cp = _adversary(tmp_path, 2, 3, "--seed", "7", depth=2)
+    assert code == 0
+    capsys.readouterr()
+    assert run("render-svg", "--tree", str(tp), "-o", str(svg)) == 0
+    assert run("render-svg", "--cover", str(cp), "-o", str(cover_svg)) == 0
+    assert capsys.readouterr().out.splitlines() == [f"wrote {svg}", f"wrote {cover_svg}"]
+    assert svg.read_text().count("<rect") == 1 + 4 + 16
+    assert cover_svg.read_text().count("<rect") == 1 + 3
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_dust_adversary_writes_the_library_cover(tmp_path, n):
+    spec = DustSpec(n=n, b=3, depth=3)
+    eps = refutation_budget_lower(spec)
+    for extra, cover in (
+        ((), adversary_swallow(spec, eps, 5)),  # with no seed, the swallowing adversary
+        (("--seed", "11"), adversary_random(spec, eps, 5, 11)),
+        (("--eps", "1/5"), adversary_swallow(spec, F(1, 5), 5)),
+    ):
+        expected = tmp_path / "expected.json"
+        serialize.save(cover, expected)
+        code, out = _adversary(tmp_path, n, 5, *extra)
+        assert code == 0 and out.read_bytes() == expected.read_bytes(), extra
+
+
+@pytest.mark.parametrize(
+    "count, extra",
+    [
+        (0, ()),
+        (-1, ("--seed", "1")),
+        (2, ("--eps", "1e-1000000")),  # refused as the command line reads it
+        (2, ("--eps", "2")),  # out of (0, 1)
+        (2, ("--seed", "1", "--eps", "0")),
+        (200_000, ("--eps", "3/2")),  # refused before any of the pieces' budgets is formed
+    ],
+    ids=["count-0", "count-negative", "eps-exponent", "eps-2", "eps-0", "eps-3/2-many-pieces"],
+)
+def test_dust_adversary_refuses_bad_flags(tmp_path, capsys, count, extra):
+    code, out = _adversary(tmp_path, 2, count, *extra)
+    err = capsys.readouterr().err
+    assert code == 2 and not out.exists()
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_dust_adversary_inadmissible_spec_is_verified_negative(tmp_path, capsys):
+    code, out = _adversary(tmp_path, 2, 2, b=2)
+    assert code == 1 and not out.exists()
+    assert capsys.readouterr().err.startswith("inadmissible: ")
+
+
+def test_dust_adversary_checks_its_budget_before_writing(tmp_path, monkeypatch, capsys):
+    from microset import dust
+
+    fat = CoverSeq(n=1, eps=F(1, 2), strong=True, pieces=(box1(0, 1),))
+    monkeypatch.setattr(dust, "adversary_swallow", lambda spec, eps, count: fat)
+    code, out = _adversary(tmp_path, 1, 1)
+    assert code == 3 and not out.exists()
+    assert "broke its own budget" in capsys.readouterr().err
 
 
 def test_tampered_tree_is_malformed_input(tmp_path):

@@ -216,7 +216,7 @@ def paths(tmp_path_factory):
     return paths
 
 
-_SMALL = {"n": 3, "depth": 3, "k": 3, "max_level": 3, "b": 4, "max_pieces": 3, "seed": 3}
+_SMALL = {"n": 3, "depth": 3, "k": 3, "max_level": 3, "b": 4, "max_pieces": 3, "seed": 3, "count": 3}
 _RATIONALS = {
     "alpha": ("0", "1/2", "1", "3/2", "-1"),
     "eps": ("1/2", "1/3", "4/5", "1/100", "0", "1"),

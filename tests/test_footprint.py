@@ -99,6 +99,14 @@ def test_dust_refute_loads_no_baire_or_svg(docs, tmp_path):
     assert loaded_modules(*argv) == LOADS | {"dust", "covers"}
 
 
+@pytest.mark.parametrize("seed, extra", [((), set()), (("--seed", "1"), {"baire"})])
+def test_dust_adversary_loads_baire_only_to_draw(tmp_path, seed, extra):
+    # with a seed, adversary_random draws from baire's SplitMix64; without one, the cover swallows
+    argv = ["dust-adversary", "--n", "2", "--b", "3", "--depth", "2", "--count", "3", *seed,
+            "-o", tmp_path / "cover.json"]
+    assert loaded_modules(*argv) == LOADS | {"dust", "covers"} | extra
+
+
 def test_cover_verify_loads_no_dust_baire_or_svg(docs):
     argv = ["cover-verify", "--set", docs["set"], "--cover", docs["full"]]
     assert loaded_modules(*argv) == LOADS | {"covers"}

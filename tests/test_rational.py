@@ -1,3 +1,5 @@
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -50,6 +52,41 @@ def test_int_nth_root_floor_property(a, r):
     x, exact = int_nth_root(a, r)
     assert x**r <= a < (x + 1) ** r
     assert exact == (x**r == a)
+
+
+def _bisected_root(a: int, r: int) -> tuple[int, bool]:
+    """Floor of the r-th root of a >= 0 by plain bisection, and whether it is exact."""
+    lo, hi = 0, 1
+    while hi**r <= a:
+        hi *= 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if mid**r <= a else (lo, mid)
+    return lo, lo**r == a
+
+
+@given(
+    st.one_of(
+        st.integers(min_value=0, max_value=2**4000),
+        st.tuples(st.integers(0, 2**80), st.integers(1, 40), st.integers(-1, 1)),
+    ),
+    st.integers(min_value=1, max_value=300),
+)
+def test_int_nth_root_matches_bisection(a, r):
+    if isinstance(a, tuple):  # next to a perfect power
+        base, power, step = a
+        a, r = max(base**power + step, 0), power
+    assert int_nth_root(a, r) == _bisected_root(a, r)
+
+
+def test_large_root_index_is_fast():
+    # the side part of this bound is a 5000th root of a 207,000-bit integer; Newton started
+    # at twice the root would take thousands of steps, each lowering it by only about 1/5000
+    proc = subprocess.run(
+        [sys.executable, "-m", "microset", "dust-hmeasure", "--n", "1", "--b", "3", "--alpha", "1/5000", "--k", "1"],
+        capture_output=True, text=True, timeout=5,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "2999340905039/1500000000000\n")
 
 
 @given(positive_fractions, st.integers(min_value=2, max_value=5))

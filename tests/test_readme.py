@@ -30,3 +30,20 @@ def test_command_line_hmeasure_prints_its_stated_bound(capsys):
     command, stated = line.split("# prints ")
     assert cli.main(shlex.split(command)[1:]) == 0
     assert capsys.readouterr().out.strip() == stated.strip() == "8/19683"
+
+
+def test_experiments_block_runs_as_written(tmp_path, monkeypatch, capsys):
+    # every line is a microset command; CI runs the same block from an installed package
+    lines = _block("Experiments", "sh").splitlines()
+    assert all(line.startswith("microset ") for line in lines)
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        command, _, stated = line.partition("# prints ")
+        assert cli.main(shlex.split(command)[1:]) == 0, line
+        out = capsys.readouterr().out
+        if stated:
+            assert out.strip() == stated.strip(), line
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        "dust.svg", "dust_cover.svg", "random.json", "random_cert.json",
+        "swallow.json", "swallow_cert.json", "tree.json",
+    ]
