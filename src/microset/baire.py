@@ -6,6 +6,16 @@ density_num * 2**64 holds in integer arithmetic, and every derived
 quantity is rational.  Identical specs therefore give byte-identical
 reports.
 
+The i-th draw of a stream depends only on its state, seed + (i+1)*gamma
+mod 2**64, so ``sample_compact`` draws a block of cells at once: the
+block is one Python int of 128-bit lanes, each lane holding a 64-bit
+state, and the add, xor-shift and multiply steps run on the whole int.
+Every lane is masked to 64 bits before a multiply, so a product fills at
+most its own lane, and a cell is kept when its lane plus 2**64 minus the
+density threshold does not carry out of 64 bits.  The lanes are built
+from little-endian bytes, so no step depends on the host.  The scalar
+``SplitMix64`` stays the definition of the stream.
+
 The frequency study is an illustration, not evidence: it samples one
 i.i.d. cell-inclusion model at finite depth, while typicality in the
 Baire-category sense is a topological notion with no canonical
@@ -18,11 +28,14 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from pathlib import Path
+from typing import Iterator
 
 from .geometry import DigitalSet, HBracket, Point, Record, hausdorff_bracket
 from .rational import format_scalar, root_upper
 
 _MASK = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+_BLOCK = 2048  # lanes per packed int: a 32 KiB block keeps a sample's peak memory flat
 
 
 class SplitMix64:
@@ -32,7 +45,7 @@ class SplitMix64:
         self.state = seed & _MASK
 
     def next(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK
+        self.state = (self.state + _GAMMA) & _MASK
         z = self.state
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
@@ -66,6 +79,29 @@ class SampleSpec(Record):
         self._set(seed, n, b, depth, density, trials)
 
 
+def _keep_flags(seed: int, count: int, density: Fraction) -> Iterator[bytes]:
+    """The keep flags of the first ``count`` draws of ``SplitMix64(seed)``, one byte per draw.
+
+    A draw u is kept when u < t = ceil(density * 2**64), that is, when
+    u + (2**64 - t) does not carry out of 64 bits.  Blocks of ``_BLOCK``
+    lanes are decided one packed int at a time; the last block may run
+    past ``count``.
+    """
+    lanes = min(_BLOCK, count)
+    ones = int.from_bytes((1).to_bytes(16, "little") * lanes, "little")
+    low = ones * _MASK
+    # lane i starts i+1 steps past the block's state; below 2**76, so it cannot spill
+    ramp = int.from_bytes(b"".join((i * _GAMMA).to_bytes(16, "little") for i in range(1, lanes + 1)), "little")
+    bias = ((1 << 64) + (-(density.numerator << 64) // density.denominator)) * ones
+    for start in range(0, count, lanes):
+        z = (ramp + ((seed + start * _GAMMA) & _MASK) * ones) & low
+        z = (((z ^ (z >> 30)) & low) * 0xBF58476D1CE4E5B9) & low
+        z = (((z ^ (z >> 27)) & low) * 0x94D049BB133111EB) & low
+        # bits 64..96 of every lane are clear here, so each carry stops at bit 64
+        carry = (((z ^ (z >> 31)) + bias) >> 64) & ones
+        yield (carry ^ ones).to_bytes(16 * lanes, "little")[::16]
+
+
 def sample_compact(spec: SampleSpec) -> DigitalSet:
     """Draw a nonempty random digital set at the given depth and density.
 
@@ -74,14 +110,10 @@ def sample_compact(spec: SampleSpec) -> DigitalSet:
     density threshold.  An all-rejected draw keeps the lexicographically
     first cell, because the sampled object must be a nonempty compact set.
     """
-    rng = SplitMix64(spec.seed)
-    den = spec.density.denominator
-    limit = spec.density.numerator << 64
-    kept = tuple(
-        cell
-        for cell in itertools.product(range(spec.b**spec.depth), repeat=spec.n)
-        if rng.next() * den < limit
-    )
+    side = spec.b**spec.depth
+    flags = itertools.chain.from_iterable(_keep_flags(spec.seed, side**spec.n, spec.density))
+    kept = tuple(itertools.compress(itertools.product(range(side), repeat=spec.n), flags))
+    del flags  # frees the kernel's packed ints before the set is built, which is the peak of memory
     return DigitalSet(spec.n, spec.b, spec.depth, kept or ((0,) * spec.n,))
 
 

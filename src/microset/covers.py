@@ -33,6 +33,7 @@ from .geometry import (
     Record,
     _box_gap_sq,
     _cell_window,
+    _column_index,
     _covers,
     _frame,
     _in_window,
@@ -165,12 +166,7 @@ def _touching_pieces(
     one that does not.  In each such column the cells of the second-axis
     range are one bisected run, and only they test the remaining axes.
     """
-    columns, starts = [], []
-    for i, cell in enumerate(cells):
-        if not columns or columns[-1] != cell[0]:
-            columns.append(cell[0])
-            starts.append(i)
-    starts.append(len(cells))
+    columns, starts = _column_index(cells)
     touching: list[list[tuple]] = [[] for _ in cells]
     for piece in pieces:
         (a, z), *rest = ((-(-lo // f) - slack, hi // f - 1 + slack) for lo, hi in piece)
@@ -208,18 +204,9 @@ def verify_cover(e: DigitalSet, cover: CoverSeq) -> CoverReport:
     frame = _frame(cover.pieces, scale)
     f = frame // scale
     pieces = [_on_frame(piece, frame) for piece in cover.pieces]
-    witness = next(
-        (
-            cell
-            for cell, live in zip(e.cells, _touching_pieces(e.cells, pieces, f))
-            if not _covers(_cell_bounds(cell, f), live)
-        ),
-        None,
-    )
-    return CoverReport(
-        first_violation=None if k is None else (k, "budget"),
-        uncovered_witness=witness,
-    )
+    touching = zip(e.cells, _touching_pieces(e.cells, pieces, f))
+    witness = next((cell for cell, live in touching if not _covers(_cell_bounds(cell, f), live)), None)
+    return CoverReport(first_violation=None if k is None else (k, "budget"), uncovered_witness=witness)
 
 
 def _morton_key(cell: tuple[int, ...], width: int) -> int:
@@ -280,9 +267,7 @@ def greedy_strong_cover(e: DigitalSet, eps: Fraction, max_pieces: int) -> CoverS
     return cover
 
 
-def _certify_infeasible(
-    e: DigitalSet, uncovered: set, position: int, eps: Fraction
-) -> GreedyFailure:
+def _certify_infeasible(e: DigitalSet, uncovered: set, position: int, eps: Fraction) -> GreedyFailure:
     # refutes any cover of e, not just this search: the total side budget
     # must span the projection of the whole set on every axis
     needed = max(len({c[axis] for c in e.cells}) * e.cell_side for axis in range(e.n))
@@ -330,11 +315,8 @@ def merge_covers(covers: Sequence[CoverSeq], eps: Fraction) -> CoverSeq:
         k = cover.first_budget_violation(strengthened)
         if k is not None:
             raise ValueError(f"cover {i} piece {k} exceeds the strengthened budget")
-    pieces = []
-    for k in range(1, 1 + max(len(c.pieces) for c in covers)):
-        for cover in covers:
-            if k <= len(cover.pieces):
-                pieces.append(cover.pieces[k - 1])
+    layers = itertools.zip_longest(*(cover.pieces for cover in covers))
+    pieces = [piece for layer in layers for piece in layer if piece is not None]
     merged = CoverSeq(n=n, eps=eps, strong=strong, pieces=tuple(pieces))
     if merged.first_budget_violation() is not None:
         raise AssertionError("merge produced an over-budget piece")
@@ -402,9 +384,7 @@ def ball_membership(k_set: DigitalSet, ball: BallSpec) -> bool:
     return met.issuperset(boxes)
 
 
-def ball_stability_radius(
-    k_set: DigitalSet, ball: BallSpec, witnesses: Sequence[Point]
-) -> Fraction:
+def ball_stability_radius(k_set: DigitalSet, ball: BallSpec, witnesses: Sequence[Point]) -> Fraction:
     """Certified radius within which Hausdorff-perturbations stay in the ball.
 
     Every compact subset of the unit cube within Hausdorff distance of the

@@ -9,11 +9,13 @@ Distances are handled as squared values so that every comparison stays
 exact; Euclidean roots appear only inside ``hausdorff_bracket``, which
 returns a certified rational enclosure.
 
-A Hausdorff bracket measures from cell centers to cells on the doubled
-grid, where every squared distance is an integer.  The nearest cell of a
-sorted set to a point is found by a pruned scan rather than by testing
-every cell: ``_nearest_gap_sq`` runs outward from the point's bisected
-position and stops a run once the first-axis gap alone reaches the best
+A Hausdorff bracket measures from the cell centers of one set, refined to
+the sample depth, to the other set's own cells on the doubled grid, where
+every squared distance is an integer.  The nearest cell of a sorted set
+to a point is found by a pruned scan rather than by testing every cell:
+``_nearest_gap_sq`` visits first-axis columns outward from the point's
+and, in each, cells outward from its bisected second coordinate, and it
+stops a run once the gap on the axes scanned so far reaches the best
 distance found, which no later cell of that run can beat.
 
 Every record of the package is a ``Record``: a frozen value class whose
@@ -164,7 +166,7 @@ class DigitalSet(Record):
             raise ValueError("base must be >= 2")
         if m < 0:
             raise ValueError("depth must be >= 0")
-        cells = tuple(sorted({tuple(int(j) for j in cell) for cell in cells}))
+        cells = tuple(sorted({tuple(map(int, cell)) for cell in cells}))
         if not cells:
             raise ValueError("digital set must be nonempty")
         if any(len(cell) != n for cell in cells):
@@ -282,10 +284,8 @@ def covers_box(target: Box, pieces: Sequence[Box]) -> bool:
     Maps the target and the pieces onto their integer frame and decides
     there with ``_covers``.
     """
-    n = target.n
-    for p in pieces:
-        if p.n != n:
-            raise ValueError("dimension mismatch")
+    if any(p.n != target.n for p in pieces):
+        raise ValueError("dimension mismatch")
     frame = _frame([target, *pieces])
     return _covers(_on_frame(target, frame), [_on_frame(p, frame) for p in pieces])
 
@@ -341,47 +341,66 @@ def _cell_gap_sq(point: tuple, cell: tuple[int, ...], f: int, cap: int) -> int:
     return total
 
 
-def _nearest_gap_sq(
-    point: tuple, cells: Sequence[tuple[int, ...]], f: int, best: int, floor: int
-) -> int:
+def _column_index(cells: Sequence[tuple[int, ...]]) -> tuple[list[int], list[int]]:
+    """The first-axis values of sorted cells, and where each one's run starts, closed by len(cells)."""
+    columns, starts = [], []
+    for i, cell in enumerate(cells):
+        if not columns or columns[-1] != cell[0]:
+            columns.append(cell[0])
+            starts.append(i)
+    starts.append(len(cells))
+    return columns, starts
+
+
+def _nearest_gap_sq(point: tuple, cells: Sequence[tuple[int, ...]], index: tuple, f: int, best: int, floor: int) -> int:
     """min(best, least squared gap from the integer point to a cell), cut short at floor.
 
-    ``cells`` are sorted and cell j spans j*f..(j+1)*f.  The scan starts at
-    the bisected position of ``point // f``, the cell holding the point,
-    and runs outward both ways.  That cell's column has first-axis gap 0,
-    cells after it have no smaller first index and cells before it no
-    larger, so along either run the first-axis gap never shrinks: a run
-    stops once that gap alone reaches ``best``, and the value is exact.
+    ``cells`` are sorted, of dimension >= 2, with ``index`` their
+    ``_column_index``, and cell j spans j*f..(j+1)*f.  Columns run outward
+    both ways from the point's own, and in each column cells run outward
+    both ways from the point's bisected second coordinate.  Along a run of
+    columns the first-axis gap never shrinks, nor along a run of cells the
+    gap on the first two axes, so a run stops once that gap reaches
+    ``best``; ``_cell_gap_sq`` adds the other axes, and the value is exact.
     Once ``best <= floor`` the caller needs no smaller value, and it is
     returned at once.
     """
-    x = point[0]
-    i = bisect_left(cells, tuple(c // f for c in point))
-    for run in (range(i, len(cells)), range(i - 1, -1, -1)):
-        for k in run:
-            cell = cells[k]
-            gap = max(cell[0] * f - x, x - (cell[0] + 1) * f, 0)
-            if gap * gap >= best:
+    columns, starts = index
+    x, y = point[0], point[1]
+    here = bisect_left(columns, x // f)
+    for run in (range(here, len(columns)), range(here - 1, -1, -1)):
+        for c in run:
+            gap = max(columns[c] * f - x, x - (columns[c] + 1) * f, 0)
+            across = gap * gap
+            if across >= best:
                 break
-            best = min(best, _cell_gap_sq(point, cell, f, best))
-            if best <= floor:
-                return best
+            lo, hi = starts[c], starts[c + 1]
+            i = bisect_left(cells, (columns[c], y // f), lo, hi)
+            for side in (range(i, hi), range(i - 1, lo - 1, -1)):
+                for k in side:
+                    cell = cells[k]
+                    gap = max(cell[1] * f - y, y - (cell[1] + 1) * f, 0)
+                    near = across + gap * gap
+                    if near >= best:
+                        break
+                    best = min(best, near + _cell_gap_sq(point[2:], cell[2:], f, best - near))
+                    if best <= floor:
+                        return best
     return best
 
 
-def _directed_max_min_dist_sq(
-    cells_a: Sequence[tuple[int, ...]],
-    cells_b: Sequence[tuple[int, ...]],
-    far: int,
-) -> int:
-    # centers of A-cells against the union of B-cells, doubled-grid integers;
+def _directed_max_min_dist_sq(cells_a: Sequence[tuple[int, ...]], cells_b: Sequence[tuple[int, ...]], f: int, far: int) -> int:
+    # centers of A-cells against the union of B-cells of doubled width f;
     # far exceeds every such distance, and a cell whose nearest B-cell is no
     # farther than the running maximum cannot raise it, so its scan stops
-    # (at once, for a cell of B: the scan tests it first)
+    # (at once, for a center inside B: the scan tests the cell holding it first)
+    if len(cells_a[0]) == 1:  # a line is scanned as a strip of the plane, one cell high
+        cells_a, cells_b = [(j, 0) for j, in cells_a], [(j, 0) for j, in cells_b]
+    index = _column_index(cells_b)
     worst = 0
     for ca in cells_a:
-        center = tuple(2 * j + 1 for j in ca)
-        worst = max(worst, _nearest_gap_sq(center, cells_b, 2, far, worst))
+        center = tuple([2 * j + 1 for j in ca])
+        worst = max(worst, _nearest_gap_sq(center, cells_b, index, f, far, worst))
     return worst
 
 
@@ -392,12 +411,14 @@ def hausdorff_bracket(a: DigitalSet, b: DigitalSet, sample_depth: int) -> HBrack
     exactly, and the 1-Lipschitz dependence of the distance function bounds
     the sampling error by half a cell diameter.
 
-    Each directed distance is the largest, over one set's cell centers, of
-    the least distance to the other set's cells, in doubled-grid integers.
-    A center's nearest cell comes from the exact sorted scan of
-    ``_nearest_gap_sq``, which stops early once the center is known not to
-    raise the running maximum (Taha and Hanbury, IEEE TPAMI 37(11), 2015).
-    So the value is that of testing all pairs, and no pair is tested twice.
+    Each directed distance is the largest, over one set's refined cell
+    centers, of the least distance to the other set's cells, in
+    doubled-grid integers.  That distance does not depend on how finely the
+    other set is cut, so its own cells are scanned, unrefined.  A center's
+    nearest cell comes from the exact sorted scan of ``_nearest_gap_sq``,
+    which stops early once the center is known not to raise the running
+    maximum (Taha and Hanbury, IEEE TPAMI 37(11), 2015).  So the value is
+    that of testing all pairs, and no pair is tested twice.
     """
     if a.n != b.n:
         raise ValueError("dimension mismatch")
@@ -405,13 +426,11 @@ def hausdorff_bracket(a: DigitalSet, b: DigitalSet, sample_depth: int) -> HBrack
         raise ValueError("base mismatch")
     if sample_depth < max(a.m, b.m):
         raise ValueError("sample depth must refine both sets")
-    ar = a.refine(sample_depth)
-    br = b.refine(sample_depth)
     unit = 2 * a.b**sample_depth
     far = a.n * unit * unit
     d2 = max(
-        _directed_max_min_dist_sq(ar.cells, br.cells, far),
-        _directed_max_min_dist_sq(br.cells, ar.cells, far),
+        _directed_max_min_dist_sq(a.refine(sample_depth).cells, b.cells, unit // b.b**b.m, far),
+        _directed_max_min_dist_sq(b.refine(sample_depth).cells, a.cells, unit // a.b**a.m, far),
     )
     # keep the enclosure grid fine enough for the certified width cap
     eff = max(DEFAULT_PRECISION, unit * unit)

@@ -1,14 +1,16 @@
+import itertools
 import os
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from microset import serialize
+from microset import baire, serialize
 from microset.baire import (
     SampleSpec,
     SplitMix64,
@@ -23,6 +25,64 @@ from microset.geometry import DigitalSet, Point, hausdorff_bracket
 
 F = Fraction
 GOLDEN = Path(__file__).parent / "golden" / "sample_n2_b3_d3_p10_seed42.json"
+
+
+def _scalar_sample(spec: SampleSpec) -> DigitalSet:
+    """The sampler as one scalar SplitMix64 draw per cell, in lexicographic order."""
+    rng = SplitMix64(spec.seed)
+    den = spec.density.denominator
+    limit = spec.density.numerator << 64
+    kept = tuple(
+        cell
+        for cell in itertools.product(range(spec.b**spec.depth), repeat=spec.n)
+        if rng.next() * den < limit
+    )
+    return DigitalSet(spec.n, spec.b, spec.depth, kept or ((0,) * spec.n,))
+
+
+@st.composite
+def sample_specs(draw):
+    """A spec of at most 4,096 cells, with the module's block size or one that ends the
+    cells one past, at or before a block boundary, or one past two blocks."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    b = draw(st.integers(min_value=2, max_value=5))
+    depth = draw(st.integers(min_value=0, max_value=max(d for d in range(13) if b ** (d * n) <= 4096)))
+    seed = draw(st.sampled_from([0, -1, 2**64 - 1, 2**64, 2**64 + 12345, -(2**70) + 3]) | st.integers())
+    density = draw(
+        st.sampled_from([F(1), F(999, 1000), F(1, 10**18)])
+        | st.fractions(min_value=F(1, 10**6), max_value=1).filter(lambda d: d > 0)
+    )
+    count = (b**depth) ** n
+    block = draw(st.sampled_from([baire._BLOCK, max(1, count - 1), count, count + 1, max(1, (count - 1) // 2)]))
+    return SampleSpec(seed=seed, n=n, b=b, depth=depth, density=density), block
+
+
+@settings(max_examples=300)
+@given(sample_specs())
+def test_packed_kernel_matches_the_scalar_draws(case):
+    spec, block = case
+    with mock.patch.object(baire, "_BLOCK", block):
+        assert sample_compact(spec) == _scalar_sample(spec)
+
+
+@pytest.mark.parametrize("n, b, depth", [(1, 2, 11), (1, 2, 12), (1, 3, 7), (2, 2, 6), (2, 5, 3)])
+def test_packed_kernel_across_its_own_blocks(n, b, depth):
+    # 2,048 and 4,096 cells end on a block boundary; 2,187 and 15,625 run past one
+    for seed, density in [(0, F(1, 2)), (-1, F(999, 1000)), (2**64 + 7, F(1, 10**18)), (5, F(1))]:
+        spec = SampleSpec(seed=seed, n=n, b=b, depth=depth, density=density)
+        assert sample_compact(spec) == _scalar_sample(spec)
+
+
+def test_packed_kernel_keeps_a_draw_exactly_below_its_threshold():
+    # cell (1,) takes the second draw u: kept iff u * den < num * 2**64, so
+    # a threshold of u/2**64 drops it and one of (u + 1/2)/2**64 keeps it
+    rng = SplitMix64(11)
+    rng.next()
+    u = rng.next()
+    for density, kept in [(F(u, 2**64), False), (F(2 * u + 1, 2**65), True), (F(u + 1, 2**64), True)]:
+        spec = SampleSpec(seed=11, n=1, b=2, depth=1, density=density)
+        assert ((1,) in sample_compact(spec).cells) is kept
+        assert sample_compact(spec) == _scalar_sample(spec)
 
 
 def test_splitmix_reference_outputs():

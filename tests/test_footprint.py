@@ -10,7 +10,9 @@ neither, and ``import dataclasses`` alone took 8-13 ms of each process on
 a 2-vCPU Xeon with Python 3.11.  Nor does any subcommand or ``--help``
 import ``argparse``, or the ``gettext`` and ``locale`` it pulls in: the
 command line is read from one table, where ``argparse`` cost about 9 ms
-of each process on the same machine.
+of each process on the same machine.  The sampler does not import
+``array`` either: its packed lanes are ints built from little-endian
+bytes, so no draw depends on the host's byte order.
 """
 
 import ast
@@ -30,7 +32,7 @@ from microset.geometry import DigitalSet
 BASE = {"cli", "rational"}
 LOADS = BASE | {"geometry", "serialize"}
 
-UNUSED_STDLIB = {"argparse", "dataclasses", "gettext", "inspect", "locale"}
+UNUSED_STDLIB = {"argparse", "array", "dataclasses", "gettext", "inspect", "locale"}
 
 RUN_MAIN = f"""
 import atexit, runpy, sys, types

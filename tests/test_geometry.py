@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from fraction_oracles import dist_sq
 from microset import geometry
-from microset.geometry import Box, DigitalSet, Point, covers_box, hausdorff_bracket, volume
+from microset.baire import SampleSpec, sample_compact
+from microset.geometry import Box, DigitalSet, HBracket, Point, covers_box, hausdorff_bracket, volume
 
 F = Fraction
 
@@ -246,8 +247,15 @@ def test_hausdorff_bracket_triangle_up_to_widths(a, b, c):
     assert ac.lo <= ab.hi + bc.hi
 
 
+def test_bracket_exactly_at_its_width_cap_is_accepted():
+    cap = hausdorff_bracket(DigitalSet(2, 3, 1, ((0, 0),)), DigitalSet(2, 3, 1, ((2, 2),)), 2).width_cap
+    assert HBracket(F(1, 6), F(1, 6) + cap, 2, cap).hi == F(1, 6) + cap
+    with pytest.raises(ValueError, match="wider than its certified cap"):
+        HBracket(F(1, 6), F(1, 6) + cap + F(1, 10**30), 2, cap)
+
+
 class _PairCounter:
-    """Stands in for the scan's per-pair gap, counting its calls."""
+    """Stands in for the scan's per-cell gap past the second axis, counting the cells it tests."""
 
     def __init__(self):
         self.calls = 0
@@ -258,12 +266,12 @@ class _PairCounter:
         return self.gap_sq(*args)
 
 
-def _all_pairs_directed(cells_a, cells_b, far):
-    """The former scan: every A-cell center against every B-cell, doubled grid."""
+def _all_pairs_directed(cells_a, cells_b, f, far):
+    """The all-pairs scan: every A-cell center against every B-cell of doubled width f."""
     worst = 0
     for ca in cells_a:
         best = min(
-            sum(max(2 * jb - 2 * ja - 1, 2 * ja - 2 * jb - 1, 0) ** 2 for ja, jb in zip(ca, cb))
+            sum(max(f * jb - 2 * ja - 1, 2 * ja + 1 - f * (jb + 1), 0) ** 2 for ja, jb in zip(ca, cb))
             for cb in cells_b
         )
         worst = max(worst, best)
@@ -302,7 +310,7 @@ def scan_pairs(draw):
             a = tuple(draw(st.lists(st.sampled_from(c), min_size=1, max_size=len(c))))
         elif shape == "equal":
             a = c
-    depth = m + draw(st.integers(min_value=0, max_value=1))
+    depth = m + draw(st.integers(min_value=0, max_value=2))
     return DigitalSet(n, b, m, a), DigitalSet(n, b, m, c), depth
 
 
@@ -313,14 +321,16 @@ def test_sorted_scan_matches_the_all_pairs_oracle(pair):
     pairs = _PairCounter()
     with mock.patch.object(geometry, "_cell_gap_sq", pairs):
         got = hausdorff_bracket(a, b, depth)
-        # no pair is tested twice in one direction
-        assert pairs.calls <= 2 * len(a.refine(depth).cells) * len(b.refine(depth).cells)
+        # no refined center meets an unrefined far cell twice
+        assert pairs.calls <= len(a.refine(depth).cells) * len(b.cells) + len(b.refine(depth).cells) * len(a.cells)
     with mock.patch.object(geometry, "_directed_max_min_dist_sq", _all_pairs_directed):
         assert got == hausdorff_bracket(a, b, depth)
+    # refining the far side as well, as the bracket once did, gives the same value
+    assert got == hausdorff_bracket(a.refine(depth), b.refine(depth), depth)
 
 
 def test_sorted_scan_stops_a_cell_at_a_tie(monkeypatch):
-    # A-cell (0, 0) finds distance 9 at (0, 2); (2, 1) is then cut by its
+    # A-cell (0, 0) finds distance 9 at (0, 2); column 2 is then cut by its
     # first-axis gap, 9, alone.  A-cell (5, 0) meets 9 at (5, 2) first, which
     # cannot raise the maximum, so (6, 2) is never tested
     cells_a = ((0, 0), (5, 0))
@@ -328,9 +338,9 @@ def test_sorted_scan_stops_a_cell_at_a_tie(monkeypatch):
     pairs = _PairCounter()
     monkeypatch.setattr(geometry, "_cell_gap_sq", pairs)
     far = 2 * 18**2
-    assert geometry._directed_max_min_dist_sq(cells_a, cells_b, far) == 9
+    assert geometry._directed_max_min_dist_sq(cells_a, cells_b, 2, far) == 9
     assert pairs.calls == 2
-    assert _all_pairs_directed(cells_a, cells_b, far) == 9
+    assert _all_pairs_directed(cells_a, cells_b, 2, far) == 9
 
 
 def test_sorted_scan_tests_few_pairs(monkeypatch):
@@ -346,7 +356,20 @@ def test_sorted_scan_tests_few_pairs(monkeypatch):
     pairs = _PairCounter()
     monkeypatch.setattr(geometry, "_cell_gap_sq", pairs)
     hausdorff_bracket(sample(800, 0, 81), sample(900, 0, 81), 4)
-    assert pairs.calls < 40_000  # 1,440,000 before
+    assert pairs.calls <= 2_800  # 1,440,000 all pairs; 14,361 by the lexicographic scan
+
+
+def test_far_side_is_scanned_unrefined(monkeypatch):
+    # two plane sets of 77 and 68 cells at depth 3, bracketed at depth 6: the
+    # refined centers meet the far set's own cells, 27**2 times fewer than its
+    # refined ones
+    a, b = (sample_compact(SampleSpec(seed=s, n=2, b=3, depth=3, density=F(1, 10))) for s in (1, 2))
+    assert (len(a.cells), len(b.cells)) == (77, 68)
+    pairs = _PairCounter()
+    monkeypatch.setattr(geometry, "_cell_gap_sq", pairs)
+    br = hausdorff_bracket(a, b, 6)
+    assert pairs.calls <= 177_190
+    assert br.lo == F(269, 1458)
 
 
 def test_digitalset_refine_preserves_union():
