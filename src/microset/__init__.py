@@ -51,7 +51,6 @@ _EXPORTS = {
     "SampleSpec": "baire",
     "SplitMix64": "baire",
     "SurvivorCertificate": "dust",
-    "TypicalityReport": "baire",
     "adversary_random": "dust",
     "adversary_swallow": "dust",
     "ball_membership": "covers",
@@ -74,7 +73,6 @@ _EXPORTS = {
     "root_upper": "rational",
     "sample_compact": "baire",
     "survivor_refute": "dust",
-    "typicality_report": "baire",
     "validate": "dust",
     "verify_cover": "covers",
     "volume": "geometry",

@@ -41,8 +41,9 @@ class _Args:
 
 def _named(token: str, flags: dict):
     """None for a value, else the flag a token names (None if unknown) and the value after "=".
-    As in argparse, a token naming no flag is a value unless it starts with "-" and is not "-",
-    a text with a space or a negative number such as "-3" or "-.5" (one final newline allowed)."""
+    As in the standard library parser, a token naming no flag is a value unless it starts with
+    "-" and is not "-", a text with a space or a negative number such as "-3" or "-.5" (one
+    final newline allowed)."""
     if token in flags:
         return flags[token], None
     name, eq, value = token.partition("=")
@@ -55,7 +56,8 @@ def _named(token: str, flags: dict):
 
 def _parse(argv: list[str]):
     """(handler, args) read from argv by _COMMANDS, or None once a help text is printed; a usage
-    error raises ValueError.  The rules are argparse's, except that no flag may be abbreviated."""
+    error raises ValueError.  The rules are the standard library parser's, except that no flag
+    may be abbreviated."""
     def fail(message: str) -> ValueError:  # the usage line of the subcommand read so far follows
         return ValueError(f"{message}\n{_help(command).splitlines()[0]}")
     command, flags, spec, args, unknown = None, dict.fromkeys(_HELP[0], _HELP), (), _Args(), []

@@ -32,12 +32,12 @@ from .geometry import (
     Point,
     Record,
     _box_gap_sq,
-    _cell_window,
     _column_index,
     _covers,
     _frame,
     _in_window,
     _on_frame,
+    _window,
 )
 from .rational import DEFAULT_PRECISION, pow_lower, pow_upper, root_lower
 
@@ -159,9 +159,8 @@ def _touching_pieces(
     """For each cell, in order, the pieces touching it, in cover order.
 
     Cells are sorted and cell j spans j*f..(j+1)*f on the pieces' integer
-    frame, so a piece touches the cells ``ceil(lo/f) - 1 <= j <= floor(hi/f)``
-    on each axis; a ``slack`` of ``1 + g`` widens that window by g cells
-    each way.  Only the first-axis columns that hold cells are visited, by
+    frame; a piece touches the cells of its ``_window`` with this ``slack``,
+    1 by default.  Only the first-axis columns that hold cells are visited, by
     bisection, so a piece reaching far outside the cube costs no more than
     one that does not.  In each such column the cells of the second-axis
     range are one bisected run, and only they test the remaining axes.
@@ -169,7 +168,7 @@ def _touching_pieces(
     columns, starts = _column_index(cells)
     touching: list[list[tuple]] = [[] for _ in cells]
     for piece in pieces:
-        (a, z), *rest = ((-(-lo // f) - slack, hi // f - 1 + slack) for lo, hi in piece)
+        (a, z), *rest = _window(piece, f, slack)
         more = rest[1:]
         for c in range(bisect_left(columns, a), bisect_right(columns, z)):
             i, end = starts[c], starts[c + 1]
@@ -254,7 +253,8 @@ def greedy_strong_cover(e: DigitalSet, eps: Fraction, max_pieces: int) -> CoverS
         target = next(c for c in order if c in uncovered)
         lo = tuple(min(j * cs, 1 - side) for j in target)
         pieces.append(Box.cube(lo, side))
-        window = _cell_window(pieces[-1], scale, 0)
+        frame = _frame(pieces[-1:], scale)
+        window = _window(_on_frame(pieces[-1], frame), frame // scale, 0)
         uncovered = {c for c in uncovered if not _in_window(c, window)}
         if not uncovered:
             break

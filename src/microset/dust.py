@@ -28,7 +28,7 @@ from math import ceil
 from operator import add
 from typing import TYPE_CHECKING
 
-from .geometry import Box, DigitalSet, Record, _cell_window, _in_window, volume
+from .geometry import Box, Record, _frame, _in_window, _on_frame, _window, volume
 from .rational import DEFAULT_PRECISION, pow_upper, root_lower
 
 if TYPE_CHECKING:
@@ -120,11 +120,6 @@ class DustTree(Record):
             (word, Box.cube(tuple(j * side for j in cell), side))
             for word, cell in self.level_cells(k)
         )
-
-    def level_digital(self, k: int) -> DigitalSet:
-        """Level-k union as a digital set: each cube is one depth-k**2 cell."""
-        cells = tuple(cell for _, cell in self.level_cells(k))
-        return DigitalSet(self.spec.n, self.spec.b, self.spec.grid(k), cells)
 
 
 def _check_tree(tree: DustTree) -> None:
@@ -385,13 +380,19 @@ def _survivor_walk(spec: DustSpec, cover: CoverSeq) -> list[list[tuple[int, ...]
     """Per level, the children of survivors that miss every active piece.
 
     Level k's active pieces are those bucketed into levels 1..k, each turned
-    once into its touching window on the level's grid.  Only survivors'
-    children are placed; the walk stops after the first level with no survivor.
+    once into its touching window on the level's grid.  The examined pieces
+    go onto one integer frame, a multiple of the leaf grid's ``scale(depth)``,
+    once per walk; a level-k cell is ``frame // scale(k)`` wide there.  Only
+    survivors' children are placed; the walk stops after the first level with
+    no survivor.
     """
+    examined = cover.pieces[: _examined_prefix(spec.depth, len(cover.pieces))]
+    frame = _frame(examined, spec.scale(spec.depth))
+    pieces = [_on_frame(piece, frame) for piece in examined]
     walk, family = [], [((), (0,) * spec.n)]
     for k in range(1, spec.depth + 1):
-        active = cover.pieces[: _examined_prefix(k, len(cover.pieces))]
-        windows = [_cell_window(piece, spec.scale(k), 1) for piece in active]
+        f = frame // spec.scale(k)
+        windows = [_window(piece, f, 1) for piece in pieces[: _examined_prefix(k, len(pieces))]]
         family = [
             (word, cell)
             for word, cell in _children(spec, family, k)
@@ -428,8 +429,11 @@ def _check_survivor(spec: DustSpec, cover: CoverSeq, cert: SurvivorCertificate) 
     if len(word) != spec.depth or not all(1 <= letter <= 2**spec.n for letter in word):
         raise ValueError("survivor word does not name a cube")
     cell, scale = _cell_of(spec, word), spec.scale(spec.depth)
-    for h in range(1, cert.checked_prefix + 1):
-        if _in_window(cell, _cell_window(cover.pieces[h - 1], scale, 1)):
+    examined = cover.pieces[: cert.checked_prefix]
+    frame = _frame(examined, scale)
+    f = frame // scale
+    for h, piece in enumerate(examined, start=1):
+        if _in_window(cell, _window(_on_frame(piece, frame), f, 1)):
             raise ValueError(f"survivor touches examined piece {h}")
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from fractions import Fraction
-from math import ceil, floor, lcm
+from math import lcm
 from typing import Iterable, Sequence
 
 from .rational import DEFAULT_PRECISION, root_lower, root_upper
@@ -122,12 +122,6 @@ class Box(Record):
     def n(self) -> int:
         return len(self.intervals)
 
-    def sides(self) -> tuple[Fraction, ...]:
-        return tuple(hi - lo for lo, hi in self.intervals)
-
-    def vertices(self) -> Iterable[tuple[Fraction, ...]]:
-        return itertools.product(*self.intervals)
-
     @classmethod
     def cube(cls, corner: Sequence[Fraction], side: Fraction) -> "Box":
         """The cube [corner, corner + side] on every axis; side must be positive."""
@@ -178,13 +172,6 @@ class DigitalSet(Record):
     @property
     def cell_side(self) -> Fraction:
         return Fraction(1, self.b**self.m)
-
-    def cell_box(self, cell: tuple[int, ...]) -> Box:
-        s = self.cell_side
-        return Box(tuple((j * s, (j + 1) * s) for j in cell))
-
-    def boxes(self) -> list[Box]:
-        return [self.cell_box(cell) for cell in self.cells]
 
     def refine(self, depth: int) -> "DigitalSet":
         """The same set re-gridded at a deeper depth (same base)."""
@@ -240,19 +227,6 @@ def _box_gap_sq(a: Sequence[tuple], b: Sequence[tuple]):
     return total
 
 
-def _cell_window(piece: Box, scale: int, slack: int) -> tuple[tuple[int, int], ...]:
-    """Per-axis index range of the closed 1/scale-grid cells the piece holds.
-
-    With ``slack=1`` these are the cells the piece touches,
-    ``ceil(lo*scale) - 1 <= j <= floor(hi*scale)``; with ``slack=0`` the
-    cells it contains, ``ceil(lo*scale) <= j <= floor(hi*scale) - 1``.
-    """
-    return tuple(
-        (ceil(lo * scale) - slack, floor(hi * scale) - 1 + slack)
-        for lo, hi in piece.intervals
-    )
-
-
 def _frame(boxes: Iterable[Box], base: int = 1) -> int:
     """The lcm of ``base`` and every bound denominator of the boxes."""
     return lcm(base, *{v.denominator for box in boxes for iv in box.intervals for v in iv})
@@ -264,6 +238,18 @@ def _on_frame(box: Box, frame: int) -> tuple[tuple[int, int], ...]:
         (lo.numerator * (frame // lo.denominator), hi.numerator * (frame // hi.denominator))
         for lo, hi in box.intervals
     )
+
+
+def _window(bounds: Sequence[tuple[int, int]], f: int, slack: int) -> tuple[tuple[int, int], ...]:
+    """Per-axis index range of the cells j*f..(j+1)*f that a box, given by its
+    per-axis (lo, hi) bounds on an integer frame, holds.
+
+    With ``slack=1`` these are the closed cells it touches,
+    ``ceil(lo/f) - 1 <= j <= floor(hi/f)``; with ``slack=0`` the cells it
+    contains, ``ceil(lo/f) <= j <= floor(hi/f) - 1``.  A slack of ``1 + g``
+    widens the touching window by g cells each way.
+    """
+    return tuple((-(-lo // f) - slack, hi // f - 1 + slack) for lo, hi in bounds)
 
 
 def _in_window(cell: tuple[int, ...], window: tuple[tuple[int, int], ...]) -> bool:

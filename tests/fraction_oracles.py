@@ -14,13 +14,52 @@ box.  ``bucket`` and ``hit_rows`` state the survivor argument's position
 buckets and worst-case hit counts in closed form.  ``series_upper`` bounds
 ``sum_k eps**(num*k/den)`` by a prefix of per-term enclosures plus a
 geometric tail; the library keeps only its tail, ``covers._series_upper``.
+
+``sides``, ``vertices``, ``cell_box``, ``cell_boxes`` and ``level_digital``
+are the ``Fraction`` views of boxes, digital sets and dust levels that only
+tests read.
 """
 
 import itertools
 from fractions import Fraction
+from math import ceil, floor
 
-from microset.geometry import Box, Point, volume
+from microset.geometry import Box, DigitalSet, Point, volume
 from microset.rational import DEFAULT_PRECISION, pow_upper, root_lower
+
+
+def sides(box):
+    return tuple(hi - lo for lo, hi in box.intervals)
+
+
+def vertices(box):
+    return itertools.product(*box.intervals)
+
+
+def cell_box(e, cell):
+    """The closed box of one cell of the digital set e."""
+    s = e.cell_side
+    return Box(tuple((j * s, (j + 1) * s) for j in cell))
+
+
+def cell_boxes(e):
+    return [cell_box(e, cell) for cell in e.cells]
+
+
+def level_digital(tree, k):
+    """Level-k union of a dust tree as a digital set: each cube is one depth-k**2 cell."""
+    cells = tuple(cell for _, cell in tree.level_cells(k))
+    return DigitalSet(tree.spec.n, tree.spec.b, tree.spec.grid(k), cells)
+
+
+def cell_window(piece, scale, slack):
+    """Per-axis index range of the closed 1/scale-grid cells the piece holds.
+
+    With ``slack=1`` these are the cells the piece touches,
+    ``ceil(lo*scale) - 1 <= j <= floor(hi*scale)``; with ``slack=0`` the
+    cells it contains, ``ceil(lo*scale) <= j <= floor(hi*scale) - 1``.
+    """
+    return tuple((ceil(lo * scale) - slack, floor(hi * scale) - 1 + slack) for lo, hi in piece.intervals)
 
 
 def budget_violation(cover, eps=None):
@@ -70,7 +109,7 @@ def covers_box(target, pieces):
 def verify(e, cover):
     """(first budget violation, first uncovered cell) against the whole cover."""
     pieces = [piece.intervals for piece in cover.pieces]
-    witness = next((c for c in e.cells if not covers_box(e.cell_box(c).intervals, pieces)), None)
+    witness = next((c for c in e.cells if not covers_box(cell_box(e, c).intervals, pieces)), None)
     return budget_violation(cover), witness
 
 
@@ -110,7 +149,7 @@ def _boxes(obj):
         return [tuple((c, c) for c in obj.coords)]
     if isinstance(obj, Box):
         return [obj.intervals]
-    return [box.intervals for box in obj.boxes()]
+    return [box.intervals for box in cell_boxes(obj)]
 
 
 def dist_sq(a, b):
@@ -150,7 +189,7 @@ def membership(k_set, ball):
     boxes = [box.intervals for box in ball.boxes]
     met = set()
     for cell in k_set.cells:
-        target = k_set.cell_box(cell).intervals
+        target = cell_box(k_set, cell).intervals
         if next(outside_faces(target, boxes), None) is not None:
             return False
         met.update(box for box in boxes if meets(box, target))
@@ -171,7 +210,7 @@ def stability_radius(k_set, ball, witnesses):
     near_sq = bound * bound
     boxes = [box.intervals for box in ball.boxes]
     for cell in k_set.cells:
-        target = k_set.cell_box(cell).intervals
+        target = cell_box(k_set, cell).intervals
         grown = tuple((max(lo - bound, 0), min(hi + bound, 1)) for lo, hi in target)
         for face in outside_faces(grown, boxes):
             near_sq = min(near_sq, gap_sq(target, face))

@@ -10,7 +10,7 @@ import sys
 import time
 from fractions import Fraction
 
-from fraction_oracles import bucket, dist_sq, hit_rows
+from fraction_oracles import bucket, cell_boxes, dist_sq, hit_rows, sides, vertices
 from microset import covers, dust, serialize
 from microset.baire import SplitMix64
 from microset.covers import (
@@ -58,16 +58,16 @@ def test_a01_construction_is_exact_for_three_reference_trees():
     for spec in _REFERENCE_SPECS:
         tree = generate(spec)
         parents = {(): Box.cube(tuple(F(0) for _ in range(spec.n)), F(1))}
-        sides = [F(1)] + [F(1, 3 ** (k * k)) for k in range(1, spec.depth + 1)]
-        gaps = [sides[k - 1] - 2 * sides[k] for k in range(1, spec.depth + 1)]
+        widths = [F(1)] + [F(1, 3 ** (k * k)) for k in range(1, spec.depth + 1)]
+        gaps = [widths[k - 1] - 2 * widths[k] for k in range(1, spec.depth + 1)]
         for k in range(1, spec.depth + 1):
             level = tree.level(k)
             assert len(level) == 2 ** (spec.n * k)
             for word, cube in level:
-                assert cube.sides() == (sides[k],) * spec.n
+                assert sides(cube) == (widths[k],) * spec.n
                 assert volume(cube) == F(1, 3 ** (spec.n * k * k))
                 parent = parents[word[:-1]]
-                assert len(set(cube.vertices()) & set(parent.vertices())) == 1
+                assert len(set(vertices(cube)) & set(vertices(parent))) == 1
             sibling_min = min(
                 dist_sq(ca, cb)
                 for (wa, ca), (wb, cb) in itertools.combinations(level, 2)
@@ -294,8 +294,8 @@ def test_a08_merged_covers_reverify_and_obey_the_budget_series():
             )
             sets.append(DigitalSet(n, 3, 2, cells))
         ea, eb = sets
-        ca = CoverSeq(n=n, eps=F(3, 5), strong=True, pieces=tuple(ea.boxes()))
-        cb = CoverSeq(n=n, eps=F(3, 5), strong=True, pieces=tuple(eb.boxes()))
+        ca = CoverSeq(n=n, eps=F(3, 5), strong=True, pieces=tuple(cell_boxes(ea)))
+        cb = CoverSeq(n=n, eps=F(3, 5), strong=True, pieces=tuple(cell_boxes(eb)))
         assert verify_cover(ea, ca).ok and verify_cover(eb, cb).ok
         merged = merge_covers([ca, cb], F(4, 5))
         union = DigitalSet(n, 3, 2, ea.cells + eb.cells)
@@ -327,10 +327,11 @@ def test_a09_thin_segment_separates_weak_from_strong_budgets():
 
 
 def test_a10_stability_radius_survives_grid_quantized_perturbations():
-    base = SplitMix64(424242)
     checks = 0
     for instance in range(50):
-        rng = base.fork(instance)
+        # one stream per instance: the index mixed into the seed, then one draw skipped
+        rng = SplitMix64(424242 ^ (instance * 0xA3EC647659359ACD))
+        rng.next()
         n = 1 + instance % 2
         depth = 3 if n == 2 else 3 + instance % 2
         top = 3**depth

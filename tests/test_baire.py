@@ -17,9 +17,6 @@ from microset.baire import (
     finite_skeleton,
     sample_compact,
     skeleton_depth,
-    typicality_report,
-    write_typicality_csv,
-    write_typicality_json,
 )
 from microset.geometry import DigitalSet, Point, hausdorff_bracket
 
@@ -98,8 +95,6 @@ def test_sample_spec_validation():
         SampleSpec(seed=1, n=1, b=3, depth=1, density=F(0))
     with pytest.raises(ValueError):
         SampleSpec(seed=1, n=1, b=3, depth=1, density=F(3, 2))
-    with pytest.raises(ValueError):
-        SampleSpec(seed=1, n=1, b=3, depth=1, density=F(1, 2), trials=0)
 
 
 def test_density_one_gives_full_grid():
@@ -186,54 +181,3 @@ def test_skeleton_depth_certifies_delta(seed, delta):
     br = hausdorff_bracket(e, e.refine(d), d)
     assert br.hi <= delta
 
-
-def test_typicality_report_shape_and_frequencies():
-    spec = SampleSpec(seed=42, n=1, b=3, depth=2, density=F(1, 5), trials=6)
-    report = typicality_report(spec, [2, 3], 128)
-    assert len(report.records) == 6
-    for s, freq in report.witness_frequency:
-        assert 0 <= freq <= 1
-        witnessed = sum(
-            1 for rec in report.records if dict(rec.outcomes)[s] == "witness"
-        )
-        assert freq == F(witnessed, 6)
-
-
-def test_typicality_sparse_sets_always_witnessed():
-    spec = SampleSpec(seed=7, n=1, b=3, depth=2, density=F(1, 9), trials=5)
-    report = typicality_report(spec, [2], 256)
-    assert dict(report.witness_frequency)[2] == 1
-
-
-def test_typicality_full_square_unknown_recorded():
-    spec = SampleSpec(seed=1, n=2, b=3, depth=0, density=F(1), trials=1)
-    report = typicality_report(spec, [2], 16)
-    assert dict(report.records[0].outcomes)[2] == "unknown"
-    assert dict(report.witness_frequency)[2] == 0
-
-
-def test_typicality_rejects_small_exponent():
-    spec = SampleSpec(seed=1, n=1, b=3, depth=1, density=F(1, 2))
-    with pytest.raises(ValueError):
-        typicality_report(spec, [1], 8)
-
-
-def test_typicality_outputs_deterministic(tmp_path):
-    spec = SampleSpec(seed=13, n=1, b=3, depth=2, density=F(1, 4), trials=4)
-    report = typicality_report(spec, [2, 4], 64)
-    for name, writer in (("csv", write_typicality_csv), ("json", write_typicality_json)):
-        a = tmp_path / f"a.{name}"
-        b = tmp_path / f"b.{name}"
-        writer(report, a)
-        writer(typicality_report(spec, [2, 4], 64), b)
-        assert a.read_bytes() == b.read_bytes()
-
-
-def test_typicality_csv_row_per_trial(tmp_path):
-    spec = SampleSpec(seed=13, n=1, b=3, depth=2, density=F(1, 4), trials=4)
-    report = typicality_report(spec, [2], 64)
-    path = tmp_path / "report.csv"
-    write_typicality_csv(report, path)
-    lines = path.read_text().strip().splitlines()
-    assert len(lines) == 1 + 4
-    assert lines[0].split(",")[:3] == ["trial", "seed", "cells"]

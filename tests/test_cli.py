@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fraction_oracles import cell_boxes
 from microset import serialize
 from microset.cli import _COMMANDS, main
 from microset.covers import BallSpec, CoverReport, CoverSeq
@@ -603,7 +604,7 @@ def test_every_loader_refuses_a_field_its_schema_does_not_define(tmp_path, capsy
     paths = {name: tmp_path / f"{name}.json" for name in ("tree", "cover", "cert", "set", "full")}
     serialize.save(tree, paths["tree"])
     serialize.save(cover, paths["cover"])
-    serialize.save(CoverSeq(n=1, eps=F(1, 2), strong=True, pieces=tuple(e.boxes())), paths["full"])
+    serialize.save(CoverSeq(n=1, eps=F(1, 2), strong=True, pieces=tuple(cell_boxes(e))), paths["full"])
     cert = serialize.to_json(survivor_refute(tree.spec, cover))
     paths["cert"].write_text(serialize.dumps({**cert, "note": "trust me"}))
     paths["set"].write_text(serialize.dumps({**serialize.to_json(e), "note": 1}))

@@ -19,7 +19,7 @@ from microset.covers import (
     merge_covers,
     verify_cover,
 )
-from microset.geometry import Box, DigitalSet, Point, _cell_window, volume
+from microset.geometry import Box, DigitalSet, Point, _frame, _on_frame, _window, volume
 from microset.rational import pow_lower, root_lower
 
 F = Fraction
@@ -144,7 +144,7 @@ def claimed_covers(draw):
     bare = draw(st.one_of(st.none(), st.sampled_from(e.cells)))
     half = e.cell_side / 2
     for cell in e.cells:
-        box = e.cell_box(cell)
+        box = fraction_oracles.cell_box(e, cell)
         lo = [a for a, _ in box.intervals]
         if cell == bare:
             continue
@@ -179,8 +179,12 @@ def test_cell_windows_match_fraction_tests(ends, den, j):
     lo, hi = F(ends[0], den), F(ends[1], den)
     piece, scale = box1(lo, hi), 9
     cell_lo, cell_hi = F(j, scale), F(j + 1, scale)
-    (ta, tz), = _cell_window(piece, scale, 1)
-    (ca, cz), = _cell_window(piece, scale, 0)
+    # the integer window on the piece's frame is the Fraction one, and both hold what they claim
+    frame = _frame([piece], scale)
+    touch, inside = (_window(_on_frame(piece, frame), frame // scale, slack) for slack in (1, 0))
+    assert touch == fraction_oracles.cell_window(piece, scale, 1)
+    assert inside == fraction_oracles.cell_window(piece, scale, 0)
+    ((ta, tz),), ((ca, cz),) = touch, inside
     assert (ta <= j <= tz) == (lo <= cell_hi and cell_lo <= hi)
     assert (ca <= j <= cz) == (lo <= cell_lo and cell_hi <= hi)
 
@@ -463,7 +467,7 @@ def _oracle_open_union_contains(target, boxes):
 def _oracle_membership(k_set, ball):
     scale = k_set.b**k_set.m
     return all(
-        _oracle_open_union_contains(k_set.cell_box(cell), ball.boxes) for cell in k_set.cells
+        _oracle_open_union_contains(fraction_oracles.cell_box(k_set, cell), ball.boxes) for cell in k_set.cells
     ) and all(
         any(
             all(lo * scale < j + 1 and j < hi * scale for j, (lo, hi) in zip(cell, box.intervals))

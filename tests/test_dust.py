@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fraction_oracles import bucket, dist_sq, hit_rows, intersect_count
+from fraction_oracles import bucket, cell_window, dist_sq, hit_rows, intersect_count, level_digital, sides, vertices
 from microset import dust, serialize
 from microset.baire import SplitMix64
 from microset.covers import CoverSeq, verify_cover
@@ -32,7 +32,7 @@ from microset.dust import (
     survivor_refute,
     validate,
 )
-from microset.geometry import Box, _cell_window, _in_window, hausdorff_bracket, volume
+from microset.geometry import Box, _in_window, hausdorff_bracket, volume
 from microset.rational import DEFAULT_PRECISION, pow_lower, root_lower, root_upper
 
 F = Fraction
@@ -130,11 +130,11 @@ def test_generate_plane_level_two_structure():
     tree = generate(DustSpec(n=2, b=3, depth=2))
     level = tree.level(2)
     assert len(level) == 16
-    assert all(cube.sides() == (F(1, 81),) * 2 for _, cube in level)
+    assert all(sides(cube) == (F(1, 81),) * 2 for _, cube in level)
     assert all(volume(cube) == F(1, 6561) for _, cube in level)
     parents = dict(tree.level(1))
     for word, cube in level:
-        shared = set(cube.vertices()) & set(parents[word[:-1]].vertices())
+        shared = set(vertices(cube)) & set(vertices(parents[word[:-1]]))
         assert len(shared) == 1
 
 
@@ -188,7 +188,7 @@ def test_gap_table_matches_side_recurrence():
         table = gap_table(spec)
         prev = F(1)
         for k in range(1, spec.depth + 1):
-            side = tree.level(k)[0][1].sides()[0]
+            side = sides(tree.level(k)[0][1])[0]
             assert table.sibling_gap[k - 1] == prev - 2 * side
             prev = side
 
@@ -196,8 +196,8 @@ def test_gap_table_matches_side_recurrence():
 def test_level_union_nesting_bracket():
     spec = DustSpec(n=2, b=3, depth=2)
     tree = generate(spec)
-    coarse = tree.level_digital(1)
-    fine = tree.level_digital(2)
+    coarse = level_digital(tree, 1)
+    fine = level_digital(tree, 2)
     br = hausdorff_bracket(coarse, fine, 4)
     assert br.hi <= root_upper(F(2), 2) * F(1, 3)
 
@@ -365,7 +365,7 @@ def _swallow_instance(n: int, depth: int, count: int):
 
 def test_survivor_certificate_line():
     tree, cover = _swallow_instance(1, 4, 8)
-    assert verify_cover(tree.level_digital(tree.spec.depth), cover).budget_ok
+    assert verify_cover(level_digital(tree, tree.spec.depth), cover).budget_ok
     cert = survivor_refute(tree.spec, cover)
     assert isinstance(cert, SurvivorCertificate)
     assert cert.checked_prefix == 6
@@ -478,7 +478,7 @@ def _swallow_from_cubes(tree, eps, count):
     for h in range(1, count + 1):
         budget_side = max(pow_lower(eps, h, spec.n, DEFAULT_PRECISION), root_lo**h)
         target = leaves[(h - 1) % len(leaves)]
-        side = min(budget_side, target.sides()[0])
+        side = min(budget_side, sides(target)[0])
         pieces.append(Box.cube(tuple(lo for lo, _ in target.intervals), side))
     return CoverSeq(n=spec.n, eps=eps, strong=True, pieces=tuple(pieces))
 
@@ -492,7 +492,7 @@ def _random_from_cubes(tree, eps, count, seed):
     for h in range(1, count + 1):
         budget_side = max(pow_lower(eps, h, spec.n, DEFAULT_PRECISION), root_lo**h)
         target = leaves[rng.next() % len(leaves)]
-        side = min(budget_side, target.sides()[0]) * F(rng.next() % 512 + 512, 1024)
+        side = min(budget_side, sides(target)[0]) * F(rng.next() % 512 + 512, 1024)
         corner = []
         for lo, hi in target.intervals:
             wiggle = (hi - lo - side) * F(rng.next() % 1024, 1024)
@@ -541,7 +541,7 @@ def test_tree_construction_invariants_property(n, b):
     for k in range(1, depth + 1):
         level = tree.level(k)
         assert len(level) == 2 ** (n * k)
-        assert all(cube.sides() == (F(1, b ** (k * k)),) * n for _, cube in level)
+        assert all(sides(cube) == (F(1, b ** (k * k)),) * n for _, cube in level)
 
 
 def _replace_entry(tree, k, i, word=None, cell=None):
@@ -649,7 +649,7 @@ def test_integer_touching_matches_the_fraction_oracle(case):
     assert _survivor_walk(tree.spec, cover) == _walk_oracle(tree, cover)
     # the refuter's touching window holds exactly the cells at distance 0
     for k in range(1, depth + 1):
-        windows = [_cell_window(piece, tree.spec.scale(k), 1) for piece in cover.pieces]
+        windows = [cell_window(piece, tree.spec.scale(k), 1) for piece in cover.pieces]
         for (_, cube), (_, cell) in zip(tree.level(k), tree.level_cells(k)):
             for piece, window in zip(cover.pieces, windows):
                 assert _in_window(cell, window) == (dist_sq(cube, piece) == 0)

@@ -24,6 +24,7 @@ from pathlib import Path
 import pytest
 
 import microset
+from fraction_oracles import cell_boxes
 from microset import serialize
 from microset.covers import CoverSeq
 from microset.dust import DustSpec, adversary_swallow, generate
@@ -72,7 +73,7 @@ def docs(tmp_path_factory):
     serialize.save(DigitalSet(2, 3, 1, ((1, 1),)), paths["other"])
     serialize.save(tree, paths["tree"])
     serialize.save(adversary_swallow(tree.spec, Fraction(1, 10**6), 2), paths["cover"])
-    serialize.save(CoverSeq(n=2, eps=Fraction(1, 2), strong=True, pieces=tuple(e.boxes())), paths["full"])
+    serialize.save(CoverSeq(n=2, eps=Fraction(1, 2), strong=True, pieces=tuple(cell_boxes(e))), paths["full"])
     return {name: str(path) for name, path in paths.items()}
 
 

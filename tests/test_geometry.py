@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fraction_oracles import dist_sq
+from fraction_oracles import cell_box, dist_sq, sides
 from microset import geometry
 from microset.baire import SampleSpec, sample_compact
 from microset.geometry import Box, DigitalSet, HBracket, Point, covers_box, hausdorff_bracket, volume
@@ -35,13 +35,13 @@ def test_point_validation():
 def test_box_validation():
     with pytest.raises(ValueError):
         Box(((F(1, 2), F(1, 3)),))
-    assert Box(((F(0), F(0)),)).sides() == (0,)
+    assert sides(Box(((F(0), F(0)),))) == (0,)
 
 
 def test_cube_side_witness():
     c = Box.cube((F(0), F(1, 3)), F(1, 3))
     assert c == Box(((F(0), F(1, 3)), (F(1, 3), F(2, 3))))
-    assert c.sides() == (F(1, 3), F(1, 3))
+    assert sides(c) == (F(1, 3), F(1, 3))
     with pytest.raises(ValueError):
         Box.cube((F(0),), F(0))
     with pytest.raises(TypeError):
@@ -156,7 +156,7 @@ def test_covers_box_matches_raster_oracle(instance):
 def test_covers_box_thin_cover_needs_no_call_stack():
     # 300 intervals left to right split the cell 300 times in a row; a
     # recursive split would need 300 frames, more than the lowered limit
-    cell = DigitalSet(1, 3, 2, ((4,),)).cell_box((4,))
+    cell = cell_box(DigitalSet(1, 3, 2, ((4,),)), (4,))
     step = F(1, 9 * 300)
     pieces = [box1(F(4, 9) + i * step, F(4, 9) + (i + 1) * step) for i in range(300)]
     gapped = pieces[:150] + pieces[151:]
@@ -179,7 +179,7 @@ def test_covers_box_thin_cover_splits_in_n_log_n(monkeypatch):
     # costs about N**2 / 2 touching tests here; the median split stays
     # within a small multiple of N log2 N
     n_pieces = 1200
-    cell = DigitalSet(1, 3, 2, ((4,),)).cell_box((4,))
+    cell = cell_box(DigitalSet(1, 3, 2, ((4,),)), (4,))
     step = F(1, 9 * n_pieces)
     pieces = [box1(F(4, 9) + i * step, F(4, 9) + (i + 1) * step) for i in range(n_pieces)]
     gapped = pieces[: n_pieces // 2] + pieces[n_pieces // 2 + 1 :]

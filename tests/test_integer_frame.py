@@ -69,16 +69,16 @@ def coprime_covers(draw):
     for cell in e.cells:
         if cell == bare:
             continue
-        lo = [a for a, _ in e.cell_box(cell).intervals]
+        lo = [a for a, _ in fraction_oracles.cell_box(e, cell).intervals]
         grow = [F(draw(st.integers(0, 1)), draw(st.sampled_from(COPRIME))) for _ in range(2)]
         if strong or draw(st.booleans()):
             pieces.append(Box.cube([a - grow[0] for a in lo], side + grow[0] + grow[1]))
         else:
             axis = draw(st.integers(0, n - 1))
-            a, z = e.cell_box(cell).intervals[axis]
+            a, z = fraction_oracles.cell_box(e, cell).intervals[axis]
             mid = a + side * F(draw(st.integers(0, 13)), 13)
             for part in ((a, mid), (mid, z)):
-                ivs = list(e.cell_box(cell).intervals)
+                ivs = list(fraction_oracles.cell_box(e, cell).intervals)
                 ivs[axis] = part
                 pieces.append(Box(tuple(ivs)))
     order = draw(st.permutations(pieces))
@@ -100,7 +100,7 @@ def test_cover_verdicts_match_the_fraction_oracle(case, den):
         cover, strengthened
     )
     for cell in e.cells[:2]:
-        target = e.cell_box(cell)
+        target = fraction_oracles.cell_box(e, cell)
         assert covers_box(target, cover.pieces) == fraction_oracles.covers_box(
             target.intervals, [p.intervals for p in cover.pieces]
         )

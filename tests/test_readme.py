@@ -10,10 +10,10 @@ from microset import cli
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 
 
-def _block(heading: str, lang: str) -> str:
-    """The first fenced block of the given language under the heading."""
-    section = README.split(f"\n## {heading}\n", 1)[1]
-    return re.search(rf"```{lang}\n(.*?)```", section, re.S).group(1)
+def _block(heading: str, lang: str, index: int = 0) -> str:
+    """The fenced block of the given language under the heading, the first by default."""
+    section = README.split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
+    return re.findall(rf"```{lang}\n(.*?)```", section, re.S)[index]
 
 
 def test_thirty_second_tour_runs_and_finds_its_survivor():
@@ -46,4 +46,20 @@ def test_experiments_block_runs_as_written(tmp_path, monkeypatch, capsys):
     assert sorted(path.name for path in tmp_path.iterdir()) == [
         "dust.svg", "dust_cover.svg", "random.json", "random_cert.json",
         "swallow.json", "swallow_cert.json", "tree.json",
+    ]
+
+
+def test_sampling_block_runs_as_written(tmp_path, monkeypatch, capsys):
+    # each line states what it prints and, unless it is 0, its exit code; CI checks the codes the same way
+    lines = _block("Experiments", "sh", 1).splitlines()
+    assert all(line.startswith("microset ") for line in lines)
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        command, note = line.split("# ")
+        exits, printed = re.fullmatch(r"(?:exits (\d+), )?prints (.+)", note.strip()).groups()
+        assert cli.main(shlex.split(command)[1:]) == int(exits or 0), line
+        out, err = capsys.readouterr()
+        assert (out + err).strip() == printed, line
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        "dense.json", "sparse.json", "sparse_2.json", "sparse_3.json",
     ]

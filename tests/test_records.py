@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from microset.baire import SampleSpec, TrialRecord, TypicalityReport
+from microset.baire import SampleSpec
 from microset.covers import BallSpec, CoverReport, CoverSeq, GreedyFailure
 from microset.dust import (
     DustSpec,
@@ -19,8 +19,6 @@ from microset.geometry import Box, DigitalSet, HBracket, Point, Record
 F = Fraction
 _BOX = Box(((F(0), F(1, 3)),))
 _SPEC = DustSpec(n=1, b=3, depth=1)
-_BRACKET = HBracket(F(0), F(1, 2), 1, F(1))
-_TRIAL = TrialRecord(0, 1, 2, ((2, "found"),), _BRACKET)
 
 # keyword arguments in declared field order, each value already in normal form
 SAMPLES = [
@@ -38,11 +36,7 @@ SAMPLES = [
                 "sibling_gap": (F(1, 3),), "level_gap": (F(1, 3),)}),
     (SurvivorCertificate, {"depth": 1, "checked_prefix": 0, "survivor_word": (1,), "level_counts": (2,)}),
     (RefuterFailure, {"level": 2, "checked_prefix": 2}),
-    (SampleSpec, {"seed": 1, "n": 1, "b": 3, "depth": 1, "density": F(1, 2), "trials": 1}),
-    (TrialRecord, {"trial": 0, "seed": 1, "cells": 2, "outcomes": ((2, "found"),),
-                   "skeleton_bracket": _BRACKET}),
-    (TypicalityReport, {"spec": SampleSpec(1, 1, 3, 1, F(1, 2)), "s_list": (2,), "max_pieces": 3,
-                        "delta": F(1, 2), "records": (_TRIAL,), "witness_frequency": ((2, F(1)),)}),
+    (SampleSpec, {"seed": 1, "n": 1, "b": 3, "depth": 1, "density": F(1, 2)}),
 ]
 
 CASES = pytest.mark.parametrize("cls, kwargs", SAMPLES, ids=[cls.__name__ for cls, _ in SAMPLES])
@@ -50,7 +44,7 @@ CASES = pytest.mark.parametrize("cls, kwargs", SAMPLES, ids=[cls.__name__ for cl
 
 def test_every_record_class_has_a_sample():
     assert {cls for cls, _ in SAMPLES} == set(Record.__subclasses__())
-    assert len(SAMPLES) == 16
+    assert len(SAMPLES) == 14
 
 
 @CASES
@@ -135,8 +129,3 @@ def test_records_refuse_inconsistent_fields():
         with pytest.raises(ValueError):
             cls(**kwargs)
 
-
-def test_sample_spec_trials_defaults_to_one():
-    spec = SampleSpec(seed=1, n=1, b=3, depth=1, density=F(1, 2))
-    assert spec.trials == 1
-    assert spec == SampleSpec(1, 1, 3, 1, F(1, 2), 1)

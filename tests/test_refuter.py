@@ -5,7 +5,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fraction_oracles import dist_sq
+from fraction_oracles import dist_sq, level_digital
 from microset.covers import verify_cover
 from microset.dust import (
     DustSpec,
@@ -43,7 +43,7 @@ def _check_certificate(tree, cover, cert):
 @given(st.integers(min_value=0, max_value=2**32), st.integers(min_value=1, max_value=10))
 def test_random_adversaries_never_defeat_the_line_refuter(seed, count):
     cover = adversary_random(_LINE.spec, _LINE_EPS, count, seed)
-    assert verify_cover(_LINE.level_digital(4), cover).budget_ok
+    assert verify_cover(level_digital(_LINE, 4), cover).budget_ok
     cert = survivor_refute(_LINE.spec, cover)
     _check_certificate(_LINE, cover, cert)
 
