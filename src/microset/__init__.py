@@ -75,7 +75,6 @@ _EXPORTS = {
     "survivor_refute": "dust",
     "validate": "dust",
     "verify_cover": "covers",
-    "volume": "geometry",
 }
 
 __all__ = sorted(_EXPORTS)

@@ -128,13 +128,21 @@ def _emit(obj, out: str | None) -> None:
         serialize.save(obj, out)
 
 
-def _cmd_dust_generate(args) -> int:
-    from . import dust, serialize
+def _admissible_spec(args):
+    """The DustSpec of --n/--b/--depth; an inadmissible one is a verified negative."""
+    from . import dust
 
     spec = dust.DustSpec(n=args.n, b=args.b, depth=args.depth)
     problem = dust.validate(spec)
     if problem is not None:
         raise _Negative(f"inadmissible: {problem}")
+    return spec
+
+
+def _cmd_dust_generate(args) -> int:
+    from . import dust, serialize
+
+    spec = _admissible_spec(args)
     tree = dust.generate(spec)
     serialize.save(tree, args.out)
     total = sum(len(level) for level in tree.levels)
@@ -145,10 +153,7 @@ def _cmd_dust_generate(args) -> int:
 def _cmd_dust_gaps(args) -> int:
     from . import dust
 
-    spec = dust.DustSpec(n=args.n, b=args.b, depth=args.depth)
-    problem = dust.validate(spec)
-    if problem is not None:
-        raise _Negative(f"inadmissible: {problem}")
+    spec = _admissible_spec(args)
     if args.tree is not None:
         tree = _load_as(args.tree, "dusttree/1")
         if tree.spec != spec:
@@ -181,10 +186,7 @@ def _cmd_dust_adversary(args) -> int:
         raise ValueError("--count must be at least 1")
     if args.eps is not None and not 0 < args.eps < 1:
         raise ValueError("--eps must lie strictly between 0 and 1")
-    spec = dust.DustSpec(n=args.n, b=args.b, depth=args.depth)
-    problem = dust.validate(spec)
-    if problem is not None:
-        raise _Negative(f"inadmissible: {problem}")
+    spec = _admissible_spec(args)
     eps = dust.refutation_budget_lower(spec) if args.eps is None else args.eps
     if args.seed is None:
         kind, cover = "swallow", dust.adversary_swallow(spec, eps, args.count)
@@ -329,10 +331,8 @@ def _cmd_render_svg(args) -> int:
 
     if (args.tree is None) == (args.cover is None):
         raise ValueError("give exactly one of --tree or --cover")
-    if args.cover is not None and args.max_level is not None:
-        raise ValueError("--max-level applies to --tree only")
     if args.tree is not None:
-        text = svg.render_dust(_load_as(args.tree, "dusttree/1"), args.max_level)
+        text = svg.render_dust(_load_as(args.tree, "dusttree/1"))
     else:
         text = svg.render_cover(_load_as(args.cover, "coverseq/1"))
     svg.write_svg(text, args.out)
@@ -375,8 +375,7 @@ _COMMANDS = {  # subcommand -> (help, flags, handler)
     "baire-sample": ("seeded random digital set", (
         _N, _B, _DEPTH, _flag("--density", "rational"), _flag("--seed", "int"), _OUT), _cmd_baire_sample),
     "render-svg": ("static SVG of a planar tree or cover", (
-        _flag("--tree", default=None), _flag("--cover", default=None),
-        _flag("--max-level", "int", default=None), _OUT), _cmd_render_svg),
+        _flag("--tree", default=None), _flag("--cover", default=None), _OUT), _cmd_render_svg),
 }
 
 

@@ -24,11 +24,11 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import ceil
+from math import ceil, prod
 from operator import add
 from typing import TYPE_CHECKING
 
-from .geometry import Box, Record, _frame, _in_window, _on_frame, _window, volume
+from .geometry import Box, Record, _frame, _in_window, _on_frame, _window
 from .rational import DEFAULT_PRECISION, pow_upper, root_lower
 
 if TYPE_CHECKING:
@@ -291,7 +291,7 @@ def _bucket_start(k: int) -> int:
     """Least position h >= k**2 / 4: the first position of bucket k.
 
     Bucket k holds the cover positions h with k**2 / 4 <= h < (k+1)**2 / 4,
-    the pieces that level k of the survivor walk must absorb.
+    the pieces that level k of the survivor descent must absorb.
     """
     return (k * k + 3) // 4
 
@@ -331,27 +331,31 @@ def _examined_prefix(depth: int, piece_count: int) -> int:
     return min(piece_count, _bucket_start(depth + 1) - 1)
 
 
-def _refutation_premises(spec: DustSpec, cover: CoverSeq) -> int:
-    """Check what the survivor argument assumes; the examined prefix, or ValueError.
+def _refutation_premises(spec: DustSpec, cover: CoverSeq) -> tuple[int, list]:
+    """Check what the survivor argument assumes; (frame, examined pieces on it), or ValueError.
 
     The cover must share the spec's dimension, satisfy its own eps-budget
     and, piece by piece, the direct gap budget: a piece in bucket j must
     have measure at most level_gap(j) ** n.  Checking the gap budget
     directly (rather than trusting any chain of inequalities through eps)
-    keeps the premise of the survivor argument explicit and exact.
+    keeps the premise of the survivor argument explicit and exact.  The
+    frame is a multiple of the leaf grid's ``scale(depth)``, so every gap is
+    a whole number of its units.
     """
     if cover.n != spec.n:
         raise ValueError("dimension mismatch")
     if cover.first_budget_violation() is not None:
         raise ValueError("cover does not satisfy its eps budget")
-    checked = _examined_prefix(spec.depth, len(cover.pieces))
+    examined = cover.pieces[: _examined_prefix(spec.depth, len(cover.pieces))]
+    frame = _frame(examined, spec.scale(spec.depth))
+    pieces = [_on_frame(piece, frame) for piece in examined]
     gaps = gap_table(spec)
     for j in range(1, spec.depth + 1):
-        budget = gaps.level_gap[j - 1] ** spec.n
-        for h in range(_bucket_start(j), min(_bucket_start(j + 1), checked + 1)):
-            if volume(cover.pieces[h - 1]) > budget:
+        budget = int(gaps.level_gap[j - 1] * frame) ** spec.n
+        for h in range(_bucket_start(j), min(_bucket_start(j + 1), len(pieces) + 1)):
+            if prod(hi - lo for lo, hi in pieces[h - 1]) > budget:
                 raise ValueError(f"piece {h} exceeds the level-{j} gap budget")
-    return checked
+    return frame, pieces
 
 
 def survivor_refute(spec: DustSpec, cover: CoverSeq) -> SurvivorCertificate | RefuterFailure:
@@ -361,47 +365,44 @@ def survivor_refute(spec: DustSpec, cover: CoverSeq) -> SurvivorCertificate | Re
     A level with no survivor, where every child of the previous level's
     survivors touches an active piece, is returned as a ``RefuterFailure``.
     """
-    checked = _refutation_premises(spec, cover)
-    walk = _survivor_walk(spec, cover)
-    if not walk[-1]:
-        return RefuterFailure(level=len(walk), checked_prefix=checked)
-    cert = SurvivorCertificate(
-        depth=spec.depth,
-        checked_prefix=checked,
-        survivor_word=min(walk[-1]),
-        level_counts=tuple(len(alive) for alive in walk),
-    )
-    # the counts are the walk's own; walking again could not disagree
-    _check_survivor(spec, cover, cert)
+    frame, pieces = _refutation_premises(spec, cover)
+    counts, least = _survivor_descent(spec, frame, pieces)
+    if least is None:
+        return RefuterFailure(level=len(counts), checked_prefix=len(pieces))
+    cert = SurvivorCertificate(spec.depth, len(pieces), least, counts)
+    _check_survivor(spec, frame, pieces, cert)
     return cert
 
 
-def _survivor_walk(spec: DustSpec, cover: CoverSeq) -> list[list[tuple[int, ...]]]:
-    """Per level, the children of survivors that miss every active piece.
+def _survivor_descent(spec: DustSpec, frame: int, pieces: list) -> tuple[tuple[int, ...], tuple | None]:
+    """Per-level survivor counts, and the least depth-level survivor word or None.
 
-    Level k's active pieces are those bucketed into levels 1..k, each turned
-    once into its touching window on the level's grid.  The examined pieces
-    go onto one integer frame, a multiple of the leaf grid's ``scale(depth)``,
-    once per walk; a level-k cell is ``frame // scale(k)`` wide there.  Only
-    survivors' children are placed; the walk stops after the first level with
-    no survivor.
+    A level-k survivor is a child of a level-(k-1) survivor that touches none
+    of level k's active pieces, those bucketed into levels 1..k; a level-k cell
+    is ``frame // scale(k)`` wide on the pieces' frame.  A survivor touching no
+    examined piece is free: its 2**n children are free again, so free cells are
+    only counted, and the least leaf below one is its word padded with letter
+    1.  Only survivors that touch a piece not yet active are placed and
+    descended into.  The counts stop after the first level with no survivor.
     """
-    examined = cover.pieces[: _examined_prefix(spec.depth, len(cover.pieces))]
-    frame = _frame(examined, spec.scale(spec.depth))
-    pieces = [_on_frame(piece, frame) for piece in examined]
-    walk, family = [], [((), (0,) * spec.n)]
+    counts, leaves, free, family = [], [], 0, [((), (0,) * spec.n)]
     for k in range(1, spec.depth + 1):
-        f = frame // spec.scale(k)
-        windows = [_window(piece, f, 1) for piece in pieces[: _examined_prefix(k, len(pieces))]]
-        family = [
-            (word, cell)
-            for word, cell in _children(spec, family, k)
-            if not any(_in_window(cell, w) for w in windows)
-        ]
-        walk.append([word for word, _ in family])
-        if not family:
+        f, active = frame // spec.scale(k), _examined_prefix(k, len(pieces))
+        windows = [_window(piece, f, 1) for piece in pieces]
+        free, placed = free * 2**spec.n, []
+        for word, cell in _children(spec, family, k):
+            # the first examined piece the cell touches; len(pieces) for none
+            h = next((h for h, w in enumerate(windows) if _in_window(cell, w)), len(pieces))
+            if h == len(pieces):
+                free += 1
+                leaves.append(word + (1,) * (spec.depth - k))
+            elif h >= active:
+                placed.append((word, cell))
+        family = placed
+        counts.append(free + len(placed))
+        if not counts[-1]:
             break
-    return walk
+    return tuple(counts), min(leaves, default=None)
 
 
 def revalidate_survivor(spec: DustSpec, cover: CoverSeq, cert: SurvivorCertificate) -> None:
@@ -410,30 +411,27 @@ def revalidate_survivor(spec: DustSpec, cover: CoverSeq, cert: SurvivorCertifica
     The cover must meet the premises ``survivor_refute`` demands.  The
     certificate must carry the spec's depth, the prefix the cover's length
     implies, a depth-level word whose cube touches no examined piece, and the
-    survivor walk's own per-level counts.  Any surviving word is accepted, not
-    only the least one, which is the word the refuter emits.
+    survivor descent's own per-level counts.  Any surviving word is accepted,
+    not only the least one, which is the word the refuter emits.
     """
-    _refutation_premises(spec, cover)
-    _check_survivor(spec, cover, cert)
-    if cert.level_counts != tuple(len(alive) for alive in _survivor_walk(spec, cover)):
+    frame, pieces = _refutation_premises(spec, cover)
+    _check_survivor(spec, frame, pieces, cert)
+    if cert.level_counts != _survivor_descent(spec, frame, pieces)[0]:
         raise ValueError("certificate level counts differ from the survivor walk")
 
 
-def _check_survivor(spec: DustSpec, cover: CoverSeq, cert: SurvivorCertificate) -> None:
-    """The certificate's claims about the spec and the cover, except the counts, which need the walk."""
+def _check_survivor(spec: DustSpec, frame: int, pieces: list, cert: SurvivorCertificate) -> None:
+    """The certificate's claims about the spec and the examined pieces on their frame, except the counts."""
     if cert.depth != spec.depth:
         raise ValueError("certificate depth differs from the spec")
-    if cert.checked_prefix != _examined_prefix(spec.depth, len(cover.pieces)):
+    if cert.checked_prefix != len(pieces):
         raise ValueError("certificate examined a different prefix")
     word = cert.survivor_word
     if len(word) != spec.depth or not all(1 <= letter <= 2**spec.n for letter in word):
         raise ValueError("survivor word does not name a cube")
-    cell, scale = _cell_of(spec, word), spec.scale(spec.depth)
-    examined = cover.pieces[: cert.checked_prefix]
-    frame = _frame(examined, scale)
-    f = frame // scale
-    for h, piece in enumerate(examined, start=1):
-        if _in_window(cell, _window(_on_frame(piece, frame), f, 1)):
+    cell, f = _cell_of(spec, word), frame // spec.scale(spec.depth)
+    for h, piece in enumerate(pieces, start=1):
+        if _in_window(cell, _window(piece, f, 1)):
             raise ValueError(f"survivor touches examined piece {h}")
 
 

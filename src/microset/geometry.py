@@ -207,13 +207,6 @@ class HBracket(Record):
         self._set(lo, hi, sample_depth, width_cap)
 
 
-def volume(box: Box) -> Fraction:
-    v = Fraction(1)
-    for lo, hi in box.intervals:
-        v *= hi - lo
-    return v
-
-
 def _box_gap_sq(a: Sequence[tuple], b: Sequence[tuple]):
     """Squared gap between two boxes given as per-axis (lo, hi) pairs.
 

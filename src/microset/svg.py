@@ -57,15 +57,12 @@ def _document(body: list[str]) -> str:
     return "\n".join([head, frame, *body, "</svg>"]) + "\n"
 
 
-def render_dust(tree: DustTree, max_level: int | None = None) -> str:
-    """Levels of a planar dust tree, one tint per level, coarse first."""
+def render_dust(tree: DustTree) -> str:
+    """Every level of a planar dust tree, one tint per level, coarse first."""
     if tree.spec.n != 2:
         raise ValueError("SVG rendering is available for n = 2 only")
-    top = tree.spec.depth if max_level is None else max_level
-    if not 1 <= top <= tree.spec.depth:
-        raise ValueError("level out of range")
     body = []
-    for k in range(1, top + 1):
+    for k in range(1, tree.spec.depth + 1):
         fill = _LEVEL_FILLS[(k - 1) % len(_LEVEL_FILLS)]
         for _, cube in tree.level(k):
             body.append(_rect(cube, fill, "0.85"))

@@ -130,7 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("render-svg", help="static SVG of a planar tree or cover")
     p.add_argument("--tree", default=None)
     p.add_argument("--cover", default=None)
-    p.add_argument("--max-level", type=int, default=None)
     p.add_argument("-o", "--out", required=True)
 
     return parser

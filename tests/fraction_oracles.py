@@ -15,21 +15,28 @@ buckets and worst-case hit counts in closed form.  ``series_upper`` bounds
 ``sum_k eps**(num*k/den)`` by a prefix of per-term enclosures plus a
 geometric tail; the library keeps only its tail, ``covers._series_upper``.
 
-``sides``, ``vertices``, ``cell_box``, ``cell_boxes`` and ``level_digital``
-are the ``Fraction`` views of boxes, digital sets and dust levels that only
-tests read.
+``sides``, ``volume``, ``vertices``, ``cell_box``, ``cell_boxes`` and
+``level_digital`` are the ``Fraction`` views of boxes, digital sets and dust
+levels that only tests read.
 """
 
 import itertools
 from fractions import Fraction
 from math import ceil, floor
 
-from microset.geometry import Box, DigitalSet, Point, volume
+from microset.geometry import Box, DigitalSet, Point
 from microset.rational import DEFAULT_PRECISION, pow_upper, root_lower
 
 
 def sides(box):
     return tuple(hi - lo for lo, hi in box.intervals)
+
+
+def volume(box):
+    v = Fraction(1)
+    for lo, hi in box.intervals:
+        v *= hi - lo
+    return v
 
 
 def vertices(box):

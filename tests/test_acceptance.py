@@ -10,7 +10,7 @@ import sys
 import time
 from fractions import Fraction
 
-from fraction_oracles import bucket, cell_boxes, dist_sq, hit_rows, sides, vertices
+from fraction_oracles import bucket, cell_boxes, dist_sq, hit_rows, sides, vertices, volume
 from microset import covers, dust, serialize
 from microset.baire import SplitMix64
 from microset.covers import (
@@ -40,7 +40,6 @@ from microset.geometry import (
     DigitalSet,
     Point,
     hausdorff_bracket,
-    volume,
 )
 from microset.rational import root_upper
 

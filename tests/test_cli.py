@@ -766,18 +766,6 @@ def test_document_rationals_must_be_canonical(tmp_path, capsys):
     assert out_a.read_bytes() == out_b.read_bytes()
 
 
-def test_render_svg_max_level_is_for_trees_only(tmp_path, capsys):
-    cover = tmp_path / "cover.json"
-    serialize.save(CoverSeq(n=2, eps=F(1, 2), strong=True, pieces=(Box.cube((F(0), F(0)), F(1, 2)),)), cover)
-    out = tmp_path / "x.svg"
-    assert run("render-svg", "--cover", str(cover), "-o", str(out)) == 0
-    capsys.readouterr()
-    out.unlink()
-    assert run("render-svg", "--cover", str(cover), "--max-level", "1", "-o", str(out)) == 2
-    assert capsys.readouterr().err == "error: --max-level applies to --tree only\n"
-    assert not out.exists()
-
-
 def test_survivor_counts_the_record_refuses_are_malformed_input(tmp_path, capsys):
     # short counts or a level without survivor: SurvivorCertificate refuses them, so the
     # file is malformed (exit 2); counts that are merely false stay a verified negative (1)

@@ -19,7 +19,7 @@ from microset.covers import (
     merge_covers,
     verify_cover,
 )
-from microset.geometry import Box, DigitalSet, Point, _frame, _on_frame, _window, volume
+from microset.geometry import Box, DigitalSet, Point, _frame, _on_frame, _window
 from microset.rational import pow_lower, root_lower
 
 F = Fraction
@@ -207,7 +207,7 @@ def verified_covers(draw):
 def test_volume_sum_bound_on_verified_covers(pair):
     e, cover = pair
     assert verify_cover(e, cover).ok
-    total = sum(volume(p) for p in cover.pieces)
+    total = sum(fraction_oracles.volume(p) for p in cover.pieces)
     assert total <= cover.eps / (1 - cover.eps)
 
 
@@ -295,8 +295,8 @@ def test_merge_two_single_piece_covers():
     b = cover1(F(1, 4), box1(F(3, 4), 1))
     merged = merge_covers([a, b], eps)
     assert len(merged.pieces) == 2
-    assert volume(merged.pieces[0]) <= eps
-    assert volume(merged.pieces[1]) <= eps**2
+    assert fraction_oracles.volume(merged.pieces[0]) <= eps
+    assert fraction_oracles.volume(merged.pieces[1]) <= eps**2
 
 
 def test_merge_three_cell_union():

@@ -7,7 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fraction_oracles import bucket, cell_window, dist_sq, hit_rows, intersect_count, level_digital, sides, vertices
+from fraction_oracles import (
+    bucket,
+    cell_window,
+    dist_sq,
+    hit_rows,
+    intersect_count,
+    level_digital,
+    sides,
+    vertices,
+    volume,
+)
 from microset import dust, serialize
 from microset.baire import SplitMix64
 from microset.covers import CoverSeq, verify_cover
@@ -21,7 +31,8 @@ from microset.dust import (
     _check_tree,
     _examined_prefix,
     _leaf_cell,
-    _survivor_walk,
+    _refutation_premises,
+    _survivor_descent,
     adversary_random,
     adversary_swallow,
     gap_table,
@@ -32,7 +43,7 @@ from microset.dust import (
     survivor_refute,
     validate,
 )
-from microset.geometry import Box, _in_window, hausdorff_bracket, volume
+from microset.geometry import Box, _frame, _in_window, _on_frame, hausdorff_bracket
 from microset.rational import DEFAULT_PRECISION, pow_lower, root_lower, root_upper
 
 F = Fraction
@@ -427,7 +438,25 @@ def test_survivor_rejects_gap_budget_violation():
     cover = CoverSeq(
         n=1, eps=F(2, 5), strong=False, pieces=(Box(((F(0), F(2, 5)),)),)
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^piece 1 exceeds the level-2 gap budget$"):
+        survivor_refute(spec, cover)
+
+
+def test_gap_budget_premise_is_exact_on_the_frame():
+    # level_gap(2) = 1/3 - 2/81 = 25/81; the second piece's bounds put the frame at 162,
+    # where the gap is 50 units and the budget of bucket 2 is 50**2
+    spec = DustSpec(n=2, b=3, depth=2)
+    gap = gap_table(spec).level_gap[1]
+    assert gap == F(25, 81)
+    small = Box.cube((F(1, 2), F(1, 2)), F(1, 162))
+    exact = CoverSeq(n=2, eps=F(1, 2), strong=False, pieces=(Box.cube((F(0), F(0)), gap), small))
+    frame, pieces = _refutation_premises(spec, exact)
+    assert frame == 162 and pieces[0] == ((0, 50), (0, 50)) and volume(exact.pieces[0]) == gap**2
+    assert isinstance(survivor_refute(spec, exact), SurvivorCertificate)
+    # one frame unit wider on one axis
+    wider = Box(((F(0), gap + F(1, 162)), (F(0), gap)))
+    cover = CoverSeq(n=2, eps=F(1, 2), strong=False, pieces=(wider, small))
+    with pytest.raises(ValueError, match="^piece 1 exceeds the level-2 gap budget$"):
         survivor_refute(spec, cover)
 
 
@@ -590,10 +619,18 @@ def test_check_tree_sibling_gaps_equal_the_brute_force_minimum():
         assert brute == tuple(d * d for d in gap_table(spec).sibling_gap)
 
 
-def test_survivor_walk_stops_at_the_first_empty_level():
+def _on_its_frame(spec, cover):
+    """The examined pieces on their frame as ``_refutation_premises`` maps them, no premise checked."""
+    examined = cover.pieces[: _examined_prefix(spec.depth, len(cover.pieces))]
+    frame = _frame(examined, spec.scale(spec.depth))
+    return frame, [_on_frame(piece, frame) for piece in examined]
+
+
+def test_survivor_descent_stops_at_the_first_empty_level():
     # the whole cube is examined from level 2 on, so nothing survives there
+    spec = DustSpec(n=1, b=3, depth=3)
     cover = CoverSeq(n=1, eps=F(1, 2), strong=False, pieces=(Box(((F(0), F(1)),)),))
-    assert _survivor_walk(DustSpec(n=1, b=3, depth=3), cover) == [[(1,), (2,)], []]
+    assert _survivor_descent(spec, *_on_its_frame(spec, cover)) == ((2, 0), None)
 
 
 def _walk_oracle(tree, cover):
@@ -615,10 +652,18 @@ def _walk_oracle(tree, cover):
 
 @st.composite
 def _tree_and_cover(draw):
-    """A small tree and a non-strong cover whose endpoints sit on or near its cells."""
+    """A small tree and either a budget-tight adversary at, below or far above the
+    critical budget, or a non-strong cover whose endpoints sit on or near its cells."""
     n = draw(st.integers(min_value=1, max_value=3))
     depth = draw(st.integers(min_value=1, max_value={1: 4, 2: 3, 3: 2}[n]))
     tree = generate(DustSpec(n=n, b=draw(st.sampled_from((3, 4))), depth=depth))
+    if draw(st.booleans()):
+        scale = draw(st.sampled_from((F(1, 2), F(1), F(10**6))))
+        eps, count = min(refutation_budget_lower(tree.spec) * scale, F(1, 2)), _examined_prefix(depth, 10**9) + 2
+        seed = draw(st.none() | st.integers(min_value=0, max_value=2**64 - 1))
+        if seed is None:
+            return tree, adversary_swallow(tree.spec, eps, count)
+        return tree, adversary_random(tree.spec, eps, count, seed)
 
     def endpoint():
         k = draw(st.integers(min_value=1, max_value=depth))
@@ -646,7 +691,9 @@ def _tree_and_cover(draw):
 def test_integer_touching_matches_the_fraction_oracle(case):
     tree, cover = case
     depth = tree.spec.depth
-    assert _survivor_walk(tree.spec, cover) == _walk_oracle(tree, cover)
+    frame, pieces = _on_its_frame(tree.spec, cover)
+    walk = _walk_oracle(tree, cover)
+    assert _survivor_descent(tree.spec, frame, pieces) == (tuple(map(len, walk)), min(walk[-1], default=None))
     # the refuter's touching window holds exactly the cells at distance 0
     for k in range(1, depth + 1):
         windows = [cell_window(piece, tree.spec.scale(k), 1) for piece in cover.pieces]
@@ -660,9 +707,30 @@ def test_integer_touching_matches_the_fraction_oracle(case):
         touching = [h for h in range(1, prefix + 1) if dist_sq(cube, cover.pieces[h - 1]) == 0]
         if touching:
             with pytest.raises(ValueError, match=f"touches examined piece {touching[0]}$"):
-                _check_survivor(tree.spec, cover, cert)
+                _check_survivor(tree.spec, frame, pieces, cert)
         else:
-            _check_survivor(tree.spec, cover, cert)
+            _check_survivor(tree.spec, frame, pieces, cert)
+
+
+def test_descent_refutes_2_to_the_36_leaves_placing_few_children(monkeypatch):
+    # n=3, depth 12: survivors no examined piece touches are counted, never placed
+    spec = DustSpec(n=3, b=3, depth=12)
+    eps, count = refutation_budget_lower(spec) / 2, _examined_prefix(12, 10**9) + 2
+    covers = (adversary_swallow(spec, eps, count), adversary_random(spec, eps, count, 12))
+    placed, children = [], dust._children
+
+    def counted(*args):
+        family = children(*args)
+        placed.append(len(family))
+        if sum(placed) > 10_000:
+            raise AssertionError("the descent placed more than 10,000 children")
+        return family
+
+    monkeypatch.setattr(dust, "_children", counted)
+    for cover in covers:
+        cert = survivor_refute(spec, cover)
+        assert isinstance(cert, SurvivorCertificate) and cert.level_counts[-1] > 2**35
+        revalidate_survivor(spec, cover, cert)
 
 
 def test_integer_dust_scales_to_depth_seven(tmp_path):

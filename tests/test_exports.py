@@ -88,6 +88,23 @@ def test_every_export_is_reached_by_the_package():
     assert unreached == sorted(UNREACHED), unreached
 
 
+def test_every_private_function_and_class_is_read_in_the_package():
+    # a top-level private helper that no other package statement reads is dead code; one
+    # that only tests read belongs in tests/ as an oracle.  Dunders such as __getattr__ are
+    # read by the interpreter
+    read = set().union(*(reads for path in PACKAGE for _, reads in _statements(path)))
+    unread = [
+        top.name
+        for path in PACKAGE
+        for top in ast.parse(path.read_text()).body
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef))
+        and top.name.startswith("_")
+        and not (top.name.startswith("__") and top.name.endswith("__"))
+        and top.name not in read
+    ]
+    assert unread == []
+
+
 def test_every_public_method_is_read_in_the_package():
     # a public method or property of a package class is read when its name is read as an
     # attribute somewhere in src/; code only tests read lives in tests/fraction_oracles.py.

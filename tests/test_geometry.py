@@ -10,10 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fraction_oracles import cell_box, dist_sq, sides
+from fraction_oracles import cell_box, dist_sq, sides, volume
 from microset import geometry
 from microset.baire import SampleSpec, sample_compact
-from microset.geometry import Box, DigitalSet, HBracket, Point, covers_box, hausdorff_bracket, volume
+from microset.geometry import Box, DigitalSet, HBracket, Point, covers_box, hausdorff_bracket
 
 F = Fraction
 
