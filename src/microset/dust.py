@@ -14,10 +14,9 @@ refuter, its checker and the adversaries place the cells they need from it.
 A ``DustTree`` holds the integer cells of every level, and is built only
 where one is written, loaded or drawn.
 
-All verdicts are exact.  The only enclosures are the n-th roots inside
-``refutation_budget_lower``, ``hausdorff_measure_upper`` and the
-adversaries' budget sides, each directed so the reported number is safe
-in the stated direction.
+All verdicts are exact.  The only enclosures are the roots inside
+``hausdorff_measure_upper`` and the adversaries' budget sides, each
+directed so the reported number is safe in the stated direction.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from operator import add
 from typing import TYPE_CHECKING
 
 from .geometry import Box, Record, _frame, _in_window, _on_frame, _window
-from .rational import DEFAULT_PRECISION, pow_upper, root_lower
+from .rational import DEFAULT_PRECISION, pow_upper
 
 if TYPE_CHECKING:
     from .covers import CoverSeq
@@ -271,20 +270,21 @@ def hausdorff_measure_upper(spec: DustSpec, alpha: Fraction, k: int) -> Fraction
 
 
 def refutation_budget_lower(spec: DustSpec) -> Fraction:
-    """Certified positive lower enclosure of the critical cover budget.
+    """The critical cover budget c**-4 = b**(-4n), exact.
 
-    Budgets eps at or below this value make every survivor refutation go
-    through: the exact threshold is
-    (root_n(2**n + 1) - 2)**(4n) / c**4, with the root rounded down.
+    It is the largest eps at which every eps-budgeted cover meets the gap
+    premises of ``_refutation_premises`` at every depth.  Write
+    D_j = level_gap(j) and h_j = _bucket_start(j).  For eps < 1, eps**h is
+    largest at a bucket's first position, so every eps-budgeted cover meets
+    the premises at depth d exactly when eps <= E(d) = min D_j**(n/h_j) over
+    the non-empty buckets j <= d.  Bucket 1 is empty; for j >= 2,
+    D_j = b**-((j-1)**2) - 2 b**-(j**2) > b**-(j**2) since b**(2j-1) > 3, and
+    h_j >= j**2/4, so every term exceeds c**-4, and the terms tend to it.
+    Whether a survivor exists is still the descent's verdict: a
+    ``RefuterFailure`` at this budget is a verified negative.
     """
     _require_admissible(spec)
-    prec = DEFAULT_PRECISION
-    while True:
-        t = root_lower(Fraction(2**spec.n + 1), spec.n, prec) - 2
-        if t > 0:
-            break
-        prec *= 10
-    return t ** (4 * spec.n) / Fraction(spec.c**4)
+    return Fraction(1, spec.c**4)
 
 
 def _bucket_start(k: int) -> int:

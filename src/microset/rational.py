@@ -9,10 +9,9 @@ never falls below it.  No floats participate in any verdict.
 Enclosures are reported on the grid ``1/prec``.  The grid is no caller
 option: operations outside this module start at ``DEFAULT_PRECISION``
 (10**12) and refine it only where their quantity needs a finer one (a
-series ratio or critical budget that must clear a bound, a bracket's width
-cap, a measure bound's relative slack, a positive radius).  When the
-requested root is itself rational the exact value is returned regardless
-of ``prec``.
+series ratio that must clear a bound, a bracket's width cap, a measure
+bound's relative slack, a positive radius).  When the requested root is
+itself rational the exact value is returned regardless of ``prec``.
 """
 
 from __future__ import annotations
@@ -106,8 +105,6 @@ def _pow(x: Fraction, num: int, den: int, prec: int, upper: bool) -> Fraction:
     """x**(num/den) for x > 0, directed as ``_root`` is."""
     if x <= 0:
         raise ValueError("base must be positive")
-    if num < 0:
-        x, num = 1 / x, -num
     if num % den == 0:
         return x ** (num // den)
     return _root(x**num, den, prec, upper)

@@ -11,7 +11,8 @@ cell.  A box is passed as its per-axis (lo, hi) pairs.
 ``dist_sq`` takes the least gap over every pair of boxes of two sets, and
 ``intersect_count`` counts the dust cubes of one level at distance 0 from a
 box.  ``bucket`` and ``hit_rows`` state the survivor argument's position
-buckets and worst-case hit counts in closed form.  ``series_upper`` bounds
+buckets and worst-case hit counts in closed form, and ``premise_budget``
+the largest budget its gap premises admit up to a depth.  ``series_upper`` bounds
 ``sum_k eps**(num*k/den)`` by a prefix of per-term enclosures plus a
 geometric tail; the library keeps only its tail, ``covers._series_upper``.
 
@@ -174,6 +175,27 @@ def intersect_count(tree, k, box):
 def bucket(k):
     """The positions h >= 1 with k**2 <= 4h < (k+1)**2, which level k must absorb."""
     return tuple(range(-(-k * k // 4), -(-(k + 1) ** 2 // 4)))
+
+
+def premise_budget(b, depth):
+    """E(depth) = min D_j**(n/h_j) over the non-empty buckets j <= depth, as its pair (D_j, h_j).
+
+    D_j = b**-((j-1)**2) - 2*b**-(j**2) is the level-j gap and h_j the first
+    position of bucket j.  For eps < 1 an eps-budgeted cover meets every gap
+    premise up to depth exactly when eps**(h_j/n) <= D_j for each such j, so
+    E = D**(n/h) for the returned pair, whatever n.  The terms are compared
+    exactly, as D_j**h_k against D_k**h_j.
+    """
+    terms = [
+        (Fraction(1, b ** ((j - 1) ** 2)) - Fraction(2, b ** (j * j)), bucket(j)[0])
+        for j in range(1, depth + 1)
+        if bucket(j)
+    ]
+    least = terms[0]
+    for d, h in terms[1:]:
+        if d ** least[1] < least[0] ** h:
+            least = (d, h)
+    return least
 
 
 def hit_rows(n, k_max, seed_level):

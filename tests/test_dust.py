@@ -14,6 +14,7 @@ from fraction_oracles import (
     hit_rows,
     intersect_count,
     level_digital,
+    premise_budget,
     sides,
     vertices,
     volume,
@@ -246,9 +247,62 @@ def test_epsilon_threshold_line_exact():
     assert refutation_budget_lower(DustSpec(n=1, b=3, depth=4)) == F(1, 81)
 
 
-def test_epsilon_threshold_plane_enclosure():
-    eps = refutation_budget_lower(DustSpec(n=2, b=3, depth=3))
-    assert F(1, 10**9) <= eps < F(15, 10**10)
+def test_critical_budget_is_c_to_the_minus_four():
+    for n, b in itertools.product((1, 2, 3), (3, 4, 5, 7)):
+        assert refutation_budget_lower(DustSpec(n, b, 2)) == F(1, b ** (4 * n))
+        if n == 1:
+            # the closed form (root_n(2**n + 1) - 2)**(4n) / c**4 it replaces
+            assert refutation_budget_lower(DustSpec(n, b, 2)) == (root_lower(F(3), 1) - 2) ** 4 / b**4
+    with pytest.raises(ValueError, match="inadmissible"):
+        refutation_budget_lower(DustSpec(2, 2, 2))
+
+
+def _cubes_of_sides(n, depth, eps, side):
+    """A cover at eps whose examined piece h is the cube of side side(h) at the origin."""
+    count = _examined_prefix(depth, 10**9)
+    pieces = tuple(Box.cube((F(0),) * n, side(h)) for h in range(1, count + 1))
+    return CoverSeq(n=n, eps=eps, strong=True, pieces=pieces)
+
+
+_PREMISE_DEPTHS = {3: 30, 4: 12, 5: 12, 7: 12}
+
+
+def test_budget_exact_cubes_at_c_to_the_minus_four_meet_every_gap_premise():
+    for b, depth in _PREMISE_DEPTHS.items():
+        for d in range(2, depth + 1):
+            e_d, h = premise_budget(b, d)
+            assert e_d > F(1, b ** (4 * h))  # E(d) = e_d**(n/h) exceeds c**-4 for every n
+        for n in (1, 2, 3):
+            spec = DustSpec(n, b, depth)
+            cover = _cubes_of_sides(n, depth, refutation_budget_lower(spec), lambda h: F(1, b ** (4 * h)))
+            _refutation_premises(spec, cover)
+
+
+def test_budget_exact_cubes_just_above_the_premise_budget_fail_the_gap_premise():
+    # eps**(1/n) just below and just above E(depth)**(1/n) = e_d**(1/h_min)
+    for b, depth in _PREMISE_DEPTHS.items():
+        e_d, h_min = premise_budget(b, depth)
+        below, above = root_lower(e_d, h_min), root_upper(e_d, h_min)
+        assert below**h_min < e_d < above**h_min
+        for n in (1, 2, 3):
+            spec = DustSpec(n, b, depth)
+            _refutation_premises(spec, _cubes_of_sides(n, depth, below**n, lambda h: below**h))
+            with pytest.raises(ValueError, match="exceeds the level-"):
+                _refutation_premises(spec, _cubes_of_sides(n, depth, above**n, lambda h: above**h))
+
+
+def test_default_budget_swallow_sides_are_powers_of_b_and_refute_at_depth_twelve():
+    spec = DustSpec(n=3, b=3, depth=12)
+    eps, count = refutation_budget_lower(spec), _examined_prefix(12, 10**9) + 2
+    swallow = adversary_swallow(spec, eps, count)
+    leaf_side = spec.level_side(12)
+    assert [sides(piece) for piece in swallow.pieces] == [
+        (min(F(1, 3 ** (4 * h)), leaf_side),) * 3 for h in range(1, count + 1)
+    ]
+    for cover in (swallow, adversary_random(spec, eps, count, 7)):
+        cert = survivor_refute(spec, cover)
+        assert isinstance(cert, SurvivorCertificate)
+        revalidate_survivor(spec, cover, cert)
 
 
 def test_epsilon_threshold_positive_for_dimensions():

@@ -121,3 +121,18 @@ def test_every_public_method_is_read_in_the_package():
         if isinstance(item, ast.FunctionDef) and not item.name.startswith("_") and item.name not in read
     ]
     assert unread == []
+
+
+def test_every_imported_name_is_read_in_its_module():
+    # an import that no line of its module reads is dead weight, such as a helper kept
+    # imported after the code that called it is gone
+    unused = []
+    for path in PACKAGE:
+        tree = ast.parse(path.read_text())
+        nodes = list(ast.walk(tree))
+        read = {node.id for node in nodes if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in nodes:
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                bound = (alias.asname or alias.name.split(".")[0] for alias in node.names)
+                unused += [f"{path.name}: {name}" for name in bound if name not in read]
+    assert unused == []
