@@ -26,12 +26,11 @@ import pytest
 import microset
 from fraction_oracles import cell_boxes
 from microset import serialize
-from microset.covers import CoverSeq
-from microset.dust import DustSpec, adversary_swallow, generate
-from microset.geometry import DigitalSet
+from microset.covers import BallSpec, CoverSeq
+from microset.dust import DustSpec, adversary_swallow, generate, survivor_refute
+from microset.geometry import Box, DigitalSet
 
 BASE = {"cli", "rational"}
-LOADS = BASE | {"geometry", "serialize"}
 
 UNUSED_STDLIB = {"argparse", "array", "dataclasses", "gettext", "inspect", "locale"}
 
@@ -43,6 +42,39 @@ atexit.register(lambda: print((sorted(
 ), sorted({UNUSED_STDLIB!r} & set(sys.modules))), file=sys.stderr))
 runpy.run_module("microset", run_name="__main__", alter_sys=True)
 """
+
+# invocation, as README.md's table names it -> (argv, with {document} and {tmp}
+# filled from the docs fixture; the modules beyond BASE whose code runs)
+PINS = {
+    "--help": ("--help", set()),
+    "hausdorff": ("hausdorff --a {set} --b {other} --depth 2", {"geometry", "serialize"}),
+    "baire-sample": ("baire-sample --n 2 --b 3 --depth 2 --density 1/2 --seed 1 -o {tmp}/sample.json",
+                     {"geometry", "serialize", "baire"}),
+    "dust-generate": ("dust-generate --n 2 --b 3 --depth 2 -o {tmp}/generated.json",
+                      {"geometry", "serialize", "dust"}),
+    "dust-gaps": ("dust-gaps --n 2 --b 3 --depth 2", {"geometry", "dust"}),
+    "dust-gaps --tree": ("dust-gaps --n 2 --b 3 --depth 2 --tree {tree}", {"geometry", "serialize", "dust"}),
+    "dust-hmeasure": ("dust-hmeasure --n 1 --b 3 --alpha 1 --k 3", {"geometry", "dust"}),
+    "dust-refute": ("dust-refute --tree {tree} --cover {cover} -o {tmp}/refuted.json",
+                    {"geometry", "serialize", "dust", "covers"}),
+    "dust-refute --check": ("dust-refute --tree {tree} --cover {cover} --check {cert}",
+                            {"geometry", "serialize", "dust", "covers"}),
+    # with a seed, adversary_random draws from baire's SplitMix64; without one, the cover swallows
+    "dust-adversary": ("dust-adversary --n 2 --b 3 --depth 2 --count 3 -o {tmp}/swallow.json",
+                       {"geometry", "serialize", "dust", "covers"}),
+    "dust-adversary --seed": ("dust-adversary --n 2 --b 3 --depth 2 --count 3 --seed 1 -o {tmp}/random.json",
+                              {"geometry", "serialize", "dust", "covers", "baire"}),
+    "cover-verify": ("cover-verify --set {set} --cover {full}", {"geometry", "serialize", "covers"}),
+    "cover-search": ("cover-search --set {set} --eps 1/2", {"geometry", "serialize", "covers"}),
+    "cover-merge": ("cover-merge --covers {cover} {cover} --eps 1/1000 -o {tmp}/merged.json",
+                    {"geometry", "serialize", "covers"}),
+    "ball-check": ("ball-check --set {other} --ball {ball}", {"geometry", "serialize", "covers"}),
+    "ball-check --witness": ("ball-check --set {other} --ball {ball} --witness 1/2,1/2",
+                             {"geometry", "serialize", "covers"}),
+    "render-svg --tree": ("render-svg --tree {tree} -o {tmp}/tree.svg", {"geometry", "serialize", "dust", "svg"}),
+    "render-svg --cover": ("render-svg --cover {cover} -o {tmp}/cover.svg",
+                           {"geometry", "serialize", "covers", "svg"}),
+}
 
 
 def loaded_modules(*argv) -> set[str]:
@@ -57,62 +89,66 @@ def loaded_modules(*argv) -> set[str]:
     return {name.removeprefix("microset.") for name in names}
 
 
+def assert_pinned(invocation: str, docs: dict) -> None:
+    argv, modules = PINS[invocation]
+    assert loaded_modules(*(token.format(**docs) for token in argv.split())) == BASE | modules
+
+
 @pytest.fixture(scope="module")
 def docs(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("footprint")
     tree = generate(DustSpec(n=2, b=3, depth=2))
-    paths = {
-        "set": tmp / "set.json",
-        "other": tmp / "other.json",
-        "tree": tmp / "tree.json",
-        "cover": tmp / "cover.json",
-        "full": tmp / "full.json",
-    }
+    cover = adversary_swallow(tree.spec, Fraction(1, 10**6), 2)
     e = DigitalSet(2, 3, 1, ((0, 0), (2, 2)))
-    serialize.save(e, paths["set"])
-    serialize.save(DigitalSet(2, 3, 1, ((1, 1),)), paths["other"])
-    serialize.save(tree, paths["tree"])
-    serialize.save(adversary_swallow(tree.spec, Fraction(1, 10**6), 2), paths["cover"])
-    serialize.save(CoverSeq(n=2, eps=Fraction(1, 2), strong=True, pieces=tuple(cell_boxes(e))), paths["full"])
-    return {name: str(path) for name, path in paths.items()}
+    documents = {
+        "set": e,
+        "other": DigitalSet(2, 3, 1, ((1, 1),)),
+        "tree": tree,
+        "cover": cover,
+        "cert": survivor_refute(tree.spec, cover),
+        "full": CoverSeq(n=2, eps=Fraction(1, 2), strong=True, pieces=tuple(cell_boxes(e))),
+        "ball": BallSpec(n=2, boxes=(Box(((Fraction(1, 4), Fraction(3, 4)),) * 2),)),
+    }
+    for name, obj in documents.items():
+        serialize.save(obj, tmp / f"{name}.json")
+    return {"tmp": str(tmp), **{name: str(tmp / f"{name}.json") for name in documents}}
 
 
-def test_help_loads_only_the_parser():
-    assert loaded_modules("--help") == BASE
+def test_help_loads_only_the_parser(docs):
+    assert_pinned("--help", docs)
 
 
 def test_hausdorff_loads_no_class_module_beyond_geometry(docs):
-    argv = ["hausdorff", "--a", docs["set"], "--b", docs["other"], "--depth", "2"]
-    assert loaded_modules(*argv) == LOADS
+    assert_pinned("hausdorff", docs)
 
 
-def test_baire_sample_adds_only_baire(tmp_path):
-    argv = ["baire-sample", "--n", "2", "--b", "3", "--depth", "2", "--density", "1/2",
-            "--seed", "1", "-o", tmp_path / "sample.json"]
-    assert loaded_modules(*argv) == LOADS | {"baire"}
+def test_baire_sample_adds_only_baire(docs):
+    assert_pinned("baire-sample", docs)
 
 
-def test_dust_generate_loads_no_covers_baire_or_svg(tmp_path):
-    argv = ["dust-generate", "--n", "2", "--b", "3", "--depth", "2", "-o", tmp_path / "tree.json"]
-    assert loaded_modules(*argv) == LOADS | {"dust"}
+def test_dust_generate_loads_no_covers_baire_or_svg(docs):
+    assert_pinned("dust-generate", docs)
 
 
-def test_dust_refute_loads_no_baire_or_svg(docs, tmp_path):
-    argv = ["dust-refute", "--tree", docs["tree"], "--cover", docs["cover"], "-o", tmp_path / "cert.json"]
-    assert loaded_modules(*argv) == LOADS | {"dust", "covers"}
+def test_dust_refute_loads_no_baire_or_svg(docs):
+    assert_pinned("dust-refute", docs)
 
 
-@pytest.mark.parametrize("seed, extra", [((), set()), (("--seed", "1"), {"baire"})])
-def test_dust_adversary_loads_baire_only_to_draw(tmp_path, seed, extra):
-    # with a seed, adversary_random draws from baire's SplitMix64; without one, the cover swallows
-    argv = ["dust-adversary", "--n", "2", "--b", "3", "--depth", "2", "--count", "3", *seed,
-            "-o", tmp_path / "cover.json"]
-    assert loaded_modules(*argv) == LOADS | {"dust", "covers"} | extra
+@pytest.mark.parametrize("invocation", ["dust-adversary", "dust-adversary --seed"], ids=["seed0-extra0", "seed1-extra1"])
+def test_dust_adversary_loads_baire_only_to_draw(docs, invocation):
+    assert_pinned(invocation, docs)
 
 
 def test_cover_verify_loads_no_dust_baire_or_svg(docs):
-    argv = ["cover-verify", "--set", docs["set"], "--cover", docs["full"]]
-    assert loaded_modules(*argv) == LOADS | {"covers"}
+    assert_pinned("cover-verify", docs)
+
+
+@pytest.mark.parametrize("invocation", [
+    "dust-gaps", "dust-gaps --tree", "dust-hmeasure", "dust-refute --check", "cover-search", "cover-merge",
+    "ball-check", "ball-check --witness", "render-svg --tree", "render-svg --cover",
+])
+def test_every_other_invocation_loads_only_what_it_runs(docs, invocation):
+    assert_pinned(invocation, docs)
 
 
 def test_module_level_imports_follow_the_layering():
