@@ -9,9 +9,11 @@ random digital sets reproducibly.
 
 Every library submodule is registered lazily, so after ``import microset``
 each one is in ``sys.modules`` and reachable as ``microset.<module>``, but
-its code runs only on first attribute access.  Exported names resolve on
-first use (PEP 562), and a command line process runs only the modules its
-subcommand calls.
+its code runs only on first attribute access.  That is the only way a
+module loads late: the package modules bind one another with
+``from . import x`` at their top, which runs nothing.  Exported names
+resolve on first use (PEP 562), and a command line process runs only the
+modules its subcommand calls.
 """
 
 import sys

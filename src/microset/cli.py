@@ -3,8 +3,9 @@
 Thin shell: every subcommand parses arguments, loads canonical JSON
 documents, calls exactly one library operation, and writes canonical
 documents back.  No arithmetic happens here, and identical inputs give
-byte-identical outputs.  Each handler imports the library modules it
-calls, so a process loads only what its subcommand runs.
+byte-identical outputs.  The library modules are bound at the top but
+registered lazily by the package, so a process runs only the modules its
+subcommand calls.
 
 Exit codes:
   0  the requested construction or verification succeeded and re-validated
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import sys
 
+from . import baire, covers, dust, geometry, serialize, svg
 from .rational import format_scalar, parse_scalar
 
 
@@ -115,23 +117,13 @@ def _help(command: str | None) -> str:
     return f"usage: microset {usage}\n\n{about}\n\n{title}:\n{lines}"
 
 
-def _load_as(path: str, schema: str):
-    from . import serialize
-
-    return serialize.load(path, schema)
-
-
 def _emit(obj, out: str | None) -> None:
     if out is not None:
-        from . import serialize
-
         serialize.save(obj, out)
 
 
 def _admissible_spec(args):
     """The DustSpec of --n/--b/--depth; an inadmissible one is a verified negative."""
-    from . import dust
-
     spec = dust.DustSpec(n=args.n, b=args.b, depth=args.depth)
     problem = dust.validate(spec)
     if problem is not None:
@@ -140,8 +132,6 @@ def _admissible_spec(args):
 
 
 def _cmd_dust_generate(args) -> int:
-    from . import dust, serialize
-
     spec = _admissible_spec(args)
     tree = dust.generate(spec)
     serialize.save(tree, args.out)
@@ -151,11 +141,9 @@ def _cmd_dust_generate(args) -> int:
 
 
 def _cmd_dust_gaps(args) -> int:
-    from . import dust
-
     spec = _admissible_spec(args)
     if args.tree is not None:
-        tree = _load_as(args.tree, "dusttree/1")
+        tree = serialize.load(args.tree, "dusttree/1")
         if tree.spec != spec:
             raise ValueError("tree was built for a different n, b or depth")
     table = dust.gap_table(spec)
@@ -171,17 +159,14 @@ def _cmd_dust_gaps(args) -> int:
 
 
 def _cmd_dust_hmeasure(args) -> int:
-    from . import dust
-
-    spec = dust.DustSpec(n=args.n, b=args.b, depth=max(args.k, 1))
-    bound = dust.hausdorff_measure_upper(spec, args.alpha, args.k)
-    print(format_scalar(bound))
+    if args.k < 1:
+        raise ValueError("--k must be at least 1")
+    spec = dust.DustSpec(n=args.n, b=args.b, depth=args.k)
+    print(format_scalar(dust.hausdorff_measure_upper(spec, args.alpha)))
     return 0
 
 
 def _cmd_dust_adversary(args) -> int:
-    from . import dust, serialize
-
     if args.count < 1:
         raise ValueError("--count must be at least 1")
     if args.eps is not None and not 0 < args.eps < 1:
@@ -200,15 +185,13 @@ def _cmd_dust_adversary(args) -> int:
 
 
 def _cmd_dust_refute(args) -> int:
-    from . import dust
-
     # the tree file is loaded, and so fully checked, though only its spec is used
-    spec = _load_as(args.tree, "dusttree/1").spec
-    cover = _load_as(args.cover, "coverseq/1")
+    spec = serialize.load(args.tree, "dusttree/1").spec
+    cover = serialize.load(args.cover, "coverseq/1")
     if cover.n != spec.n:
         raise ValueError("cover and tree differ in dimension")
     if args.check is not None:
-        cert = _load_as(args.check, "survivor/1")
+        cert = serialize.load(args.check, "survivor/1")
         try:
             dust.revalidate_survivor(spec, cover, cert)
         except ValueError as exc:
@@ -233,10 +216,8 @@ def _cmd_dust_refute(args) -> int:
 
 
 def _cmd_cover_verify(args) -> int:
-    from . import covers
-
-    e = _load_as(args.set_path, "digitalset/1")
-    cover = _load_as(args.cover, "coverseq/1")
+    e = serialize.load(args.set_path, "digitalset/1")
+    cover = serialize.load(args.cover, "coverseq/1")
     report = covers.verify_cover(e, cover)
     _emit(report, args.out)
     if report.ok:
@@ -249,13 +230,10 @@ def _cmd_cover_verify(args) -> int:
 
 
 def _cmd_cover_search(args) -> int:
-    from . import covers
-    from .covers import GreedyFailure
-
-    e = _load_as(args.set_path, "digitalset/1")
+    e = serialize.load(args.set_path, "digitalset/1")
     # the search verifies what it emits; a failed check raises AssertionError
     cover = covers.greedy_strong_cover(e, args.eps, args.max_pieces)
-    if isinstance(cover, GreedyFailure):
+    if isinstance(cover, covers.GreedyFailure):
         raise _Negative(
             f"{cover.reason} at position {cover.position}"
             f" ({cover.uncovered} cells uncovered)"
@@ -266,9 +244,7 @@ def _cmd_cover_search(args) -> int:
 
 
 def _cmd_cover_merge(args) -> int:
-    from . import covers, serialize
-
-    loaded = [_load_as(path, "coverseq/1") for path in args.covers]
+    loaded = [serialize.load(path, "coverseq/1") for path in args.covers]
     if len({cover.n for cover in loaded}) > 1:
         raise ValueError("covers differ in dimension")
     try:
@@ -281,17 +257,14 @@ def _cmd_cover_merge(args) -> int:
 
 
 def _cmd_ball_check(args) -> int:
-    from . import covers
-    from .geometry import Point
-
-    k_set = _load_as(args.set_path, "digitalset/1")
-    ball = _load_as(args.ball, "ballspec/1")
+    k_set = serialize.load(args.set_path, "digitalset/1")
+    ball = serialize.load(args.ball, "ballspec/1")
     member = covers.ball_membership(k_set, ball)
     if not member:
         raise _Negative("not a member of the open-box union")
     if args.witness:
         points = [
-            Point(tuple(parse_scalar(c) for c in text.split(","))) for text in args.witness
+            geometry.Point(tuple(parse_scalar(c) for c in text.split(","))) for text in args.witness
         ]
         radius = covers.ball_stability_radius(k_set, ball, points)
         print(f"member; stability radius {format_scalar(radius)}")
@@ -301,11 +274,9 @@ def _cmd_ball_check(args) -> int:
 
 
 def _cmd_hausdorff(args) -> int:
-    from .geometry import hausdorff_bracket
-
-    a = _load_as(args.a_path, "digitalset/1")
-    b = _load_as(args.b_path, "digitalset/1")
-    bracket = hausdorff_bracket(a, b, args.depth)
+    a = serialize.load(args.a_path, "digitalset/1")
+    b = serialize.load(args.b_path, "digitalset/1")
+    bracket = geometry.hausdorff_bracket(a, b, args.depth)
     _emit(bracket, args.out)
     print(
         f"lo={format_scalar(bracket.lo)} hi={format_scalar(bracket.hi)}"
@@ -315,8 +286,6 @@ def _cmd_hausdorff(args) -> int:
 
 
 def _cmd_baire_sample(args) -> int:
-    from . import baire, serialize
-
     spec = baire.SampleSpec(
         seed=args.seed, n=args.n, b=args.b, depth=args.depth, density=args.density
     )
@@ -327,14 +296,12 @@ def _cmd_baire_sample(args) -> int:
 
 
 def _cmd_render_svg(args) -> int:
-    from . import svg
-
     if (args.tree is None) == (args.cover is None):
         raise ValueError("give exactly one of --tree or --cover")
     if args.tree is not None:
-        text = svg.render_dust(_load_as(args.tree, "dusttree/1"))
+        text = svg.render_dust(serialize.load(args.tree, "dusttree/1"))
     else:
-        text = svg.render_cover(_load_as(args.cover, "coverseq/1"))
+        text = svg.render_cover(serialize.load(args.cover, "coverseq/1"))
     svg.write_svg(text, args.out)
     print(f"wrote {args.out}")
     return 0

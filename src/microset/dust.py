@@ -25,13 +25,10 @@ import itertools
 from fractions import Fraction
 from math import ceil, prod
 from operator import add
-from typing import TYPE_CHECKING
 
+from . import baire, covers
 from .geometry import Box, Record, _frame, _in_window, _on_frame, _window
 from .rational import DEFAULT_PRECISION, pow_upper
-
-if TYPE_CHECKING:
-    from .covers import CoverSeq
 
 
 class DustSpec(Record):
@@ -243,8 +240,8 @@ def gap_table(spec: DustSpec) -> GapTable:
     )
 
 
-def hausdorff_measure_upper(spec: DustSpec, alpha: Fraction, k: int) -> Fraction:
-    """Certified upper bound 2**(n k) * n**(alpha/2) * V_k**(alpha/n).
+def hausdorff_measure_upper(spec: DustSpec, alpha: Fraction) -> Fraction:
+    """Certified upper bound 2**(n k) * n**(alpha/2) * V_k**(alpha/n) at level k = spec.depth.
 
     Covering the limit set by the level-k cubes witnesses this bound on
     the alpha-dimensional Hausdorff outer measure; it tends to zero in k
@@ -259,8 +256,7 @@ def hausdorff_measure_upper(spec: DustSpec, alpha: Fraction, k: int) -> Fraction
     alpha = Fraction(alpha)
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    if k < 1:
-        raise ValueError("level must be >= 1")
+    k = spec.depth
     a, q = alpha.numerator, alpha.denominator
     count = Fraction(2 ** (spec.n * k))
     diam_scale = pow_upper(Fraction(spec.n), a, 2 * q)
@@ -331,7 +327,7 @@ def _examined_prefix(depth: int, piece_count: int) -> int:
     return min(piece_count, _bucket_start(depth + 1) - 1)
 
 
-def _refutation_premises(spec: DustSpec, cover: CoverSeq) -> tuple[int, list]:
+def _refutation_premises(spec: DustSpec, cover: covers.CoverSeq) -> tuple[int, list]:
     """Check what the survivor argument assumes; (frame, examined pieces on it), or ValueError.
 
     The cover must share the spec's dimension, satisfy its own eps-budget
@@ -358,7 +354,7 @@ def _refutation_premises(spec: DustSpec, cover: CoverSeq) -> tuple[int, list]:
     return frame, pieces
 
 
-def survivor_refute(spec: DustSpec, cover: CoverSeq) -> SurvivorCertificate | RefuterFailure:
+def survivor_refute(spec: DustSpec, cover: covers.CoverSeq) -> SurvivorCertificate | RefuterFailure:
     """Survivor chain through the spec's dust against a budgeted cover.
 
     Raises ValueError when the cover misses a premise of ``_refutation_premises``.
@@ -405,7 +401,7 @@ def _survivor_descent(spec: DustSpec, frame: int, pieces: list) -> tuple[tuple[i
     return tuple(counts), min(leaves, default=None)
 
 
-def revalidate_survivor(spec: DustSpec, cover: CoverSeq, cert: SurvivorCertificate) -> None:
+def revalidate_survivor(spec: DustSpec, cover: covers.CoverSeq, cert: SurvivorCertificate) -> None:
     """Re-check a certificate from scratch; raises ValueError when anything fails.
 
     The cover must meet the premises ``survivor_refute`` demands.  The
@@ -435,34 +431,29 @@ def _check_survivor(spec: DustSpec, frame: int, pieces: list, cert: SurvivorCert
             raise ValueError(f"survivor touches examined piece {h}")
 
 
-def adversary_swallow(spec: DustSpec, eps: Fraction, count: int) -> CoverSeq:
+def adversary_swallow(spec: DustSpec, eps: Fraction, count: int) -> covers.CoverSeq:
     """Budget-tight adversary that eats leaf cubes in word order.
 
     Piece h is the largest admissible cube (side a lower enclosure of
     eps**(h/n), capped at the leaf side) anchored at the next untouched
     leaf cube's corner.
     """
-    from .covers import CoverSeq, _budget_sides
-
     eps = Fraction(eps)
     leaf_side = spec.level_side(spec.depth)
     pieces = []
-    for h, side in enumerate(itertools.islice(_budget_sides(eps, spec.n), count)):
+    for h, side in enumerate(itertools.islice(covers._budget_sides(eps, spec.n), count)):
         cell = _leaf_cell(spec, h)
         pieces.append(Box.cube(tuple(j * leaf_side for j in cell), min(side, leaf_side)))
-    return CoverSeq(n=spec.n, eps=eps, strong=True, pieces=tuple(pieces))
+    return covers.CoverSeq(n=spec.n, eps=eps, strong=True, pieces=tuple(pieces))
 
 
-def adversary_random(spec: DustSpec, eps: Fraction, count: int, seed: int) -> CoverSeq:
+def adversary_random(spec: DustSpec, eps: Fraction, count: int, seed: int) -> covers.CoverSeq:
     """Seeded adversary placing budget-tight cubes near random leaf cubes."""
-    from .baire import SplitMix64
-    from .covers import CoverSeq, _budget_sides
-
     eps = Fraction(eps)
-    rng = SplitMix64(seed)
+    rng = baire.SplitMix64(seed)
     leaf_side = spec.level_side(spec.depth)
     pieces = []
-    for budget_side in itertools.islice(_budget_sides(eps, spec.n), count):
+    for budget_side in itertools.islice(covers._budget_sides(eps, spec.n), count):
         cell = _leaf_cell(spec, rng.next())
         side = min(budget_side, leaf_side) * Fraction(rng.next() % 512 + 512, 1024)
         corner = []
@@ -470,4 +461,4 @@ def adversary_random(spec: DustSpec, eps: Fraction, count: int, seed: int) -> Co
             wiggle = (leaf_side - side) * Fraction(rng.next() % 1024, 1024)
             corner.append(min(j * leaf_side + wiggle, 1 - side))
         pieces.append(Box.cube(tuple(corner), side))
-    return CoverSeq(n=spec.n, eps=eps, strong=True, pieces=tuple(pieces))
+    return covers.CoverSeq(n=spec.n, eps=eps, strong=True, pieces=tuple(pieces))

@@ -1,10 +1,12 @@
 """Exact rational scalars and directed-rounding root enclosures.
 
-Every quantity in this package is a ``fractions.Fraction``.  The only
-irrational values that ever arise are roots (Euclidean norms, side budgets
-``eps**(k/n)``), and those are always returned as certified rational
-enclosures: ``root_lower`` never exceeds the true root, ``root_upper``
-never falls below it.  No floats participate in any verdict.
+Every quantity in this package is exact: a ``fractions.Fraction``, or an
+int where box queries, the survivor descent and Hausdorff brackets decide
+on one integer grid.  The only irrational values that ever arise are roots
+(Euclidean norms, side budgets ``eps**(k/n)``), and those are always
+returned as certified rational enclosures: ``root_lower`` never exceeds
+the true root, ``root_upper`` never falls below it.  No floats participate
+in any verdict.
 
 Enclosures are reported on the grid ``1/prec``.  The grid is no caller
 option: operations outside this module start at ``DEFAULT_PRECISION``

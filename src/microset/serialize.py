@@ -14,8 +14,8 @@ invariants in ``__init__``, and a table field the class does not store is
 a claim the loader compares with the built object, as a cover report's
 flags are.  ``dusttree/1`` alone has its own pair: its loader rebuilds the
 tree from its spec with ``generate`` and refuses any other document.
-Every failure is a ``ValueError``, and a class module is imported only
-when a document of its schema is decoded.
+Every failure is a ``ValueError``, and a class module runs only when a
+document of its schema is decoded.
 """
 
 from __future__ import annotations
@@ -27,13 +27,9 @@ from importlib import import_module
 from itertools import chain
 from math import gcd
 from pathlib import Path
-from typing import TYPE_CHECKING
 
+from . import dust, geometry
 from .rational import format_scalar
-
-if TYPE_CHECKING:
-    from .dust import DustTree
-    from .geometry import Box
 
 
 def dumps(payload: dict) -> str:
@@ -92,10 +88,8 @@ def _optional(codec):
     return (lambda v: None if v is None else dump(v)), (lambda data: None if data is None else load(data))
 
 
-def _load_box(data) -> Box:
-    from .geometry import Box
-
-    return Box(_load_intervals(data))
+def _load_box(data) -> geometry.Box:
+    return geometry.Box(_load_intervals(data))
 
 
 def _load_violation(data) -> tuple:
@@ -141,7 +135,7 @@ _SCHEMAS = {
 _SCHEMA_OF = {path: schema for schema, (path, _) in _SCHEMAS.items()}
 
 
-def dusttree_to_json(tree: DustTree) -> dict:
+def dusttree_to_json(tree: dust.DustTree) -> dict:
     spec = tree.spec
     levels = []
     for k in range(1, spec.depth + 1):
@@ -167,10 +161,8 @@ def _has_size(count: int, exponent: int) -> bool:
     return exponent >= 0 and count.bit_length() == exponent + 1 and count == 1 << exponent
 
 
-def dusttree_from_json(data: dict) -> DustTree:
+def dusttree_from_json(data: dict) -> dust.DustTree:
     """The tree a ``dusttree/1`` document holds; ``from_json`` has checked its field set."""
-    from .dust import DustSpec, generate
-
     n, depth, levels = _int(data["n"]), _int(data["depth"]), data["levels"]
     # a forged n or depth fails this shape check before anything is built
     if not isinstance(levels, list) or len(levels) != depth or any(
@@ -178,7 +170,7 @@ def dusttree_from_json(data: dict) -> DustTree:
         for k, level in enumerate(levels, start=1)
     ):
         raise ValueError("dusttree/1 levels do not have the spec's cube counts")
-    tree = generate(DustSpec(n=n, b=_int(data["b"]), depth=depth))
+    tree = dust.generate(dust.DustSpec(n=n, b=_int(data["b"]), depth=depth))
     # == holds between 1, 1.0 and True, so the letters' type is checked apart
     letters = chain(data["corner_order"], *(entry["word"] for level in levels for entry in level))
     if dusttree_to_json(tree) != data or any(type(t) is not int for t in letters):

@@ -11,12 +11,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from pathlib import Path
-from typing import TYPE_CHECKING
 
-if TYPE_CHECKING:
-    from .covers import CoverSeq
-    from .dust import DustTree
-    from .geometry import Box
+from . import covers, dust, geometry
 
 CANVAS = 1000
 PLACES = 6
@@ -33,7 +29,7 @@ def _dec(x: Fraction) -> str:
     return text if text else "0"
 
 
-def _rect(box: Box, fill: str, opacity: str) -> str:
+def _rect(box: geometry.Box, fill: str, opacity: str) -> str:
     (x0, x1), (y0, y1) = box.intervals
     x = _dec(x0)
     y = _dec(Fraction(1) - y1)
@@ -57,7 +53,7 @@ def _document(body: list[str]) -> str:
     return "\n".join([head, frame, *body, "</svg>"]) + "\n"
 
 
-def render_dust(tree: DustTree) -> str:
+def render_dust(tree: dust.DustTree) -> str:
     """Every level of a planar dust tree, one tint per level, coarse first."""
     if tree.spec.n != 2:
         raise ValueError("SVG rendering is available for n = 2 only")
@@ -69,7 +65,7 @@ def render_dust(tree: DustTree) -> str:
     return _document(body)
 
 
-def render_cover(cover: CoverSeq) -> str:
+def render_cover(cover: covers.CoverSeq) -> str:
     """Boxes of a planar cover in sequence order, translucent."""
     if cover.n != 2:
         raise ValueError("SVG rendering is available for n = 2 only")

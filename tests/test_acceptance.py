@@ -102,11 +102,10 @@ def test_a03_measure_bounds_vanish_quickly_for_every_alpha():
     started = time.monotonic()
     threshold = F(1, 10**9)
     for n in (1, 2, 3):
-        spec = DustSpec(n=n, b=3, depth=1)
         for alpha in (F(1, 10), F(1, 2), F(1), F(2)):
             vals = []
             for k in range(1, 61):
-                vals.append(hausdorff_measure_upper(spec, alpha, k))
+                vals.append(hausdorff_measure_upper(DustSpec(n=n, b=3, depth=k), alpha))
                 if vals[-1] < threshold:
                     break
             assert vals[-1] < threshold, (n, alpha)

@@ -64,6 +64,9 @@ def test_dust_gaps_writes_canonical_table(tmp_path):
 def test_dust_hmeasure_prints_scalar(capsys):
     assert run("dust-hmeasure", "--n", "1", "--b", "3", "--alpha", "1", "--k", "3") == 0
     assert capsys.readouterr().out.strip() == "8/19683"
+    # the level is the spec's depth, so --k 0 is refused by name before any spec is built
+    assert run("dust-hmeasure", "--n", "1", "--b", "3", "--alpha", "1", "--k", "0") == 2
+    assert "--k must be at least 1" in capsys.readouterr().err
 
 
 def test_hmeasure_and_gaps_need_no_corner_list(tmp_path, capsys):

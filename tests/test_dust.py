@@ -215,10 +215,9 @@ def test_level_union_nesting_bracket():
 
 
 def test_hmeasure_line_values():
-    spec = DustSpec(n=1, b=3, depth=3)
-    assert hausdorff_measure_upper(spec, F(1), 1) == F(2, 3)
-    assert hausdorff_measure_upper(spec, F(1), 2) == F(4, 81)
-    assert hausdorff_measure_upper(spec, F(1), 3) == F(8, 19683)
+    assert hausdorff_measure_upper(DustSpec(n=1, b=3, depth=1), F(1)) == F(2, 3)
+    assert hausdorff_measure_upper(DustSpec(n=1, b=3, depth=2), F(1)) == F(4, 81)
+    assert hausdorff_measure_upper(DustSpec(n=1, b=3, depth=3), F(1)) == F(8, 19683)
 
 
 def test_hmeasure_is_within_relative_slack_of_the_true_bound():
@@ -228,19 +227,19 @@ def test_hmeasure_is_within_relative_slack_of_the_true_bound():
     alphas = (F(1, 10), F(1, 3), F(1, 2), F(2, 3), F(1), F(3, 2), F(2))
     for n, b, alpha, k in itertools.product((1, 2, 3), (3, 4, 5), alphas, range(1, 9)):
         a, q = alpha.numerator, alpha.denominator
-        bound = hausdorff_measure_upper(DustSpec(n, b, 1), alpha, k)
+        bound = hausdorff_measure_upper(DustSpec(n, b, k), alpha)
         true_2q = F(2 ** (2 * q * n * k) * n**a, b ** (2 * k * k * a))
         assert true_2q <= bound ** (2 * q) <= true_2q * slack ** (2 * q), (n, b, alpha, k)
 
 
 def test_hmeasure_plane_value():
     spec = DustSpec(n=2, b=3, depth=1)
-    assert hausdorff_measure_upper(spec, F(2), 1) == F(8, 9)
+    assert hausdorff_measure_upper(spec, F(2)) == F(8, 9)
 
 
 def test_hmeasure_rejects_bad_alpha():
     with pytest.raises(ValueError):
-        hausdorff_measure_upper(DustSpec(1, 3, 1), F(0), 1)
+        hausdorff_measure_upper(DustSpec(1, 3, 1), F(0))
 
 
 def test_epsilon_threshold_line_exact():

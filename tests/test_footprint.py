@@ -3,8 +3,14 @@
 ``import microset`` registers every library module lazily: each is in
 ``sys.modules`` from the start, but its code runs on first attribute
 access, when its class changes from the lazy subclass to ``ModuleType``.
-Each case runs the real command line as ``python -m microset`` does (through
-``runpy``) and reports, at exit, the ``microset.*`` modules whose code ran.
+That is the package's only way to load a module late: a module binds the
+package modules it uses at its top, with ``from . import x``, and reads
+``x.name`` where it calls it.  ``PINS`` holds one case per invocation, and
+README.md's table shows the same rows.  Each case runs the real command
+line as ``python -m microset`` does (through ``runpy``) and reports, at
+exit, the ``microset.*`` modules whose code ran.  ``RUN_MAIN`` is a plain
+script, so it runs without pytest under any interpreter, with
+``PYTHONPATH=src`` and the command line as its arguments.
 No subcommand imports ``dataclasses`` or ``inspect``: the records need
 neither, and ``import dataclasses`` alone took 8-13 ms of each process on
 a 2-vCPU Xeon with Python 3.11.  Nor does any subcommand or ``--help``
@@ -19,6 +25,7 @@ import ast
 import subprocess
 import sys
 from fractions import Fraction
+from graphlib import TopologicalSorter
 from pathlib import Path
 
 import pytest
@@ -151,9 +158,17 @@ def test_every_other_invocation_loads_only_what_it_runs(docs, invocation):
     assert_pinned(invocation, docs)
 
 
+def _imports_the_package(node: ast.Import | ast.ImportFrom) -> bool:
+    if isinstance(node, ast.ImportFrom):
+        return node.level > 0 or node.module.partition(".")[0] == "microset"
+    return any(alias.name.partition(".")[0] == "microset" for alias in node.names)
+
+
 def test_module_level_imports_follow_the_layering():
-    # rational <- geometry <- {covers, dust, baire}; the rest import per call
-    allowed = {
+    # eager `from .x import name` imports form rational <- geometry <- {covers, dust, baire};
+    # every other use of a package module goes through a `from . import x` binding at the top,
+    # which costs nothing until the lazily registered module is first read
+    eager = {
         "rational": set(),
         "geometry": {"rational"},
         "covers": {"geometry", "rational"},
@@ -166,11 +181,27 @@ def test_module_level_imports_follow_the_layering():
         "__main__": {"cli"},
     }
     package = Path(microset.__file__).parent
+    registered = next(
+        set(ast.literal_eval(node.args[1]))
+        for node in ast.walk(ast.parse((package / "__init__.py").read_text()))
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "map" and ast.unparse(node.args[0]) == "_lazy"
+    )
+    graph = {}
     for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text())
-        imported = {node.module for node in tree.body if isinstance(node, ast.ImportFrom) and node.level == 1}
-        assert imported == allowed[path.stem], path.name
+        relative = [node for node in tree.body if isinstance(node, ast.ImportFrom) and node.level == 1]
+        imported = {node.module for node in relative if node.module is not None}
+        assert imported == eager[path.stem], path.name
+        bound = {alias.name for node in relative if node.module is None for alias in node.names}
+        assert bound <= registered, path.name
+        graph[path.stem] = imported | bound
+        # no function body, class body or `if TYPE_CHECKING:` block imports a package module
+        top = {id(node) for node in tree.body}
+        nested = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top]
+        assert not any(map(_imports_the_package, nested)), path.name
         # anywhere in the module, not only at its top level
         stdlib = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
         stdlib |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level == 0}
         assert "dataclasses" not in stdlib, path.name
+    # eager imports and bindings together form no cycle
+    tuple(TopologicalSorter(graph).static_order())

@@ -7,6 +7,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from microset import cli
+from test_footprint import BASE, PINS
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 
@@ -22,6 +23,15 @@ def test_thirty_second_tour_runs_and_finds_its_survivor():
     exec(_block("Thirty-second tour", "python"), namespace)
     assert namespace["eps"] == Fraction(1, 81)
     assert namespace["cert"].survivor_word == (1, 2, 2, 1)
+
+
+def test_footprint_table_shows_the_pinned_modules():
+    section = README.split("\n### Module layering and start-up\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `([^`]+)` +\| (`.*`) +\|$", section, re.M)
+    assert {label: set(re.findall(r"`(\w+)`", modules)) for label, modules in rows} == {
+        label: BASE | modules for label, (_, modules) in PINS.items()
+    }
+    assert len(rows) == len(PINS)
 
 
 def test_command_line_hmeasure_prints_its_stated_bound(capsys):
