@@ -49,7 +49,6 @@ _EXPORTS = {
     "GreedyFailure": "covers",
     "HBracket": "geometry",
     "Point": "geometry",
-    "RefuterFailure": "dust",
     "SampleSpec": "baire",
     "SplitMix64": "baire",
     "SurvivorCertificate": "dust",

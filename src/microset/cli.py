@@ -10,8 +10,7 @@ subcommand calls.
 Exit codes:
   0  the requested construction or verification succeeded and re-validated
   1  verified negative: the operation ran and exactly established a "no"
-     (budget violated, not a member, premises refuted, no survivor at
-     some level, search gave up)
+     (budget violated, not a member, premises refuted, search gave up)
   2  usage error or malformed input file
   3  internal invariant failure (a re-validation the library performs on
      its own output did not pass) or any other unexpected exception,
@@ -199,19 +198,11 @@ def _cmd_dust_refute(args) -> int:
         print(f"certificate re-validated: survivor {list(cert.survivor_word)}")
         return 0
     try:
-        outcome = dust.survivor_refute(spec, cover)
+        cert = dust.survivor_refute(spec, cover)
     except ValueError as exc:
         raise _Negative(f"refutation premises not met: {exc}") from None
-    if isinstance(outcome, dust.RefuterFailure):
-        raise _Negative(
-            f"refuter failure: no survivor at level {outcome.level} "
-            f"(checked prefix {outcome.checked_prefix})"
-        )
-    _emit(outcome, args.out)
-    print(
-        f"survivor {list(outcome.survivor_word)} disjoint from the first "
-        f"{outcome.checked_prefix} pieces"
-    )
+    _emit(cert, args.out)
+    print(f"survivor {list(cert.survivor_word)} disjoint from the first {cert.checked_prefix} pieces")
     return 0
 
 
@@ -244,6 +235,8 @@ def _cmd_cover_search(args) -> int:
 
 
 def _cmd_cover_merge(args) -> int:
+    if not 0 < args.eps < 1:
+        raise ValueError("--eps must lie strictly between 0 and 1")
     loaded = [serialize.load(path, "coverseq/1") for path in args.covers]
     if len({cover.n for cover in loaded}) > 1:
         raise ValueError("covers differ in dimension")

@@ -270,14 +270,28 @@ def refutation_budget_lower(spec: DustSpec) -> Fraction:
 
     It is the largest eps at which every eps-budgeted cover meets the gap
     premises of ``_refutation_premises`` at every depth.  Write
-    D_j = level_gap(j) and h_j = _bucket_start(j).  For eps < 1, eps**h is
-    largest at a bucket's first position, so every eps-budgeted cover meets
-    the premises at depth d exactly when eps <= E(d) = min D_j**(n/h_j) over
-    the non-empty buckets j <= d.  Bucket 1 is empty; for j >= 2,
-    D_j = b**-((j-1)**2) - 2 b**-(j**2) > b**-(j**2) since b**(2j-1) > 3, and
-    h_j >= j**2/4, so every term exceeds c**-4, and the terms tend to it.
-    Whether a survivor exists is still the descent's verdict: a
-    ``RefuterFailure`` at this budget is a verified negative.
+    D_j = level_gap(j), B_j for bucket j and h_j = _bucket_start(j).  For
+    eps < 1, eps**h is largest at a bucket's first position, so every
+    eps-budgeted cover meets the premises at depth d exactly when eps < E(d)
+    = min D_j**(n/h_j) over the non-empty buckets j <= d.  B_1 is empty; for
+    j >= 2, D_j = b**-((j-1)**2) - 2 b**-(j**2) > b**-(j**2) since
+    b**(2j-1) > 3, and h_j >= j**2/4, so every term exceeds c**-4, and the
+    terms tend to it.
+
+    A cover that meets the premises leaves S_d >= 1 survivors at depth d.
+    (1) A piece of B_j measures below D_j**n, so a side is shorter than D_j.
+    (2) On each axis the level-j cells project to 2**j intervals, each the
+    shadow of 2**((n-1)j) cells; two that first split at level i <= j lie
+    d_i >= D_j apart.  (3) So the piece touches at most 2**((n-1)j) level-j
+    cells.  (4) A child of a level-(j-1) survivor lies in its parent, which
+    touches no piece of an earlier bucket.  (5) Hence
+    S_j >= 2**n S_(j-1) - |B_j| 2**((n-1)j), and S_1 = 2**n.  (6) So
+    S_d >= 2**(nd) (1 - sum_{j=2..d} |B_j| 2**-j).  (7) |B_2m| = m + 1 and
+    |B_2m+1| = m, so the full sum is sum_{m>=1} (3m/2 + 1) 4**-m = 1 exactly,
+    and S_d >= 2**(nd) sum_{j>d} |B_j| 2**-j = 2**((n-1)d) ((d+1)//2 + 1).
+    (8) Survivors of successive depths are nested compact sets, so some point
+    of the dust lies in no piece: no cover with vol(piece_h) <= c**(-4h),
+    of cubes or of boxes, covers the dust.
     """
     _require_admissible(spec)
     return Fraction(1, spec.c**4)
@@ -315,13 +329,6 @@ class SurvivorCertificate(Record):
         self._set(depth, checked_prefix, survivor_word, level_counts)
 
 
-class RefuterFailure(Record):
-    """No survivor at some level: data, never silently swallowed."""
-
-    level: int
-    checked_prefix: int
-
-
 def _examined_prefix(depth: int, piece_count: int) -> int:
     """Pieces bucketed into levels 1..depth: positions below (depth+1)**2 / 4."""
     return min(piece_count, _bucket_start(depth + 1) - 1)
@@ -332,7 +339,7 @@ def _refutation_premises(spec: DustSpec, cover: covers.CoverSeq) -> tuple[int, l
 
     The cover must share the spec's dimension, satisfy its own eps-budget
     and, piece by piece, the direct gap budget: a piece in bucket j must
-    have measure at most level_gap(j) ** n.  Checking the gap budget
+    have measure below level_gap(j) ** n.  Checking the gap budget
     directly (rather than trusting any chain of inequalities through eps)
     keeps the premise of the survivor argument explicit and exact.  The
     frame is a multiple of the leaf grid's ``scale(depth)``, so every gap is
@@ -349,22 +356,21 @@ def _refutation_premises(spec: DustSpec, cover: covers.CoverSeq) -> tuple[int, l
     for j in range(1, spec.depth + 1):
         budget = int(gaps.level_gap[j - 1] * frame) ** spec.n
         for h in range(_bucket_start(j), min(_bucket_start(j + 1), len(pieces) + 1)):
-            if prod(hi - lo for lo, hi in pieces[h - 1]) > budget:
+            if prod(hi - lo for lo, hi in pieces[h - 1]) >= budget:
                 raise ValueError(f"piece {h} exceeds the level-{j} gap budget")
     return frame, pieces
 
 
-def survivor_refute(spec: DustSpec, cover: covers.CoverSeq) -> SurvivorCertificate | RefuterFailure:
+def survivor_refute(spec: DustSpec, cover: covers.CoverSeq) -> SurvivorCertificate:
     """Survivor chain through the spec's dust against a budgeted cover.
 
     Raises ValueError when the cover misses a premise of ``_refutation_premises``.
-    A level with no survivor, where every child of the previous level's
-    survivors touches an active piece, is returned as a ``RefuterFailure``.
+    A cover that meets them leaves a survivor (``refutation_budget_lower``).
     """
     frame, pieces = _refutation_premises(spec, cover)
     counts, least = _survivor_descent(spec, frame, pieces)
     if least is None:
-        return RefuterFailure(level=len(counts), checked_prefix=len(pieces))
+        raise AssertionError("no survivor on a cover that meets the refutation premises")
     cert = SurvivorCertificate(spec.depth, len(pieces), least, counts)
     _check_survivor(spec, frame, pieces, cert)
     return cert
@@ -379,7 +385,7 @@ def _survivor_descent(spec: DustSpec, frame: int, pieces: list) -> tuple[tuple[i
     examined piece is free: its 2**n children are free again, so free cells are
     only counted, and the least leaf below one is its word padded with letter
     1.  Only survivors that touch a piece not yet active are placed and
-    descended into.  The counts stop after the first level with no survivor.
+    descended into.
     """
     counts, leaves, free, family = [], [], 0, [((), (0,) * spec.n)]
     for k in range(1, spec.depth + 1):
@@ -396,8 +402,6 @@ def _survivor_descent(spec: DustSpec, frame: int, pieces: list) -> tuple[tuple[i
                 placed.append((word, cell))
         family = placed
         counts.append(free + len(placed))
-        if not counts[-1]:
-            break
     return tuple(counts), min(leaves, default=None)
 
 

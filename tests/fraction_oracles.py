@@ -182,7 +182,7 @@ def premise_budget(b, depth):
 
     D_j = b**-((j-1)**2) - 2*b**-(j**2) is the level-j gap and h_j the first
     position of bucket j.  For eps < 1 an eps-budgeted cover meets every gap
-    premise up to depth exactly when eps**(h_j/n) <= D_j for each such j, so
+    premise up to depth exactly when eps**(h_j/n) < D_j for each such j, so
     E = D**(n/h) for the returned pair, whatever n.  The terms are compared
     exactly, as D_j**h_k against D_k**h_j.
     """

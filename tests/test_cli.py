@@ -14,12 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fraction_oracles import cell_boxes
-from microset import serialize
+from microset import dust, serialize
 from microset.cli import _COMMANDS, main
 from microset.covers import BallSpec, CoverReport, CoverSeq
 from microset.dust import (
     DustSpec,
-    RefuterFailure,
     adversary_random,
     adversary_swallow,
     gap_table,
@@ -157,6 +156,9 @@ def test_cover_merge_cli(tmp_path):
     plane = tmp_path / "plane.json"
     serialize.save(CoverSeq(n=2, eps=F(1, 4), strong=False, pieces=()), plane)
     assert run("cover-merge", "--covers", str(pa), str(plane), "--eps", "1/2", "-o", str(out)) == 2
+    # so is an eps outside (0, 1), before any merge premise is looked at
+    for eps in ("2", "0"):
+        assert run("cover-merge", "--covers", str(pa), str(pb), "--eps", eps, "-o", str(out)) == 2
 
 
 def test_ball_check_paths(tmp_path, capsys):
@@ -517,17 +519,31 @@ def test_check_is_as_strict_as_the_refuter(tmp_path, capsys):
 
 
 def test_level_without_survivor_is_verified_negative(tmp_path, capsys):
-    # both pieces meet every premise, yet together they touch all four level-2 cubes
+    # together the two pieces would touch all four level-2 cubes, but each is exactly
+    # level_gap(2) = 25/81 long, so neither lies strictly under the gap budget
     tree = generate(DustSpec(n=1, b=3, depth=2))
     pieces = (box1(F(1, 81), F(26, 81)), box1(F(55, 81), F(80, 81)))
     cover = CoverSeq(n=1, eps=F(5, 9), strong=True, pieces=pieces)
-    assert survivor_refute(tree.spec, cover) == RefuterFailure(level=2, checked_prefix=2)
+    with pytest.raises(ValueError, match="^piece 1 exceeds the level-2 gap budget$"):
+        survivor_refute(tree.spec, cover)
     tp, cp = tmp_path / "tree.json", tmp_path / "cover.json"
     serialize.save(tree, tp)
     serialize.save(cover, cp)
     assert run("dust-refute", "--tree", str(tp), "--cover", str(cp)) == 1
     err = capsys.readouterr().err.strip()
-    assert err == "refuter failure: no survivor at level 2 (checked prefix 2)"
+    assert err == "refutation premises not met: piece 1 exceeds the level-2 gap budget"
+
+
+def test_descent_without_survivor_is_an_internal_bug(tmp_path, monkeypatch, capsys):
+    # a cover that meets the premises always leaves a survivor, so losing every one is a bug
+    tree = generate(DustSpec(n=1, b=3, depth=2))
+    cover = adversary_swallow(tree.spec, refutation_budget_lower(tree.spec), 2)
+    tp, cp = tmp_path / "tree.json", tmp_path / "cover.json"
+    serialize.save(tree, tp)
+    serialize.save(cover, cp)
+    monkeypatch.setattr(dust, "_survivor_descent", lambda spec, frame, pieces: ((2, 0), None))
+    assert run("dust-refute", "--tree", str(tp), "--cover", str(cp)) == 3
+    assert "no survivor on a cover that meets the refutation premises" in capsys.readouterr().err
 
 
 def test_console_script_in_subprocess(tmp_path):

@@ -25,7 +25,6 @@ from microset.covers import CoverSeq, verify_cover
 from microset.dust import (
     DustSpec,
     DustTree,
-    RefuterFailure,
     SurvivorCertificate,
     _check_survivor,
     _cell_of,
@@ -497,15 +496,21 @@ def test_survivor_rejects_gap_budget_violation():
 
 def test_gap_budget_premise_is_exact_on_the_frame():
     # level_gap(2) = 1/3 - 2/81 = 25/81; the second piece's bounds put the frame at 162,
-    # where the gap is 50 units and the budget of bucket 2 is 50**2
+    # where the gap is 50 units and a piece of bucket 2 must measure below 50**2
     spec = DustSpec(n=2, b=3, depth=2)
     gap = gap_table(spec).level_gap[1]
     assert gap == F(25, 81)
     small = Box.cube((F(1, 2), F(1, 2)), F(1, 162))
     exact = CoverSeq(n=2, eps=F(1, 2), strong=False, pieces=(Box.cube((F(0), F(0)), gap), small))
-    frame, pieces = _refutation_premises(spec, exact)
-    assert frame == 162 and pieces[0] == ((0, 50), (0, 50)) and volume(exact.pieces[0]) == gap**2
-    assert isinstance(survivor_refute(spec, exact), SurvivorCertificate)
+    assert _frame(exact.pieces, spec.scale(2)) == 162 and volume(exact.pieces[0]) == gap**2
+    with pytest.raises(ValueError, match="^piece 1 exceeds the level-2 gap budget$"):
+        survivor_refute(spec, exact)
+    # one frame unit narrower on one axis
+    narrower = Box(((F(0), gap - F(1, 162)), (F(0), gap)))
+    cover = CoverSeq(n=2, eps=F(1, 2), strong=False, pieces=(narrower, small))
+    frame, pieces = _refutation_premises(spec, cover)
+    assert frame == 162 and pieces[0] == ((0, 49), (0, 50))
+    assert isinstance(survivor_refute(spec, cover), SurvivorCertificate)
     # one frame unit wider on one axis
     wider = Box(((F(0), gap + F(1, 162)), (F(0), gap)))
     cover = CoverSeq(n=2, eps=F(1, 2), strong=False, pieces=(wider, small))
@@ -679,11 +684,11 @@ def _on_its_frame(spec, cover):
     return frame, [_on_frame(piece, frame) for piece in examined]
 
 
-def test_survivor_descent_stops_at_the_first_empty_level():
-    # the whole cube is examined from level 2 on, so nothing survives there
+def test_survivor_descent_counts_no_survivor_below_an_empty_level():
+    # the whole cube, far over every gap budget, is examined from level 2 on
     spec = DustSpec(n=1, b=3, depth=3)
     cover = CoverSeq(n=1, eps=F(1, 2), strong=False, pieces=(Box(((F(0), F(1)),)),))
-    assert _survivor_descent(spec, *_on_its_frame(spec, cover)) == ((2, 0), None)
+    assert _survivor_descent(spec, *_on_its_frame(spec, cover)) == ((2, 0, 0), None)
 
 
 def _walk_oracle(tree, cover):
@@ -697,8 +702,6 @@ def _walk_oracle(tree, cover):
             if word[:-1] in survivors and all(dist_sq(cube, piece) > 0 for piece in active)
         ]
         walk.append(alive)
-        if not alive:
-            break
         survivors = set(alive)
     return walk
 
@@ -841,11 +844,12 @@ def test_refuter_and_adversaries_read_only_the_spec():
             revalidate_survivor(spec, cover, cert)
             survivor = leaves[cert.survivor_word]
             assert all(dist_sq(survivor, piece) > 0 for piece in cover.pieces[: cert.checked_prefix])
-    # a level without survivor, and words that name no cube, fail alike
+    # pieces as long as the level-2 gap, and words that name no cube, fail alike
     spec = DustSpec(n=1, b=3, depth=2)
     pieces = (Box(((F(1, 81), F(26, 81)),)), Box(((F(55, 81), F(80, 81)),)))
     cover = CoverSeq(n=1, eps=F(5, 9), strong=True, pieces=pieces)
-    assert survivor_refute(spec, cover) == RefuterFailure(2, 2)
+    with pytest.raises(ValueError, match="gap budget"):
+        survivor_refute(spec, cover)
     empty = CoverSeq(n=1, eps=F(5, 9), strong=True, pieces=())
     for word in ((1,), (1, 1, 1), (0, 1), (1, 3), (2, -1)):
         cert = SurvivorCertificate(depth=2, checked_prefix=0, survivor_word=word, level_counts=(2, 4))

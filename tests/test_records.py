@@ -10,7 +10,6 @@ from microset.dust import (
     DustSpec,
     DustTree,
     GapTable,
-    RefuterFailure,
     SurvivorCertificate,
     generate,
 )
@@ -35,7 +34,6 @@ SAMPLES = [
     (GapTable, {"depth": 1, "volume": (F(1, 3),), "leftover": (F(1, 9),),
                 "sibling_gap": (F(1, 3),), "level_gap": (F(1, 3),)}),
     (SurvivorCertificate, {"depth": 1, "checked_prefix": 0, "survivor_word": (1,), "level_counts": (2,)}),
-    (RefuterFailure, {"level": 2, "checked_prefix": 2}),
     (SampleSpec, {"seed": 1, "n": 1, "b": 3, "depth": 1, "density": F(1, 2)}),
 ]
 
@@ -44,7 +42,7 @@ CASES = pytest.mark.parametrize("cls, kwargs", SAMPLES, ids=[cls.__name__ for cl
 
 def test_every_record_class_has_a_sample():
     assert {cls for cls, _ in SAMPLES} == set(Record.__subclasses__())
-    assert len(SAMPLES) == 14
+    assert len(SAMPLES) == 13
 
 
 @CASES
@@ -62,7 +60,6 @@ def test_positional_and_keyword_construction_agree(cls, kwargs):
 def test_equality_is_by_value_within_one_class():
     assert DustSpec(1, 3, 2) == DustSpec(n=1, b=3, depth=2)
     assert DustSpec(1, 3, 2) != DustSpec(1, 3, 3)
-    assert RefuterFailure(2, 2) != RefuterFailure(2, 3)
 
 
 def test_records_of_different_classes_are_never_equal():
@@ -79,7 +76,7 @@ def test_records_of_different_classes_are_never_equal():
     assert Forged._fields == DustSpec._fields
     assert Forged(1, 3, 2) != DustSpec(1, 3, 2)
     assert DustSpec(1, 3, 2) != Forged(1, 3, 2)
-    assert RefuterFailure(1, 2) != SurvivorCertificate(1, 2, (1,), (2,))
+    assert SurvivorCertificate(1, 2, (1,), (2,)) != SurvivorCertificate(1, 3, (1,), (2,))
 
 
 @CASES
