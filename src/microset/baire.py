@@ -28,7 +28,7 @@ from .rational import root_upper
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
-_BLOCK = 2048  # lanes per packed int: a 32 KiB block keeps a sample's peak memory flat
+_BLOCK = 2048  # lanes per packed int: the kernel's few 32 KiB ints do not grow with the depth
 
 
 class SplitMix64:
@@ -96,8 +96,9 @@ def sample_compact(spec: SampleSpec) -> DigitalSet:
     """
     side = spec.b**spec.depth
     flags = itertools.chain.from_iterable(_keep_flags(spec.seed, side**spec.n, spec.density))
+    # the peak of memory is the last block, where the kernel's ints meet the kept cells;
+    # the set keeps these tuples as drawn, so building it adds nothing to the peak
     kept = tuple(itertools.compress(itertools.product(range(side), repeat=spec.n), flags))
-    del flags  # frees the kernel's packed ints before the set is built, which is the peak of memory
     return DigitalSet(spec.n, spec.b, spec.depth, kept or ((0,) * spec.n,))
 
 

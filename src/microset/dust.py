@@ -357,7 +357,7 @@ def _refutation_premises(spec: DustSpec, cover: covers.CoverSeq) -> tuple[int, l
         budget = int(gaps.level_gap[j - 1] * frame) ** spec.n
         for h in range(_bucket_start(j), min(_bucket_start(j + 1), len(pieces) + 1)):
             if prod(hi - lo for lo, hi in pieces[h - 1]) >= budget:
-                raise ValueError(f"piece {h} exceeds the level-{j} gap budget")
+                raise ValueError(f"piece {h} is not below the level-{j} gap budget")
     return frame, pieces
 
 

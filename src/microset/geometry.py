@@ -25,6 +25,7 @@ methods are written once here, not generated for each class at import.
 from __future__ import annotations
 
 import itertools
+import operator
 from bisect import bisect_left
 from fractions import Fraction
 from math import lcm
@@ -143,9 +144,13 @@ def _below_power(x: int, b: int, m: int) -> bool:
 class DigitalSet(Record):
     """Nonempty union of closed depth-m grid cells of [0,1]^n in base b.
 
-    A cell index tuple (j_1, ..., j_n) names the box
+    A cell index tuple (j_1, ..., j_n) of ints names the box
     prod_i [j_i / b**m, (j_i + 1) / b**m].  Cells are stored sorted and
     deduplicated; this is the canonical form used by serialization.
+    Int tuples already in strictly increasing order, as ``sample_compact``
+    and a ``digitalset/1`` file give them, are kept as given, the caller's
+    tuples included, once a scan of neighbours confirms the order; only
+    other input is sorted and deduplicated, once.
     """
 
     n: int
@@ -160,12 +165,19 @@ class DigitalSet(Record):
             raise ValueError("base must be >= 2")
         if m < 0:
             raise ValueError("depth must be >= 0")
-        cells = tuple(sorted({tuple(map(int, cell)) for cell in cells}))
+        cells = tuple(cells)
         if not cells:
             raise ValueError("digital set must be nonempty")
-        if any(len(cell) != n for cell in cells):
+        if {*map(type, cells)} != {tuple}:
+            cells = tuple(map(tuple, cells))
+        if {*map(len, cells)} != {n}:
             raise ValueError("cell arity differs from dimension")
-        if min(map(min, cells)) < 0 or not _below_power(max(map(max, cells)), b, m):
+        indices = itertools.chain.from_iterable
+        if {*map(type, indices(cells))} != {int}:
+            raise ValueError("cell indices must be ints")
+        if not all(map(operator.lt, cells, itertools.islice(cells, 1, None))):
+            cells = tuple(sorted(set(cells)))
+        if min(indices(cells)) < 0 or not _below_power(max(indices(cells)), b, m):
             raise ValueError(f"cell index out of range for depth {m}")
         self._set(n, b, m, cells)
 

@@ -524,14 +524,14 @@ def test_level_without_survivor_is_verified_negative(tmp_path, capsys):
     tree = generate(DustSpec(n=1, b=3, depth=2))
     pieces = (box1(F(1, 81), F(26, 81)), box1(F(55, 81), F(80, 81)))
     cover = CoverSeq(n=1, eps=F(5, 9), strong=True, pieces=pieces)
-    with pytest.raises(ValueError, match="^piece 1 exceeds the level-2 gap budget$"):
+    with pytest.raises(ValueError, match="^piece 1 is not below the level-2 gap budget$"):
         survivor_refute(tree.spec, cover)
     tp, cp = tmp_path / "tree.json", tmp_path / "cover.json"
     serialize.save(tree, tp)
     serialize.save(cover, cp)
     assert run("dust-refute", "--tree", str(tp), "--cover", str(cp)) == 1
     err = capsys.readouterr().err.strip()
-    assert err == "refutation premises not met: piece 1 exceeds the level-2 gap budget"
+    assert err == "refutation premises not met: piece 1 is not below the level-2 gap budget"
 
 
 def test_descent_without_survivor_is_an_internal_bug(tmp_path, monkeypatch, capsys):
@@ -591,7 +591,8 @@ def _valid_documents() -> dict:
         survivor_refute(tree.spec, CoverSeq(n=1, eps=F(1, 81), strong=False, pieces=())),
         hausdorff_bracket(a, b, 2),
     ]
-    return {doc["schema"]: doc for doc in map(serialize.to_json, docs)}
+    # as a file holds them: to_json hands a set's cell tuples over as stored
+    return {doc["schema"]: json.loads(serialize.dumps(doc)) for doc in map(serialize.to_json, docs)}
 
 
 def test_malformed_fields_load_or_raise_value_error():

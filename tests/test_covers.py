@@ -51,6 +51,22 @@ def test_coverseq_strong_requires_cubes():
     CoverSeq(n=1, eps=F(1, 2), strong=True, pieces=(box1(0, F(1, 2)),))
 
 
+def test_a_cover_is_put_on_its_frame_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(covers, "_frame", lambda *args: calls.append(args) or _frame(*args))
+    thirds = tuple(box1(F(j, 3), F(j + 1, 3)) for j in range(3))
+    for strong in (False, True):
+        cover = CoverSeq(n=1, eps=F(1, 2), strong=strong, pieces=thirds)
+        assert cover.first_budget_violation() == 2
+        # the set's grid is finer than the cover's frame, so the pieces are rescaled
+        e = DigitalSet(1, 3, 2, ((0,), (8,)))
+        assert verify_cover(e, cover) == CoverReport((2, "budget"), None)
+        assert verify_cover(e, CoverSeq(n=1, eps=F(1, 2), strong=strong, pieces=thirds[:2])).uncovered_witness == (8,)
+    assert len(calls) == 4
+    # the derived frame is not a field
+    assert cover == CoverSeq(1, F(1, 2), True, thirds) and "_framed" not in repr(cover)
+
+
 def test_covers_and_balls_load_equal_to_what_was_saved():
     # a cube is a Box with equal sides, so a loaded piece equals the saved one
     square = Box(((F(0), F(1, 2)), (F(1, 4), F(3, 4))))

@@ -285,7 +285,7 @@ def test_budget_exact_cubes_just_above_the_premise_budget_fail_the_gap_premise()
         for n in (1, 2, 3):
             spec = DustSpec(n, b, depth)
             _refutation_premises(spec, _cubes_of_sides(n, depth, below**n, lambda h: below**h))
-            with pytest.raises(ValueError, match="exceeds the level-"):
+            with pytest.raises(ValueError, match="is not below the level-"):
                 _refutation_premises(spec, _cubes_of_sides(n, depth, above**n, lambda h: above**h))
 
 
@@ -490,7 +490,7 @@ def test_survivor_rejects_gap_budget_violation():
     cover = CoverSeq(
         n=1, eps=F(2, 5), strong=False, pieces=(Box(((F(0), F(2, 5)),)),)
     )
-    with pytest.raises(ValueError, match="^piece 1 exceeds the level-2 gap budget$"):
+    with pytest.raises(ValueError, match="^piece 1 is not below the level-2 gap budget$"):
         survivor_refute(spec, cover)
 
 
@@ -503,7 +503,7 @@ def test_gap_budget_premise_is_exact_on_the_frame():
     small = Box.cube((F(1, 2), F(1, 2)), F(1, 162))
     exact = CoverSeq(n=2, eps=F(1, 2), strong=False, pieces=(Box.cube((F(0), F(0)), gap), small))
     assert _frame(exact.pieces, spec.scale(2)) == 162 and volume(exact.pieces[0]) == gap**2
-    with pytest.raises(ValueError, match="^piece 1 exceeds the level-2 gap budget$"):
+    with pytest.raises(ValueError, match="^piece 1 is not below the level-2 gap budget$"):
         survivor_refute(spec, exact)
     # one frame unit narrower on one axis
     narrower = Box(((F(0), gap - F(1, 162)), (F(0), gap)))
@@ -514,7 +514,7 @@ def test_gap_budget_premise_is_exact_on_the_frame():
     # one frame unit wider on one axis
     wider = Box(((F(0), gap + F(1, 162)), (F(0), gap)))
     cover = CoverSeq(n=2, eps=F(1, 2), strong=False, pieces=(wider, small))
-    with pytest.raises(ValueError, match="^piece 1 exceeds the level-2 gap budget$"):
+    with pytest.raises(ValueError, match="^piece 1 is not below the level-2 gap budget$"):
         survivor_refute(spec, cover)
 
 

@@ -126,3 +126,11 @@ def test_records_refuse_inconsistent_fields():
         with pytest.raises(ValueError):
             cls(**kwargs)
 
+
+
+def test_digital_set_refuses_cell_indices_that_are_not_ints():
+    # int() would truncate 1.5, fold True into 1 and parse "2"
+    for n, cells in ((1, [(1.5,)]), (1, [(True,)]), (2, [("2", 1)])):
+        with pytest.raises(ValueError, match="cell indices must be ints"):
+            DigitalSet(n, 3, 2, cells)
+    assert DigitalSet(1, 3, 2, [(1,), (0,)]).cells == ((0,), (1,))
