@@ -414,13 +414,19 @@ def ball_stability_radius(k_set: DigitalSet, ball: BallSpec, witnesses: Sequence
     cell decides the rest: the bound when no face is nearer, else a
     certified lower enclosure of that distance, on a grid at least as fine
     as the squared distance's denominator, so that it is never 0.
+
+    The same pass decides membership.  Valid witnesses show that every box
+    meets the set, so it is a member exactly when its cells lie in the
+    union.  A cell point outside the union lies on an outside face of its
+    grown cell, at distance 0.  Conversely, no box strictly holds a point of
+    an outside face, so a closed face at distance 0 meets the cell in a
+    point of the closed complement.  So distance 0 raises the non-member
+    ``ValueError``, after the witness checks.
     """
     if k_set.n != ball.n:
         raise ValueError("dimension mismatch")
     if len(witnesses) != len(ball.boxes):
         raise ValueError("need exactly one witness per box")
-    if not ball_membership(k_set, ball):
-        raise ValueError("set is not a member of the ball")
     scale = k_set.b**k_set.m
     cells = set(k_set.cells)
     radii: list[Fraction] = []
@@ -452,7 +458,7 @@ def ball_stability_radius(k_set: DigitalSet, ball: BallSpec, witnesses: Sequence
         for face in _outside_faces(grown, near):
             near_sq = min(near_sq, _box_gap_sq(target, face))
     if near_sq == 0:
-        raise AssertionError("membership held but the complement touches the set")
+        raise ValueError("set is not a member of the ball")
     if near_sq == reach * reach:
         return bound
     near_sq = Fraction(near_sq, frame * frame)

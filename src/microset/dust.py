@@ -97,25 +97,13 @@ def _require_admissible(spec: DustSpec) -> None:
 
 
 class DustTree(Record):
-    """Per level, (word, cell) pairs in word order; ``level`` is the box view.
+    """Per level, (word, cell) pairs in word order.
 
     A cell is the cube's integer index tuple on its level's b**(k*k) grid.
     """
 
     spec: DustSpec
     levels: tuple[tuple[tuple[tuple[int, ...], tuple[int, ...]], ...], ...]
-
-    def level_cells(self, k: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-        if not 1 <= k <= self.spec.depth:
-            raise ValueError("level out of range")
-        return self.levels[k - 1]
-
-    def level(self, k: int) -> tuple[tuple[tuple[int, ...], Box], ...]:
-        side = self.spec.level_side(k)
-        return tuple(
-            (word, Box.cube(tuple(j * side for j in cell), side))
-            for word, cell in self.level_cells(k)
-        )
 
 
 def _check_tree(tree: DustTree) -> None:
@@ -129,9 +117,10 @@ def _check_tree(tree: DustTree) -> None:
     over disjoint parents D_{k-1} apart, level k is min(d_k, D_{k-1}) = D_k apart.
     """
     spec = tree.spec
+    if len(tree.levels) != spec.depth:
+        raise AssertionError("tree depth is wrong")
     parent_lookup = {(): (0,) * spec.n}
-    for k in range(1, spec.depth + 1):
-        level = tree.level_cells(k)
+    for k, level in enumerate(tree.levels, start=1):
         if len(level) != 2 ** (spec.n * k):
             raise AssertionError(f"level {k} cube count is wrong")
         lookup = dict(level)

@@ -180,13 +180,13 @@ _SCHEMA_OF = {path: schema for schema, (path, _) in _SCHEMAS.items()}
 def dusttree_to_json(tree: dust.DustTree) -> dict:
     spec = tree.spec
     levels = []
-    for k in range(1, spec.depth + 1):
+    for k, level in enumerate(tree.levels, start=1):
         # side and each lo are format_scalar(j / scale), written from the integers
         scale = spec.scale(k)
         levels.append([
             {"word": list(word), "lo": [f"{j // (g := gcd(j, scale))}/{scale // g}" for j in cell],
              "side": f"1/{scale}"}
-            for word, cell in tree.level_cells(k)
+            for word, cell in level
         ])
     return {
         "schema": "dusttree/1",

@@ -16,9 +16,11 @@ the largest budget its gap premises admit up to a depth.  ``series_upper`` bound
 ``sum_k eps**(num*k/den)`` by a prefix of per-term enclosures plus a
 geometric tail; the library keeps only its tail, ``covers._series_upper``.
 
-``sides``, ``volume``, ``vertices``, ``cell_box``, ``cell_boxes`` and
-``level_digital`` are the ``Fraction`` views of boxes, digital sets and dust
-levels that only tests read.
+``sides``, ``volume``, ``vertices``, ``cell_box``, ``cell_boxes``,
+``level_boxes`` and ``level_digital`` are the ``Fraction`` views of boxes,
+digital sets and dust levels that only tests read.  ``svg_rect`` draws a
+box as ``svg`` did from its ``Fraction`` bounds, before it drew on integer
+frames.
 """
 
 import itertools
@@ -54,10 +56,37 @@ def cell_boxes(e):
     return [cell_box(e, cell) for cell in e.cells]
 
 
+def level_boxes(tree, k):
+    """Level k of a dust tree as (word, closed cube) pairs, in word order."""
+    side = tree.spec.level_side(k)
+    return tuple((word, Box.cube(tuple(j * side for j in cell), side)) for word, cell in tree.levels[k - 1])
+
+
 def level_digital(tree, k):
     """Level-k union of a dust tree as a digital set: each cube is one depth-k**2 cell."""
-    cells = tuple(cell for _, cell in tree.level_cells(k))
+    cells = tuple(cell for _, cell in tree.levels[k - 1])
     return DigitalSet(tree.spec.n, tree.spec.b, tree.spec.grid(k), cells)
+
+
+def svg_dec(x):
+    """Floor of 1000 * x with 6 decimal places, via the Fraction."""
+    scaled = x * 1000 * 10**6
+    units = scaled.numerator // scaled.denominator
+    whole, frac = divmod(units, 10**6)
+    text = f"{whole}.{frac:06d}".rstrip("0").rstrip(".")
+    return text if text else "0"
+
+
+def svg_rect(box, fill, opacity):
+    (x0, x1), (y0, y1) = box.intervals
+    x = svg_dec(x0)
+    y = svg_dec(Fraction(1) - y1)
+    w = svg_dec(x1 - x0)
+    h = svg_dec(y1 - y0)
+    return (
+        f'<rect x="{x}" y="{y}" width="{w}" height="{h}" '
+        f'fill="{fill}" fill-opacity="{opacity}" stroke="none"/>'
+    )
 
 
 def cell_window(piece, scale, slack):
@@ -169,7 +198,7 @@ def dist_sq(a, b):
 
 def intersect_count(tree, k, box):
     """How many level-k cubes of the tree the closed box touches."""
-    return sum(1 for _, cube in tree.level(k) if dist_sq(cube, box) == 0)
+    return sum(1 for _, cube in level_boxes(tree, k) if dist_sq(cube, box) == 0)
 
 
 def bucket(k):

@@ -10,7 +10,7 @@ import sys
 import time
 from fractions import Fraction
 
-from fraction_oracles import bucket, cell_boxes, dist_sq, hit_rows, sides, vertices, volume
+from fraction_oracles import bucket, cell_boxes, dist_sq, hit_rows, level_boxes, sides, vertices, volume
 from microset import covers, dust, serialize
 from microset.baire import SplitMix64
 from microset.covers import (
@@ -60,7 +60,7 @@ def test_a01_construction_is_exact_for_three_reference_trees():
         widths = [F(1)] + [F(1, 3 ** (k * k)) for k in range(1, spec.depth + 1)]
         gaps = [widths[k - 1] - 2 * widths[k] for k in range(1, spec.depth + 1)]
         for k in range(1, spec.depth + 1):
-            level = tree.level(k)
+            level = level_boxes(tree, k)
             assert len(level) == 2 ** (spec.n * k)
             for word, cube in level:
                 assert sides(cube) == (widths[k],) * spec.n
@@ -150,7 +150,7 @@ def test_a06_refuter_defeats_seeded_adversaries_with_checkable_certificates(tmp_
     for spec in (DustSpec(n=1, b=3, depth=4), DustSpec(n=2, b=3, depth=3)):
         tree = generate(spec)
         eps = refutation_budget_lower(spec)
-        leaf_lookup = dict(tree.level(spec.depth))
+        leaf_lookup = dict(level_boxes(tree, spec.depth))
         covers = []
         for i in range(10):
             if i % 2 == 0:

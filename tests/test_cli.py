@@ -759,6 +759,29 @@ def test_fields_of_the_wrong_json_type_are_refused(tmp_path, capsys):
     assert run("dust-refute", "--tree", str(tp), "--cover", str(cp)) == 2
 
 
+def test_a_tree_file_is_compared_value_for_value(tmp_path):
+    tree = generate(DustSpec(n=2, b=3, depth=2))
+    tp, indented = tmp_path / "tree.json", tmp_path / "indented.json"
+    serialize.save(tree, tp)
+    doc = json.loads(tp.read_text())
+    indented.write_text(json.dumps(doc, indent=4))
+    assert indented.read_bytes() != tp.read_bytes()
+    assert serialize.load(indented, "dusttree/1") == tree
+    a, b = tmp_path / "a.svg", tmp_path / "b.svg"
+    assert run("render-svg", "--tree", str(tp), "-o", str(a)) == 0
+    assert run("render-svg", "--tree", str(indented), "-o", str(b)) == 0
+    assert a.read_bytes() == b.read_bytes()
+    # 1.0 and true equal the letter 1 as values, but are not ints
+    for letter in (1.0, True):
+        first = {**doc["levels"][1][0], "word": [letter, 1]}
+        forged = {**doc, "levels": [doc["levels"][0], [first, *doc["levels"][1][1:]]]}
+        assert forged == doc
+        indented.write_text(json.dumps(forged, indent=4))
+        with pytest.raises(ValueError, match="differs"):
+            serialize.load(indented, "dusttree/1")
+        assert run("render-svg", "--tree", str(indented), "-o", str(b)) == 2
+
+
 def test_document_rationals_must_be_canonical(tmp_path, capsys):
     # each spelling loaded as a nearby value before and re-dumped to other bytes
     e = DigitalSet(1, 3, 1, ((0,),))

@@ -13,6 +13,7 @@ from fraction_oracles import (
     dist_sq,
     hit_rows,
     intersect_count,
+    level_boxes,
     level_digital,
     premise_budget,
     sides,
@@ -124,13 +125,13 @@ def test_validate_leftover_values():
 
 def test_generate_line_level_one():
     tree = generate(DustSpec(n=1, b=3, depth=1))
-    boxes = [cube.intervals for _, cube in tree.level(1)]
+    boxes = [cube.intervals for _, cube in level_boxes(tree, 1)]
     assert boxes == [((F(0), F(1, 3)),), ((F(2, 3), F(1)),)]
 
 
 def test_generate_plane_level_one_distances():
     tree = generate(DustSpec(n=2, b=3, depth=1))
-    cubes = [box for _, box in tree.level(1)]
+    cubes = [box for _, box in level_boxes(tree, 1)]
     dists = {
         dist_sq(a, b) for a, b in itertools.combinations(cubes, 2)
     }
@@ -139,11 +140,11 @@ def test_generate_plane_level_one_distances():
 
 def test_generate_plane_level_two_structure():
     tree = generate(DustSpec(n=2, b=3, depth=2))
-    level = tree.level(2)
+    level = level_boxes(tree, 2)
     assert len(level) == 16
     assert all(sides(cube) == (F(1, 81),) * 2 for _, cube in level)
     assert all(volume(cube) == F(1, 6561) for _, cube in level)
-    parents = dict(tree.level(1))
+    parents = dict(level_boxes(tree, 1))
     for word, cube in level:
         shared = set(vertices(cube)) & set(vertices(parents[word[:-1]]))
         assert len(shared) == 1
@@ -166,11 +167,11 @@ def test_default_corner_order_stays_implicit():
 def test_letters_take_corners_in_binary_order():
     # letter t takes the corner whose bits are those of t - 1, axis 0 most significant
     line = generate(DustSpec(n=1, b=3, depth=1))
-    assert [box.intervals for _, box in line.level(1)] == [((F(0), F(1, 3)),), ((F(2, 3), F(1)),)]
+    assert [box.intervals for _, box in level_boxes(line, 1)] == [((F(0), F(1, 3)),), ((F(2, 3), F(1)),)]
     plane = generate(DustSpec(n=2, b=3, depth=2))
-    assert [cell for _, cell in plane.level_cells(1)] == [(0, 0), (0, 2), (2, 0), (2, 2)]
+    assert [cell for _, cell in plane.levels[0]] == [(0, 0), (0, 2), (2, 0), (2, 2)]
     # at level 2 a parent at p holds its children at 27p or 27p + 26 per axis
-    assert dict(plane.level_cells(2))[(2, 3)] == (26, 54)
+    assert dict(plane.levels[1])[(2, 3)] == (26, 54)
     # a document written under another order is refused: it differs from the rebuilt tree
     doc = serialize.to_json(line)
     doc["corner_order"] = [1, 0]
@@ -199,7 +200,7 @@ def test_gap_table_matches_side_recurrence():
         table = gap_table(spec)
         prev = F(1)
         for k in range(1, spec.depth + 1):
-            side = sides(tree.level(k)[0][1])[0]
+            side = sides(level_boxes(tree, k)[0][1])[0]
             assert table.sibling_gap[k - 1] == prev - 2 * side
             prev = side
 
@@ -337,7 +338,7 @@ def test_intersect_count_examples():
     assert intersect_count(tree, 2, unit) == 16
     strip = Box(((F(0), F(1)), (F(0), F(1, 100))))
     assert intersect_count(tree, 1, strip) == 2
-    lone = tree.level(1)[0][1]
+    lone = level_boxes(tree, 1)[0][1]
     assert intersect_count(tree, 1, lone) == 1
     with pytest.raises(ValueError):
         intersect_count(tree, 1, Box(((F(0), F(1)),)))
@@ -432,7 +433,7 @@ def test_survivor_certificate_line():
     cert = survivor_refute(tree.spec, cover)
     assert isinstance(cert, SurvivorCertificate)
     assert cert.checked_prefix == 6
-    lookup = dict(tree.level(4))
+    lookup = dict(level_boxes(tree, 4))
     cube = lookup[cert.survivor_word]
     for h in range(1, cert.checked_prefix + 1):
         assert dist_sq(cube, cover.pieces[h - 1]) > 0
@@ -468,7 +469,7 @@ def test_survivor_random_adversaries_line_and_plane():
         cover = adversary_random(spec, eps, count, seed)
         cert = survivor_refute(spec, cover)
         assert isinstance(cert, SurvivorCertificate)
-        lookup = dict(tree.level(depth))
+        lookup = dict(level_boxes(tree, depth))
         cube = lookup[cert.survivor_word]
         for piece in cover.pieces[: cert.checked_prefix]:
             assert dist_sq(cube, piece) > 0
@@ -559,7 +560,7 @@ def test_revalidate_rejects_tampered_certificates():
 def _swallow_from_cubes(tree, eps, count):
     # the adversary as first written, over the box view of every leaf
     spec = tree.spec
-    leaves = [box for _, box in tree.level(spec.depth)]
+    leaves = [box for _, box in level_boxes(tree, spec.depth)]
     root_lo = pow_lower(eps, 1, spec.n, DEFAULT_PRECISION)
     pieces = []
     for h in range(1, count + 1):
@@ -573,7 +574,7 @@ def _swallow_from_cubes(tree, eps, count):
 def _random_from_cubes(tree, eps, count, seed):
     spec = tree.spec
     rng = SplitMix64(seed)
-    leaves = [box for _, box in tree.level(spec.depth)]
+    leaves = [box for _, box in level_boxes(tree, spec.depth)]
     root_lo = pow_lower(eps, 1, spec.n, DEFAULT_PRECISION)
     pieces = []
     for h in range(1, count + 1):
@@ -626,13 +627,13 @@ def test_tree_construction_invariants_property(n, b):
     spec = DustSpec(n=n, b=b, depth=depth)
     tree = generate(spec)
     for k in range(1, depth + 1):
-        level = tree.level(k)
+        level = level_boxes(tree, k)
         assert len(level) == 2 ** (n * k)
         assert all(sides(cube) == (F(1, b ** (k * k)),) * n for _, cube in level)
 
 
 def _replace_entry(tree, k, i, word=None, cell=None):
-    level = list(tree.level_cells(k))
+    level = list(tree.levels[k - 1])
     old_word, old_cell = level[i]
     level[i] = (old_word if word is None else word, old_cell if cell is None else cell)
     levels = tree.levels[: k - 1] + (tuple(level),) + tree.levels[k:]
@@ -641,9 +642,9 @@ def _replace_entry(tree, k, i, word=None, cell=None):
 
 def test_check_tree_catches_corrupted_trees():
     tree = generate(DustSpec(n=2, b=3, depth=2))
-    (w0, c0), (w1, c1) = tree.level_cells(2)[:2]
+    (w0, c0), (w1, c1) = tree.levels[1][:2]
     # level-1 parent (0, 0) spans level-2 indices 0..26 on each axis
-    assert tree.level_cells(1)[0] == ((1,), (0, 0))
+    assert tree.levels[0][0] == ((1,), (0, 0))
     assert w0[:-1] == w1[:-1] == (1,) and {c0, c1} <= {(0, 0), (0, 26), (26, 0), (26, 26)}
     corrupted = [
         # inside its parent but not in a corner, then just outside its parent
@@ -654,6 +655,9 @@ def test_check_tree_catches_corrupted_trees():
         # a letter outside 1..2**n names no corner, though its word is new
         ("not distinct children", _replace_entry(tree, 2, 0, word=(1, 5))),
         ("not distinct children", _replace_entry(tree, 2, 0, word=(1, 0))),
+        # every level is checked, so a level too few or too many is caught
+        ("depth is wrong", DustTree(spec=tree.spec, levels=tree.levels[:1])),
+        ("depth is wrong", DustTree(spec=tree.spec, levels=tree.levels + tree.levels[1:])),
     ]
     _check_tree(tree)
     for message, bad in corrupted:
@@ -669,7 +673,7 @@ def test_check_tree_sibling_gaps_equal_the_brute_force_minimum():
         brute = tuple(
             min(
                 dist_sq(ca, cb)
-                for (wa, ca), (wb, cb) in itertools.combinations(tree.level(k), 2)
+                for (wa, ca), (wb, cb) in itertools.combinations(level_boxes(tree, k), 2)
                 if wa[:-1] == wb[:-1]
             )
             for k in range(1, spec.depth + 1)
@@ -698,7 +702,7 @@ def _walk_oracle(tree, cover):
         active = cover.pieces[: _examined_prefix(k, len(cover.pieces))]
         alive = [
             word
-            for word, cube in tree.level(k)
+            for word, cube in level_boxes(tree, k)
             if word[:-1] in survivors and all(dist_sq(cube, piece) > 0 for piece in active)
         ]
         walk.append(alive)
@@ -726,7 +730,7 @@ def _tree_and_cover(draw):
         scale = tree.spec.b ** (k * k)
         if draw(st.booleans()):
             # a face of a dust cell, a half cell away, or one cell away
-            _, cell = draw(st.sampled_from(tree.level_cells(k)))
+            _, cell = draw(st.sampled_from(tree.levels[k - 1]))
             j = draw(st.sampled_from(cell)) + draw(st.sampled_from((0, 1)))
             return F(2 * j + draw(st.integers(min_value=-2, max_value=2)), 2 * scale)
         # any point on the level grid or half-way between, up to half a unit outside [0, 1]
@@ -753,12 +757,12 @@ def test_integer_touching_matches_the_fraction_oracle(case):
     # the refuter's touching window holds exactly the cells at distance 0
     for k in range(1, depth + 1):
         windows = [cell_window(piece, tree.spec.scale(k), 1) for piece in cover.pieces]
-        for (_, cube), (_, cell) in zip(tree.level(k), tree.level_cells(k)):
+        for (_, cube), (_, cell) in zip(level_boxes(tree, k), tree.levels[k - 1]):
             for piece, window in zip(cover.pieces, windows):
                 assert _in_window(cell, window) == (dist_sq(cube, piece) == 0)
     # _check_survivor names the first examined piece that touches the named leaf
     prefix = _examined_prefix(depth, len(cover.pieces))
-    for word, cube in tree.level(depth):
+    for word, cube in level_boxes(tree, depth):
         cert = SurvivorCertificate(depth, prefix, word, (1,) * depth)
         touching = [h for h in range(1, prefix + 1) if dist_sq(cube, cover.pieces[h - 1]) == 0]
         if touching:
@@ -821,19 +825,19 @@ def test_cell_of_a_word_matches_the_built_tree(data):
     tree = generate(spec)
     leaves = 2 ** (n * depth)
     i = data.draw(st.integers(min_value=0, max_value=leaves - 1))
-    word, cell = tree.level_cells(depth)[i]
+    word, cell = tree.levels[depth - 1][i]
     assert _cell_of(spec, word) == cell
     # leaf i's letters are its base-2**n digits plus 1, read modulo the leaf count
     assert _leaf_cell(spec, i) == _leaf_cell(spec, i + leaves * data.draw(st.integers(0, 9))) == cell
     for k in range(1, depth + 1):
-        assert _cell_of(spec, word[:k]) == dict(tree.level_cells(k))[word[:k]]
+        assert _cell_of(spec, word[:k]) == dict(tree.levels[k - 1])[word[:k]]
 
 
 def test_refuter_and_adversaries_read_only_the_spec():
     # computed from the spec alone, the survivors name leaves of the built tree
     for n, depth in ((1, 4), (2, 3), (3, 2)):
         spec = DustSpec(n=n, b=3, depth=depth)
-        leaves = dict(generate(spec).level(depth))
+        leaves = dict(level_boxes(generate(spec), depth))
         eps = refutation_budget_lower(spec)
         count = _examined_prefix(depth, 10**9) + 2
         covers = [adversary_swallow(spec, eps, count)]

@@ -4,16 +4,19 @@ Bounds are drawn with coprime denominators (sevenths, elevenths,
 thirteenths and the set's own grid), reach outside [0, 1], and may be
 zero-width in non-strong covers, so the lcm frame of each call mixes
 several denominators.  Budget verdicts, coverage witnesses, ball
-membership and stability radii must equal those of ``fraction_oracles``.
+membership and stability radii must equal those of ``fraction_oracles``,
+and so must the SVG rectangles drawn from the frame.
 """
 
 import itertools
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fraction_oracles
+from microset import svg
 from microset.covers import (
     BallSpec,
     CoverSeq,
@@ -22,6 +25,7 @@ from microset.covers import (
     ball_stability_radius,
     verify_cover,
 )
+from microset.dust import DustSpec, generate
 from microset.geometry import Box, DigitalSet, Point, _frame, covers_box
 
 F = Fraction
@@ -146,12 +150,36 @@ def coprime_balls(draw):
 @given(coprime_balls())
 def test_ball_verdicts_match_the_fraction_oracle(case):
     k_set, ball, witnesses = case
-    member = ball_membership(k_set, ball)
-    assert member == fraction_oracles.membership(k_set, ball)
-    if member and None not in witnesses:
+    assert ball_membership(k_set, ball) == fraction_oracles.membership(k_set, ball)
+
+
+@settings(max_examples=150)
+@given(coprime_balls())
+def test_stability_radius_decides_membership_as_the_oracle(case):
+    # valid witnesses: the radius pass alone refuses every non-member
+    k_set, ball, witnesses = case
+    if None in witnesses:
+        return
+    if fraction_oracles.membership(k_set, ball):
         assert ball_stability_radius(k_set, ball, witnesses) == fraction_oracles.stability_radius(
             k_set, ball, witnesses
         )
+    else:
+        with pytest.raises(ValueError, match="not a member"):
+            ball_stability_radius(k_set, ball, witnesses)
+
+
+def test_stability_radius_refuses_non_members_with_valid_witnesses():
+    # the cell [1/3, 2/3] meets both open boxes, but the point 1/2 lies in neither
+    k = DigitalSet(1, 3, 1, ((1,),))
+    ball = BallSpec(n=1, boxes=(Box(((F(0), F(1, 2)),)), Box(((F(1, 2), F(1)),))))
+    witnesses = [Point((F(2, 5),)), Point((F(3, 5),))]
+    assert not fraction_oracles.membership(k, ball)
+    with pytest.raises(ValueError, match="not a member"):
+        ball_stability_radius(k, ball, witnesses)
+    # a witness fault is reported before the non-member
+    with pytest.raises(ValueError, match="in the set"):
+        ball_stability_radius(k, ball, [Point((F(1, 5),)), Point((F(3, 5),))])
 
 
 def test_a_frame_of_more_than_200_bits_decides_as_the_oracle():
@@ -185,3 +213,31 @@ def test_a_frame_of_more_than_200_bits_decides_as_the_oracle():
     radius = ball_stability_radius(e, ball, witnesses)
     assert 0 < radius < F(1, m1)
     assert radius == fraction_oracles.stability_radius(e, ball, witnesses)
+
+
+def far_rationals():
+    """Rationals of denominators up to 10**12, up to twice the unit outside [0, 1]."""
+    return st.integers(1, 10**12).flatmap(lambda den: st.integers(-2 * den, 3 * den).map(lambda i: F(i, den)))
+
+
+@settings(max_examples=200)
+@given(st.lists(st.lists(far_rationals(), min_size=4, max_size=4), min_size=1, max_size=6))
+def test_svg_rectangles_match_the_fraction_drawing(bounds):
+    pieces = tuple(Box(((min(a, b), max(a, b)), (min(c, d), max(c, d)))) for a, b, c, d in bounds)
+    cover = CoverSeq(n=2, eps=F(1, 2), strong=False, pieces=pieces)
+    frame, framed = cover._framed
+    for piece, on_frame in zip(pieces, framed):
+        assert svg._rect(on_frame, frame, "#000000", "1") == fraction_oracles.svg_rect(piece, "#000000", "1")
+    rects = [fraction_oracles.svg_rect(piece, "#1f6f8b", "0.45") for piece in pieces]
+    assert svg.render_cover(cover) == svg._document(rects)
+
+
+def test_svg_dust_cells_match_the_fraction_drawing():
+    for spec in (DustSpec(2, 3, 3), DustSpec(2, 4, 2), DustSpec(2, 5, 2)):
+        tree = generate(spec)
+        rects = [
+            fraction_oracles.svg_rect(cube, svg._LEVEL_FILLS[k - 1], "0.85")
+            for k in range(1, spec.depth + 1)
+            for _, cube in fraction_oracles.level_boxes(tree, k)
+        ]
+        assert svg.render_dust(tree) == svg._document(rects)

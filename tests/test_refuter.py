@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fraction_oracles import bucket, dist_sq, level_digital
+from fraction_oracles import bucket, dist_sq, level_boxes, level_digital
 from microset.covers import CoverSeq, verify_cover
 from microset.dust import (
     DustSpec,
@@ -33,14 +33,14 @@ _PLANE_EPS = refutation_budget_lower(_PLANE.spec)
 def _check_certificate(tree, cover, cert):
     assert isinstance(cert, SurvivorCertificate)
     revalidate_survivor(tree.spec, cover, cert)
-    lookup = dict(tree.level(tree.spec.depth))
+    lookup = dict(level_boxes(tree, tree.spec.depth))
     cube = lookup[cert.survivor_word]
     for piece in cover.pieces[: cert.checked_prefix]:
         assert dist_sq(cube, piece) > 0
     assert all(count >= 1 for count in cert.level_counts)
     # nested ancestry: prefixes of the survivor word name live cubes
     for k in range(1, tree.spec.depth):
-        assert cert.survivor_word[:k] in dict(tree.level(k))
+        assert cert.survivor_word[:k] in dict(level_boxes(tree, k))
 
 
 @settings(max_examples=20)
@@ -107,7 +107,7 @@ def _slab_adversary(spec, eps):
     tree, survivors, pieces = generate(spec), {()}, []
     for j in range(1, spec.depth + 1):
         side = spec.level_side(j)
-        alive = [(word, cell) for word, cell in tree.level_cells(j) if word[:-1] in survivors]
+        alive = [(word, cell) for word, cell in tree.levels[j - 1] if word[:-1] in survivors]
         for h in bucket(j):
             columns = Counter(cell[0] for _, cell in alive)
             x = min(columns, key=lambda c: (-columns[c], c))
