@@ -22,7 +22,6 @@ radius, goes back to a Fraction.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import cached_property
 from math import ceil, floor, lcm
@@ -34,11 +33,11 @@ from .geometry import (
     Point,
     Record,
     _box_gap_sq,
-    _column_index,
     _covers,
     _frame,
     _in_window,
     _on_frame,
+    _touching_pieces,
     _window,
 )
 from .rational import DEFAULT_PRECISION, pow_lower, pow_upper, root_lower
@@ -169,35 +168,6 @@ class BallSpec(Record):
         self._set(n, boxes)
 
 
-def _touching_pieces(
-    cells: Sequence[tuple[int, ...]], pieces: Sequence[tuple], f: int, slack: int = 1
-) -> list[list[tuple]]:
-    """For each cell, in order, the pieces touching it, in cover order.
-
-    Cells are sorted and cell j spans j*f..(j+1)*f on the pieces' integer
-    frame; a piece touches the cells of its ``_window`` with this ``slack``,
-    1 by default.  Only the first-axis columns that hold cells are visited, by
-    bisection, so a piece reaching far outside the cube costs no more than
-    one that does not.  In each such column the cells of the second-axis
-    range are one bisected run, and only they test the remaining axes.
-    """
-    columns, starts = _column_index(cells)
-    touching: list[list[tuple]] = [[] for _ in cells]
-    for piece in pieces:
-        (a, z), *rest = _window(piece, f, slack)
-        more = rest[1:]
-        for c in range(bisect_left(columns, a), bisect_right(columns, z)):
-            i, end = starts[c], starts[c + 1]
-            if rest:
-                a1, z1 = rest[0]
-                i = bisect_left(cells, (columns[c], a1), i, end)
-                end = bisect_left(cells, (columns[c], z1 + 1), i, end)
-            for j in range(i, end):
-                if not more or _in_window(cells[j][2:], more):
-                    touching[j].append(piece)
-    return touching
-
-
 def _cell_bounds(cell: tuple[int, ...], f: int) -> tuple[tuple[int, int], ...]:
     return tuple((j * f, (j + 1) * f) for j in cell)
 
@@ -222,7 +192,7 @@ def verify_cover(e: DigitalSet, cover: CoverSeq) -> CoverReport:
         pieces = [tuple((lo * up, hi * up) for lo, hi in piece) for piece in pieces]
     f = frame * up // scale
     touching = zip(e.cells, _touching_pieces(e.cells, pieces, f))
-    witness = next((cell for cell, live in touching if not _covers(_cell_bounds(cell, f), live)), None)
+    witness = next((cell for cell, near in touching if not _covers(_cell_bounds(cell, f), [pieces[h] for h in near])), None)
     return CoverReport(first_violation=None if k is None else (k, "budget"), uncovered_witness=witness)
 
 
@@ -393,13 +363,13 @@ def ball_membership(k_set: DigitalSet, ball: BallSpec) -> bool:
     if k_set.n != ball.n:
         raise ValueError("dimension mismatch")
     _, f, boxes = _ball_frame(k_set, ball, 1)
-    met: set[tuple] = set()
+    met: set[int] = set()
     for cell, near in zip(k_set.cells, _touching_pieces(k_set.cells, boxes, f)):
         target = _cell_bounds(cell, f)
-        if next(_outside_faces(target, near), None) is not None:
+        if next(_outside_faces(target, [boxes[h] for h in near]), None) is not None:
             return False
-        met.update(box for box in near if _meets(box, target))
-    return met.issuperset(boxes)
+        met.update(h for h in near if _meets(boxes[h], target))
+    return len(met) == len(boxes)
 
 
 def ball_stability_radius(k_set: DigitalSet, ball: BallSpec, witnesses: Sequence[Point]) -> Fraction:
@@ -455,7 +425,7 @@ def ball_stability_radius(k_set: DigitalSet, ball: BallSpec, witnesses: Sequence
     for cell, near in zip(k_set.cells, widened):
         target = _cell_bounds(cell, f)
         grown = tuple((max(lo - reach, 0), min(hi + reach, frame)) for lo, hi in target)
-        for face in _outside_faces(grown, near):
+        for face in _outside_faces(grown, [boxes[h] for h in near]):
             near_sq = min(near_sq, _box_gap_sq(target, face))
     if near_sq == 0:
         raise ValueError("set is not a member of the ball")

@@ -24,10 +24,10 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import ceil, prod
-from operator import add
+from operator import add, itemgetter
 
 from . import baire, covers
-from .geometry import Box, Record, _frame, _in_window, _on_frame, _window
+from .geometry import Box, Record, _frame, _on_frame, _touching_pieces
 from .rational import DEFAULT_PRECISION, pow_upper
 
 
@@ -373,21 +373,21 @@ def _survivor_descent(spec: DustSpec, frame: int, pieces: list) -> tuple[tuple[i
     is ``frame // scale(k)`` wide on the pieces' frame.  A survivor touching no
     examined piece is free: its 2**n children are free again, so free cells are
     only counted, and the least leaf below one is its word padded with letter
-    1.  Only survivors that touch a piece not yet active are placed and
-    descended into.
+    1.  Only survivors whose first touching piece is not yet active are placed
+    and descended into.  Each level's children, sorted by cell, make one
+    ``_touching_pieces`` call, so the work goes with the pieces and the cells
+    they touch.
     """
     counts, leaves, free, family = [], [], 0, [((), (0,) * spec.n)]
     for k in range(1, spec.depth + 1):
         f, active = frame // spec.scale(k), _examined_prefix(k, len(pieces))
-        windows = [_window(piece, f, 1) for piece in pieces]
         free, placed = free * 2**spec.n, []
-        for word, cell in _children(spec, family, k):
-            # the first examined piece the cell touches; len(pieces) for none
-            h = next((h for h, w in enumerate(windows) if _in_window(cell, w)), len(pieces))
-            if h == len(pieces):
+        children = sorted(_children(spec, family, k), key=itemgetter(1))
+        for (word, cell), near in zip(children, _touching_pieces([cell for _, cell in children], pieces, f)):
+            if not near:
                 free += 1
                 leaves.append(word + (1,) * (spec.depth - k))
-            elif h >= active:
+            elif near[0] >= active:
                 placed.append((word, cell))
         family = placed
         counts.append(free + len(placed))
@@ -418,10 +418,9 @@ def _check_survivor(spec: DustSpec, frame: int, pieces: list, cert: SurvivorCert
     word = cert.survivor_word
     if len(word) != spec.depth or not all(1 <= letter <= 2**spec.n for letter in word):
         raise ValueError("survivor word does not name a cube")
-    cell, f = _cell_of(spec, word), frame // spec.scale(spec.depth)
-    for h, piece in enumerate(pieces, start=1):
-        if _in_window(cell, _window(piece, f, 1)):
-            raise ValueError(f"survivor touches examined piece {h}")
+    near = _touching_pieces([_cell_of(spec, word)], pieces, frame // spec.scale(spec.depth))[0]
+    if near:
+        raise ValueError(f"survivor touches examined piece {near[0] + 1}")
 
 
 def adversary_swallow(spec: DustSpec, eps: Fraction, count: int) -> covers.CoverSeq:

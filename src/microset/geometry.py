@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
@@ -341,6 +341,35 @@ def _column_index(cells: Sequence[tuple[int, ...]]) -> tuple[list[int], list[int
             starts.append(i)
     starts.append(len(cells))
     return columns, starts
+
+
+def _touching_pieces(cells: Sequence[tuple[int, ...]], pieces: Sequence[tuple], f: int, slack: int = 1) -> list[list[int]]:
+    """For each cell, in order, the ascending indices of the pieces touching it.
+
+    Cells are sorted and cell j spans j*f..(j+1)*f on the pieces' integer
+    frame; a piece touches the cells of its ``_window`` with this ``slack``,
+    1 by default.  Only the first-axis columns that hold cells are visited, by
+    bisection, so a piece reaching far outside the cube costs no more than
+    one that does not.  In each such column the cells of the second-axis
+    range are one bisected run, and only they test the remaining axes.  The
+    cover checker, the ball checks, the survivor descent and its checker all
+    ask this one index.
+    """
+    columns, starts = _column_index(cells)
+    touching: list[list[int]] = [[] for _ in cells]
+    for h, piece in enumerate(pieces):
+        (a, z), *rest = _window(piece, f, slack)
+        more = rest[1:]
+        for c in range(bisect_left(columns, a), bisect_right(columns, z)):
+            i, end = starts[c], starts[c + 1]
+            if rest:
+                a1, z1 = rest[0]
+                i = bisect_left(cells, (columns[c], a1), i, end)
+                end = bisect_left(cells, (columns[c], z1 + 1), i, end)
+            for j in range(i, end):
+                if not more or _in_window(cells[j][2:], more):
+                    touching[j].append(h)
+    return touching
 
 
 def _nearest_gap_sq(point: tuple, cells: Sequence[tuple[int, ...]], index: tuple, f: int, best: int, floor: int) -> int:

@@ -387,6 +387,9 @@ def test_ball_membership_examples():
     # the point 1/2 where two open boxes abut lies in the cell but in neither box
     abutting = BallSpec(n=1, boxes=(box1(F(1, 4), F(1, 2)), box1(F(1, 2), F(3, 4))))
     assert not ball_membership(k, abutting)
+    # a box listed twice gets the verdict it gets listed once
+    assert ball_membership(TWO_CELLS, BallSpec(n=1, boxes=two.boxes + two.boxes[:1]))
+    assert not ball_membership(k, BallSpec(n=1, boxes=abutting.boxes[:1] * 2))
 
 
 def test_ball_membership_requires_meeting_every_box():

@@ -1,5 +1,7 @@
 """Property coverage for the survivor refuter beyond the worked examples."""
 
+import hashlib
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -8,10 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fraction_oracles import bucket, dist_sq, level_boxes, level_digital
+from microset import serialize
 from microset.covers import CoverSeq, verify_cover
 from microset.dust import (
     DustSpec,
     SurvivorCertificate,
+    _children,
+    _examined_prefix,
+    _refutation_premises,
+    _survivor_descent,
     adversary_random,
     adversary_swallow,
     gap_table,
@@ -20,7 +27,7 @@ from microset.dust import (
     revalidate_survivor,
     survivor_refute,
 )
-from microset.geometry import Box
+from microset.geometry import Box, _in_window, _window
 
 F = Fraction
 
@@ -167,3 +174,64 @@ def test_survivor_counts_never_fall_below_the_floor(case):
     cert = survivor_refute(spec, cover)
     revalidate_survivor(spec, cover, cert)
     assert all(count >= _floor(spec.n, k) for k, count in enumerate(cert.level_counts, start=1))
+
+
+def _scan_descent(spec, frame, pieces):
+    """The survivor descent by a plain scan: each child tests every piece's window in order, up to the first that touches."""
+    counts, leaves, free, family = [], [], 0, [((), (0,) * spec.n)]
+    for k in range(1, spec.depth + 1):
+        f, active = frame // spec.scale(k), _examined_prefix(k, len(pieces))
+        windows = [_window(piece, f, 1) for piece in pieces]
+        free, placed = free * 2**spec.n, []
+        for word, cell in _children(spec, family, k):
+            # the first examined piece the cell touches; len(pieces) for none
+            h = next((h for h, w in enumerate(windows) if _in_window(cell, w)), len(pieces))
+            if h == len(pieces):
+                free += 1
+                leaves.append(word + (1,) * (spec.depth - k))
+            elif h >= active:
+                placed.append((word, cell))
+        family = placed
+        counts.append(free + len(placed))
+    return tuple(counts), min(leaves, default=None)
+
+
+@st.composite
+def _deep_descents(draw):
+    """A spec deeper than any tree the tests build, and the examined pieces of a swallow or
+    random adversary at or below the critical budget on their frame, some copied over others."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    depth = draw(st.integers(min_value=1, max_value={1: 12, 2: 9, 3: 7}[n]))
+    spec = DustSpec(n=n, b=draw(st.sampled_from((3, 4))), depth=depth)
+    eps = refutation_budget_lower(spec) / draw(st.sampled_from((1, 2, 10**3)))
+    count = draw(st.integers(min_value=1, max_value=_examined_prefix(depth, 10**9) + 2))
+    seed = draw(st.none() | st.integers(min_value=0, max_value=2**64 - 1))
+    cover = adversary_swallow(spec, eps, count) if seed is None else adversary_random(spec, eps, count, seed)
+    frame, pieces = _refutation_premises(spec, cover)
+    # a piece repeated at another position: only its least index decides whether it is active
+    positions = st.integers(min_value=0, max_value=max(len(pieces) - 1, 0))
+    for source, target in draw(st.lists(st.tuples(positions, positions), max_size=4 if pieces else 0)):
+        pieces[target] = pieces[source]
+    return spec, frame, pieces
+
+
+@given(_deep_descents())
+def test_indexed_descent_matches_the_piece_scan_deep(case):
+    spec, frame, pieces = case
+    assert _survivor_descent(spec, frame, pieces) == _scan_descent(spec, frame, pieces)
+
+
+def test_spread_random_adversary_is_refuted_and_rechecked_fast():
+    # 240 examined pieces spread over the dust at n=2, depth 30 place thousands of
+    # cells, so descent work that grew as placed cells times pieces would take seconds
+    spec = DustSpec(n=2, b=3, depth=30)
+    cover = adversary_random(spec, refutation_budget_lower(spec), _examined_prefix(30, 10**9) + 2, 7)
+    assert len(cover.pieces) == 242
+    started = time.monotonic()
+    cert = survivor_refute(spec, cover)
+    refuted = time.monotonic()
+    revalidate_survivor(spec, cover, cert)
+    rechecked = time.monotonic()
+    assert refuted - started < 1.0 and rechecked - refuted < 1.0
+    blob = serialize.canonical_bytes(serialize.to_json(cert))
+    assert hashlib.sha256(blob).hexdigest() == "0f5f03cd396c069d00ecf62dd3ceb6b85c94a61d0971012f1a65e88395051ecd"
