@@ -223,7 +223,7 @@ def _cmd_cover_verify(args) -> int:
 def _cmd_cover_search(args) -> int:
     e = serialize.load(args.set_path, "digitalset/1")
     # the search verifies what it emits; a failed check raises AssertionError
-    cover = covers.greedy_strong_cover(e, args.eps, args.max_pieces)
+    cover = covers.greedy_strong_cover(e, args.eps)
     if isinstance(cover, covers.GreedyFailure):
         raise _Negative(
             f"{cover.reason} at position {cover.position}"
@@ -238,8 +238,8 @@ def _cmd_cover_merge(args) -> int:
     if not 0 < args.eps < 1:
         raise ValueError("--eps must lie strictly between 0 and 1")
     loaded = [serialize.load(path, "coverseq/1") for path in args.covers]
-    if len({cover.n for cover in loaded}) > 1:
-        raise ValueError("covers differ in dimension")
+    if len({(cover.n, cover.strong) for cover in loaded}) > 1:
+        raise ValueError("covers differ in dimension or in kind (strong or not)")
     try:
         merged = covers.merge_covers(loaded, args.eps)
     except ValueError as exc:
@@ -323,7 +323,7 @@ _COMMANDS = {  # subcommand -> (help, flags, handler)
         _cmd_dust_refute),
     "cover-verify": ("verify budgets and coverage", (_SET, _COVER, _MAYBE_OUT), _cmd_cover_verify),
     "cover-search": ("search for a cube cover with budgets eps**k", (
-        _SET, _EPS, _flag("--max-pieces", "int", default=4096), _MAYBE_OUT), _cmd_cover_search),
+        _SET, _EPS, _MAYBE_OUT), _cmd_cover_search),
     "cover-merge": ("interleave covers into one sequence", (
         _flag("--covers", count="+"), _EPS, _OUT), _cmd_cover_merge),
     "ball-check": ("membership in a finite open-box union, optionally with a stability radius", (

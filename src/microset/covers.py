@@ -135,7 +135,7 @@ class CoverReport(Record):
 
 
 class GreedyFailure(Record):
-    """Search gave up: 'budget-infeasible' is certified, the rest are not."""
+    """Search gave up: 'budget-infeasible' is certified, 'stalled' is not."""
 
     reason: str
     position: int
@@ -215,25 +215,27 @@ def _budget_sides(eps: Fraction, n: int) -> Iterator[Fraction]:
         yield max(pow_lower(eps, k, n), root_lo**k)
 
 
-def greedy_strong_cover(e: DigitalSet, eps: Fraction, max_pieces: int) -> CoverSeq | GreedyFailure:
+def greedy_strong_cover(e: DigitalSet, eps: Fraction) -> CoverSeq | GreedyFailure:
     """Greedy search for a verified strong cover of e at budget eps.
 
-    Cells are processed in Morton (bit-interleaved) order.  Position k
-    emits the largest admissible cube, side a certified lower enclosure of
-    eps**(k/n), anchored at the first uncovered cell and clamped into the
-    unit cube.  A failure is only a refutation when the side-sum bound
-    certifies that the remaining budget cannot span the uncovered cells'
-    projection; otherwise the result is inconclusive by design.
+    Cells are processed in one pass of Morton (bit-interleaved) order; the
+    keys are distinct and a covered cell stays covered.  Position k emits
+    the largest admissible cube, side a certified lower enclosure of
+    eps**(k/n), anchored at the first uncovered cell j and clamped into the
+    unit cube.  It runs only while side >= cs, and on each axis it spans
+    lo = min(j*cs, 1 - side) <= j*cs to lo + side >= (j+1)*cs, so it holds
+    cell j: the search ends within ``len(e.cells)`` positions, with no cap.
+    A failure is only a refutation when the side-sum bound certifies that
+    no strong cover's sides can span the set's projection on some axis;
+    otherwise the result is inconclusive by design.
     """
     eps = Fraction(eps)
     if not (0 < eps < 1):
         raise ValueError("eps must lie strictly between 0 and 1")
-    if max_pieces < 1:
-        raise ValueError("max_pieces must be >= 1")
     n, cs, scale = e.n, e.cell_side, e.b**e.m
     width = (scale - 1).bit_length() or 1
-    order = sorted(e.cells, key=lambda c: (_morton_key(c, width), c))
-    uncovered = set(order)
+    order = iter(sorted(e.cells, key=lambda c: _morton_key(c, width)))
+    uncovered = set(e.cells)
     pieces: list[Box] = []
     for k, side in enumerate(_budget_sides(eps, n), start=1):
         if side < cs:
@@ -246,8 +248,6 @@ def greedy_strong_cover(e: DigitalSet, eps: Fraction, max_pieces: int) -> CoverS
         uncovered = {c for c in uncovered if not _in_window(c, window)}
         if not uncovered:
             break
-        if k == max_pieces:
-            return GreedyFailure("max-pieces", position=k + 1, uncovered=len(uncovered))
     cover = CoverSeq(n=n, eps=eps, strong=True, pieces=tuple(pieces))
     report = verify_cover(e, cover)
     if not report.ok:
@@ -267,13 +267,11 @@ def _series_upper(eps: Fraction, n: int) -> Fraction:
     """Certified upper bound of sum_{k>=1} eps**(k/n), the side budget of a strong cover.
 
     The geometric sum r/(1-r), with r an upper enclosure of eps**(1/n)
-    whose grid is refined until r < 1.
+    on a grid finer than n/(1-eps).  Then r exceeds eps**(1/n) by less
+    than (1-eps)/n, which by concavity is at most 1 - eps**(1/n), so r < 1.
     """
-    prec = DEFAULT_PRECISION
-    r = pow_upper(eps, 1, n, prec)
-    while r >= 1:
-        prec *= 10
-        r = pow_upper(eps, 1, n, prec)
+    p, q = eps.numerator, eps.denominator
+    r = pow_upper(eps, 1, n, max(DEFAULT_PRECISION, n * q // (q - p) + 1))
     return r / (1 - r)
 
 

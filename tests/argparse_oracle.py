@@ -92,7 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cover-search", help="search for a cube cover with budgets eps**k")
     p.add_argument("--set", dest="set_path", required=True)
     p.add_argument("--eps", type=_scalar, required=True)
-    p.add_argument("--max-pieces", type=int, default=4096)
     p.add_argument("-o", "--out", default=None)
 
     p = sub.add_parser("cover-merge", help="interleave covers into one sequence")

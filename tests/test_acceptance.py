@@ -312,7 +312,7 @@ def test_a09_thin_segment_separates_weak_from_strong_budgets():
     slab = Box(((F(0), F(1)), (F(0), F(1, 729))))
     weak = CoverSeq(n=2, eps=F(1, 10), strong=False, pieces=(slab,))
     assert verify_cover(segment, weak).ok
-    outcome = greedy_strong_cover(segment, F(1, 100), 4096)
+    outcome = greedy_strong_cover(segment, F(1, 100))
     assert isinstance(outcome, GreedyFailure)
     assert outcome.reason == "budget-infeasible"
     total = covers._series_upper(F(1, 100), 2)

@@ -95,6 +95,9 @@ def test_sample_spec_validation():
         SampleSpec(seed=1, n=1, b=3, depth=1, density=F(0))
     with pytest.raises(ValueError):
         SampleSpec(seed=1, n=1, b=3, depth=1, density=F(3, 2))
+    for n, b, depth in ((0, 3, 1), (1, 1, 1), (1, 3, -1)):
+        with pytest.raises(ValueError, match="bad sample dimensions"):
+            SampleSpec(seed=1, n=n, b=b, depth=depth, density=F(1, 2))
 
 
 def test_density_one_gives_full_grid():

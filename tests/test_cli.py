@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fraction_oracles import cell_boxes
-from microset import dust, serialize
+from microset import covers, dust, serialize
 from microset.cli import _COMMANDS, main
 from microset.covers import BallSpec, CoverReport, CoverSeq
 from microset.dust import (
@@ -83,7 +83,7 @@ def test_hmeasure_and_gaps_need_no_corner_list(tmp_path, capsys):
     assert serialize.load(out).sibling_gap == (F(1, 3),)
 
 
-def test_cover_verify_exit_codes(tmp_path, capsys):
+def test_cover_verify_exit_codes(tmp_path, capsys, monkeypatch):
     e = DigitalSet(1, 3, 1, ((0,), (2,)))
     ok_cover = CoverSeq(
         n=1,
@@ -119,6 +119,15 @@ def test_cover_verify_exit_codes(tmp_path, capsys):
     report = serialize.load(report_path)
     assert report.first_violation == (2, "budget")
 
+    # any other exception from a library call is a bug: exit 3, one stderr line, no traceback
+    def broken(e, cover):
+        raise KeyError("lost")
+
+    monkeypatch.setattr(covers, "verify_cover", broken)
+    assert run("cover-verify", "--set", str(e_path), "--cover", str(good_path)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("internal error, please report") and err.count("\n") == 1
+
 
 def test_cover_search_round_trip(tmp_path):
     e = DigitalSet(1, 3, 2, ((0,), (4,)))
@@ -130,13 +139,17 @@ def test_cover_search_round_trip(tmp_path):
     assert isinstance(cover, CoverSeq) and cover.strong
 
 
-def test_cover_search_negative_and_usage(tmp_path):
+def test_cover_search_negative_and_usage(tmp_path, capsys):
     seg = DigitalSet(2, 3, 3, tuple((j, 0) for j in range(27)))
     e_path = tmp_path / "seg.json"
     serialize.save(seg, e_path)
     assert run("cover-search", "--set", str(e_path), "--eps", "1/100") == 1
     assert run("cover-search", "--set", str(e_path)) == 2
     assert run("cover-search", "--set", str(e_path), "--eps", "1/2", "--s", "2") == 2
+    # the search has no piece cap, so a cap flag is not an argument
+    capsys.readouterr()
+    assert run("cover-search", "--set", str(e_path), "--eps", "1/2", "--max-pieces", "3") == 2
+    assert "unrecognized arguments: --max-pieces 3" in capsys.readouterr().err
 
 
 def test_cover_merge_cli(tmp_path):
@@ -156,6 +169,10 @@ def test_cover_merge_cli(tmp_path):
     plane = tmp_path / "plane.json"
     serialize.save(CoverSeq(n=2, eps=F(1, 4), strong=False, pieces=()), plane)
     assert run("cover-merge", "--covers", str(pa), str(plane), "--eps", "1/2", "-o", str(out)) == 2
+    # so are a strong and a non-strong cover: the mismatch says nothing about a budget
+    strong = tmp_path / "strong.json"
+    serialize.save(CoverSeq(n=1, eps=F(1, 4), strong=True, pieces=(box1(F(3, 4), 1),)), strong)
+    assert run("cover-merge", "--covers", str(pa), str(strong), "--eps", "1/2", "-o", str(out)) == 2
     # so is an eps outside (0, 1), before any merge premise is looked at
     for eps in ("2", "0"):
         assert run("cover-merge", "--covers", str(pa), str(pb), "--eps", eps, "-o", str(out)) == 2
@@ -226,6 +243,10 @@ def test_render_svg_rejects_line_trees(tmp_path):
     tree_path = tmp_path / "tree1.json"
     assert run("dust-generate", "--n", "1", "--b", "3", "--depth", "2", "-o", str(tree_path)) == 0
     assert run("render-svg", "--tree", str(tree_path), "-o", str(tmp_path / "x.svg")) == 2
+    # so are line covers
+    cover_path = tmp_path / "cover1.json"
+    serialize.save(CoverSeq(n=1, eps=F(1, 2), strong=False, pieces=(box1(0, F(1, 2)),)), cover_path)
+    assert run("render-svg", "--cover", str(cover_path), "-o", str(tmp_path / "x.svg")) == 2
 
 
 def test_malformed_file_is_usage_error(tmp_path):
@@ -275,7 +296,7 @@ def test_precision_flag_only_where_it_is_read(tmp_path, capsys):
     assert run(*argv, "--precision", "5") == 2
 
 
-def test_refute_cli_full_cycle(tmp_path):
+def test_refute_cli_full_cycle(tmp_path, capsys):
     spec = DustSpec(n=1, b=3, depth=4)
     tree = generate(spec)
     eps = refutation_budget_lower(spec)
@@ -314,6 +335,12 @@ def test_refute_cli_full_cycle(tmp_path):
     serialize.save(plane, planep)
     assert run("dust-refute", "--tree", str(tp), "--cover", str(planep)) == 2
     assert run("dust-refute", "--tree", str(tp), "--cover", str(planep), "--check", str(certp)) == 2
+    # a certificate made for a tree of another depth is rejected on --check
+    shallow = tmp_path / "tree3.json"
+    serialize.save(generate(DustSpec(n=1, b=3, depth=3)), shallow)
+    capsys.readouterr()
+    assert run("dust-refute", "--tree", str(shallow), "--cover", str(cp), "--check", str(certp)) == 1
+    assert "certificate depth differs" in capsys.readouterr().err
 
 
 def _adversary(tmp_path, n, count, *extra, b=3, depth=3):
@@ -608,6 +635,12 @@ def test_malformed_fields_load_or_raise_value_error():
                 except ValueError:
                     continue
                 assert _saves_back(loaded, forged), (path, value)  # so nothing was coerced
+    # only a JSON object of a known schema decodes, and only a record encodes
+    for bad, message in (([], "JSON object"), ({}, "unknown schema"), ({"schema": "cover/9"}, "unknown schema")):
+        with pytest.raises(ValueError, match=message):
+            serialize.from_json(bad)
+    with pytest.raises(ValueError, match="no serializer"):
+        serialize.to_json(object())
 
 
 def test_every_loader_refuses_a_field_its_schema_does_not_define(tmp_path, capsys):

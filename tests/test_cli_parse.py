@@ -195,7 +195,7 @@ def paths(tmp_path_factory):
         "set2": DigitalSet(2, 3, 1, ((0, 0), (2, 2))),
         "tree1": generate(DustSpec(n=1, b=3, depth=2)),
         "tree2": generate(spec2),
-        "cover1": greedy_strong_cover(set1, F(1, 2), 10),
+        "cover1": greedy_strong_cover(set1, F(1, 2)),
         "cover1b": CoverSeq(n=1, eps=F(1, 4), strong=False, pieces=(_box1(0, F(1, 4)),)),
         "cover2": cover2,
         "cert2": survivor_refute(spec2, cover2),
@@ -216,7 +216,7 @@ def paths(tmp_path_factory):
     return paths
 
 
-_SMALL = {"n": 3, "depth": 3, "k": 3, "b": 4, "max_pieces": 3, "seed": 3, "count": 3}
+_SMALL = {"n": 3, "depth": 3, "k": 3, "b": 4, "seed": 3, "count": 3}
 _RATIONALS = {
     "alpha": ("0", "1/2", "1", "3/2", "-1"),
     "eps": ("1/2", "1/3", "4/5", "1/100", "0", "1"),

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import fraction_oracles
 from microset import covers, geometry, serialize
+from microset.baire import SampleSpec, sample_compact
 from microset.covers import (
     BallSpec,
     CoverReport,
@@ -20,7 +21,7 @@ from microset.covers import (
     verify_cover,
 )
 from microset.geometry import Box, DigitalSet, Point, _frame, _on_frame, _window
-from microset.rational import pow_lower, root_lower
+from microset.rational import pow_lower, pow_upper, root_lower
 
 F = Fraction
 
@@ -41,6 +42,8 @@ def test_coverseq_rejects_bad_eps():
         cover1(1, box1(0, 1))
     with pytest.raises(ValueError):
         cover1(0, box1(0, 1))
+    with pytest.raises(ValueError, match="dimension"):
+        CoverSeq(n=0, eps=F(1, 2), strong=False, pieces=())
 
 
 def test_coverseq_strong_requires_cubes():
@@ -213,7 +216,7 @@ def verified_covers(draw):
     # eps**4 >= 1/9 keeps every position's budget at least one cell wide,
     # so the greedy always terminates with a verified cover here
     eps = draw(st.sampled_from([F(3, 5), F(2, 3)]))
-    out = greedy_strong_cover(e, eps, 64)
+    out = greedy_strong_cover(e, eps)
     if isinstance(out, GreedyFailure):
         raise AssertionError("greedy failed on an easy sparse instance")
     return e, out
@@ -239,7 +242,7 @@ def test_subset_monotonicity(pair, data):
 
 def test_greedy_single_cell():
     e = DigitalSet(1, 3, 2, ((4,),))
-    out = greedy_strong_cover(e, F(1, 2), 16)
+    out = greedy_strong_cover(e, F(1, 2))
     assert isinstance(out, CoverSeq)
     assert len(out.pieces) == 1
     assert verify_cover(e, out).ok
@@ -248,7 +251,7 @@ def test_greedy_single_cell():
 def test_greedy_isolated_cells_n2():
     cells = tuple((3 * i % 81, (7 * i + 2) % 81) for i in range(10))
     e = DigitalSet(2, 3, 4, tuple(sorted(set(cells))))
-    out = greedy_strong_cover(e, F(1, 2), 64)
+    out = greedy_strong_cover(e, F(1, 2))
     assert isinstance(out, CoverSeq)
     assert len(out.pieces) <= 10
     assert verify_cover(e, out).ok
@@ -256,22 +259,53 @@ def test_greedy_isolated_cells_n2():
 
 def test_greedy_budget_infeasible_segment():
     seg = DigitalSet(2, 3, 6, tuple((j, 0) for j in range(729)))
-    out = greedy_strong_cover(seg, F(1, 100), 256)
+    out = greedy_strong_cover(seg, F(1, 100))
     assert isinstance(out, GreedyFailure)
     assert out.reason == "budget-infeasible"
 
 
 def test_greedy_unknown_on_full_square():
     e = DigitalSet(2, 3, 0, ((0, 0),))
-    out = greedy_strong_cover(e, F(1, 4), 32)
+    out = greedy_strong_cover(e, F(1, 4))
     assert isinstance(out, GreedyFailure)
-    assert out.reason in ("stalled", "max-pieces")
+    assert out.reason == "stalled"
 
 
 def test_greedy_rejects_bad_eps():
     e = DigitalSet(1, 3, 1, ((0,),))
     with pytest.raises(ValueError):
-        greedy_strong_cover(e, F(3, 2), 8)
+        greedy_strong_cover(e, F(3, 2))
+
+
+@settings(max_examples=60)
+@given(
+    st.integers(1, 3),
+    st.integers(2, 3),
+    st.integers(0, 6),
+    st.sampled_from([F(1), F(1, 2), F(1, 10), F(1, 100)]),
+    st.integers(0, 2**32),
+    st.sampled_from([F(1, 100), F(1, 4), F(1, 2), F(9, 10), F(999, 1000)]),
+)
+def test_greedy_ends_within_one_position_per_cell(n, b, depth, density, seed, eps):
+    # each position holds its target cell, so the search needs no cap
+    e = sample_compact(SampleSpec(seed=seed, n=n, b=b, depth=min(depth, 6 // n), density=density))
+    out = greedy_strong_cover(e, eps)
+    if isinstance(out, CoverSeq):
+        assert len(out.pieces) <= len(e.cells)
+    else:
+        # positions 1 .. position-1 each covered at least one new cell
+        assert 1 <= out.uncovered <= len(e.cells) - (out.position - 1)
+        assert out.position <= len(e.cells)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_side_budget_sum_near_one_derives_its_grid(n):
+    # on the default grid eps**(1/n) rounds up to 1; the derived grid keeps r < 1
+    eps = 1 - F(1, 10**13)
+    assert pow_upper(eps, 1, n) == 1
+    total = covers._series_upper(eps, n)
+    assert total > 0
+    assert total >= sum(pow_lower(eps, k, n) for k in range(1, 301))
 
 
 def test_side_budget_sum_exact_values():
@@ -299,7 +333,7 @@ def test_side_budget_sum_monotone_in_terms(eps, n, terms):
 
 def test_merge_identity_reindexing():
     e = DigitalSet(1, 3, 2, ((0,),))
-    c = greedy_strong_cover(e, F(1, 4), 16)
+    c = greedy_strong_cover(e, F(1, 4))
     merged = merge_covers([c], F(1, 4))
     assert merged.pieces == c.pieces
     assert verify_cover(e, merged).ok
@@ -319,7 +353,7 @@ def test_merge_three_cell_union():
     eps = F(1, 2)
     cells = [(0,), (13,), (26,)]
     parts = [DigitalSet(1, 3, 3, (c,)) for c in cells]
-    covers = [greedy_strong_cover(p, eps**3, 32) for p in parts]
+    covers = [greedy_strong_cover(p, eps**3) for p in parts]
     assert all(isinstance(c, CoverSeq) for c in covers)
     merged = merge_covers(covers, eps)
     union = DigitalSet(1, 3, 3, tuple(cells))
@@ -339,6 +373,11 @@ def test_merge_rejects_mixed_dimension():
     b = CoverSeq(n=2, eps=F(1, 4), strong=False, pieces=(Box(((F(0), F(1, 4)), (F(0), F(1, 4)))),))
     with pytest.raises(ValueError):
         merge_covers([a, b], F(1, 2))
+    strong = cover1(F(1, 4), box1(F(3, 4), 1), strong=True)
+    for inputs, eps, message in (([a, strong], F(1, 2), "non-strong"), ([], F(1, 2), "at least one"),
+                                 ([a], F(1), "strictly between"), ([a], F(0), "strictly between")):
+        with pytest.raises(ValueError, match=message):
+            merge_covers(inputs, eps)
 
 
 def test_cover_measure_upper_exact_values():
@@ -355,11 +394,11 @@ def test_cover_measure_upper_monotone_in_terms():
 
 def test_strong_cover_witness_small_sets():
     e = DigitalSet(1, 3, 2, ((4,),))
-    w = greedy_strong_cover(e, F(1, 2), 32)
+    w = greedy_strong_cover(e, F(1, 2))
     assert isinstance(w, CoverSeq)
     assert verify_cover(e, w).ok
     with pytest.raises(ValueError):
-        greedy_strong_cover(e, F(1), 32)
+        greedy_strong_cover(e, F(1))
 
 
 def test_strong_cover_witness_ten_points_s10():
@@ -367,14 +406,14 @@ def test_strong_cover_witness_ten_points_s10():
     grid = 3**11
     cells = tuple(sorted({(17001 * i % grid, 11003 * i % grid) for i in range(10)}))
     e = DigitalSet(2, 3, 11, cells)
-    w = greedy_strong_cover(e, F(1, 10), 256)
+    w = greedy_strong_cover(e, F(1, 10))
     assert isinstance(w, CoverSeq)
     assert verify_cover(e, w).ok
 
 
 def test_strong_cover_witness_unknown_on_full_square():
     e = DigitalSet(2, 3, 0, ((0, 0),))
-    assert isinstance(greedy_strong_cover(e, F(1, 2), 32), GreedyFailure)
+    assert isinstance(greedy_strong_cover(e, F(1, 2)), GreedyFailure)
 
 
 def test_ball_membership_examples():
@@ -445,6 +484,13 @@ def test_stability_radius_rejects_bad_witnesses():
     with pytest.raises(ValueError, match="in the set"):
         ball_stability_radius(k, ball, [Point((F(9, 20),))])
     assert ball_stability_radius(k, ball, [Point((F(13, 27),))]) == F(11, 135)
+    with pytest.raises(ValueError, match="witness dimension"):
+        ball_stability_radius(k, ball, [Point((F(13, 27), F(1, 2)))])
+    plane = DigitalSet(2, 3, 3, ((13, 13),))
+    with pytest.raises(ValueError, match="^dimension mismatch"):
+        ball_stability_radius(plane, ball, [Point((F(13, 27),))])
+    with pytest.raises(ValueError, match="^dimension mismatch"):
+        ball_membership(plane, ball)
 
 
 def test_stability_radius_of_a_notch_finer_than_the_default_grid():

@@ -658,6 +658,7 @@ def test_check_tree_catches_corrupted_trees():
         # every level is checked, so a level too few or too many is caught
         ("depth is wrong", DustTree(spec=tree.spec, levels=tree.levels[:1])),
         ("depth is wrong", DustTree(spec=tree.spec, levels=tree.levels + tree.levels[1:])),
+        ("level 2 cube count is wrong", DustTree(spec=tree.spec, levels=(tree.levels[0], tree.levels[1][1:]))),
     ]
     _check_tree(tree)
     for message, bad in corrupted:

@@ -379,6 +379,8 @@ def test_digitalset_refine_preserves_union():
     assert len(fine.cells) == 2 * 9
     br = hausdorff_bracket(e, fine, 3)
     assert br.lo == 0
+    with pytest.raises(ValueError, match="refinement depth"):
+        fine.refine(2)
 
 
 def test_digitalset_validation():
@@ -388,6 +390,8 @@ def test_digitalset_validation():
         DigitalSet(1, 3, 1, ((3,),))
     with pytest.raises(ValueError):
         DigitalSet(2, 3, 1, ((0,),))
+    with pytest.raises(ValueError, match="depth"):
+        DigitalSet(1, 3, -1, ((0,),))
     # canonicalizes order and duplicates
     e = DigitalSet(1, 3, 1, ((2,), (0,), (2,)))
     assert e.cells == ((0,), (2,))

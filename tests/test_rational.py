@@ -141,3 +141,10 @@ def test_root_rejects_bad_arguments():
         root_lower(Fraction(-1), 2)
     with pytest.raises(ValueError):
         int_nth_root(4, 0)
+    with pytest.raises(ValueError, match="negative integer"):
+        int_nth_root(-1, 3)
+    with pytest.raises(ValueError, match="prec"):
+        root_lower(Fraction(2), 2, 0)
+    for base in (Fraction(0), Fraction(-1, 2)):
+        with pytest.raises(ValueError, match="base must be positive"):
+            pow_upper(base, 1, 2)
