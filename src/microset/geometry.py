@@ -186,19 +186,24 @@ class DigitalSet(Record):
         return Fraction(1, self.b**self.m)
 
     def refine(self, depth: int) -> "DigitalSet":
-        """The same set re-gridded at a deeper depth (same base)."""
+        """The same set re-gridded at a deeper depth (same base), its cells made in sorted order."""
         if depth < self.m:
             raise ValueError("refinement depth must be >= current depth")
         if depth == self.m:
             return self
-        f = self.b ** (depth - self.m)
-        offsets = list(itertools.product(range(f), repeat=self.n))
-        cells = [
-            tuple(j * f + o for j, o in zip(cell, off))
-            for cell in self.cells
-            for off in offsets
-        ]
-        return DigitalSet(self.n, self.b, depth, tuple(cells))
+        return DigitalSet(self.n, self.b, depth, tuple(_refined(self.cells, self.b ** (depth - self.m))))
+
+
+def _refined(cells: list[tuple[int, ...]], f: int) -> list[tuple[int, ...]]:
+    """Sorted cells cut into f parts per axis, sorted: each run of one first
+    index j takes j*f .. j*f + f - 1 in turn, each with the run's other axes cut."""
+    if not cells[0]:
+        return cells
+    out = []
+    for j, run in itertools.groupby(cells, operator.itemgetter(0)):
+        rest = _refined([cell[1:] for cell in run], f)
+        out += [(x, *tail) for x in range(j * f, j * f + f) for tail in rest]
+    return out
 
 
 class HBracket(Record):
@@ -273,45 +278,54 @@ def covers_box(target: Box, pieces: Sequence[Box]) -> bool:
     """Exact decision of target ⊆ union(pieces), all boxes closed.
 
     Maps the target and the pieces onto their integer frame and decides
-    there with ``_covers``.
+    there with ``_covers``, given the pieces that touch the target.
     """
     if any(p.n != target.n for p in pieces):
         raise ValueError("dimension mismatch")
     frame = _frame([target, *pieces])
-    return _covers(_on_frame(target, frame), [_on_frame(p, frame) for p in pieces])
+    box = _on_frame(target, frame)
+    lo, hi = zip(*box)
+    return _covers(box, [q for q in (_on_frame(p, frame) for p in pieces) if _touches(q, lo, hi)])
 
 
 def _covers(target: tuple, pieces: Sequence[tuple]) -> bool:
     """Whether target lies in the union of pieces, closed boxes given as
     per-axis (lo, hi) int pairs on one frame.
 
-    Splits the target at the median piece boundary crossing its interior on
-    the first crossed axis, left half first, on an explicit stack.  Each
-    sub-box keeps only the pieces that touch it, so N thin pieces split in
-    O(N log N) rather than one boundary at a time.  Once no piece boundary
-    crosses a sub-box, the sub-box is covered iff a single piece contains
-    it, which makes the verdict exact whichever crossing is split at.
+    ``pieces`` must hold every piece that touches the target, as a cell's
+    touching window does; one that does not costs time only.  Splits the
+    target at the median piece boundary crossing its interior on the first
+    crossed axis, left half first, on an explicit stack.  A half differs
+    from its parent on the split axis alone, so it keeps those of the
+    parent's pieces that reach it on that axis, one test per piece.  Given
+    only touching pieces, every sub-box so keeps only the pieces that touch
+    it, and N thin pieces split in O(N log N) rather than one boundary at a
+    time.  Once no piece boundary crosses a sub-box, the sub-box is covered
+    iff a single piece contains it, which makes the verdict exact whichever
+    crossing is split at.  A target that one piece contains, as each cell
+    of a cover's own set is, is settled at the first step, before any split.
     """
     lo, hi = zip(*target)
-    stack = [(lo, hi, pieces)]
+    stack = [(lo, hi, pieces, 0)]
     while stack:
-        lo, hi, live = stack.pop()
-        live = [p for p in live if _touches(p, lo, hi)]
-        if any(_contains(p, lo, hi) for p in live):
+        lo, hi, live, axis = stack.pop()
+        a, z = lo[axis], hi[axis]
+        # a piece that holds the sub-box spans it on every axis, so on the one it was cut on
+        if any(_contains(p, lo, hi) for p in live if p[axis][0] <= a and z <= p[axis][1]):
             continue
         split = _crossing(live, lo, hi)
         if split is None:
             return False
         axis, v = split
-        stack.append((lo[:axis] + (v,) + lo[axis + 1 :], hi, live))
-        stack.append((lo, hi[:axis] + (v,) + hi[axis + 1 :], live))
+        stack.append((lo[:axis] + (v,) + lo[axis + 1 :], hi, [p for p in live if v <= p[axis][1]], axis))
+        stack.append((lo, hi[:axis] + (v,) + hi[axis + 1 :], [p for p in live if p[axis][0] <= v], axis))
     return True
 
 
 def _crossing(pieces: list[tuple], lo: tuple, hi: tuple) -> tuple[int, int] | None:
     """Median piece boundary strictly inside lo..hi on the first axis that has one."""
     for axis, (tlo, thi) in enumerate(zip(lo, hi)):
-        inside = sorted({v for p in pieces for v in p[axis] if tlo < v < thi})
+        inside = sorted([v for p in pieces for v in p[axis] if tlo < v < thi])
         if inside:
             return axis, inside[len(inside) // 2]
     return None

@@ -25,6 +25,14 @@ every token of a call as its own string until the call ends: encoding the
 54 KB cells array of a 5,985-cell set peaks at 961 KB there, against 64 KB
 on 3.12 and 3.13, so blocks bound that to one block's tokens.  A set's
 rows are written from its own cell tuples, with no list per row.
+``canonical_bytes``, which ``save`` writes, encodes each block to ASCII as
+it is made, into one growing buffer, so the text is never held as a
+``str`` and as bytes at once.
+
+A document repeats few rational spellings: a cover's bounds share a grid.
+``_spelled`` checks and decodes each distinct spelling once per document,
+through a bounded memo that only strings reach and that ``from_json``
+empties when it is done.
 """
 
 from __future__ import annotations
@@ -32,16 +40,19 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from functools import lru_cache
 from importlib import import_module
 from itertools import chain
 from math import gcd
 from pathlib import Path
+from typing import Iterator
 
 from . import dust, geometry
 from .rational import format_scalar
 
 
 _BLOCK = 1024  # items of a long top-level list that one encoder call writes
+_SPELLINGS = 4096  # distinct rational spellings whose values the decoder keeps
 
 
 def _encode(value) -> str:
@@ -52,31 +63,41 @@ def _is_long(value) -> bool:
     return isinstance(value, (list, tuple)) and len(value) > _BLOCK
 
 
-def dumps(payload: dict) -> str:
-    """The canonical text of a document whose keys are strings.
+def _parts(payload: dict) -> Iterator[str]:
+    """The canonical text of a document whose keys are strings, as consecutive parts.
 
     A top-level list of more than ``_BLOCK`` items is encoded one block of
-    items at a time, and the text is the same as one ``json.dumps`` call's.
+    items at a time, and the parts join to the text of one ``json.dumps``
+    call.
     """
     if not any(map(_is_long, payload.values())):
-        return _encode(payload) + "\n"
-    parts = []
+        yield _encode(payload) + "\n"
+        return
+    opening = "{"
     for key, value in sorted(payload.items()):
-        parts.append(f",{_encode(key)}:")
+        yield f"{opening}{_encode(key)}:"
+        opening = ","
         if _is_long(value):
             for start in range(0, len(value), _BLOCK):
-                parts.append("," if start else "[")
-                parts.append(_encode(value[start : start + _BLOCK])[1:-1])
-            parts.append("]")
+                yield ("," if start else "[") + _encode(value[start : start + _BLOCK])[1:-1]
+            yield "]"
         else:
-            parts.append(_encode(value))
-    parts[0] = "{" + parts[0][1:]
-    parts.append("}\n")
-    return "".join(parts)
+            yield _encode(value)
+    yield "}\n"
 
 
-def canonical_bytes(payload: dict) -> bytes:
-    return dumps(payload).encode("ascii")
+def dumps(payload: dict) -> str:
+    """The canonical text of a document whose keys are strings."""
+    return "".join(_parts(payload))
+
+
+def canonical_bytes(payload: dict) -> bytearray:
+    """The canonical text as ASCII bytes, each part encoded as it is made
+    into one growing buffer, so that a long document is held once."""
+    blob = bytearray()
+    for part in _parts(payload):
+        blob += part.encode("ascii")
+    return blob
 
 
 def _int(value) -> int:
@@ -99,11 +120,25 @@ _NUM_DEN = re.compile(r"(0|-?[1-9][0-9]*)/([1-9][0-9]*)")
 def _rational(value) -> Fraction:
     """A rational as ``format_scalar`` writes it, "num/den" in lowest terms; any other spelling is refused.
 
-    The spelling is checked before any arithmetic, so an exponent such as "1e-1000000000" is never expanded.
+    A value that is not a ``str`` is refused before the memo, which would hash it.
     """
-    match = _NUM_DEN.fullmatch(value) if type(value) is str else None
-    if match is None or gcd(int(match[1]), int(match[2])) != 1:
+    rational = _spelled(value) if type(value) is str else None
+    if rational is None:
         raise ValueError(f"expected a rational written as num/den in lowest terms, got {value!r}")
+    return rational
+
+
+@lru_cache(maxsize=_SPELLINGS)
+def _spelled(value: str) -> Fraction | None:
+    """The rational a canonical "num/den" spelling names, or None for any other spelling.
+
+    The spelling is checked before any arithmetic, so an exponent such as
+    "1e-1000000000" is never expanded.  A document repeats few spellings,
+    so each distinct one is decoded once while it stays in the memo.
+    """
+    match = _NUM_DEN.fullmatch(value)
+    if match is None or gcd(int(match[1]), int(match[2])) != 1:
+        return None
     return Fraction(int(match[1]), int(match[2]))
 
 
@@ -245,30 +280,42 @@ def from_json(data: dict):
         module, _, class_name = path.rpartition(".")
         cls = getattr(import_module(module), class_name)
         values = {name: load(data[name]) for name, (_, load) in fields.items()}
+        del data  # freed here unless a caller holds it, so a cover frames its pieces without it
         obj = cls(**{field: values.pop(field) for field in cls._fields})
     except (TypeError, KeyError, IndexError) as exc:
         raise ValueError(f"malformed {schema} document: {exc!r}") from exc
+    finally:
+        _spelled.cache_clear()  # the memo serves one document, and holds nothing after it
     for name, claim in values.items():
         if claim != getattr(obj, name):
             raise ValueError(f"{schema} {name} disagrees with the document's other fields")
     return obj
 
 
-def save(obj, path: str | Path) -> bytes:
+def save(obj, path: str | Path) -> bytearray:
+    """Write the canonical bytes of ``obj`` to ``path`` and return them."""
     blob = canonical_bytes(to_json(obj))
     Path(path).write_bytes(blob)
     return blob
 
 
 def load(path: str | Path, schema: str | None = None):
-    """The object a document file holds; given ``schema``, any other schema is refused before decoding."""
+    """The object a document file holds; given ``schema``, any other schema is refused before decoding.
+
+    The parsed document is handed to ``from_json`` with no other reference,
+    so it is freed once its fields are decoded.
+    """
+    return from_json(_parsed(path, schema))
+
+
+def _parsed(path: str | Path, schema: str | None) -> dict:
     try:
         data = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: not valid JSON ({exc})") from exc
     if schema is not None and (not isinstance(data, dict) or data.get("schema") != schema):
         raise ValueError(f"{path}: expected a {schema} document")
-    return from_json(data)
+    return data
 
 
 def _expect(data: dict, schema: str) -> None:

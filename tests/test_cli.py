@@ -842,6 +842,31 @@ def test_document_rationals_must_be_canonical(tmp_path, capsys):
     assert out_a.read_bytes() == out_b.read_bytes()
 
 
+def test_rational_slots_refuse_other_json_types_before_the_memo(tmp_path, capsys):
+    # the decoder's memo hashes what it is given, so a list that reached it
+    # would raise TypeError; each value is refused first, with its message
+    e = DigitalSet(1, 3, 1, ((0,),))
+    cover = CoverSeq(n=1, eps=F(1, 2), strong=False, pieces=(box1(0, F(1, 2)),))
+    doc = serialize.to_json(cover)
+    sp, bad = tmp_path / "set.json", tmp_path / "bad.json"
+    serialize.save(e, sp)
+    forged = []
+    for value in (["1/2"], 1, True, 0.5, None):
+        forged += [({**doc, "eps": value}, value), ({**doc, "pieces": [[["0/1", value]]]}, value)]
+    # a refused spelling is refused again at each repeat, whatever the memo holds
+    forged.append(({**doc, "pieces": [[["0/1", "2/4"]]] * 1000}, "2/4"))
+    forged.append(({**doc, "pieces": [[["0/1", "1/2"]]] * 999 + [[["0/1", "2/4"]]]}, "2/4"))
+    for forgery, value in forged:
+        message = f"expected a rational written as num/den in lowest terms, got {value!r}"
+        with pytest.raises(ValueError) as refused:
+            serialize.from_json(forgery)
+        assert str(refused.value) == message
+        bad.write_text(json.dumps(forgery))
+        capsys.readouterr()
+        assert run("cover-verify", "--set", str(sp), "--cover", str(bad)) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_survivor_counts_the_record_refuses_are_malformed_input(tmp_path, capsys):
     # short counts or a level without survivor: SurvivorCertificate refuses them, so the
     # file is malformed (exit 2); counts that are merely false stay a verified negative (1)

@@ -1,4 +1,5 @@
 import itertools
+import math
 import time
 from fractions import Fraction
 
@@ -692,17 +693,32 @@ def test_thin_cover_of_1200_intervals_splits_once_per_inner_bound(monkeypatch):
     pieces = [box1(F(lo, 43200), F(hi, 43200)) for lo, hi in zip(bounds, bounds[1:])]
     e = DigitalSet(1, 3, 2, ((4,),))
     cover = CoverSeq(n=1, eps=F(999, 1000), strong=True, pieces=tuple(pieces))
-    splits = 0
-    crossing = geometry._crossing
+    splits = tests = contains = 0
+    crossing, holds = geometry._crossing, geometry._contains
 
-    def counting(*args):
-        nonlocal splits
-        split = crossing(*args)
+    def counting(live, lo, hi):
+        nonlocal splits, tests
+        split = crossing(live, lo, hi)
         splits += split is not None
+        tests += len(live)
         return split
 
+    def counting_holds(*args):
+        nonlocal contains
+        contains += 1
+        return holds(*args)
+
     monkeypatch.setattr(geometry, "_crossing", counting)
+    monkeypatch.setattr(geometry, "_contains", counting_holds)
     start = time.perf_counter()
     assert verify_cover(e, cover).ok
     assert time.perf_counter() - start < 1
     assert splits == 1199
+    # each split sub-box's live pieces are scanned a fixed number of times
+    # (its halves' one-axis filters and its crossing), 14,729 in all here;
+    # a sub-box that re-tested the whole cover would be N**2 = 1,440,000
+    assert tests <= 2 * 1200 * math.log2(1200)
+    # only a piece that spans a sub-box on its cut axis is tested whole:
+    # once per leaf here, where every live piece of every sub-box took a
+    # containment test before (17,128 in all)
+    assert contains <= 1200

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fraction_oracles
 from fraction_oracles import cell_box, dist_sq, sides, volume
 from microset import geometry
 from microset.baire import SampleSpec, sample_compact
@@ -153,6 +154,38 @@ def test_covers_box_matches_raster_oracle(instance):
     assert got == _raster_covered(target, pieces, steps=24)
 
 
+@st.composite
+def framed_instances(draw):
+    """A target and pieces as int (lo, hi) pairs on a grid of 7 bounds, n = 1..3.
+
+    Most pieces are cells of a grid cut through the target, so they share
+    bounds and tile it; a repeated cut gives a piece of zero width, and
+    some pieces are stretched, dropped or drawn at random.
+    """
+    n = draw(st.integers(1, 3))
+    bound = st.integers(0, 6)
+    target = tuple(sorted((draw(bound), draw(bound))) for _ in range(n))
+    axes = []
+    for lo, hi in target:
+        cuts = sorted([lo, hi, *draw(st.lists(st.integers(lo, hi), max_size=3))])
+        axes.append(list(zip(cuts, cuts[1:])))
+    pieces = [
+        tuple((lo - draw(st.integers(0, 1)), hi + draw(st.integers(0, 1))) for lo, hi in cell)
+        for cell in itertools.product(*axes)
+        if draw(st.integers(0, 4))
+    ]
+    pieces += draw(st.lists(st.tuples(*[st.tuples(bound, bound).map(sorted).map(tuple)] * n), max_size=3))
+    return target, draw(st.permutations(pieces))
+
+
+@settings(max_examples=300)
+@given(framed_instances())
+def test_integer_core_matches_the_fraction_oracle(instance):
+    target, pieces = instance
+    as_fractions = [tuple((F(lo, 6), F(hi, 6)) for lo, hi in box) for box in (target, *pieces)]
+    assert geometry._covers(target, pieces) == fraction_oracles.covers_box(as_fractions[0], as_fractions[1:])
+
+
 def test_covers_box_thin_cover_needs_no_call_stack():
     # 300 intervals left to right split the cell 300 times in a row; a
     # recursive split would need 300 frames, more than the lowered limit
@@ -176,27 +209,29 @@ def test_covers_box_thin_cover_needs_no_call_stack():
 
 def test_covers_box_thin_cover_splits_in_n_log_n(monkeypatch):
     # splitting at the first crossing peels one boundary per split, which
-    # costs about N**2 / 2 touching tests here; the median split stays
-    # within a small multiple of N log2 N
+    # costs about N**2 / 2 piece tests here; the median split stays within a
+    # small multiple of N log2 N.  A split sub-box's live pieces are scanned
+    # by its crossing and by its halves' filters, so their summed lengths
+    # count its piece tests.
     n_pieces = 1200
     cell = cell_box(DigitalSet(1, 3, 2, ((4,),)), (4,))
     step = F(1, 9 * n_pieces)
     pieces = [box1(F(4, 9) + i * step, F(4, 9) + (i + 1) * step) for i in range(n_pieces)]
     gapped = pieces[: n_pieces // 2] + pieces[n_pieces // 2 + 1 :]
-    calls = 0
-    touches = geometry._touches
+    tests = 0
+    crossing = geometry._crossing
 
-    def counting(*args):
-        nonlocal calls
-        calls += 1
-        return touches(*args)
+    def counting(live, lo, hi):
+        nonlocal tests
+        tests += len(live)
+        return crossing(live, lo, hi)
 
-    monkeypatch.setattr(geometry, "_touches", counting)
+    monkeypatch.setattr(geometry, "_crossing", counting)
     bound = 4 * n_pieces * math.log2(n_pieces)
     for cover, verdict in ((pieces, True), (gapped, False)):
-        calls = 0
+        tests = 0
         assert covers_box(cell, cover) is verdict
-        assert calls < bound
+        assert 0 < tests < bound
 
 
 def test_hausdorff_bracket_identity():

@@ -1,4 +1,4 @@
-"""A digital set from draw to bytes: the ordered cell scan, the block writer and their memory.
+"""A digital set from draw to bytes: the ordered cell scan, refinement in order, the block writer and their memory.
 
 ``old_dumps`` and ``old_cells`` are the writer and the cell normaliser as
 they stood before either kept the caller's tuples: one ``json.dumps`` call
@@ -6,6 +6,7 @@ per document, and a set, a fresh tuple per cell and a sort for every input.
 They stay here as oracles.
 """
 
+import itertools
 import json
 import tracemalloc
 from fractions import Fraction
@@ -13,7 +14,7 @@ from fractions import Fraction
 from hypothesis import given
 from hypothesis import strategies as st
 
-from microset import serialize
+from microset import geometry, serialize
 from microset.baire import SampleSpec, sample_compact
 from microset.geometry import DigitalSet
 
@@ -104,3 +105,35 @@ def test_sample_then_save_peaks_under_twice_the_set(tmp_path):
     assert len(e.cells) == 5985 and blob == old_dumps(json.loads(blob)).encode()
     assert peak <= 2 * held, (peak, held)
 
+
+def test_save_holds_a_long_document_about_once(tmp_path):
+    # 53,145 cells of the depth-6 grid in the plane, a 515 KB file; the text
+    # was once held as a str and as bytes together, about twice the file
+    path = tmp_path / "set.json"
+    e = DigitalSet(2, 3, 6, [(i, j) for i in range(729) for j in range(729) if (7 * i + 3 * j) % 10 == 0])
+    serialize.save(DigitalSet(2, 3, 1, ((0, 0),)), path)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        blob = serialize.save(e, path)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert blob == path.read_bytes() == old_dumps(serialize.to_json(e)).encode()
+    # the buffer's growth margin and one block's encoder tokens above one file
+    assert len(blob) > 500_000 and peak < 1.5 * len(blob), (peak, len(blob))
+
+
+def product_refined(cells, n, f):
+    """The refined cells as they were made before: cell by cell, in offset order."""
+    offsets = list(itertools.product(range(f), repeat=n))
+    return [tuple(j * f + o for j, o in zip(cell, off)) for cell in cells for off in offsets]
+
+
+@given(cell_lists(), st.integers(0, 2))
+def test_refined_cells_come_sorted(drawn, more):
+    n, b, m, cells = drawn
+    e = DigitalSet(n, b, m, cells)
+    made = geometry._refined(e.cells, b**more)
+    assert made == sorted(set(product_refined(e.cells, n, b**more)))
+    assert e.refine(m + more).cells == tuple(made)
