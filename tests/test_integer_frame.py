@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fraction_oracles
-from microset import svg
+from microset import covers, svg
 from microset.covers import (
     BallSpec,
     CoverSeq,
@@ -167,6 +167,18 @@ def test_stability_radius_decides_membership_as_the_oracle(case):
     else:
         with pytest.raises(ValueError, match="not a member"):
             ball_stability_radius(k_set, ball, witnesses)
+
+
+@settings(max_examples=150)
+@given(coprime_balls())
+def test_membership_is_no_zero_gap_at_the_witness_bound(case):
+    # valid witnesses: the gap pass at their bound finds a zero gap exactly
+    # when the set is no member, so one pass serves both ball checks
+    k_set, ball, witnesses = case
+    if None in witnesses:
+        return
+    gap, _, _ = covers._outside_gap_sq(k_set, ball, fraction_oracles.witness_bound(ball, witnesses))
+    assert ball_membership(k_set, ball) == (gap != 0)
 
 
 def test_stability_radius_refuses_non_members_with_valid_witnesses():
