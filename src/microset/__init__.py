@@ -48,6 +48,7 @@ _EXPORTS = {
     "GapTable": "dust",
     "GreedyFailure": "covers",
     "HBracket": "geometry",
+    "Negative": "rational",
     "Point": "geometry",
     "SampleSpec": "baire",
     "SplitMix64": "baire",

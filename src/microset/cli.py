@@ -9,8 +9,8 @@ subcommand calls.
 
 Exit codes:
   0  the requested construction or verification succeeded and re-validated
-  1  verified negative: the operation ran and exactly established a "no"
-     (budget violated, not a member, premises refuted, search gave up)
+  1  verified negative, a ``microset.Negative``: the inputs are well formed and
+     their claim is false (budget violated, not a member, premises refuted, search gave up)
   2  usage error or malformed input file
   3  internal invariant failure (a re-validation the library performs on
      its own output did not pass) or any other unexpected exception,
@@ -22,7 +22,7 @@ from __future__ import annotations
 import sys
 
 from . import baire, covers, dust, geometry, serialize, svg
-from .rational import format_scalar, parse_scalar
+from .rational import Negative, format_scalar, parse_scalar
 
 
 def _flag(names: str, kind="path", default=..., count=1, dest=None, help=""):
@@ -30,10 +30,6 @@ def _flag(names: str, kind="path", default=..., count=1, dest=None, help=""):
     if required), count (1, "+" for one or more values, "append" for one per use) and attribute."""
     names = tuple(names.split("/"))
     return names, dest or names[-1].lstrip("-").replace("-", "_"), kind, default, count, help
-
-
-class _Negative(Exception):
-    """Verified-negative outcome: message for stdout, exit code 1."""
 
 
 class _Args:
@@ -126,7 +122,7 @@ def _admissible_spec(args):
     spec = dust.DustSpec(n=args.n, b=args.b, depth=args.depth)
     problem = dust.validate(spec)
     if problem is not None:
-        raise _Negative(f"inadmissible: {problem}")
+        raise Negative(f"inadmissible: {problem}")
     return spec
 
 
@@ -189,20 +185,18 @@ def _cmd_dust_refute(args) -> int:
     # the tree file is loaded, and so fully checked, though only its spec is used
     spec = serialize.load(args.tree, "dusttree/1").spec
     cover = serialize.load(args.cover, "coverseq/1")
-    if cover.n != spec.n:
-        raise ValueError("cover and tree differ in dimension")
     if args.check is not None:
         cert = serialize.load(args.check, "survivor/1")
         try:
             dust.revalidate_survivor(spec, cover, cert)
-        except ValueError as exc:
-            raise _Negative(f"certificate rejected: {exc}") from None
+        except Negative as exc:
+            raise Negative(f"certificate rejected: {exc}") from None
         print(f"certificate re-validated: survivor {list(cert.survivor_word)}")
         return 0
     try:
         cert = dust.survivor_refute(spec, cover)
-    except ValueError as exc:
-        raise _Negative(f"refutation premises not met: {exc}") from None
+    except Negative as exc:
+        raise Negative(f"refutation premises not met: {exc}") from None
     _emit(cert, args.out)
     print(f"survivor {list(cert.survivor_word)} disjoint from the first {cert.checked_prefix} pieces")
     return 0
@@ -218,8 +212,8 @@ def _cmd_cover_verify(args) -> int:
         return 0
     if report.first_violation is not None:
         k, kind = report.first_violation
-        raise _Negative(f"{kind} violation at position {k}")
-    raise _Negative(f"uncovered cell {list(report.uncovered_witness)}")
+        raise Negative(f"{kind} violation at position {k}")
+    raise Negative(f"uncovered cell {list(report.uncovered_witness)}")
 
 
 def _cmd_cover_search(args) -> int:
@@ -227,7 +221,7 @@ def _cmd_cover_search(args) -> int:
     # the search verifies what it emits; a failed check raises AssertionError
     cover = covers.greedy_strong_cover(e, args.eps)
     if isinstance(cover, covers.GreedyFailure):
-        raise _Negative(
+        raise Negative(
             f"{cover.reason} at position {cover.position}"
             f" ({cover.uncovered} cells uncovered)"
         )
@@ -237,34 +231,28 @@ def _cmd_cover_search(args) -> int:
 
 
 def _cmd_cover_merge(args) -> int:
-    if not 0 < args.eps < 1:
-        raise ValueError("--eps must lie strictly between 0 and 1")
     loaded = [serialize.load(path, "coverseq/1") for path in args.covers]
-    if len({(cover.n, cover.strong) for cover in loaded}) > 1:
-        raise ValueError("covers differ in dimension or in kind (strong or not)")
     try:
         merged = covers.merge_covers(loaded, args.eps)
-    except ValueError as exc:
-        raise _Negative(f"merge premises not met: {exc}") from None
+    except Negative as exc:
+        raise Negative(f"merge premises not met: {exc}") from None
     serialize.save(merged, args.out)
     print(f"merged {len(loaded)} covers into {len(merged.pieces)} pieces -> {args.out}")
     return 0
 
 
 def _cmd_ball_check(args) -> int:
+    # witnesses are input, read before any file; given them, the radius pass decides membership too
+    points = [geometry.Point(tuple(parse_scalar(c) for c in text.split(","))) for text in args.witness]
     k_set = serialize.load(args.set_path, "digitalset/1")
     ball = serialize.load(args.ball, "ballspec/1")
-    member = covers.ball_membership(k_set, ball)
-    if not member:
-        raise _Negative("not a member of the open-box union")
-    if args.witness:
-        points = [
-            geometry.Point(tuple(parse_scalar(c) for c in text.split(","))) for text in args.witness
-        ]
+    if points:
         radius = covers.ball_stability_radius(k_set, ball, points)
         print(f"member; stability radius {format_scalar(radius)}")
-    else:
+    elif covers.ball_membership(k_set, ball):
         print("member")
+    else:
+        raise Negative("not a member of the open-box union")
     return 0
 
 
@@ -345,7 +333,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         parsed = _parse(list(sys.argv[1:] if argv is None else argv))
         return 0 if parsed is None else parsed[0](parsed[1])
-    except _Negative as exc:
+    except Negative as exc:
         print(str(exc), file=sys.stderr)
         return 1
     except (ValueError, OSError) as exc:

@@ -40,7 +40,7 @@ from .geometry import (
     _touching_pieces,
     _window,
 )
-from .rational import DEFAULT_PRECISION, pow_lower, pow_upper, root_lower
+from .rational import DEFAULT_PRECISION, Negative, pow_lower, pow_upper, root_lower
 
 
 class CoverSeq(Record):
@@ -282,7 +282,8 @@ def merge_covers(covers: Sequence[CoverSeq], eps: Fraction) -> CoverSeq:
     positions; piece k of cover i then lands at global position
     (k-1)*m + i or earlier, where the eps**position budget holds because
     position <= k*m.  Ragged inputs are compacted, which only ever moves a
-    piece to an earlier (more generous) position.
+    piece to an earlier (more generous) position.  Every dimension and kind
+    is checked before any budget, so only a broken budget is ``Negative``.
     """
     eps = Fraction(eps)
     if not covers:
@@ -293,14 +294,14 @@ def merge_covers(covers: Sequence[CoverSeq], eps: Fraction) -> CoverSeq:
     n = covers[0].n
     strong = covers[0].strong
     strengthened = eps**m
+    if any(cover.n != n for cover in covers):
+        raise ValueError("dimension mismatch between covers")
+    if any(cover.strong != strong for cover in covers):
+        raise ValueError("cannot merge strong with non-strong covers")
     for i, cover in enumerate(covers, start=1):
-        if cover.n != n:
-            raise ValueError("dimension mismatch between covers")
-        if cover.strong != strong:
-            raise ValueError("cannot merge strong with non-strong covers")
         k = cover.first_budget_violation(strengthened)
         if k is not None:
-            raise ValueError(f"cover {i} piece {k} exceeds the strengthened budget")
+            raise Negative(f"cover {i} piece {k} exceeds the strengthened budget")
     layers = itertools.zip_longest(*(cover.pieces for cover in covers))
     pieces = [piece for layer in layers for piece in layer if piece is not None]
     merged = CoverSeq(n=n, eps=eps, strong=strong, pieces=tuple(pieces))
@@ -318,19 +319,18 @@ def _meets(box: tuple, target: tuple) -> bool:
     return all(blo < thi and tlo < bhi for (blo, bhi), (tlo, thi) in zip(box, target))
 
 
-def _outside_faces(target: tuple, boxes: Sequence[tuple]) -> Iterator[tuple]:
+def _outside_faces(target: tuple, live: Sequence[tuple]) -> Iterator[tuple]:
     """Closed faces of target's box-bound arrangement that no box strictly holds.
 
     Target and boxes are per-axis (lo, hi) pairs of even ints on one
     doubled frame, so that every gap midpoint is an int.  Per axis, the
-    pieces are the target's bounds, the bounds of the boxes meeting it that
-    fall strictly inside, and the open gaps between them.  A face takes one
-    piece per axis; strict membership in each box is constant on it, so one
-    sample point (a bound or a gap midpoint) decides it.  The closures of
-    the yielded faces make up target minus the union.  Each face comes as
-    its per-axis (lo, hi) pairs.
+    pieces are the target's bounds, the bounds of the ``live`` boxes (all
+    those meeting it) that fall strictly inside, and the open gaps between
+    them.  A face takes one piece per axis; strict membership in each box
+    is constant on it, so one sample point (a bound or a gap midpoint)
+    decides it.  The closures of the yielded faces make up target minus the
+    union.  Each face comes as its per-axis (lo, hi) pairs.
     """
-    live = [box for box in boxes if _meets(box, target)]
     axes = []
     for axis, (tlo, thi) in enumerate(target):
         inner = {v for box in live for v in box[axis] if tlo < v < thi}
@@ -350,9 +350,10 @@ def _outside_gap_sq(k_set: DigitalSet, ball: BallSpec, bound: Fraction) -> tuple
 
     On the doubled frame 2D, with D a multiple of the bound's denominator,
     each cell gets the boxes whose touching window, widened by
-    ceil(bound * b**m) cells, holds it.  Returns that gap (None with no face,
-    0 at the first zero gap), the frame, and the boxes that meet a cell,
-    each tested with ``_meets`` only until it is met.
+    ceil(bound * b**m) cells, holds it; each of those is tested once with
+    ``_meets`` against the grown cell.  Returns that gap (None with no face,
+    0 at the first zero gap), the frame, and the boxes that meet a grown
+    cell, which at bound 0 is the cell itself.
     """
     scale = k_set.b**k_set.m
     frame = 2 * _frame(ball.boxes, lcm(bound.denominator, scale))
@@ -362,12 +363,13 @@ def _outside_gap_sq(k_set: DigitalSet, ball: BallSpec, bound: Fraction) -> tuple
     for cell, near in zip(k_set.cells, _touching_pieces(k_set.cells, boxes, f, 1 + -(-reach // f))):
         target = _cell_bounds(cell, f)
         grown = tuple((max(lo - reach, 0), min(hi + reach, frame)) for lo, hi in target)
-        for face in _outside_faces(grown, [boxes[h] for h in near]):
+        live = [h for h in near if _meets(boxes[h], grown)]
+        met.update(live)
+        for face in _outside_faces(grown, [boxes[h] for h in live]):
             gap = _box_gap_sq(target, face)
             if gap == 0:
                 return 0, frame, met
             least = gap if least is None else min(least, gap)
-        met.update(h for h in near if h not in met and _meets(boxes[h], target))
     return least, frame, met
 
 
@@ -396,8 +398,8 @@ def ball_stability_radius(k_set: DigitalSet, ball: BallSpec, witnesses: Sequence
     meets the set, so it is a member exactly when its cells lie in the
     union.  A cell point outside the union lies on an outside face of its
     grown cell, at gap 0; conversely a closed face at gap 0 meets the cell
-    in a point that no box strictly holds.  So gap 0 raises the non-member
-    ``ValueError``, after the witness checks.
+    in a point that no box strictly holds.  So gap 0 raises ``Negative``,
+    after the witness checks.
     """
     if k_set.n != ball.n:
         raise ValueError("dimension mismatch")
@@ -423,7 +425,7 @@ def ball_stability_radius(k_set: DigitalSet, ball: BallSpec, witnesses: Sequence
     bound = min(radii, default=Fraction(1))
     near_sq, frame, _ = _outside_gap_sq(k_set, ball, bound)
     if near_sq == 0:
-        raise ValueError("set is not a member of the ball")
+        raise Negative("not a member of the open-box union")
     if near_sq is None or near_sq >= (bound * frame) ** 2:
         return bound
     near_sq = Fraction(near_sq, frame * frame)

@@ -28,7 +28,7 @@ from operator import add, itemgetter
 
 from . import baire, covers
 from .geometry import Box, Record, _frame, _on_frame, _touching_pieces
-from .rational import DEFAULT_PRECISION, pow_upper
+from .rational import DEFAULT_PRECISION, Negative, pow_upper
 
 
 class DustSpec(Record):
@@ -324,15 +324,17 @@ def _examined_prefix(depth: int, piece_count: int) -> int:
 
 
 def _refutation_premises(spec: DustSpec, cover: covers.CoverSeq) -> tuple[int, list]:
-    """Check what the survivor argument assumes; (frame, examined pieces on it), or ValueError.
+    """Check what the survivor argument assumes; (frame, examined pieces on it), or ``Negative``.
 
-    The cover must share the spec's dimension, satisfy its own eps-budget
-    and, piece by piece, the direct gap budget: a piece in bucket j must
-    have measure below level_gap(j) ** n.  Checking the gap budget
-    directly (rather than trusting any chain of inequalities through eps)
-    keeps the premise of the survivor argument explicit and exact.  The
+    The cover must share the spec's dimension (else ValueError), satisfy its
+    own eps-budget and, piece by piece, the direct gap budget: a piece in
+    bucket j must have measure below level_gap(j) ** n.  Checking the gap
+    budget directly (rather than trusting any chain of inequalities through
+    eps) keeps the premise of the survivor argument explicit and exact.  The
     frame is a multiple of the leaf grid's ``scale(depth)``, so every gap is
-    a whole number of its units.
+    a whole number of its units.  Admissibility, factor(j) >= 3, gives
+    d_(j+1) < side_j <= d_j, so the sibling gaps decrease and level_gap(j)
+    is d_j = side_(j-1) - 2 side_j, taken in ints on the frame.
 
     The examined pieces get their own frame; the cover's ``_framed`` takes
     in the later pieces too: with 400 past the 420 examined (n=1, depth 40,
@@ -341,24 +343,24 @@ def _refutation_premises(spec: DustSpec, cover: covers.CoverSeq) -> tuple[int, l
     """
     if cover.n != spec.n:
         raise ValueError("dimension mismatch")
+    _require_admissible(spec)
     if cover.first_budget_violation() is not None:
-        raise ValueError("cover does not satisfy its eps budget")
+        raise Negative("cover does not satisfy its eps budget")
     examined = cover.pieces[: _examined_prefix(spec.depth, len(cover.pieces))]
     frame = _frame(examined, spec.scale(spec.depth))
     pieces = [_on_frame(piece, frame) for piece in examined]
-    gaps = gap_table(spec)
     for j in range(1, spec.depth + 1):
-        budget = int(gaps.level_gap[j - 1] * frame) ** spec.n
+        budget = (frame // spec.scale(j - 1) - 2 * (frame // spec.scale(j))) ** spec.n
         for h in range(_bucket_start(j), min(_bucket_start(j + 1), len(pieces) + 1)):
             if prod(hi - lo for lo, hi in pieces[h - 1]) >= budget:
-                raise ValueError(f"piece {h} is not below the level-{j} gap budget")
+                raise Negative(f"piece {h} is not below the level-{j} gap budget")
     return frame, pieces
 
 
 def survivor_refute(spec: DustSpec, cover: covers.CoverSeq) -> SurvivorCertificate:
     """Survivor chain through the spec's dust against a budgeted cover.
 
-    Raises ValueError when the cover misses a premise of ``_refutation_premises``.
+    Raises ``Negative`` when the cover misses a premise of ``_refutation_premises``.
     A cover that meets them leaves a survivor (``refutation_budget_lower``).
     """
     frame, pieces = _refutation_premises(spec, cover)
@@ -400,7 +402,7 @@ def _survivor_descent(spec: DustSpec, frame: int, pieces: list) -> tuple[tuple[i
 
 
 def revalidate_survivor(spec: DustSpec, cover: covers.CoverSeq, cert: SurvivorCertificate) -> None:
-    """Re-check a certificate from scratch; raises ValueError when anything fails.
+    """Re-check a certificate from scratch; raises ``Negative`` when a claim fails.
 
     The cover must meet the premises ``survivor_refute`` demands.  The
     certificate must carry the spec's depth, the prefix the cover's length
@@ -411,21 +413,21 @@ def revalidate_survivor(spec: DustSpec, cover: covers.CoverSeq, cert: SurvivorCe
     frame, pieces = _refutation_premises(spec, cover)
     _check_survivor(spec, frame, pieces, cert)
     if cert.level_counts != _survivor_descent(spec, frame, pieces)[0]:
-        raise ValueError("certificate level counts differ from the survivor walk")
+        raise Negative("certificate level counts differ from the survivor walk")
 
 
 def _check_survivor(spec: DustSpec, frame: int, pieces: list, cert: SurvivorCertificate) -> None:
     """The certificate's claims about the spec and the examined pieces on their frame, except the counts."""
     if cert.depth != spec.depth:
-        raise ValueError("certificate depth differs from the spec")
+        raise Negative("certificate depth differs from the spec")
     if cert.checked_prefix != len(pieces):
-        raise ValueError("certificate examined a different prefix")
+        raise Negative("certificate examined a different prefix")
     word = cert.survivor_word
     if len(word) != spec.depth or not all(1 <= letter <= 2**spec.n for letter in word):
-        raise ValueError("survivor word does not name a cube")
+        raise Negative("survivor word does not name a cube")
     near = _touching_pieces([_cell_of(spec, word)], pieces, frame // spec.scale(spec.depth))[0]
     if near:
-        raise ValueError(f"survivor touches examined piece {near[0] + 1}")
+        raise Negative(f"survivor touches examined piece {near[0] + 1}")
 
 
 def adversary_swallow(spec: DustSpec, eps: Fraction, count: int) -> covers.CoverSeq:

@@ -24,6 +24,10 @@ from math import isqrt, log2
 DEFAULT_PRECISION = 10**12
 
 
+class Negative(ValueError):
+    """The inputs are well formed and the claim they make is false."""
+
+
 def format_scalar(x: Fraction) -> str:
     """Canonical "num/den" form, denominator always present."""
     x = Fraction(x)

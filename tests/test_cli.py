@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import copy
 import io
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fraction_oracles import cell_boxes
-from microset import covers, dust, serialize
+from microset import cli, covers, dust, serialize
 from microset.cli import _COMMANDS, main
 from microset.covers import BallSpec, CoverReport, CoverSeq
 from microset.dust import (
@@ -588,6 +589,67 @@ def test_descent_without_survivor_is_an_internal_bug(tmp_path, monkeypatch, caps
     monkeypatch.setattr(dust, "_survivor_descent", lambda spec, frame, pieces: ((2, 0), None))
     assert run("dust-refute", "--tree", str(tp), "--cover", str(cp)) == 3
     assert "no survivor on a cover that meets the refutation premises" in capsys.readouterr().err
+
+
+def _contract_files(tmp_path) -> dict:
+    """Paths of small documents for the exit-code contract, by name."""
+    spec = DustSpec(n=1, b=3, depth=2)
+    docs = {
+        "tree": generate(spec),
+        "cover": adversary_swallow(spec, refutation_budget_lower(spec), 2),
+        # cell 13 holds the witness 1/2 of the one box, cell 0 lies outside it
+        "ball": BallSpec(n=1, boxes=(box1(F(2, 5), F(3, 5)),)),
+        "outside": DigitalSet(1, 3, 3, ((0,),)),
+        "straddling": DigitalSet(1, 3, 3, ((0,), (13,))),
+        # piece 1 of the weak cover breaks the strengthened budget (1/2)**2 of a two-cover merge
+        "weak": CoverSeq(n=1, eps=F(1, 2), strong=False, pieces=(box1(0, F(1, 2)),)),
+        "strong": CoverSeq(n=1, eps=F(1, 4), strong=True, pieces=(box1(F(3, 4), 1),)),
+    }
+    paths = {name: tmp_path / f"{name}.json" for name in docs}
+    for name, doc in docs.items():
+        serialize.save(doc, paths[name])
+    return paths
+
+
+def _boom(*args):
+    raise ValueError("boom")
+
+
+@pytest.mark.parametrize("argv, patched, code, err", ids=[
+    "bad-witness", "witness-off-the-set", "non-member", "refuter-error", "merge-error", "mixed-kinds",
+], argvalues=[
+    # witnesses are read before the set, so a bad one is input error whatever the verdict
+    ("ball-check --set {outside} --ball {ball} --witness abc", None, 2, "error: not a rational scalar: 'abc'"),
+    ("ball-check --set {outside} --ball {ball} --witness 1/2", None, 2, "error: witness must lie in the set"),
+    ("ball-check --set {straddling} --ball {ball} --witness 1/2", None, 1, "not a member of the open-box union"),
+    # only a Negative is exit 1: any other ValueError out of the library is exit 2
+    ("dust-refute --tree {tree} --cover {cover}", (dust, "survivor_refute"), 2, "error: boom"),
+    ("cover-merge --covers {cover} {cover} --eps 1/2 -o {out}", (covers, "merge_covers"), 2, "error: boom"),
+    # the kinds are checked before any budget, so mixed input is never read as a broken budget
+    ("cover-merge --covers {weak} {strong} --eps 1/2 -o {out}", None, 2,
+     "error: cannot merge strong with non-strong covers"),
+])
+def test_exit_1_is_exactly_a_negative(tmp_path, monkeypatch, capsys, argv, patched, code, err):
+    paths = _contract_files(tmp_path)
+    if patched is not None:
+        monkeypatch.setattr(*patched, _boom)
+    assert run(*argv.format(**paths, out=tmp_path / "out.json").split()) == code
+    assert capsys.readouterr().err == err + "\n"
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_no_handler_catches_value_error():
+    # main alone maps exceptions to exit codes; a handler may catch only Negative, to prefix it
+    tree = ast.parse(Path(cli.__file__).read_text())
+    caught = [
+        (function.name, node.lineno)
+        for function in tree.body
+        if isinstance(function, ast.FunctionDef) and function.name.startswith("_cmd_")
+        for node in ast.walk(function)
+        if isinstance(node, ast.ExceptHandler) and node.type is not None
+        and "ValueError" in {n.id for n in ast.walk(node.type) if isinstance(n, ast.Name)}
+    ]
+    assert caught == []
 
 
 def test_console_script_in_subprocess(tmp_path):

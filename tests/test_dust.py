@@ -22,7 +22,7 @@ from fraction_oracles import (
 )
 from microset import dust, serialize
 from microset.baire import SplitMix64
-from microset.covers import CoverSeq, verify_cover
+from microset.covers import BallSpec, CoverSeq, ball_stability_radius, merge_covers, verify_cover
 from microset.dust import (
     DustSpec,
     DustTree,
@@ -44,8 +44,8 @@ from microset.dust import (
     survivor_refute,
     validate,
 )
-from microset.geometry import Box, _frame, _in_window, _on_frame, hausdorff_bracket
-from microset.rational import DEFAULT_PRECISION, pow_lower, root_lower, root_upper
+from microset.geometry import Box, DigitalSet, Point, _frame, _in_window, _on_frame, hausdorff_bracket
+from microset.rational import DEFAULT_PRECISION, Negative, pow_lower, root_lower, root_upper
 
 F = Fraction
 
@@ -517,6 +517,64 @@ def test_gap_budget_premise_is_exact_on_the_frame():
     cover = CoverSeq(n=2, eps=F(1, 2), strong=False, pieces=(wider, small))
     with pytest.raises(ValueError, match="^piece 1 is not below the level-2 gap budget$"):
         survivor_refute(spec, cover)
+
+
+@given(
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=3, max_value=7),
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=1, max_value=50),
+)
+def test_integer_gap_budget_is_the_level_gap_budget(n, b, depth, units):
+    # every spec with b >= 3 is admissible: its sibling gaps decrease, so the
+    # running minimum D_j is d_j, and d_j on a multiple of the leaf grid is an int
+    spec = DustSpec(n=n, b=b, depth=depth)
+    table = gap_table(spec)
+    assert table.level_gap == table.sibling_gap
+    frame = units * spec.scale(depth)
+    for j in range(1, depth + 1):
+        budget = (frame // spec.scale(j - 1) - 2 * (frame // spec.scale(j))) ** n
+        assert budget == int(table.level_gap[j - 1] * frame) ** n
+    if depth >= 2:
+        # piece 1 is in bucket 2: a cube of side D_2 breaks its budget, one leaf unit less does not
+        def cube(side):
+            return CoverSeq(n=n, eps=F(1, 2), strong=True, pieces=(Box.cube((0,) * n, side),))
+
+        _refutation_premises(spec, cube(table.level_gap[1] - spec.level_side(depth)))
+        with pytest.raises(Negative, match="^piece 1 is not below the level-2 gap budget$"):
+            _refutation_premises(spec, cube(table.level_gap[1]))
+
+
+def test_every_verified_negative_is_a_negative():
+    # the nine library sites that decide a false claim on well-formed input raise Negative,
+    # a ValueError, so callers that catch ValueError keep working
+    assert issubclass(Negative, ValueError)
+    tree, cover = _swallow_instance(1, 4, 8)
+    spec, cert = tree.spec, survivor_refute(tree.spec, cover)
+    tight = CoverSeq(n=1, eps=F(1, 10**9), strong=True, pieces=cover.pieces)
+    over_gap = CoverSeq(n=1, eps=F(2, 5), strong=False, pieces=(Box(((F(0), F(2, 5)),)),))
+    forged = [
+        (SurvivorCertificate(3, cert.checked_prefix, cert.survivor_word[:3], cert.level_counts[:3]),
+         "depth differs"),
+        (SurvivorCertificate(4, cert.checked_prefix - 1, cert.survivor_word, cert.level_counts), "different prefix"),
+        (SurvivorCertificate(4, cert.checked_prefix, (1, 1, 1, 9), cert.level_counts), "does not name a cube"),
+        (SurvivorCertificate(4, cert.checked_prefix, (1, 1, 1, 1), cert.level_counts), "touches examined piece 1$"),
+        (SurvivorCertificate(4, cert.checked_prefix, cert.survivor_word, (99,) * 4), "level counts differ"),
+    ]
+    weak = CoverSeq(n=1, eps=F(1, 2), strong=False, pieces=(Box(((F(0), F(1, 2)),)),))
+    ball = BallSpec(n=1, boxes=(Box(((F(2, 5), F(3, 5)),)),))
+    straddling = DigitalSet(1, 3, 3, ((0,), (13,)))
+    calls = [
+        (lambda: survivor_refute(spec, tight), "eps budget"),
+        (lambda: survivor_refute(DustSpec(n=1, b=3, depth=3), over_gap), "gap budget"),
+        *((lambda forgery=forgery: revalidate_survivor(spec, cover, forgery), why) for forgery, why in forged),
+        (lambda: merge_covers([weak, weak], F(1, 2)), "exceeds the strengthened budget"),
+        (lambda: ball_stability_radius(straddling, ball, [Point((F(1, 2),))]), "^not a member of the open-box union$"),
+    ]
+    assert len(calls) == 9
+    for call, message in calls:
+        with pytest.raises(Negative, match=message):
+            call()
 
 
 def test_revalidate_rejects_tampered_certificates():
