@@ -67,8 +67,6 @@ _EXPORTS = {
     "hausdorff_measure_upper": "dust",
     "merge_covers": "covers",
     "parse_scalar": "rational",
-    "pow_lower": "rational",
-    "pow_upper": "rational",
     "refutation_budget_lower": "dust",
     "revalidate_survivor": "dust",
     "root_lower": "rational",

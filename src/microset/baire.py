@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from .geometry import DigitalSet, Point, Record, hausdorff_bracket
-from .rational import root_upper
+from .rational import _frac, root_upper
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -55,7 +55,7 @@ class SampleSpec(Record):
     density: Fraction
 
     def __init__(self, seed: int, n: int, b: int, depth: int, density: Fraction):
-        density = Fraction(density)
+        density = _frac(density)
         if not 0 < density <= 1:
             raise ValueError("density must lie in (0, 1]")
         if n < 1 or b < 2 or depth < 0:
@@ -104,7 +104,7 @@ def sample_compact(spec: SampleSpec) -> DigitalSet:
 
 def skeleton_depth(e: DigitalSet, delta: Fraction) -> int:
     """Smallest refinement depth whose half cell diameter is at most delta."""
-    delta = Fraction(delta)
+    delta = _frac(delta)
     if delta <= 0:
         raise ValueError("delta must be positive")
     root_n_up = root_upper(Fraction(e.n), 2)

@@ -40,7 +40,15 @@ from .geometry import (
     _touching_pieces,
     _window,
 )
-from .rational import DEFAULT_PRECISION, Negative, pow_lower, pow_upper, root_lower
+from .rational import DEFAULT_PRECISION, Negative, _frac, root_lower, root_upper
+
+
+def _budget(eps) -> Fraction:
+    """eps as a Fraction, refused unless 0 < eps < 1: the one check of a cover budget."""
+    eps = _frac(eps)
+    if not 0 < eps < 1:
+        raise ValueError("eps must lie strictly between 0 and 1")
+    return eps
 
 
 class CoverSeq(Record):
@@ -60,11 +68,9 @@ class CoverSeq(Record):
     pieces: tuple[Box, ...]
 
     def __init__(self, n: int, eps: Fraction, strong: bool, pieces: Iterable[Box]):
-        eps, pieces = Fraction(eps), tuple(pieces)
+        eps, pieces = _budget(eps), tuple(pieces)
         if n < 1:
             raise ValueError("dimension must be >= 1")
-        if not (0 < eps < 1):
-            raise ValueError("eps must lie strictly between 0 and 1")
         if any(piece.n != n for piece in pieces):
             raise ValueError("piece dimension mismatch")
         self._set(n, eps, strong, pieces)
@@ -207,12 +213,12 @@ def _morton_key(cell: tuple[int, ...], width: int) -> int:
 def _budget_sides(eps: Fraction, n: int) -> Iterator[Fraction]:
     """Per position k = 1, 2, ..., a certified lower enclosure of eps**(k/n).
 
-    The grid enclosure of eps**(k/n) and the k-th power of that of
-    eps**(1/n) are both lower bounds; the larger is kept.
+    The grid enclosure of the n-th root of eps**k and the k-th power of
+    that of eps are both lower bounds; the larger is kept.
     """
-    root_lo = pow_lower(eps, 1, n)
+    root_lo = root_lower(eps, n)
     for k in itertools.count(1):
-        yield max(pow_lower(eps, k, n), root_lo**k)
+        yield max(root_lower(eps**k, n), root_lo**k)
 
 
 def greedy_strong_cover(e: DigitalSet, eps: Fraction) -> CoverSeq | GreedyFailure:
@@ -229,9 +235,7 @@ def greedy_strong_cover(e: DigitalSet, eps: Fraction) -> CoverSeq | GreedyFailur
     no strong cover's sides can span the set's projection on some axis;
     otherwise the result is inconclusive by design.
     """
-    eps = Fraction(eps)
-    if not (0 < eps < 1):
-        raise ValueError("eps must lie strictly between 0 and 1")
+    eps = _budget(eps)
     n, cs, scale = e.n, e.cell_side, e.b**e.m
     width = (scale - 1).bit_length() or 1
     order = iter(sorted(e.cells, key=lambda c: _morton_key(c, width)))
@@ -271,7 +275,7 @@ def _series_upper(eps: Fraction, n: int) -> Fraction:
     than (1-eps)/n, which by concavity is at most 1 - eps**(1/n), so r < 1.
     """
     p, q = eps.numerator, eps.denominator
-    r = pow_upper(eps, 1, n, max(DEFAULT_PRECISION, n * q // (q - p) + 1))
+    r = root_upper(eps, n, max(DEFAULT_PRECISION, n * q // (q - p) + 1))
     return r / (1 - r)
 
 
@@ -285,11 +289,9 @@ def merge_covers(covers: Sequence[CoverSeq], eps: Fraction) -> CoverSeq:
     piece to an earlier (more generous) position.  Every dimension and kind
     is checked before any budget, so only a broken budget is ``Negative``.
     """
-    eps = Fraction(eps)
+    eps = _budget(eps)
     if not covers:
         raise ValueError("need at least one cover")
-    if not (0 < eps < 1):
-        raise ValueError("eps must lie strictly between 0 and 1")
     m = len(covers)
     n = covers[0].n
     strong = covers[0].strong

@@ -28,7 +28,7 @@ from operator import add, itemgetter
 
 from . import baire, covers
 from .geometry import Box, Record, _frame, _on_frame, _touching_pieces
-from .rational import DEFAULT_PRECISION, Negative, pow_upper
+from .rational import DEFAULT_PRECISION, Negative, _frac, root_upper
 
 
 class DustSpec(Record):
@@ -36,8 +36,9 @@ class DustSpec(Record):
 
     The spec fixes the tree, labelling included: child letter t sits in the
     parent corner whose bits are those of t - 1, axis 0 most significant.
-    Admissibility (b large enough for positive gaps) is deliberately left
-    to ``validate`` so that defective parameters remain representable.
+    Admissibility (b large enough for positive gaps) is left to ``validate``,
+    so defective parameters stay representable; each dust operation refuses
+    them with one ``Negative``, from ``_require_admissible``.
     """
 
     n: int
@@ -93,7 +94,7 @@ def validate(spec: DustSpec) -> str | None:
 def _require_admissible(spec: DustSpec) -> None:
     problem = validate(spec)
     if problem is not None:
-        raise ValueError(f"inadmissible dust spec: {problem}")
+        raise Negative(f"inadmissible: {problem}")
 
 
 class DustTree(Record):
@@ -236,21 +237,23 @@ def hausdorff_measure_upper(spec: DustSpec, alpha: Fraction) -> Fraction:
     the alpha-dimensional Hausdorff outer measure; it tends to zero in k
     for every positive alpha, which pins the dimension at zero.
 
-    The side part V_k**(alpha/n) = b**-(grid(k) alpha) is enclosed on a
+    With alpha = a/q, each power is the root of an exact one: n**(a/2)
+    is the 2q-th root of n**a, and the side part V_k**(alpha/n) =
+    b**-(grid(k) alpha), the nq-th root of V_k**a, is enclosed on a
     grid b**ceil(grid(k) alpha) times finer than ``DEFAULT_PRECISION``, so
     each enclosed factor exceeds its value by a relative error of at most
     1/DEFAULT_PRECISION, and the bound exceeds the true product by a factor
     below 1 + 3/DEFAULT_PRECISION.
     """
-    alpha = Fraction(alpha)
+    alpha = _frac(alpha)
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     k = spec.depth
     a, q = alpha.numerator, alpha.denominator
     count = Fraction(2 ** (spec.n * k))
-    diam_scale = pow_upper(Fraction(spec.n), a, 2 * q)
+    diam_scale = root_upper(Fraction(spec.n**a), 2 * q)
     side_grid = DEFAULT_PRECISION * spec.b ** ceil(spec.grid(k) * alpha)
-    side_part = pow_upper(spec.level_volume(k), a, q * spec.n, side_grid)
+    side_part = root_upper(spec.level_volume(k) ** a, q * spec.n, side_grid)
     return count * diam_scale * side_part
 
 
@@ -435,9 +438,10 @@ def adversary_swallow(spec: DustSpec, eps: Fraction, count: int) -> covers.Cover
 
     Piece h is the largest admissible cube (side a lower enclosure of
     eps**(h/n), capped at the leaf side) anchored at the next untouched
-    leaf cube's corner.
+    leaf cube's corner.  The budget and the spec are checked before any side is formed.
     """
-    eps = Fraction(eps)
+    eps = covers._budget(eps)
+    _require_admissible(spec)
     leaf_side = spec.level_side(spec.depth)
     pieces = []
     for h, side in enumerate(itertools.islice(covers._budget_sides(eps, spec.n), count)):
@@ -447,8 +451,9 @@ def adversary_swallow(spec: DustSpec, eps: Fraction, count: int) -> covers.Cover
 
 
 def adversary_random(spec: DustSpec, eps: Fraction, count: int, seed: int) -> covers.CoverSeq:
-    """Seeded adversary placing budget-tight cubes near random leaf cubes."""
-    eps = Fraction(eps)
+    """Seeded adversary placing budget-tight cubes near random leaf cubes; checked first as the swallow one is."""
+    eps = covers._budget(eps)
+    _require_admissible(spec)
     rng = baire.SplitMix64(seed)
     leaf_side = spec.level_side(spec.depth)
     pieces = []

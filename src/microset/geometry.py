@@ -31,15 +31,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
 
-from .rational import DEFAULT_PRECISION, root_lower, root_upper
-
-
-def _frac(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, float):
-        raise TypeError("floats are not accepted; use Fraction")
-    return Fraction(value)
+from .rational import DEFAULT_PRECISION, _frac, root_lower, root_upper
 
 
 class Record:

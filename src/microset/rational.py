@@ -6,14 +6,15 @@ on one integer grid.  The only irrational values that ever arise are roots
 (Euclidean norms, side budgets ``eps**(k/n)``), and those are always
 returned as certified rational enclosures: ``root_lower`` never exceeds
 the true root, ``root_upper`` never falls below it.  No floats participate
-in any verdict.
+in any verdict: ``_frac``, the intake of every scalar, refuses a float.
 
 Enclosures are reported on the grid ``1/prec``.  The grid is no caller
 option: operations outside this module start at ``DEFAULT_PRECISION``
 (10**12) and refine it only where their quantity needs a finer one (a
 series ratio that must clear a bound, a bracket's width cap, a measure
 bound's relative slack, a positive radius).  When the requested root is
-itself rational the exact value is returned regardless of ``prec``.
+itself rational the exact value is returned regardless of ``prec``.  A
+power x**(p/q) is enclosed as the root of an exact power, ``root_lower(x**p, q)``.
 """
 
 from __future__ import annotations
@@ -28,9 +29,18 @@ class Negative(ValueError):
     """The inputs are well formed and the claim they make is false."""
 
 
+def _frac(value) -> Fraction:
+    """An exact scalar as a Fraction; a float is refused, never converted."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, float):
+        raise TypeError("floats are not accepted; use Fraction")
+    return Fraction(value)
+
+
 def format_scalar(x: Fraction) -> str:
     """Canonical "num/den" form, denominator always present."""
-    x = Fraction(x)
+    x = _frac(x)
     return f"{x.numerator}/{x.denominator}"
 
 
@@ -105,22 +115,3 @@ def root_lower(x: Fraction, r: int, prec: int = DEFAULT_PRECISION) -> Fraction:
 def root_upper(x: Fraction, r: int, prec: int = DEFAULT_PRECISION) -> Fraction:
     """Rational upper bound of x**(1/r); exact when the root is rational."""
     return _root(x, r, prec, upper=True)
-
-
-def _pow(x: Fraction, num: int, den: int, prec: int, upper: bool) -> Fraction:
-    """x**(num/den) for x > 0, directed as ``_root`` is."""
-    if x <= 0:
-        raise ValueError("base must be positive")
-    if num % den == 0:
-        return x ** (num // den)
-    return _root(x**num, den, prec, upper)
-
-
-def pow_lower(x: Fraction, num: int, den: int, prec: int = DEFAULT_PRECISION) -> Fraction:
-    """Certified lower bound of x**(num/den) for x > 0."""
-    return _pow(x, num, den, prec, upper=False)
-
-
-def pow_upper(x: Fraction, num: int, den: int, prec: int = DEFAULT_PRECISION) -> Fraction:
-    """Certified upper bound of x**(num/den) for x > 0."""
-    return _pow(x, num, den, prec, upper=True)

@@ -14,8 +14,11 @@ invariants in ``__init__``, and a table field the class does not store is
 a claim the loader compares with the built object, as a cover report's
 flags are.  ``dusttree/1`` alone has its own pair: its loader rebuilds the
 tree from its spec with ``generate`` and refuses any other document.
-Every failure is a ``ValueError``, and a class module runs only when a
-document of its schema is decoded.
+Every failure is a ``ValueError`` and none a ``Negative``: the verdict
+``generate`` gives on an inadmissible spec makes a tree file malformed.
+A set's cells must come in the strictly increasing order it stores, so
+every document that loads saves back to its own canonical bytes.  A
+class module runs only when a document of its schema is decoded.
 
 ``_parts`` writes a document with one ``json.dumps`` call unless a
 top-level list holds more than ``_BLOCK`` items, as a large set's cells or
@@ -48,7 +51,7 @@ from pathlib import Path
 from typing import Iterator
 
 from . import dust, geometry
-from .rational import format_scalar
+from .rational import Negative, format_scalar
 
 
 _BLOCK = 1024  # items of a long top-level list that one encoder call writes
@@ -170,8 +173,16 @@ def _load_violation(data) -> tuple:
 
 _INT, _BOOL, _RATIONAL = (int, _int), (bool, _bool), (format_scalar, _rational)
 _INTS, _RATIONALS = _list(_INT), _list(_RATIONAL)
+def _load_cells(data) -> tuple:
+    """Cells as a file lists them, in the strictly increasing order a set stores and writes."""
+    cells = _list(_INTS)[1](data)
+    if not all(map(tuple.__lt__, cells, cells[1:])):
+        raise ValueError("digitalset/1 cells must be listed in strictly increasing order")
+    return cells
+
+
 # a digital set's cells are int tuples by construction, so its rows are written as stored
-_CELLS = (lambda cells: cells), _list(_INTS)[1]
+_CELLS = (lambda cells: cells), _load_cells
 _dump_intervals, _load_intervals = _list(_RATIONALS)
 _BOXES = _list(((lambda box: _dump_intervals(box.intervals)), _load_box))
 
@@ -242,7 +253,10 @@ def dusttree_from_json(data: dict) -> dust.DustTree:
         for k, level in enumerate(levels, start=1)
     ):
         raise ValueError("dusttree/1 levels do not have the spec's cube counts")
-    tree = dust.generate(dust.DustSpec(n=n, b=_int(data["b"]), depth=depth))
+    try:
+        tree = dust.generate(dust.DustSpec(n=n, b=_int(data["b"]), depth=depth))
+    except Negative as exc:  # no dust-generate writes a tree on an inadmissible spec
+        raise ValueError(f"dusttree/1 spec is {exc}") from None
     # == holds between 1, 1.0 and True, so the letters' type is checked apart
     letters = chain(data["corner_order"], *(entry["word"] for level in levels for entry in level))
     if dusttree_to_json(tree) != data or any(type(t) is not int for t in letters):
@@ -306,7 +320,7 @@ def load(path: str | Path, schema: str | None = None):
 def _parsed(path: str | Path, schema: str | None) -> dict:
     try:
         data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # the decoder recurses once per nested list
         raise ValueError(f"{path}: not valid JSON ({exc})") from exc
     if schema is not None and (not isinstance(data, dict) or data.get("schema") != schema):
         raise ValueError(f"{path}: expected a {schema} document")

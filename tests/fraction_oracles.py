@@ -28,7 +28,7 @@ from fractions import Fraction
 from math import ceil, floor
 
 from microset.geometry import Box, DigitalSet, Point
-from microset.rational import DEFAULT_PRECISION, pow_upper, root_lower
+from microset.rational import DEFAULT_PRECISION, root_lower, root_upper
 
 
 def sides(box):
@@ -291,12 +291,12 @@ def series_upper(eps, num, den, terms):
     grid is refined until r < 1.
     """
     prec = DEFAULT_PRECISION
-    r = pow_upper(eps, num, den, prec)
+    r = root_upper(eps**num, den, prec)
     while r >= 1:
         prec *= 10
-        r = pow_upper(eps, num, den, prec)
+        r = root_upper(eps**num, den, prec)
     partial = sum(
-        (min(pow_upper(eps, num * k, den, prec), r**k) for k in range(1, terms + 1)),
+        (min(root_upper(eps ** (num * k), den, prec), r**k) for k in range(1, terms + 1)),
         Fraction(0),
     )
     return partial + r ** (terms + 1) / (1 - r)

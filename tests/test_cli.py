@@ -1051,12 +1051,7 @@ def _replace(doc, path, value):
 
 
 def _saves_back(loaded, doc) -> bool:
-    """Whether saving the loaded object writes the document, byte for byte.
-
-    The one record that normalises is the digital set, whose cells are kept sorted and distinct.
-    """
-    if doc["schema"] == "digitalset/1":
-        doc = {**doc, "cells": sorted(map(list, {tuple(cell) for cell in doc["cells"]}))}
+    """Whether saving the loaded object writes the document, byte for byte."""
     return serialize.canonical_bytes(serialize.to_json(loaded)) == serialize.canonical_bytes(doc)
 
 
@@ -1140,3 +1135,53 @@ def test_every_schema_loads_then_saves_byte_identically(data):
         return
     assert _saves_back(loaded, doc)
     assert serialize.from_json(serialize.to_json(loaded)) == loaded
+
+
+_CELL_ORDERS = {"cells-increasing": [[0], [2]], "cells-out-of-order": [[2], [0], [0]]}
+
+
+@pytest.mark.parametrize("case", [*serialize._SCHEMAS, *_CELL_ORDERS])
+def test_every_document_that_loads_saves_back_to_its_canonical_bytes(tmp_path, capsys, case):
+    docs = _valid_documents()
+    doc = docs[case] if case in docs else {**docs["digitalset/1"], "cells": _CELL_ORDERS[case]}
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    try:
+        loaded = serialize.load(path)
+    except ValueError:
+        # a set whose cells come out of order is malformed, not re-sorted
+        assert doc["cells"] == [[2], [0], [0]]
+        coverp = tmp_path / "cover.json"
+        serialize.save(CoverSeq(n=1, eps=F(1, 2), strong=False, pieces=(box1(0, 1),)), coverp)
+        assert run("cover-verify", "--set", str(path), "--cover", str(coverp)) == 2
+        assert capsys.readouterr().err == "error: digitalset/1 cells must be listed in strictly increasing order\n"
+        return
+    assert _saves_back(loaded, doc)
+
+
+def test_deeply_nested_file_is_malformed_input(tmp_path, capsys):
+    # the decoder recurses once per nested list; 5,000 of them are input error, not an internal one
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 5000)
+    assert run("ball-check", "--set", str(nested), "--ball", str(nested)) == 2
+    assert run("dust-refute", "--tree", str(nested), "--cover", str(nested)) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(line.startswith(f"error: {nested}: not valid JSON") for line in err)
+
+
+def test_exact_outputs_longer_than_the_int_digit_limit(tmp_path, capsys):
+    # 3**-10000 has 4,772 digits, past the 4,300 that CPython converts by default
+    short, long = tmp_path / "short.json", tmp_path / "long.json"
+    assert run("dust-gaps", "--n", "1", "--b", "3", "--depth", "100") == 0
+    assert run("dust-hmeasure", "--n", "1", "--b", "3", "--alpha", "1", "--k", "100") == 0
+    assert run("dust-adversary", "--n", "1", "--b", "3", "--depth", "100", "--count", "3", "-o", str(short)) == 0
+    assert run("dust-adversary", "--n", "1", "--b", "3", "--depth", "40", "--count", "2400", "-o", str(long)) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 103 and len(lines[-3]) > 4300
+    assert serialize.load(short) == adversary_swallow(DustSpec(1, 3, 100), F(1, 81), 3)
+    # the cover reads back in a fresh process too: its first piece misses most of the cell
+    setp = tmp_path / "set.json"
+    serialize.save(DigitalSet(1, 3, 1, ((0,),)), setp)
+    proc = subprocess.run([sys.executable, "-m", "microset", "cover-verify", "--set", str(setp), "--cover", str(short)],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (1, "uncovered cell [0]\n")

@@ -22,7 +22,7 @@ from microset.covers import (
     verify_cover,
 )
 from microset.geometry import Box, DigitalSet, Point, _frame, _on_frame, _window
-from microset.rational import pow_lower, pow_upper, root_lower
+from microset.rational import root_lower, root_upper
 
 F = Fraction
 
@@ -303,10 +303,10 @@ def test_greedy_ends_within_one_position_per_cell(n, b, depth, density, seed, ep
 def test_side_budget_sum_near_one_derives_its_grid(n):
     # on the default grid eps**(1/n) rounds up to 1; the derived grid keeps r < 1
     eps = 1 - F(1, 10**13)
-    assert pow_upper(eps, 1, n) == 1
+    assert root_upper(eps, n) == 1
     total = covers._series_upper(eps, n)
     assert total > 0
-    assert total >= sum(pow_lower(eps, k, n) for k in range(1, 301))
+    assert total >= sum(root_lower(eps**k, n) for k in range(1, 301))
 
 
 def test_side_budget_sum_exact_values():
@@ -328,7 +328,7 @@ def test_side_budget_sum_monotone_in_terms(eps, n, terms):
     b = fraction_oracles.series_upper(eps, 1, n, terms + 1)
     assert b <= a <= covers._series_upper(eps, n)
     # always an upper bound for the true partial sum it encloses
-    partial_lower = sum(pow_lower(eps, k, n) for k in range(1, terms + 1))
+    partial_lower = sum(root_lower(eps**k, n) for k in range(1, terms + 1))
     assert a >= partial_lower
 
 

@@ -45,7 +45,7 @@ from microset.dust import (
     validate,
 )
 from microset.geometry import Box, DigitalSet, Point, _frame, _in_window, _on_frame, hausdorff_bracket
-from microset.rational import DEFAULT_PRECISION, Negative, pow_lower, root_lower, root_upper
+from microset.rational import DEFAULT_PRECISION, Negative, root_lower, root_upper
 
 F = Fraction
 
@@ -153,6 +153,27 @@ def test_generate_plane_level_two_structure():
 def test_generate_rejects_inadmissible():
     with pytest.raises(ValueError):
         generate(DustSpec(n=2, b=2, depth=1))
+
+
+@pytest.mark.parametrize(
+    "operation",
+    [generate, gap_table, refutation_budget_lower,
+     lambda spec: adversary_swallow(spec, F(1, 2), 2), lambda spec: adversary_random(spec, F(1, 2), 2, 7)],
+    ids=["generate", "gap_table", "refutation_budget_lower", "adversary_swallow", "adversary_random"],
+)
+def test_an_inadmissible_spec_is_one_verdict_everywhere(operation):
+    # b = 2 gives delta_1 = 0: every dust operation on it gives the verdict the command line exits 1 with
+    with pytest.raises(Negative, match="^inadmissible: delta_1 = 0 is not positive$"):
+        operation(DustSpec(1, 2, 3))
+
+
+@pytest.mark.parametrize("adversary", [adversary_swallow, lambda *args: adversary_random(*args, 7)],
+                         ids=["swallow", "random"])
+def test_adversaries_refuse_a_bad_eps_before_forming_a_side(adversary):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="eps must lie strictly between 0 and 1"):
+        adversary(DustSpec(2, 3, 3), F(3, 2), 200_000)
+    assert time.perf_counter() - start < 1
 
 
 def test_default_corner_order_stays_implicit():
@@ -357,7 +378,7 @@ def _random_budget_box(rng: SplitMix64, n: int, cap: F) -> Box:
     for s in sides:
         vol *= s
     if vol > cap:
-        shrink = pow_lower(cap / vol, 1, n)
+        shrink = root_lower(cap / vol, n)
         sides = [s * shrink for s in sides]
     ivs = []
     for s in sides:
@@ -619,10 +640,10 @@ def _swallow_from_cubes(tree, eps, count):
     # the adversary as first written, over the box view of every leaf
     spec = tree.spec
     leaves = [box for _, box in level_boxes(tree, spec.depth)]
-    root_lo = pow_lower(eps, 1, spec.n, DEFAULT_PRECISION)
+    root_lo = root_lower(eps, spec.n, DEFAULT_PRECISION)
     pieces = []
     for h in range(1, count + 1):
-        budget_side = max(pow_lower(eps, h, spec.n, DEFAULT_PRECISION), root_lo**h)
+        budget_side = max(root_lower(eps**h, spec.n, DEFAULT_PRECISION), root_lo**h)
         target = leaves[(h - 1) % len(leaves)]
         side = min(budget_side, sides(target)[0])
         pieces.append(Box.cube(tuple(lo for lo, _ in target.intervals), side))
@@ -633,10 +654,10 @@ def _random_from_cubes(tree, eps, count, seed):
     spec = tree.spec
     rng = SplitMix64(seed)
     leaves = [box for _, box in level_boxes(tree, spec.depth)]
-    root_lo = pow_lower(eps, 1, spec.n, DEFAULT_PRECISION)
+    root_lo = root_lower(eps, spec.n, DEFAULT_PRECISION)
     pieces = []
     for h in range(1, count + 1):
-        budget_side = max(pow_lower(eps, h, spec.n, DEFAULT_PRECISION), root_lo**h)
+        budget_side = max(root_lower(eps**h, spec.n, DEFAULT_PRECISION), root_lo**h)
         target = leaves[rng.next() % len(leaves)]
         side = min(budget_side, sides(target)[0]) * F(rng.next() % 512 + 512, 1024)
         corner = []

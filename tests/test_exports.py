@@ -20,6 +20,16 @@ def test_all_lists_exactly_the_imported_names():
         assert getattr(microset, name) is defined, name
 
 
+def test_each_input_rule_has_one_owner():
+    # the float refusal, the admissibility verdict and the power enclosure are each written once
+    from microset import cli, geometry, rational
+
+    assert geometry._frac is rational._frac
+    assert not hasattr(cli, "_admissible_spec")
+    for name in ("_pow", "pow_lower", "pow_upper"):
+        assert not hasattr(rational, name) and name not in microset._EXPORTS
+
+
 def test_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError):
         microset.no_such_name

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from microset import baire, covers, dust
+from microset.geometry import DigitalSet
 from microset.rational import (
     format_scalar,
     int_nth_root,
     parse_scalar,
-    pow_lower,
-    pow_upper,
     root_lower,
     root_upper,
 )
@@ -116,8 +116,9 @@ def test_irrational_root_strictly_brackets():
 
 @given(positive_fractions, st.integers(min_value=-6, max_value=6), st.integers(min_value=1, max_value=4))
 def test_pow_enclosure_brackets(x, num, den):
-    lo = pow_lower(x, num, den)
-    hi = pow_upper(x, num, den)
+    # x**(num/den) is enclosed as the den-th root of the exact power x**num
+    lo = root_lower(x**num, den)
+    hi = root_upper(x**num, den)
     assert lo <= hi
     # x**(num/den) lies between: compare den-th powers of the enclosure
     assert lo**den <= x**num
@@ -125,15 +126,45 @@ def test_pow_enclosure_brackets(x, num, den):
 
 
 def test_pow_integer_exponents_exact():
-    assert pow_lower(Fraction(2, 3), 3, 1) == Fraction(8, 27)
-    assert pow_upper(Fraction(2, 3), 3, 1) == Fraction(8, 27)
-    assert pow_lower(Fraction(2, 3), -2, 1) == Fraction(9, 4)
+    assert root_lower(Fraction(2, 3) ** 3, 1) == Fraction(8, 27)
+    assert root_upper(Fraction(2, 3) ** 3, 1) == Fraction(8, 27)
+    assert root_lower(Fraction(2, 3) ** -2, 1) == Fraction(9, 4)
+    assert root_upper(Fraction(2, 3) ** 6, 3, prec=10) == Fraction(4, 9)
 
 
 def test_pow_exact_fractional_case():
     # (1/16)**(1/2) hits the exact-root path
-    assert pow_lower(Fraction(1, 16), 1, 2) == Fraction(1, 4)
-    assert pow_upper(Fraction(1, 16), 1, 2) == Fraction(1, 4)
+    assert root_lower(Fraction(1, 16), 2) == Fraction(1, 4)
+    assert root_upper(Fraction(1, 16), 2) == Fraction(1, 4)
+
+
+def _parent_pow(x, p, q, prec, upper):
+    """x**(p/q) as the removed ``pow_lower``/``pow_upper`` computed it, from ``int_nth_root`` alone.
+
+    An exponent that q divides was taken exactly; otherwise x**p got its q-th
+    root, exact when both of its terms are q-th powers, else floor or floor
+    plus one of x**(p/q) * prec, over prec.
+    """
+    if p % q == 0:
+        return x ** (p // q)
+    y = x**p
+    (rp, ok_p), (rq, ok_q) = int_nth_root(y.numerator, q), int_nth_root(y.denominator, q)
+    if ok_p and ok_q:
+        return Fraction(rp, rq)
+    a, _ = int_nth_root(y.numerator * prec**q // y.denominator, q)
+    return Fraction(a + upper, prec)
+
+
+@given(
+    positive_fractions | st.builds(pow, positive_fractions, st.integers(1, 4)),
+    st.integers(min_value=-6, max_value=6),
+    st.integers(min_value=1, max_value=4),
+    st.sampled_from([1, 10, 10**12, 7**20]),
+)
+def test_root_of_exact_power_is_the_power_enclosure(x, p, q, prec):
+    # the removed shortcut for q | p returned what the exact-root path finds
+    assert root_lower(x**p, q, prec) == _parent_pow(x, p, q, prec, upper=False)
+    assert root_upper(x**p, q, prec) == _parent_pow(x, p, q, prec, upper=True)
 
 
 def test_root_rejects_bad_arguments():
@@ -145,6 +176,28 @@ def test_root_rejects_bad_arguments():
         int_nth_root(-1, 3)
     with pytest.raises(ValueError, match="prec"):
         root_lower(Fraction(2), 2, 0)
-    for base in (Fraction(0), Fraction(-1, 2)):
-        with pytest.raises(ValueError, match="base must be positive"):
-            pow_upper(base, 1, 2)
+    with pytest.raises(ValueError, match="negative scalar"):
+        root_upper(Fraction(-1, 2), 2)
+    assert root_upper(Fraction(0), 2) == 0
+
+
+_ONE_CELL = DigitalSet(1, 3, 1, ((0,),))
+_SCALAR_INTAKES = {
+    "CoverSeq": lambda x: covers.CoverSeq(n=1, eps=x, strong=False, pieces=()),
+    "greedy_strong_cover": lambda x: covers.greedy_strong_cover(_ONE_CELL, x),
+    "merge_covers": lambda x: covers.merge_covers([covers.CoverSeq(1, Fraction(1, 2), False, ())], x),
+    "hausdorff_measure_upper": lambda x: dust.hausdorff_measure_upper(dust.DustSpec(1, 3, 2), x),
+    "adversary_swallow": lambda x: dust.adversary_swallow(dust.DustSpec(1, 3, 2), x, 2),
+    "adversary_random": lambda x: dust.adversary_random(dust.DustSpec(1, 3, 2), x, 2, 7),
+    "SampleSpec": lambda x: baire.SampleSpec(seed=1, n=1, b=3, depth=1, density=x),
+    "skeleton_depth": lambda x: baire.skeleton_depth(_ONE_CELL, x),
+    "format_scalar": format_scalar,
+}
+
+
+@pytest.mark.parametrize("intake", sorted(_SCALAR_INTAKES))
+def test_every_scalar_intake_refuses_a_float(intake):
+    # 0.1 is 3602879701896397/36028797018963968, not the tenth it spells; the exact tenth is taken
+    with pytest.raises(TypeError, match="floats are not accepted"):
+        _SCALAR_INTAKES[intake](0.1)
+    _SCALAR_INTAKES[intake](Fraction(1, 10))
