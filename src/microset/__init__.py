@@ -31,33 +31,33 @@ def _lazy(name: str):
     return module
 
 
-rational, geometry, covers, dust, baire, serialize, svg = map(
-    _lazy, ("rational", "geometry", "covers", "dust", "baire", "serialize", "svg")
+rational, cells, geometry, covers, ball, dust, baire, serialize, svg = map(
+    _lazy, ("rational", "cells", "geometry", "covers", "ball", "dust", "baire", "serialize", "svg")
 )
 
 # each exported name and the submodule that defines it
 _EXPORTS = {
-    "BallSpec": "covers",
-    "Box": "geometry",
+    "BallSpec": "ball",
+    "Box": "cells",
     "CoverReport": "covers",
-    "CoverSeq": "covers",
+    "CoverSeq": "cells",
     "DEFAULT_PRECISION": "rational",
-    "DigitalSet": "geometry",
+    "DigitalSet": "cells",
     "DustSpec": "dust",
     "DustTree": "dust",
     "GapTable": "dust",
     "GreedyFailure": "covers",
     "HBracket": "geometry",
     "Negative": "rational",
-    "Point": "geometry",
+    "Point": "cells",
     "SampleSpec": "baire",
     "SplitMix64": "baire",
     "SurvivorCertificate": "dust",
     "adversary_random": "dust",
     "adversary_swallow": "dust",
-    "ball_membership": "covers",
-    "ball_stability_radius": "covers",
-    "covers_box": "geometry",
+    "ball_membership": "ball",
+    "ball_stability_radius": "ball",
+    "covers_box": "covers",
     "finite_skeleton": "baire",
     "format_scalar": "rational",
     "gap_table": "dust",

@@ -23,7 +23,8 @@ import itertools
 from fractions import Fraction
 from typing import Iterator
 
-from .geometry import DigitalSet, Point, Record, hausdorff_bracket
+from . import geometry
+from .cells import DigitalSet, Point, Record
 from .rational import _frac, root_upper
 
 _MASK = (1 << 64) - 1
@@ -125,7 +126,7 @@ def finite_skeleton(e: DigitalSet, delta: Fraction) -> list[Point]:
     """
     depth = skeleton_depth(e, delta)
     fine = e.refine(depth)
-    if hausdorff_bracket(e, fine, depth).hi > delta:
+    if geometry.hausdorff_bracket(e, fine, depth).hi > delta:
         raise AssertionError("skeleton bracket exceeded delta")
     half = Fraction(1, 2 * fine.b**fine.m)
     return [

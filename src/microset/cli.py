@@ -7,10 +7,8 @@ byte-identical outputs.  A handler checks only what the command line adds
 matches the flags) and counts what it prints: every rule on a value, such
 as the float refusal, the eps range or dust admissibility, is checked once
 in the library, and ``main`` maps its exceptions to the exit codes below.
-``main`` also lifts the interpreter's limit on the digits of an int read
-or written as text, so exact outputs of any length round-trip.  Library
-modules are bound at the top but registered lazily by the package, so a
-process runs only the modules its subcommand calls.
+Library modules are bound at the top but registered lazily by the
+package, so a process runs only the modules its subcommand calls.
 
 Exit codes:
   0  the requested construction or verification succeeded and re-validated
@@ -26,7 +24,7 @@ from __future__ import annotations
 
 import sys
 
-from . import baire, covers, dust, geometry, serialize, svg
+from . import baire, ball, cells, covers, dust, geometry, serialize, svg
 from .rational import Negative, format_scalar, parse_scalar
 
 
@@ -236,13 +234,13 @@ def _cmd_cover_merge(args) -> int:
 
 def _cmd_ball_check(args) -> int:
     # witnesses are input, read before any file; given them, the radius pass decides membership too
-    points = [geometry.Point(tuple(parse_scalar(c) for c in text.split(","))) for text in args.witness]
+    points = [cells.Point(tuple(parse_scalar(c) for c in text.split(","))) for text in args.witness]
     k_set = serialize.load(args.set_path, "digitalset/1")
-    ball = serialize.load(args.ball, "ballspec/1")
+    union = serialize.load(args.ball, "ballspec/1")
     if points:
-        radius = covers.ball_stability_radius(k_set, ball, points)
+        radius = ball.ball_stability_radius(k_set, union, points)
         print(f"member; stability radius {format_scalar(radius)}")
-    elif covers.ball_membership(k_set, ball):
+    elif ball.ball_membership(k_set, union):
         print("member")
     else:
         raise Negative("not a member of the open-box union")
@@ -323,10 +321,8 @@ _COMMANDS = {  # subcommand -> (help, flags, handler)
 
 
 def main(argv: list[str] | None = None) -> int:
-    if hasattr(sys, "set_int_max_str_digits"):  # the limit came with 3.10.7 and 3.11
-        sys.set_int_max_str_digits(0)  # a gap table at depth 100 writes a 4,772-digit denominator
     try:
-        parsed = _parse(list(sys.argv[1:] if argv is None else argv))
+        parsed = _parse(sys.argv[1:] if argv is None else argv)
         return 0 if parsed is None else parsed[0](parsed[1])
     except Negative as exc:
         print(str(exc), file=sys.stderr)

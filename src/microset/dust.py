@@ -9,10 +9,11 @@ every sufficiently tight cover-budget claim.
 
 A level-k cube is one closed cell of the b**grid(k) grid; ``DustSpec.grid``
 is the only place the growth k*k is written, and ``_children`` the only
-place a letter picks a corner.  Every dust algorithm takes the spec: the
-refuter, its checker and the adversaries place the cells they need from it.
-A ``DustTree`` holds the integer cells of every level, and is built only
-where one is written, loaded or drawn.
+place a letter picks a corner, whose steps ``_leaf_cells`` sums for a
+leaf.  Every dust algorithm takes the spec: the refuter, its checker and
+the adversaries place the cells they need from it.  A ``DustTree`` holds
+the integer cells of every level, and is built only where one is
+written, loaded or drawn.
 
 All verdicts are exact.  The only enclosures are the roots inside
 ``hausdorff_measure_upper`` and the adversaries' budget sides, each
@@ -26,8 +27,8 @@ from fractions import Fraction
 from math import ceil, prod
 from operator import add, itemgetter
 
-from . import baire, covers
-from .geometry import Box, Record, _frame, _on_frame, _touching_pieces
+from . import baire
+from .cells import Box, CoverSeq, Record, _budget, _budget_sides, _frame, _on_frame, _touching_pieces
 from .rational import DEFAULT_PRECISION, Negative, _frac, root_upper
 
 
@@ -166,10 +167,19 @@ def _cell_of(spec: DustSpec, word: tuple[int, ...]) -> tuple[int, ...]:
     return family[0][1]
 
 
-def _leaf_cell(spec: DustSpec, i: int) -> tuple[int, ...]:
-    """Cell of leaf i mod 2**(n*depth) in word order: letters are i's base-2**n digits plus 1."""
+def _leaf_cells(spec: DustSpec):
+    """The map from i to the cell of leaf i mod 2**(n*depth) in word order; each level's step is formed once.
+
+    Leaf i's letters are its base-2**n digits plus 1, so bit n*(depth-k) +
+    n-1-axis of i is the corner bit that letter k takes on that axis in
+    ``_children``.  A set bit puts the child factor(k) - 1 level-k cells
+    along, which is the level-(k-1) side less the level-k side, in leaf
+    cells; a leaf's index on an axis is the sum of the steps of its set bits.
+    """
     n, depth = spec.n, spec.depth
-    return _cell_of(spec, tuple((i >> n * (depth - k)) % 2**n + 1 for k in range(1, depth + 1)))
+    side = [spec.b ** (spec.grid(depth) - spec.grid(k)) for k in range(depth + 1)]  # level k's, in leaf cells
+    steps = [(side[k - 1] - side[k], n * (depth - k) + n - 1) for k in range(1, depth + 1)]
+    return lambda i: tuple(sum(step for step, bit in steps if i >> (bit - axis) & 1) for axis in range(n))
 
 
 def generate(spec: DustSpec) -> DustTree:
@@ -326,7 +336,7 @@ def _examined_prefix(depth: int, piece_count: int) -> int:
     return min(piece_count, _bucket_start(depth + 1) - 1)
 
 
-def _refutation_premises(spec: DustSpec, cover: covers.CoverSeq) -> tuple[int, list]:
+def _refutation_premises(spec: DustSpec, cover: CoverSeq) -> tuple[int, list]:
     """Check what the survivor argument assumes; (frame, examined pieces on it), or ``Negative``.
 
     The cover must share the spec's dimension (else ValueError), satisfy its
@@ -360,7 +370,7 @@ def _refutation_premises(spec: DustSpec, cover: covers.CoverSeq) -> tuple[int, l
     return frame, pieces
 
 
-def survivor_refute(spec: DustSpec, cover: covers.CoverSeq) -> SurvivorCertificate:
+def survivor_refute(spec: DustSpec, cover: CoverSeq) -> SurvivorCertificate:
     """Survivor chain through the spec's dust against a budgeted cover.
 
     Raises ``Negative`` when the cover misses a premise of ``_refutation_premises``.
@@ -404,7 +414,7 @@ def _survivor_descent(spec: DustSpec, frame: int, pieces: list) -> tuple[tuple[i
     return tuple(counts), min(leaves, default=None)
 
 
-def revalidate_survivor(spec: DustSpec, cover: covers.CoverSeq, cert: SurvivorCertificate) -> None:
+def revalidate_survivor(spec: DustSpec, cover: CoverSeq, cert: SurvivorCertificate) -> None:
     """Re-check a certificate from scratch; raises ``Negative`` when a claim fails.
 
     The cover must meet the premises ``survivor_refute`` demands.  The
@@ -433,36 +443,36 @@ def _check_survivor(spec: DustSpec, frame: int, pieces: list, cert: SurvivorCert
         raise Negative(f"survivor touches examined piece {near[0] + 1}")
 
 
-def adversary_swallow(spec: DustSpec, eps: Fraction, count: int) -> covers.CoverSeq:
+def adversary_swallow(spec: DustSpec, eps: Fraction, count: int) -> CoverSeq:
     """Budget-tight adversary that eats leaf cubes in word order.
 
     Piece h is the largest admissible cube (side a lower enclosure of
     eps**(h/n), capped at the leaf side) anchored at the next untouched
     leaf cube's corner.  The budget and the spec are checked before any side is formed.
     """
-    eps = covers._budget(eps)
+    eps = _budget(eps)
     _require_admissible(spec)
-    leaf_side = spec.level_side(spec.depth)
+    leaf_side, leaf_cell = spec.level_side(spec.depth), _leaf_cells(spec)
     pieces = []
-    for h, side in enumerate(itertools.islice(covers._budget_sides(eps, spec.n), count)):
-        cell = _leaf_cell(spec, h)
+    for h, side in enumerate(itertools.islice(_budget_sides(eps, spec.n), count)):
+        cell = leaf_cell(h)
         pieces.append(Box.cube(tuple(j * leaf_side for j in cell), min(side, leaf_side)))
-    return covers.CoverSeq(n=spec.n, eps=eps, strong=True, pieces=tuple(pieces))
+    return CoverSeq(n=spec.n, eps=eps, strong=True, pieces=tuple(pieces))
 
 
-def adversary_random(spec: DustSpec, eps: Fraction, count: int, seed: int) -> covers.CoverSeq:
+def adversary_random(spec: DustSpec, eps: Fraction, count: int, seed: int) -> CoverSeq:
     """Seeded adversary placing budget-tight cubes near random leaf cubes; checked first as the swallow one is."""
-    eps = covers._budget(eps)
+    eps = _budget(eps)
     _require_admissible(spec)
     rng = baire.SplitMix64(seed)
-    leaf_side = spec.level_side(spec.depth)
+    leaf_side, leaf_cell = spec.level_side(spec.depth), _leaf_cells(spec)
     pieces = []
-    for budget_side in itertools.islice(covers._budget_sides(eps, spec.n), count):
-        cell = _leaf_cell(spec, rng.next())
+    for budget_side in itertools.islice(_budget_sides(eps, spec.n), count):
+        cell = leaf_cell(rng.next())
         side = min(budget_side, leaf_side) * Fraction(rng.next() % 512 + 512, 1024)
         corner = []
         for j in cell:
             wiggle = (leaf_side - side) * Fraction(rng.next() % 1024, 1024)
             corner.append(min(j * leaf_side + wiggle, 1 - side))
         pieces.append(Box.cube(tuple(corner), side))
-    return covers.CoverSeq(n=spec.n, eps=eps, strong=True, pieces=tuple(pieces))
+    return CoverSeq(n=spec.n, eps=eps, strong=True, pieces=tuple(pieces))

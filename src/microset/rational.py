@@ -15,14 +15,24 @@ series ratio that must clear a bound, a bracket's width cap, a measure
 bound's relative slack, a positive radius).  When the requested root is
 itself rational the exact value is returned regardless of ``prec``.  A
 power x**(p/q) is enclosed as the root of an exact power, ``root_lower(x**p, q)``.
+
+An exact value of any length goes to text and back: every scalar the
+package writes or reads passes through this module, or through
+``serialize``, which imports it, so the interpreter's limit on the digits
+of an int converted to or from text is lifted here, once, when this module
+first runs.  A gap table at depth 100 writes a 4,772-digit denominator.
 """
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import isqrt, log2
 
 DEFAULT_PRECISION = 10**12
+
+if hasattr(sys, "set_int_max_str_digits"):  # the limit came with 3.10.7 and 3.11
+    sys.set_int_max_str_digits(0)
 
 
 class Negative(ValueError):

@@ -50,7 +50,7 @@ from math import gcd
 from pathlib import Path
 from typing import Iterator
 
-from . import dust, geometry
+from . import cells, dust
 from .rational import Negative, format_scalar
 
 
@@ -161,8 +161,8 @@ def _optional(codec):
     return (lambda v: None if v is None else dump(v)), (lambda data: None if data is None else load(data))
 
 
-def _load_box(data) -> geometry.Box:
-    return geometry.Box(_load_intervals(data))
+def _load_box(data) -> cells.Box:
+    return cells.Box(_load_intervals(data))
 
 
 def _load_violation(data) -> tuple:
@@ -189,10 +189,10 @@ _BOXES = _list(((lambda box: _dump_intervals(box.intervals)), _load_box))
 # schema -> (class import path, {field: codec}); a field the class does not
 # store is a claim checked against the built object
 _SCHEMAS = {
-    "digitalset/1": ("microset.geometry.DigitalSet", {
+    "digitalset/1": ("microset.cells.DigitalSet", {
         "n": _INT, "b": _INT, "m": _INT, "cells": _CELLS,
     }),
-    "coverseq/1": ("microset.covers.CoverSeq", {
+    "coverseq/1": ("microset.cells.CoverSeq", {
         "n": _INT, "eps": _RATIONAL, "strong": _BOOL, "pieces": _BOXES,
     }),
     "coverreport/1": ("microset.covers.CoverReport", {
@@ -201,7 +201,7 @@ _SCHEMAS = {
         "first_violation": _optional((list, _load_violation)),
         "uncovered_witness": _optional(_INTS),
     }),
-    "ballspec/1": ("microset.covers.BallSpec", {"n": _INT, "boxes": _BOXES}),
+    "ballspec/1": ("microset.ball.BallSpec", {"n": _INT, "boxes": _BOXES}),
     # read and written by its own pair, dusttree_from_json and dusttree_to_json
     "dusttree/1": ("microset.dust.DustTree", dict.fromkeys(("n", "b", "depth", "corner_order", "levels"))),
     "gaptable/1": ("microset.dust.GapTable", {

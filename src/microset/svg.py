@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from . import covers, dust
+from . import cells, dust
 
 CANVAS = 1000
 PLACES = 6
@@ -66,7 +66,7 @@ def render_dust(tree: dust.DustTree) -> str:
     return _document(body)
 
 
-def render_cover(cover: covers.CoverSeq) -> str:
+def render_cover(cover: cells.CoverSeq) -> str:
     """Boxes of a planar cover in sequence order, translucent."""
     if cover.n != 2:
         raise ValueError("SVG rendering is available for n = 2 only")

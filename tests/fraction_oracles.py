@@ -16,6 +16,9 @@ the largest budget its gap premises admit up to a depth.  ``series_upper`` bound
 ``sum_k eps**(num*k/den)`` by a prefix of per-term enclosures plus a
 geometric tail; the library keeps only its tail, ``covers._series_upper``.
 
+``leaf_cell`` places a leaf by the letter walk ``dust._cell_of``, one
+level's factor at a time, where the adversaries sum per-level steps.
+
 ``sides``, ``volume``, ``vertices``, ``cell_box``, ``cell_boxes``,
 ``level_boxes`` and ``level_digital`` are the ``Fraction`` views of boxes,
 digital sets and dust levels that only tests read.  ``svg_rect`` draws a
@@ -27,7 +30,8 @@ import itertools
 from fractions import Fraction
 from math import ceil, floor
 
-from microset.geometry import Box, DigitalSet, Point
+from microset.cells import Box, DigitalSet, Point
+from microset.dust import _cell_of
 from microset.rational import DEFAULT_PRECISION, root_lower, root_upper
 
 
@@ -300,3 +304,9 @@ def series_upper(eps, num, den, terms):
         Fraction(0),
     )
     return partial + r ** (terms + 1) / (1 - r)
+
+
+def leaf_cell(spec, i):
+    """Cell of leaf i mod 2**(n*depth) in word order: letters are i's base-2**n digits plus 1."""
+    n, depth = spec.n, spec.depth
+    return _cell_of(spec, tuple((i >> n * (depth - k)) % 2**n + 1 for k in range(1, depth + 1)))

@@ -13,16 +13,9 @@ from fractions import Fraction
 from fraction_oracles import bucket, cell_boxes, dist_sq, hit_rows, level_boxes, sides, vertices, volume
 from microset import covers, dust, serialize
 from microset.baire import SplitMix64
-from microset.covers import (
-    BallSpec,
-    CoverSeq,
-    GreedyFailure,
-    ball_membership,
-    ball_stability_radius,
-    greedy_strong_cover,
-    merge_covers,
-    verify_cover,
-)
+from microset.ball import BallSpec, ball_membership, ball_stability_radius
+from microset.cells import Box, CoverSeq, DigitalSet, Point
+from microset.covers import GreedyFailure, greedy_strong_cover, merge_covers, verify_cover
 from microset.dust import (
     DustSpec,
     SurvivorCertificate,
@@ -35,12 +28,7 @@ from microset.dust import (
     revalidate_survivor,
     survivor_refute,
 )
-from microset.geometry import (
-    Box,
-    DigitalSet,
-    Point,
-    hausdorff_bracket,
-)
+from microset.geometry import hausdorff_bracket
 from microset.rational import root_upper
 
 F = Fraction

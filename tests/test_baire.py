@@ -18,7 +18,8 @@ from microset.baire import (
     sample_compact,
     skeleton_depth,
 )
-from microset.geometry import DigitalSet, Point, hausdorff_bracket
+from microset.cells import DigitalSet, Point
+from microset.geometry import hausdorff_bracket
 
 F = Fraction
 GOLDEN = Path(__file__).parent / "golden" / "sample_n2_b3_d3_p10_seed42.json"
@@ -145,10 +146,10 @@ def test_skeleton_bracket_check_holds_under_optimize():
     # python -O strips assert statements; the certificate check must still raise
     code = "\n".join([
         "from fractions import Fraction",
-        "from microset import baire",
-        "from microset.geometry import DigitalSet, HBracket",
-        "wide = HBracket(Fraction(1), Fraction(1), 0, Fraction(1))",
-        "baire.hausdorff_bracket = lambda *args: wide",
+        "from microset import baire, geometry",
+        "from microset.cells import DigitalSet",
+        "wide = geometry.HBracket(Fraction(1), Fraction(1), 0, Fraction(1))",
+        "geometry.hausdorff_bracket = lambda *args: wide",
         "try:",
         "    baire.finite_skeleton(DigitalSet(1, 3, 1, ((0,),)), Fraction(1, 6))",
         "except AssertionError as exc:",

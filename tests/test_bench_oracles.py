@@ -5,9 +5,16 @@ disjointness and centre distances from first principles, without importing
 ``microset``.  It is read here as source and executed into a fresh module,
 so no bytecode is written next to it, and the library is compared against
 it on small random specs and sets.
+
+``perfbench/layers.py`` credits traced time to functions by their
+``<module>.<function>`` names; a name that no longer resolves leaves its
+metric at 0 with no error.  Its tables are read here with ``ast`` and each
+name is looked up in the package.
 """
 
 import ast
+import importlib
+import inspect
 import types
 from fractions import Fraction
 from pathlib import Path
@@ -25,6 +32,34 @@ _INPUTS = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
 _SOURCE = _INPUTS.read_text()
 oracles = types.ModuleType("perfbench_inputs")
 exec(compile(_SOURCE, str(_INPUTS), "exec"), oracles.__dict__)
+
+_LAYERS = _INPUTS.with_name("layers.py")
+
+# traced names that resolve to no function, each with why; their metrics read 0
+UNTRACED = {
+    "geometry.dist_sq": "removed from the package as a test-only export once the dust checks ran on integer cells",
+    "geometry.covers_box": "covers_box is defined in covers, and no package code calls it: verify_cover asks "
+                           "the integer core _covers once per cell",
+}
+
+
+def test_every_traced_layer_name_is_a_function_of_its_module():
+    tables = {
+        node.targets[0].id: ast.literal_eval(node.value)
+        for node in ast.parse(_LAYERS.read_text()).body
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+        and node.targets[0].id in ("_SHARE", "_SECONDS")
+    }
+    assert tables.keys() == {"_SHARE", "_SECONDS"}
+    unresolved = []
+    for name in sorted({name for table in tables.values() for name in table.values()}):
+        module, function = name.split(".")
+        home = f"microset.{module}"
+        value = getattr(importlib.import_module(home), function, None)
+        if not (inspect.isfunction(value) and value.__module__ == home):
+            unresolved.append(name)
+    assert unresolved == sorted(UNTRACED)
+
 
 # deepest level per dimension: at most 512 leaves
 _MAX_DEPTH = {1: 5, 2: 4, 3: 3}

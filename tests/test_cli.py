@@ -16,8 +16,10 @@ from hypothesis import strategies as st
 
 from fraction_oracles import cell_boxes
 from microset import cli, covers, dust, serialize
+from microset.ball import BallSpec
+from microset.cells import Box, CoverSeq, DigitalSet
 from microset.cli import _COMMANDS, main
-from microset.covers import BallSpec, CoverReport, CoverSeq
+from microset.covers import CoverReport
 from microset.dust import (
     DustSpec,
     adversary_random,
@@ -27,7 +29,7 @@ from microset.dust import (
     refutation_budget_lower,
     survivor_refute,
 )
-from microset.geometry import Box, DigitalSet, hausdorff_bracket
+from microset.geometry import hausdorff_bracket
 from microset.rational import format_scalar, parse_scalar
 
 F = Fraction
@@ -1185,3 +1187,31 @@ def test_exact_outputs_longer_than_the_int_digit_limit(tmp_path, capsys):
     proc = subprocess.run([sys.executable, "-m", "microset", "cover-verify", "--set", str(setp), "--cover", str(short)],
                           capture_output=True, text=True)
     assert (proc.returncode, proc.stderr) == (1, "uncovered cell [0]\n")
+
+
+# each runs in a fresh process that never calls cli.main, from a plain library import
+_SERIALIZE_ALONE = {
+    "load": "table = serialize.load(sys.argv[1])\n"
+            "assert table == gap_table(DustSpec(n=1, b=3, depth=100))\n"
+            "assert bytes(serialize.save(table, sys.argv[2])) == Path(sys.argv[1]).read_bytes()\n",
+    "save": "serialize.save(gap_table(DustSpec(n=1, b=3, depth=100)), sys.argv[2])\n"
+            "assert Path(sys.argv[2]).read_bytes() == Path(sys.argv[1]).read_bytes()\n"
+            "assert serialize.load(sys.argv[2]) == gap_table(DustSpec(n=1, b=3, depth=100))\n",
+}
+
+
+@pytest.mark.parametrize("first", sorted(_SERIALIZE_ALONE))
+def test_long_documents_the_cli_writes_round_trip_through_serialize_alone(tmp_path, first):
+    # the gap table at depth 100 holds a 4,772-digit denominator, past CPython's default of 4,300
+    written, again = tmp_path / "big.json", tmp_path / "again.json"
+    argv = ["dust-gaps", "--n", "1", "--b", "3", "--depth", "100", "-o", str(written)]
+    assert subprocess.run([sys.executable, "-m", "microset", *argv], capture_output=True).returncode == 0
+    code = (
+        "import sys\n"
+        "from pathlib import Path\n"
+        "from microset import serialize\n"
+        "from microset.dust import DustSpec, gap_table\n"
+    ) + _SERIALIZE_ALONE[first]
+    proc = subprocess.run([sys.executable, "-c", code, str(written), str(again)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert again.read_bytes() == written.read_bytes()

@@ -15,7 +15,9 @@ from hypothesis import strategies as st
 
 import argparse_oracle
 from microset import cli, serialize
-from microset.covers import BallSpec, CoverSeq, greedy_strong_cover
+from microset.ball import BallSpec
+from microset.cells import Box, CoverSeq, DigitalSet
+from microset.covers import greedy_strong_cover
 from microset.dust import (
     DustSpec,
     adversary_swallow,
@@ -24,7 +26,6 @@ from microset.dust import (
     refutation_budget_lower,
     survivor_refute,
 )
-from microset.geometry import Box, DigitalSet
 
 F = Fraction
 ROOT = Path(__file__).resolve().parent.parent

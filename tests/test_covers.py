@@ -8,20 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fraction_oracles
-from microset import covers, geometry, serialize
+from microset import ball, cells, covers, serialize
 from microset.baire import SampleSpec, sample_compact
-from microset.covers import (
-    BallSpec,
-    CoverReport,
-    CoverSeq,
-    GreedyFailure,
-    ball_membership,
-    ball_stability_radius,
-    greedy_strong_cover,
-    merge_covers,
-    verify_cover,
-)
-from microset.geometry import Box, DigitalSet, Point, _frame, _on_frame, _window
+from microset.ball import BallSpec, ball_membership, ball_stability_radius
+from microset.cells import Box, CoverSeq, DigitalSet, Point, _frame, _on_frame, _window
+from microset.covers import CoverReport, GreedyFailure, greedy_strong_cover, merge_covers, verify_cover
 from microset.rational import root_lower, root_upper
 
 F = Fraction
@@ -57,7 +48,7 @@ def test_coverseq_strong_requires_cubes():
 
 def test_a_cover_is_put_on_its_frame_once(monkeypatch):
     calls = []
-    monkeypatch.setattr(covers, "_frame", lambda *args: calls.append(args) or _frame(*args))
+    monkeypatch.setattr(cells, "_frame", lambda *args: calls.append(args) or _frame(*args))
     thirds = tuple(box1(F(j, 3), F(j + 1, 3)) for j in range(3))
     for strong in (False, True):
         cover = CoverSeq(n=1, eps=F(1, 2), strong=strong, pieces=thirds)
@@ -615,7 +606,7 @@ def balls_with_witnesses(draw):
     ]
     witnesses = []
     for box in boxes:
-        inside = sorted({p for p in grid if covers._strictly_inside(Point(p), box)})
+        inside = sorted({p for p in grid if ball._strictly_inside(Point(p), box)})
         witnesses.append(Point(draw(st.sampled_from(inside))) if inside else None)
     return k_set, BallSpec(n=n, boxes=tuple(boxes)), witnesses
 
@@ -650,13 +641,13 @@ def test_stability_radius_scales_to_200_diagonal_boxes(monkeypatch):
     pad = F(1, 4 * s)
     cells = tuple((2 * i + 1, 2 * i + 1) for i in range(200))
     k_set = DigitalSet(2, 3, 6, cells)
-    ball = BallSpec(
+    union = BallSpec(
         n=2, boxes=tuple(Box(tuple((F(j, s) - pad, F(j + 1, s) + pad) for j in c)) for c in cells)
     )
     witnesses = [Point(tuple(F(2 * j + 1, 2 * s) for j in c)) for c in cells]
     # each exact cell-to-face distance counts; the arrangement needs 9,600
     calls = 0
-    exact = covers._box_gap_sq
+    exact = ball._box_gap_sq
 
     def counting(*args):
         nonlocal calls
@@ -665,21 +656,21 @@ def test_stability_radius_scales_to_200_diagonal_boxes(monkeypatch):
             raise AssertionError("too many exact distance evaluations")
         return exact(*args)
 
-    monkeypatch.setattr(covers, "_box_gap_sq", counting)
+    monkeypatch.setattr(ball, "_box_gap_sq", counting)
     # each grown cell is handed the boxes of its widened integer window
     # (three here), not all 200: about 1,000 box-meets-target tests in all,
     # where testing every box against every grown cell took 40,400
     meets = 0
-    exact_meets = covers._meets
+    exact_meets = ball._meets
 
     def counting_meets(*args):
         nonlocal meets
         meets += 1
         return exact_meets(*args)
 
-    monkeypatch.setattr(covers, "_meets", counting_meets)
+    monkeypatch.setattr(ball, "_meets", counting_meets)
     start = time.perf_counter()
-    assert ball_stability_radius(k_set, ball, witnesses) == F(1, 2916)
+    assert ball_stability_radius(k_set, union, witnesses) == F(1, 2916)
     assert time.perf_counter() - start < 0.5
     assert 0 < calls < 20_000
     assert meets < 2_000
@@ -694,7 +685,7 @@ def test_thin_cover_of_1200_intervals_splits_once_per_inner_bound(monkeypatch):
     e = DigitalSet(1, 3, 2, ((4,),))
     cover = CoverSeq(n=1, eps=F(999, 1000), strong=True, pieces=tuple(pieces))
     splits = tests = contains = 0
-    crossing, holds = geometry._crossing, geometry._contains
+    crossing, holds = covers._crossing, covers._contains
 
     def counting(live, lo, hi):
         nonlocal splits, tests
@@ -708,8 +699,8 @@ def test_thin_cover_of_1200_intervals_splits_once_per_inner_bound(monkeypatch):
         contains += 1
         return holds(*args)
 
-    monkeypatch.setattr(geometry, "_crossing", counting)
-    monkeypatch.setattr(geometry, "_contains", counting_holds)
+    monkeypatch.setattr(covers, "_crossing", counting)
+    monkeypatch.setattr(covers, "_contains", counting_holds)
     start = time.perf_counter()
     assert verify_cover(e, cover).ok
     assert time.perf_counter() - start < 1

@@ -13,6 +13,7 @@ from fraction_oracles import (
     dist_sq,
     hit_rows,
     intersect_count,
+    leaf_cell,
     level_boxes,
     level_digital,
     premise_budget,
@@ -22,16 +23,18 @@ from fraction_oracles import (
 )
 from microset import dust, serialize
 from microset.baire import SplitMix64
-from microset.covers import BallSpec, CoverSeq, ball_stability_radius, merge_covers, verify_cover
+from microset.ball import BallSpec, ball_stability_radius
+from microset.cells import Box, CoverSeq, DigitalSet, Point, _frame, _in_window, _on_frame
+from microset.covers import merge_covers, verify_cover
 from microset.dust import (
     DustSpec,
     DustTree,
     SurvivorCertificate,
-    _check_survivor,
     _cell_of,
+    _check_survivor,
     _check_tree,
     _examined_prefix,
-    _leaf_cell,
+    _leaf_cells,
     _refutation_premises,
     _survivor_descent,
     adversary_random,
@@ -44,7 +47,7 @@ from microset.dust import (
     survivor_refute,
     validate,
 )
-from microset.geometry import Box, DigitalSet, Point, _frame, _in_window, _on_frame, hausdorff_bracket
+from microset.geometry import hausdorff_bracket
 from microset.rational import DEFAULT_PRECISION, Negative, root_lower, root_upper
 
 F = Fraction
@@ -908,9 +911,18 @@ def test_cell_of_a_word_matches_the_built_tree(data):
     word, cell = tree.levels[depth - 1][i]
     assert _cell_of(spec, word) == cell
     # leaf i's letters are its base-2**n digits plus 1, read modulo the leaf count
-    assert _leaf_cell(spec, i) == _leaf_cell(spec, i + leaves * data.draw(st.integers(0, 9))) == cell
+    place = _leaf_cells(spec)
+    assert place(i) == place(i + leaves * data.draw(st.integers(0, 9))) == cell
     for k in range(1, depth + 1):
         assert _cell_of(spec, word[:k]) == dict(tree.levels[k - 1])[word[:k]]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 3), st.integers(3, 7), st.integers(1, 6), st.integers(0, 2**64 - 1))
+def test_leaf_steps_place_each_leaf_as_the_letter_walk_does(n, b, depth, i):
+    # the adversaries' leaf cells, read from 64-bit draws, against one level's factor at a time
+    spec = DustSpec(n=n, b=b, depth=depth)
+    assert _leaf_cells(spec)(i) == leaf_cell(spec, i)
 
 
 def test_refuter_and_adversaries_read_only_the_spec():

@@ -22,9 +22,9 @@ def test_all_lists_exactly_the_imported_names():
 
 def test_each_input_rule_has_one_owner():
     # the float refusal, the admissibility verdict and the power enclosure are each written once
-    from microset import cli, geometry, rational
+    from microset import cells, cli, rational
 
-    assert geometry._frac is rational._frac
+    assert cells._frac is rational._frac
     assert not hasattr(cli, "_admissible_spec")
     for name in ("_pow", "pow_lower", "pow_upper"):
         assert not hasattr(rational, name) and name not in microset._EXPORTS
@@ -46,7 +46,7 @@ def test_fresh_import_runs_no_submodule():
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     ).stdout
-    registered = ("baire", "covers", "dust", "geometry", "rational", "serialize", "svg")
+    registered = ("baire", "ball", "cells", "covers", "dust", "geometry", "rational", "serialize", "svg")
     assert out.splitlines() == ["microset True"] + [f"microset.{name} False" for name in registered]
 
 

@@ -33,9 +33,9 @@ import pytest
 import microset
 from fraction_oracles import cell_boxes
 from microset import serialize
-from microset.covers import BallSpec, CoverSeq
+from microset.ball import BallSpec
+from microset.cells import Box, CoverSeq, DigitalSet
 from microset.dust import DustSpec, adversary_swallow, generate, survivor_refute
-from microset.geometry import Box, DigitalSet
 
 BASE = {"cli", "rational"}
 
@@ -54,33 +54,39 @@ runpy.run_module("microset", run_name="__main__", alter_sys=True)
 # filled from the docs fixture; the modules beyond BASE whose code runs)
 PINS = {
     "--help": ("--help", set()),
-    "hausdorff": ("hausdorff --a {set} --b {other} --depth 2", {"geometry", "serialize"}),
+    "hausdorff": ("hausdorff --a {set} --b {other} --depth 2", {"cells", "geometry", "serialize"}),
     "baire-sample": ("baire-sample --n 2 --b 3 --depth 2 --density 1/2 --seed 1 -o {tmp}/sample.json",
-                     {"geometry", "serialize", "baire"}),
-    "dust-generate": ("dust-generate --n 2 --b 3 --depth 2 -o {tmp}/generated.json",
-                      {"geometry", "serialize", "dust"}),
-    "dust-gaps": ("dust-gaps --n 2 --b 3 --depth 2", {"geometry", "dust"}),
-    "dust-gaps --tree": ("dust-gaps --n 2 --b 3 --depth 2 --tree {tree}", {"geometry", "serialize", "dust"}),
-    "dust-hmeasure": ("dust-hmeasure --n 1 --b 3 --alpha 1 --k 3", {"geometry", "dust"}),
-    "dust-refute": ("dust-refute --tree {tree} --cover {cover} -o {tmp}/refuted.json",
-                    {"geometry", "serialize", "dust", "covers"}),
-    "dust-refute --check": ("dust-refute --tree {tree} --cover {cover} --check {cert}",
-                            {"geometry", "serialize", "dust", "covers"}),
+                     {"cells", "serialize", "baire"}),
+    "dust-generate": ("dust-generate --n 2 --b 3 --depth 2 -o {tmp}/generated.json", {"cells", "serialize", "dust"}),
+    "dust-gaps": ("dust-gaps --n 2 --b 3 --depth 2", {"cells", "dust"}),
+    "dust-gaps --tree": ("dust-gaps --n 2 --b 3 --depth 2 --tree {tree}", {"cells", "serialize", "dust"}),
+    "dust-hmeasure": ("dust-hmeasure --n 1 --b 3 --alpha 1 --k 3", {"cells", "dust"}),
+    "dust-refute": ("dust-refute --tree {tree} --cover {cover} -o {tmp}/refuted.json", {"cells", "serialize", "dust"}),
+    "dust-refute --check": ("dust-refute --tree {tree} --cover {cover} --check {cert}", {"cells", "serialize", "dust"}),
     # with a seed, adversary_random draws from baire's SplitMix64; without one, the cover swallows
     "dust-adversary": ("dust-adversary --n 2 --b 3 --depth 2 --count 3 -o {tmp}/swallow.json",
-                       {"geometry", "serialize", "dust", "covers"}),
+                       {"cells", "serialize", "dust"}),
     "dust-adversary --seed": ("dust-adversary --n 2 --b 3 --depth 2 --count 3 --seed 1 -o {tmp}/random.json",
-                              {"geometry", "serialize", "dust", "covers", "baire"}),
-    "cover-verify": ("cover-verify --set {set} --cover {full}", {"geometry", "serialize", "covers"}),
-    "cover-search": ("cover-search --set {set} --eps 1/2", {"geometry", "serialize", "covers"}),
+                              {"cells", "serialize", "dust", "baire"}),
+    "cover-verify": ("cover-verify --set {set} --cover {full}", {"cells", "serialize", "covers"}),
+    "cover-search": ("cover-search --set {set} --eps 1/2", {"cells", "serialize", "covers"}),
     "cover-merge": ("cover-merge --covers {cover} {cover} --eps 1/1000 -o {tmp}/merged.json",
-                    {"geometry", "serialize", "covers"}),
-    "ball-check": ("ball-check --set {other} --ball {ball}", {"geometry", "serialize", "covers"}),
-    "ball-check --witness": ("ball-check --set {other} --ball {ball} --witness 1/2,1/2",
-                             {"geometry", "serialize", "covers"}),
-    "render-svg --tree": ("render-svg --tree {tree} -o {tmp}/tree.svg", {"geometry", "serialize", "dust", "svg"}),
-    "render-svg --cover": ("render-svg --cover {cover} -o {tmp}/cover.svg",
-                           {"geometry", "serialize", "covers", "svg"}),
+                    {"cells", "serialize", "covers"}),
+    "ball-check": ("ball-check --set {other} --ball {ball}", {"cells", "serialize", "ball"}),
+    "ball-check --witness": ("ball-check --set {other} --ball {ball} --witness 1/2,1/2", {"cells", "serialize", "ball"}),
+    "render-svg --tree": ("render-svg --tree {tree} -o {tmp}/tree.svg", {"cells", "serialize", "dust", "svg"}),
+    "render-svg --cover": ("render-svg --cover {cover} -o {tmp}/cover.svg", {"cells", "serialize", "svg"}),
+}
+
+# invocations -> the algorithm modules none of them runs: a dust certificate needs no
+# coverage core and no Hausdorff bracket, a cover check no bracket and no ball pass, a
+# ball check no coverage core, and a sample no bracket
+APART = {
+    ("dust-generate", "dust-refute", "dust-refute --check", "dust-gaps", "dust-hmeasure", "dust-adversary"):
+        {"covers", "geometry"},
+    ("cover-verify", "cover-search"): {"geometry", "ball"},
+    ("ball-check",): {"covers"},
+    ("baire-sample",): {"geometry"},
 }
 
 
@@ -125,7 +131,7 @@ def test_help_loads_only_the_parser(docs):
     assert_pinned("--help", docs)
 
 
-def test_hausdorff_loads_no_class_module_beyond_geometry(docs):
+def test_hausdorff_loads_the_bracket_and_no_other_family(docs):
     assert_pinned("hausdorff", docs)
 
 
@@ -158,6 +164,13 @@ def test_every_other_invocation_loads_only_what_it_runs(docs, invocation):
     assert_pinned(invocation, docs)
 
 
+@pytest.mark.parametrize("invocations, apart", APART.items(), ids=[group[0] for group in APART])
+def test_each_family_runs_apart_from_the_others(invocations, apart):
+    # the pins above are checked against real runs, so these hold of the processes too
+    for invocation in invocations:
+        assert not PINS[invocation][1] & apart, invocation
+
+
 def _imports_the_package(node: ast.Import | ast.ImportFrom) -> bool:
     if isinstance(node, ast.ImportFrom):
         return node.level > 0 or node.module.partition(".")[0] == "microset"
@@ -165,15 +178,18 @@ def _imports_the_package(node: ast.Import | ast.ImportFrom) -> bool:
 
 
 def test_module_level_imports_follow_the_layering():
-    # eager `from .x import name` imports form rational <- geometry <- {covers, dust, baire};
+    # eager `from .x import name` imports form rational <- cells <- {geometry, covers, ball, dust, baire};
     # every other use of a package module goes through a `from . import x` binding at the top,
     # which costs nothing until the lazily registered module is first read
+    shared = {"cells", "rational"}
     eager = {
         "rational": set(),
-        "geometry": {"rational"},
-        "covers": {"geometry", "rational"},
-        "dust": {"geometry", "rational"},
-        "baire": {"geometry", "rational"},
+        "cells": {"rational"},
+        "geometry": shared,
+        "covers": shared,
+        "ball": shared,
+        "dust": shared,
+        "baire": shared,
         "serialize": {"rational"},
         "svg": set(),
         "cli": {"rational"},

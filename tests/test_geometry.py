@@ -12,9 +12,11 @@ from hypothesis import strategies as st
 
 import fraction_oracles
 from fraction_oracles import cell_box, dist_sq, sides, volume
-from microset import geometry
+from microset import cells, covers, geometry
 from microset.baire import SampleSpec, sample_compact
-from microset.geometry import Box, DigitalSet, HBracket, Point, covers_box, hausdorff_bracket
+from microset.cells import Box, DigitalSet, Point
+from microset.covers import covers_box
+from microset.geometry import HBracket, hausdorff_bracket
 
 F = Fraction
 
@@ -183,7 +185,7 @@ def framed_instances(draw):
 def test_integer_core_matches_the_fraction_oracle(instance):
     target, pieces = instance
     as_fractions = [tuple((F(lo, 6), F(hi, 6)) for lo, hi in box) for box in (target, *pieces)]
-    assert geometry._covers(target, pieces) == fraction_oracles.covers_box(as_fractions[0], as_fractions[1:])
+    assert covers._covers(target, pieces) == fraction_oracles.covers_box(as_fractions[0], as_fractions[1:])
 
 
 def test_covers_box_thin_cover_needs_no_call_stack():
@@ -219,14 +221,14 @@ def test_covers_box_thin_cover_splits_in_n_log_n(monkeypatch):
     pieces = [box1(F(4, 9) + i * step, F(4, 9) + (i + 1) * step) for i in range(n_pieces)]
     gapped = pieces[: n_pieces // 2] + pieces[n_pieces // 2 + 1 :]
     tests = 0
-    crossing = geometry._crossing
+    crossing = covers._crossing
 
     def counting(live, lo, hi):
         nonlocal tests
         tests += len(live)
         return crossing(live, lo, hi)
 
-    monkeypatch.setattr(geometry, "_crossing", counting)
+    monkeypatch.setattr(covers, "_crossing", counting)
     bound = 4 * n_pieces * math.log2(n_pieces)
     for cover, verdict in ((pieces, True), (gapped, False)):
         tests = 0
@@ -435,9 +437,9 @@ def test_digitalset_validation():
 @given(st.integers(2, 40), st.integers(0, 30), st.integers(0, 2**200))
 def test_cell_bound_by_bit_lengths_matches_the_power(b, m, x):
     x %= 2 * b**m + 1
-    assert geometry._below_power(x, b, m) == (x < b**m)
+    assert cells._below_power(x, b, m) == (x < b**m)
     for edge in (b**m - 1, b**m):
-        assert geometry._below_power(edge, b, m) == (edge < b**m)
+        assert cells._below_power(edge, b, m) == (edge < b**m)
 
 
 def test_huge_depth_is_bounded_without_forming_the_power():

@@ -18,10 +18,10 @@ from fractions import Fraction
 import pytest
 
 from microset import serialize
+from microset.ball import BallSpec
+from microset.cells import Box, CoverSeq, DigitalSet
 from microset.cli import main
-from microset.covers import BallSpec, CoverSeq
 from microset.dust import DustSpec, adversary_swallow, refutation_budget_lower
-from microset.geometry import Box, DigitalSet
 
 F = Fraction
 

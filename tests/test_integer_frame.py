@@ -16,17 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fraction_oracles
-from microset import covers, svg
-from microset.covers import (
-    BallSpec,
-    CoverSeq,
-    _strictly_inside,
-    ball_membership,
-    ball_stability_radius,
-    verify_cover,
-)
+from microset import svg
+from microset.ball import BallSpec, _outside_gap_sq, _strictly_inside, ball_membership, ball_stability_radius
+from microset.cells import Box, CoverSeq, DigitalSet, Point, _frame
+from microset.covers import covers_box, verify_cover
 from microset.dust import DustSpec, generate
-from microset.geometry import Box, DigitalSet, Point, _frame, covers_box
 
 F = Fraction
 COPRIME = (7, 11, 13)
@@ -177,7 +171,7 @@ def test_membership_is_no_zero_gap_at_the_witness_bound(case):
     k_set, ball, witnesses = case
     if None in witnesses:
         return
-    gap, _, _ = covers._outside_gap_sq(k_set, ball, fraction_oracles.witness_bound(ball, witnesses))
+    gap, _, _ = _outside_gap_sq(k_set, ball, fraction_oracles.witness_bound(ball, witnesses))
     assert ball_membership(k_set, ball) == (gap != 0)
 
 

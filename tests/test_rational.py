@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from microset import baire, covers, dust
-from microset.geometry import DigitalSet
+from microset import baire, cells, covers, dust
+from microset.cells import DigitalSet
 from microset.rational import (
     format_scalar,
     int_nth_root,
@@ -183,9 +183,9 @@ def test_root_rejects_bad_arguments():
 
 _ONE_CELL = DigitalSet(1, 3, 1, ((0,),))
 _SCALAR_INTAKES = {
-    "CoverSeq": lambda x: covers.CoverSeq(n=1, eps=x, strong=False, pieces=()),
+    "CoverSeq": lambda x: cells.CoverSeq(n=1, eps=x, strong=False, pieces=()),
     "greedy_strong_cover": lambda x: covers.greedy_strong_cover(_ONE_CELL, x),
-    "merge_covers": lambda x: covers.merge_covers([covers.CoverSeq(1, Fraction(1, 2), False, ())], x),
+    "merge_covers": lambda x: covers.merge_covers([cells.CoverSeq(1, Fraction(1, 2), False, ())], x),
     "hausdorff_measure_upper": lambda x: dust.hausdorff_measure_upper(dust.DustSpec(1, 3, 2), x),
     "adversary_swallow": lambda x: dust.adversary_swallow(dust.DustSpec(1, 3, 2), x, 2),
     "adversary_random": lambda x: dust.adversary_random(dust.DustSpec(1, 3, 2), x, 2, 7),

@@ -5,7 +5,9 @@ from fractions import Fraction
 import pytest
 
 from microset.baire import SampleSpec
-from microset.covers import BallSpec, CoverReport, CoverSeq, GreedyFailure
+from microset.ball import BallSpec
+from microset.cells import Box, CoverSeq, DigitalSet, Point, Record
+from microset.covers import CoverReport, GreedyFailure
 from microset.dust import (
     DustSpec,
     DustTree,
@@ -13,7 +15,7 @@ from microset.dust import (
     SurvivorCertificate,
     generate,
 )
-from microset.geometry import Box, DigitalSet, HBracket, Point, Record
+from microset.geometry import HBracket
 
 F = Fraction
 _BOX = Box(((F(0), F(1, 3)),))

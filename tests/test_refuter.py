@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from fraction_oracles import bucket, dist_sq, level_boxes, level_digital
 from microset import serialize
-from microset.covers import CoverSeq, verify_cover
+from microset.cells import Box, CoverSeq, _in_window, _window
+from microset.covers import verify_cover
 from microset.dust import (
     DustSpec,
     SurvivorCertificate,
@@ -27,7 +28,6 @@ from microset.dust import (
     revalidate_survivor,
     survivor_refute,
 )
-from microset.geometry import Box, _in_window, _window
 
 F = Fraction
 

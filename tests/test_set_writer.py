@@ -14,9 +14,9 @@ from fractions import Fraction
 from hypothesis import given
 from hypothesis import strategies as st
 
-from microset import geometry, serialize
+from microset import serialize
 from microset.baire import SampleSpec, sample_compact
-from microset.geometry import DigitalSet
+from microset.cells import DigitalSet, _refined
 
 
 def old_dumps(payload: dict) -> str:
@@ -135,6 +135,6 @@ def product_refined(cells, n, f):
 def test_refined_cells_come_sorted(drawn, more):
     n, b, m, cells = drawn
     e = DigitalSet(n, b, m, cells)
-    made = geometry._refined(e.cells, b**more)
+    made = _refined(e.cells, b**more)
     assert made == sorted(set(product_refined(e.cells, n, b**more)))
     assert e.refine(m + more).cells == tuple(made)
