@@ -3,10 +3,10 @@
 Each subcommand parses its flags, loads canonical JSON documents, calls
 the library, and writes canonical documents back; identical inputs give
 byte-identical outputs.  A handler checks only what the command line adds
-(flag combinations, the ``--k`` and ``--count`` floors, a ``--tree`` that
-matches the flags) and counts what it prints: every rule on a value, such
-as the float refusal, the eps range or dust admissibility, is checked once
-in the library, and ``main`` maps its exceptions to the exit codes below.
+(flag combinations, the ``--count`` floor, a ``--tree`` that matches the
+flags) and counts what it prints: every rule on a value, such as the float
+refusal, the eps range or dust admissibility, is checked once in the
+library, and ``main`` maps its exceptions to the exit codes below.
 Library modules are bound at the top but registered lazily by the
 package, so a process runs only the modules its subcommand calls.
 
@@ -147,8 +147,6 @@ def _cmd_dust_gaps(args) -> int:
 
 
 def _cmd_dust_hmeasure(args) -> int:
-    if args.k < 1:
-        raise ValueError("--k must be at least 1")
     spec = dust.DustSpec(n=args.n, b=args.b, depth=args.k)
     print(format_scalar(dust.hausdorff_measure_upper(spec, args.alpha)))
     return 0
@@ -292,7 +290,8 @@ _COMMANDS = {  # subcommand -> (help, flags, handler)
         _N, _B, _DEPTH, _flag("--tree", default=None, help="cross-check against this tree file"),
         _MAYBE_OUT), _cmd_dust_gaps),
     "dust-hmeasure": ("certified upper bound for the alpha-measure at one level", (
-        _N, _B, _flag("--alpha", "rational"), _flag("--k", "int")), _cmd_dust_hmeasure),
+        _N, _B, _flag("--alpha", "rational"),
+        _flag("--k", "int", help="the level, which is the dust's depth")), _cmd_dust_hmeasure),
     "dust-adversary": ("budget-tight cover that the refuter must beat", (
         _N, _B, _DEPTH, _flag("--count", "int"),
         _flag("--eps", "rational", default=None, help="default: the critical budget"),

@@ -9,11 +9,12 @@ every sufficiently tight cover-budget claim.
 
 A level-k cube is one closed cell of the b**grid(k) grid; ``DustSpec.grid``
 is the only place the growth k*k is written, and ``_children`` the only
-place a letter picks a corner, whose steps ``_leaf_cells`` sums for a
-leaf.  Every dust algorithm takes the spec: the refuter, its checker and
-the adversaries place the cells they need from it.  A ``DustTree`` holds
-the integer cells of every level, and is built only where one is
-written, loaded or drawn.
+place a letter picks a corner.  ``_leaf_cells`` is the one map from a
+leaf to its cell: it sums the corner steps of the leaf's index in word
+order, for the checker's survivor word and the adversaries' leaves alike.
+Every dust algorithm takes the spec and places the cells it needs from
+it.  A ``DustTree`` holds the integer cells of every level, and is built
+only where one is written, loaded or drawn.
 
 All verdicts are exact.  The only enclosures are the roots inside
 ``hausdorff_measure_upper`` and the adversaries' budget sides, each
@@ -140,31 +141,23 @@ def _check_tree(tree: DustTree) -> None:
         parent_lookup = lookup
 
 
-def _children(spec: DustSpec, family, k: int, letters=None) -> list:
+def _children(spec: DustSpec, family, k: int) -> list:
     """Level-k (word, cell) children of level-(k-1) (word, cell) pairs, in word order.
 
-    Letter t (each of ``letters``, by default all 2**n) takes the parent corner
-    whose bits are those of t - 1, axis 0 most significant: bit 0 or 1 puts the
-    child of parent index p at p*f or p*f + f - 1, with f = factor(k).
+    Letter t in 1..2**n takes the parent corner whose bits are those of t - 1,
+    axis 0 most significant: bit 0 or 1 puts the child of parent index p at
+    p*f or p*f + f - 1, with f = factor(k).
     """
     f, n = spec.factor(k), spec.n
     corners = [
         (t, [((t - 1) >> (n - 1 - axis) & 1) * (f - 1) for axis in range(n)])
-        for t in letters or range(1, 2**n + 1)
+        for t in range(1, 2**n + 1)
     ]
     children = []
     for word, cell in family:
         base = [p * f for p in cell]
         children.extend((word + (t,), tuple(map(add, base, corner))) for t, corner in corners)
     return children
-
-
-def _cell_of(spec: DustSpec, word: tuple[int, ...]) -> tuple[int, ...]:
-    """Cell of a word: ``_children`` letter by letter, in O(len(word))."""
-    family = [((), (0,) * spec.n)]
-    for k, letter in enumerate(word, start=1):
-        family = _children(spec, family, k, (letter,))
-    return family[0][1]
 
 
 def _leaf_cells(spec: DustSpec):
@@ -438,7 +431,8 @@ def _check_survivor(spec: DustSpec, frame: int, pieces: list, cert: SurvivorCert
     word = cert.survivor_word
     if len(word) != spec.depth or not all(1 <= letter <= 2**spec.n for letter in word):
         raise Negative("survivor word does not name a cube")
-    near = _touching_pieces([_cell_of(spec, word)], pieces, frame // spec.scale(spec.depth))[0]
+    leaf = sum((t - 1) << spec.n * (spec.depth - k) for k, t in enumerate(word, start=1))
+    near = _touching_pieces([_leaf_cells(spec)(leaf)], pieces, frame // spec.scale(spec.depth))[0]
     if near:
         raise Negative(f"survivor touches examined piece {near[0] + 1}")
 

@@ -16,8 +16,9 @@ the largest budget its gap premises admit up to a depth.  ``series_upper`` bound
 ``sum_k eps**(num*k/den)`` by a prefix of per-term enclosures plus a
 geometric tail; the library keeps only its tail, ``covers._series_upper``.
 
-``leaf_cell`` places a leaf by the letter walk ``dust._cell_of``, one
-level's factor at a time, where the adversaries sum per-level steps.
+``leaf_cell`` places a leaf by the letter walk, one level's factor at a
+time, where the library's one map ``dust._leaf_cells`` sums per-level
+steps for the checker and the adversaries alike.
 
 ``sides``, ``volume``, ``vertices``, ``cell_box``, ``cell_boxes``,
 ``level_boxes`` and ``level_digital`` are the ``Fraction`` views of boxes,
@@ -31,7 +32,6 @@ from fractions import Fraction
 from math import ceil, floor
 
 from microset.cells import Box, DigitalSet, Point
-from microset.dust import _cell_of
 from microset.rational import DEFAULT_PRECISION, root_lower, root_upper
 
 
@@ -307,6 +307,13 @@ def series_upper(eps, num, den, terms):
 
 
 def leaf_cell(spec, i):
-    """Cell of leaf i mod 2**(n*depth) in word order: letters are i's base-2**n digits plus 1."""
-    n, depth = spec.n, spec.depth
-    return _cell_of(spec, tuple((i >> n * (depth - k)) % 2**n + 1 for k in range(1, depth + 1)))
+    """Cell of leaf i mod 2**(n*depth) in word order: letters are i's base-2**n digits plus 1.
+
+    Letter t at level k moves parent index p to p*f or p*f + f - 1 on each
+    axis, f = factor(k), by that axis's bit of t - 1, axis 0 most significant.
+    """
+    n, depth, cell = spec.n, spec.depth, (0,) * spec.n
+    for k in range(1, depth + 1):
+        corner, f = (i >> n * (depth - k)) % 2**n, spec.factor(k)
+        cell = tuple(p * f + (corner >> (n - 1 - axis) & 1) * (f - 1) for axis, p in enumerate(cell))
+    return cell

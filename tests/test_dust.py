@@ -30,7 +30,6 @@ from microset.dust import (
     DustSpec,
     DustTree,
     SurvivorCertificate,
-    _cell_of,
     _check_survivor,
     _check_tree,
     _examined_prefix,
@@ -541,6 +540,27 @@ def test_gap_budget_premise_is_exact_on_the_frame():
     cover = CoverSeq(n=2, eps=F(1, 2), strong=False, pieces=(wider, small))
     with pytest.raises(ValueError, match="^piece 1 is not below the level-2 gap budget$"):
         survivor_refute(spec, cover)
+    # every position h of every non-empty bucket j <= depth <= 4, after h - 1 leaf-side cubes:
+    # a cube of volume D_j**n is refused and one frame unit less on axis 0 passes
+    cases = 0
+    for n, b, depth in itertools.product(range(1, 4), range(3, 8), range(1, 5)):
+        spec = DustSpec(n=n, b=b, depth=depth)
+        leaf, table = Box.cube((F(0),) * n, spec.level_side(depth)), gap_table(spec)
+        for j in range(2, depth + 1):
+            gap = table.level_gap[j - 1]
+            for h in range(dust._bucket_start(j), dust._bucket_start(j + 1)):
+                exact = Box.cube((F(0),) * n, gap)
+                frame = _frame((leaf, exact), spec.scale(depth))
+                assert volume(exact) == gap**n
+                cover = CoverSeq(n=n, eps=F(99, 100), strong=False, pieces=(leaf,) * (h - 1) + (exact,))
+                with pytest.raises(Negative, match=f"^piece {h} is not below the level-{j} gap budget$"):
+                    survivor_refute(spec, cover)
+                narrower = Box(((F(0), gap - F(1, frame)),) + ((F(0), gap),) * (n - 1))
+                cover = CoverSeq(n=n, eps=F(99, 100), strong=False, pieces=(leaf,) * (h - 1) + (narrower,))
+                assert _refutation_premises(spec, cover)[0] == frame
+                assert isinstance(survivor_refute(spec, cover), SurvivorCertificate)
+                cases += 1
+    assert cases == 3 * 5 * (2 + 3 + 6)
 
 
 @given(
@@ -909,12 +929,36 @@ def test_cell_of_a_word_matches_the_built_tree(data):
     leaves = 2 ** (n * depth)
     i = data.draw(st.integers(min_value=0, max_value=leaves - 1))
     word, cell = tree.levels[depth - 1][i]
-    assert _cell_of(spec, word) == cell
     # leaf i's letters are its base-2**n digits plus 1, read modulo the leaf count
+    assert sum((t - 1) << n * (depth - k) for k, t in enumerate(word, start=1)) == i
     place = _leaf_cells(spec)
-    assert place(i) == place(i + leaves * data.draw(st.integers(0, 9))) == cell
+    assert place(i) == place(i + leaves * data.draw(st.integers(0, 9))) == leaf_cell(spec, i) == cell
+    # the length-k prefix is node i >> n*(depth - k) of level k, a leaf of the depth-k spec
     for k in range(1, depth + 1):
-        assert _cell_of(spec, word[:k]) == dict(tree.levels[k - 1])[word[:k]]
+        assert _leaf_cells(DustSpec(n, b, k))(i >> n * (depth - k)) == dict(tree.levels[k - 1])[word[:k]]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_checker_accepts_exactly_the_words_whose_cube_touches_no_examined_piece(data):
+    # every leaf word of a small tree, against swallow and seeded random covers at the critical budget
+    n = data.draw(st.integers(min_value=1, max_value=3))
+    b = data.draw(st.integers(min_value=3, max_value=5))
+    depth = data.draw(st.integers(min_value=1, max_value=_SMALL_DEPTHS[n]))
+    spec = DustSpec(n=n, b=b, depth=depth)
+    eps, count = refutation_budget_lower(spec), data.draw(st.integers(1, _examined_prefix(depth, 10**9) + 2))
+    seed = data.draw(st.none() | st.integers(0, 2**64 - 1))
+    cover = adversary_swallow(spec, eps, count) if seed is None else adversary_random(spec, eps, count, seed)
+    least = survivor_refute(spec, cover)
+    examined = cover.pieces[: least.checked_prefix]
+    for word, cube in level_boxes(generate(spec), depth):
+        cert = SurvivorCertificate(depth, least.checked_prefix, word, least.level_counts)
+        touched = [h for h, piece in enumerate(examined, start=1) if dist_sq(cube, piece) == 0]
+        if touched:
+            with pytest.raises(Negative, match=f"^survivor touches examined piece {touched[0]}$"):
+                revalidate_survivor(spec, cover, cert)
+        else:
+            revalidate_survivor(spec, cover, cert)
 
 
 @settings(max_examples=300, deadline=None)

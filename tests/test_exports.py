@@ -165,3 +165,32 @@ def test_every_public_function_is_exported_or_read_in_the_package():
                     read.add(f"{node.value.id}.{node.attr}")
     unread = [name for name in public if name not in read and name.split(".")[1] not in read]
     assert unread == []
+
+
+def _sets(call, index, name):
+    """Whether a call sets the parameter ``name``, at ``index`` among the positional ones or
+    None if keyword-only; ``*args`` sets every positional one, ``**kwargs`` every one."""
+    positional = index is not None and (len(call.args) > index or any(isinstance(a, ast.Starred) for a in call.args))
+    return positional or any(keyword.arg in (name, None) for keyword in call.keywords)
+
+
+def test_every_default_parameter_of_a_private_function_is_set_in_the_package():
+    # a default that no call in src/ overrides, by position or by keyword, is a knob that does nothing
+    trees = [ast.parse(path.read_text()) for path in PACKAGE]
+    calls: dict = {}
+    for node in (node for tree in trees for node in ast.walk(tree) if isinstance(node, ast.Call)):
+        calls.setdefault(getattr(node.func, "id", getattr(node.func, "attr", None)), []).append(node)
+    unset = []
+    for path, tree in zip(PACKAGE, trees):
+        for top in tree.body:
+            if not isinstance(top, ast.FunctionDef) or not top.name.startswith("_") or top.name.endswith("__"):
+                continue
+            positional = top.args.posonlyargs + top.args.args
+            knobs = list(enumerate(arg.arg for arg in positional))[len(positional) - len(top.args.defaults) :]
+            knobs += [(None, a.arg) for a, d in zip(top.args.kwonlyargs, top.args.kw_defaults) if d is not None]
+            unset += [
+                f"{path.stem}.{top.name}({name})"
+                for index, name in knobs
+                if not any(_sets(call, index, name) for call in calls.get(top.name, []))
+            ]
+    assert unset == []
