@@ -7,10 +7,14 @@ the int cells of one base-b grid, and a ``CoverSeq`` a claimed cover
 under the budget eps**k; the dust adversaries build covers, and the
 cover checks read them.
 
-A box query maps every bound in play onto one integer frame: with ``D``
-the lcm of the bounds' denominators (and of a set's ``b**m``), ``_frame``
-gives ``D`` and ``_on_frame`` each bound times ``D``, once per call, so
-the decision itself compares and subtracts ints.  On that frame cell j
+Each box carries its own integer frame, built once in ``Box.__init__``:
+``D``, the lcm of its bound denominators, and its bounds times ``D``.  A
+piece-by-piece check, the cube shape and the budget of a cover, reads
+these alone.  A box query maps every bound in play onto one common frame:
+``_frame`` gives the lcm of the boxes' ``D`` (and of a set's ``b**m``), and
+``_on_frame`` rescales each box's ints to it, once per call, so the
+decision itself compares and subtracts ints.  Only this module knows how
+a box becomes ints.  On that frame cell j
 spans j*f..(j+1)*f (``_cell_bounds``), a box holds or touches the cells
 of its ``_window``, and ``_touching_pieces`` lists, for each sorted cell,
 the pieces that touch it.
@@ -27,7 +31,6 @@ import itertools
 import operator
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from functools import cached_property
 from math import lcm
 from typing import Iterable, Iterator, Sequence
 
@@ -98,7 +101,12 @@ class Point(Record):
 
 
 class Box(Record):
-    """Closed axis-aligned box, one (lo, hi) pair per axis, lo <= hi."""
+    """Closed axis-aligned box, one (lo, hi) pair per axis, lo <= hi.
+
+    Beside its field it keeps its own integer frame, which equality, hashing
+    and ``repr`` do not see: ``_den``, the lcm of its bound denominators, and
+    ``_ints``, its bounds times ``_den``.
+    """
 
     intervals: tuple[tuple[Fraction, Fraction], ...]
 
@@ -106,10 +114,14 @@ class Box(Record):
         ivs = tuple((_frac(lo), _frac(hi)) for lo, hi in intervals)
         if not ivs:
             raise ValueError("box needs at least one axis")
-        for lo, hi in ivs:
-            if lo > hi:
+        den = lcm(*(v.denominator for iv in ivs for v in iv))
+        ints = tuple((lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator)) for lo, hi in ivs)
+        for (lo, hi), (a, z) in zip(ivs, ints):
+            if a > z:
                 raise ValueError(f"inverted interval [{lo}, {hi}]")
         object.__setattr__(self, "intervals", ivs)  # not _set: one call less per piece
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_ints", ints)
 
     @property
     def n(self) -> int:
@@ -199,16 +211,14 @@ def _refined(cells: list[tuple[int, ...]], f: int) -> list[tuple[int, ...]]:
 
 
 def _frame(boxes: Iterable[Box], base: int = 1) -> int:
-    """The lcm of ``base`` and every bound denominator of the boxes."""
-    return lcm(base, *{v.denominator for box in boxes for iv in box.intervals for v in iv})
+    """The lcm of ``base`` and every box's own frame, so of every bound denominator."""
+    return lcm(base, *{box._den for box in boxes})
 
 
 def _on_frame(box: Box, frame: int) -> tuple[tuple[int, int], ...]:
-    """The box's bounds times ``frame``, a multiple of their denominators, as ints."""
-    return tuple(
-        (lo.numerator * (frame // lo.denominator), hi.numerator * (frame // hi.denominator))
-        for lo, hi in box.intervals
-    )
+    """The box's bounds times ``frame``, a multiple of its own, as ints; on its own frame, its stored tuple."""
+    up = frame // box._den
+    return box._ints if up == 1 else tuple((lo * up, hi * up) for lo, hi in box._ints)
 
 
 def _window(bounds: Sequence[tuple[int, int]], f: int, slack: int) -> tuple[tuple[int, int], ...]:
@@ -296,9 +306,7 @@ class CoverSeq(Record):
     The budget is a claim checked by ``first_budget_violation``, not a
     constructor guarantee, so defective certificates stay representable.
     ``strong`` asserts the geometric cube shape of every piece and is
-    enforced here.  The pieces' integer frame D and their bounds times D
-    are derived once, in ``_framed``, for the cube check and the budget and
-    coverage verdicts alike.
+    enforced here.  Both read each piece on its own integer frame.
     """
 
     n: int
@@ -314,42 +322,27 @@ class CoverSeq(Record):
             raise ValueError("piece dimension mismatch")
         self._set(n, eps, strong, pieces)
         if strong:
-            for piece in self._framed[1]:
-                sides = {hi - lo for lo, hi in piece}
+            for piece in pieces:
+                sides = {hi - lo for lo, hi in piece._ints}
                 if len(sides) != 1 or min(sides) <= 0:
                     raise ValueError("strong cover pieces must be cubes")
-
-    @cached_property
-    def _framed(self) -> tuple[int, tuple]:
-        """D, the lcm of the bound denominators, and the pieces' bounds times D.
-
-        Built in one pass on first use, which for a strong cover is its own
-        cube check in ``__init__``.  A loaded cover is built after
-        ``serialize.from_json`` has dropped the parsed document, so these
-        bounds (about 0.2 MB at 1,200 pieces in n=1) never sit beside it at
-        the peak of ``cover-verify``.
-        """
-        frame = _frame(self.pieces)
-        return frame, tuple(_on_frame(piece, frame) for piece in self.pieces)
 
     def first_budget_violation(self, eps: Fraction | None = None) -> int | None:
         """First position k with volume(piece_k) > eps**k, or None.
 
         ``eps`` defaults to the cover's own; ``merge_covers`` passes the
-        strengthened budget its inputs must meet.  With eps = p/q and the
-        pieces on their integer frame D, the test is
-        prod(hi - lo) * q**k > p**k * D**n, with running powers.
+        strengthened budget its inputs must meet, checked as the cover's is.
+        With eps = p/q and piece k on its own integer frame D_k, the test is
+        prod(hi - lo) * q**k > p**k * D_k**n, with running powers.
         """
-        eps = self.eps if eps is None else eps
-        frame, pieces = self._framed
-        room = frame**self.n
+        eps = self.eps if eps is None else _budget(eps)
         p_k = q_k = 1
-        for k, piece in enumerate(pieces, start=1):
+        for k, piece in enumerate(self.pieces, start=1):
             p_k *= eps.numerator
             q_k *= eps.denominator
             vol = 1
-            for lo, hi in piece:
+            for lo, hi in piece._ints:
                 vol *= hi - lo
-            if vol * q_k > p_k * room:
+            if vol * q_k > p_k * piece._den**self.n:
                 return k
         return None

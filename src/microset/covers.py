@@ -7,17 +7,17 @@ and coverage exactly, the greedy searcher re-verifies anything it emits,
 and failed searches are reported as data rather than as refutations.
 
 Coverage is decided by one integer core, ``_covers``, on one integer
-frame per call (``cells._frame``), a cover's own derived once when it is
-built: the bounds become ints once, and only the witness cell that is
-reported leaves the frame.  ``covers_box`` puts Fraction boxes on their
-frame for the core, and ``verify_cover`` asks the core once per cell.
+frame per call (``cells._frame``): each box's own ints are rescaled to it
+once (``cells._on_frame``), and only the witness cell that is reported
+leaves the frame.  ``covers_box`` puts its target and pieces on their
+frame for the core, and ``verify_cover`` puts the cover's pieces on the
+frame of the set's grid and asks the core once per cell.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import lcm
 from typing import Sequence
 
 from .cells import (
@@ -138,7 +138,7 @@ def verify_cover(e: DigitalSet, cover: CoverSeq) -> CoverReport:
     """Exact budget and coverage verdicts for a claimed cover of e.
 
     The pieces and the cells go onto one integer frame, the lcm of ``b**m``
-    and the cover's own frame, where cell j spans j*f..(j+1)*f.
+    and the pieces' own frames, where cell j spans j*f..(j+1)*f.
     Each cell goes to the integer core ``_covers`` with only the pieces
     whose touching window holds it.  The core filters nothing, so it must
     get every piece touching the cell, and an extra one costs only time;
@@ -148,11 +148,9 @@ def verify_cover(e: DigitalSet, cover: CoverSeq) -> CoverReport:
         raise ValueError("dimension mismatch")
     k = cover.first_budget_violation()
     scale = e.b**e.m
-    frame, pieces = cover._framed
-    up = lcm(frame, scale) // frame
-    if up > 1:
-        pieces = [tuple((lo * up, hi * up) for lo, hi in piece) for piece in pieces]
-    f = frame * up // scale
+    frame = _frame(cover.pieces, scale)
+    pieces = [_on_frame(piece, frame) for piece in cover.pieces]
+    f = frame // scale
     touching = zip(e.cells, _touching_pieces(e.cells, pieces, f))
     witness = next((cell for cell, near in touching if not _covers(_cell_bounds(cell, f), [pieces[h] for h in near])), None)
     return CoverReport(first_violation=None if k is None else (k, "budget"), uncovered_witness=witness)

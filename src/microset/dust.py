@@ -340,12 +340,8 @@ def _refutation_premises(spec: DustSpec, cover: CoverSeq) -> tuple[int, list]:
     frame is a multiple of the leaf grid's ``scale(depth)``, so every gap is
     a whole number of its units.  Admissibility, factor(j) >= 3, gives
     d_(j+1) < side_j <= d_j, so the sibling gaps decrease and level_gap(j)
-    is d_j = side_(j-1) - 2 side_j, taken in ints on the frame.
-
-    The examined pieces get their own frame; the cover's ``_framed`` takes
-    in the later pieces too: with 400 past the 420 examined (n=1, depth 40,
-    the seed-7 random adversary) that frame has 5,214 bits against 2,683,
-    and the descent took 239 ms against 107 ms; with 3 past them, the same.
+    is d_j = side_(j-1) - 2 side_j, taken in ints on the frame, which only
+    the examined pieces and the leaf grid form.
     """
     if cover.n != spec.n:
         raise ValueError("dimension mismatch")

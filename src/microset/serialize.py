@@ -289,7 +289,7 @@ def from_json(data: dict):
         module, _, class_name = path.rpartition(".")
         cls = getattr(import_module(module), class_name)
         values = {name: load(data[name]) for name, (_, load) in fields.items()}
-        del data  # freed here unless a caller holds it, so a cover frames its pieces without it
+        del data  # freed here unless a caller holds it, so nothing built from here on sits beside it
         obj = cls(**{field: values.pop(field) for field in cls._fields})
     except (TypeError, KeyError, IndexError) as exc:
         raise ValueError(f"malformed {schema} document: {exc!r}") from exc

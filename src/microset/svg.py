@@ -1,10 +1,11 @@
 """Static SVG rendering of planar constructions.
 
 Every rectangle is drawn from int bounds on one integer frame: a level-k
-dust cell j spans (j, j + 1) on the level's b**(k*k) grid, and a cover
-piece spans its bounds on the cover's frame D, the one its budget and
-coverage checks use.  Output is deterministic: coordinates are formatted
-by integer arithmetic (floor to a fixed number of decimal places),
+dust cell j spans (j, j + 1) on the level's b**(k*k) grid, and a cover's
+pieces span their bounds on the frame ``cells._frame`` gives them.  Each
+value is floored exactly, so any frame draws the same bytes.  Output is
+deterministic: coordinates are formatted by integer arithmetic (sign,
+then the magnitude of the floor to a fixed number of decimal places),
 elements are emitted in a sorted order, and nothing environment-dependent
 (timestamps, ids, float repr) enters the file.  Re-rendering the same
 object yields identical bytes.
@@ -23,10 +24,10 @@ _LEVEL_FILLS = ("#1f6f8b", "#99a8b2", "#e0c45c", "#c96567", "#8a6fdf", "#5b8c5a"
 
 
 def _dec(v: int, frame: int) -> str:
-    """Floor of CANVAS * v / frame with PLACES decimal places, via integers."""
-    whole, frac = divmod(v * CANVAS * 10**PLACES // frame, 10**PLACES)
-    text = f"{whole}.{frac:0{PLACES}d}".rstrip("0").rstrip(".")
-    return text if text else "0"
+    """Floor of CANVAS * v / frame with PLACES decimal places, via integers: its sign, then its magnitude."""
+    units = v * CANVAS * 10**PLACES // frame
+    whole, frac = divmod(abs(units), 10**PLACES)
+    return "-" * (units < 0) + f"{whole}.{frac:0{PLACES}d}".rstrip("0").rstrip(".")
 
 
 def _rect(bounds: tuple, frame: int, fill: str, opacity: str) -> str:
@@ -70,8 +71,8 @@ def render_cover(cover: cells.CoverSeq) -> str:
     """Boxes of a planar cover in sequence order, translucent."""
     if cover.n != 2:
         raise ValueError("SVG rendering is available for n = 2 only")
-    frame, pieces = cover._framed
-    return _document([_rect(piece, frame, "#1f6f8b", "0.45") for piece in pieces])
+    frame = cells._frame(cover.pieces)
+    return _document([_rect(cells._on_frame(piece, frame), frame, "#1f6f8b", "0.45") for piece in cover.pieces])
 
 
 def write_svg(text: str, path: str | Path) -> None:

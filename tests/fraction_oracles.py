@@ -22,12 +22,14 @@ steps for the checker and the adversaries alike.
 
 ``sides``, ``volume``, ``vertices``, ``cell_box``, ``cell_boxes``,
 ``level_boxes`` and ``level_digital`` are the ``Fraction`` views of boxes,
-digital sets and dust levels that only tests read.  ``svg_rect`` draws a
-box as ``svg`` did from its ``Fraction`` bounds, before it drew on integer
-frames.
+digital sets and dust levels that only tests read, and ``on_frame`` a box's
+bounds times a frame.  ``svg_rect`` draws a box from its ``Fraction``
+bounds, each coordinate floored by the ``decimal`` module.
 """
 
+import decimal
 import itertools
+from decimal import Decimal
 from fractions import Fraction
 from math import ceil, floor
 
@@ -73,12 +75,15 @@ def level_digital(tree, k):
 
 
 def svg_dec(x):
-    """Floor of 1000 * x with 6 decimal places, via the Fraction."""
-    scaled = x * 1000 * 10**6
-    units = scaled.numerator // scaled.denominator
-    whole, frac = divmod(units, 10**6)
-    text = f"{whole}.{frac:06d}".rstrip("0").rstrip(".")
-    return text if text else "0"
+    """1000 * x floored to 6 decimal places, by the decimal module, its trailing zeros dropped.
+
+    The quotient is floored at 60 significant digits and then at 6 places,
+    which is the floor at 6 places of the exact value for any |1000 * x| below 10**50.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec, ctx.rounding = 60, decimal.ROUND_FLOOR
+        value = (Decimal(1000 * x.numerator) / x.denominator).quantize(Decimal("1e-6"))
+    return format(value.normalize(), "f")
 
 
 def svg_rect(box, fill, opacity):
@@ -101,6 +106,13 @@ def cell_window(piece, scale, slack):
     cells it contains, ``ceil(lo*scale) <= j <= floor(hi*scale) - 1``.
     """
     return tuple((ceil(lo * scale) - slack, floor(hi * scale) - 1 + slack) for lo, hi in piece.intervals)
+
+
+def on_frame(box, frame):
+    """The box's bounds times ``frame`` as ints; each product must be whole."""
+    scaled = [v * frame for iv in box.intervals for v in iv]
+    assert all(v.denominator == 1 for v in scaled)
+    return tuple(zip(map(int, scaled[::2]), map(int, scaled[1::2])))
 
 
 def budget_violation(cover, eps=None):

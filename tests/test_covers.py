@@ -34,6 +34,10 @@ def test_coverseq_rejects_bad_eps():
         cover1(1, box1(0, 1))
     with pytest.raises(ValueError):
         cover1(0, box1(0, 1))
+    # a budget given to the predicate is checked as the cover's own is
+    for eps in (2, -1, 0, 1, F(3, 2)):
+        with pytest.raises(ValueError, match="eps must lie strictly between 0 and 1"):
+            cover1(F(1, 2), box1(0, F(1, 2))).first_budget_violation(eps)
     with pytest.raises(ValueError, match="dimension"):
         CoverSeq(n=0, eps=F(1, 2), strong=False, pieces=())
 
@@ -46,20 +50,37 @@ def test_coverseq_strong_requires_cubes():
     CoverSeq(n=1, eps=F(1, 2), strong=True, pieces=(box1(0, F(1, 2)),))
 
 
-def test_a_cover_is_put_on_its_frame_once(monkeypatch):
+def test_a_box_keeps_its_own_frame_beside_its_field():
+    third = box1(F(1, 3), F(4, 6))
+    # the ints are derived, not a field: equality, hashing and repr see the intervals alone
+    assert third == Box((("1/3", "2/3"),)) and hash(third) == hash(Box(((F(1, 3), F(2, 3)),)))
+    assert repr(third) == "Box(intervals=((Fraction(1, 3), Fraction(2, 3)),))"
+    # on its own frame a box gives back the tuple it stored when it was built; on a multiple, a rescaled one
+    assert _frame([third]) == 3 and _on_frame(third, 3) is _on_frame(third, 3) == ((1, 2),)
+    assert _on_frame(third, 12) == ((4, 8),) and _frame([third, box1(0, F(1, 4))], 2) == 12
+
+
+def test_only_verify_cover_puts_a_cover_on_a_common_frame(monkeypatch):
     calls = []
-    monkeypatch.setattr(cells, "_frame", lambda *args: calls.append(args) or _frame(*args))
+
+    def counting(*args):
+        calls.append(args)
+        return _frame(*args)
+
+    monkeypatch.setattr(cells, "_frame", counting)
+    monkeypatch.setattr(covers, "_frame", counting)
     thirds = tuple(box1(F(j, 3), F(j + 1, 3)) for j in range(3))
+    e = DigitalSet(1, 3, 2, ((0,), (8,)))
     for strong in (False, True):
+        # the cube check and the budget read each piece on its own frame
         cover = CoverSeq(n=1, eps=F(1, 2), strong=strong, pieces=thirds)
-        assert cover.first_budget_violation() == 2
-        # the set's grid is finer than the cover's frame, so the pieces are rescaled
-        e = DigitalSet(1, 3, 2, ((0,), (8,)))
+        assert cover.first_budget_violation() == 2 and calls == []
+        # the set's grid is finer than the pieces' frames, so verify_cover rescales them, in one call
         assert verify_cover(e, cover) == CoverReport((2, "budget"), None)
+        assert calls == [(thirds, 9)]
+        calls.clear()
         assert verify_cover(e, CoverSeq(n=1, eps=F(1, 2), strong=strong, pieces=thirds[:2])).uncovered_witness == (8,)
-    assert len(calls) == 4
-    # the derived frame is not a field
-    assert cover == CoverSeq(1, F(1, 2), True, thirds) and "_framed" not in repr(cover)
+        calls.clear()
 
 
 def test_covers_and_balls_load_equal_to_what_was_saved():

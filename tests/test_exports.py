@@ -194,3 +194,51 @@ def test_every_default_parameter_of_a_private_function_is_set_in_the_package():
                 if not any(_sets(call, index, name) for call in calls.get(top.name, []))
             ]
     assert unset == []
+
+
+# the Record protocol, which every record class of the package inherits from cells.Record
+RECORD_PROTOCOL = {"_set", "_fields"}
+
+
+def _own_private_names(tree):
+    """The private attributes the classes of a module define: the methods and class attributes
+    of their bodies, and the instance attributes their code sets."""
+    own = set()
+    for top in (top for top in tree.body if isinstance(top, ast.ClassDef)):
+        for item in top.body:
+            targets = getattr(item, "targets", [getattr(item, "target", None)])
+            own.update([getattr(item, "name", None), *(getattr(target, "id", None) for target in targets)])
+        for node in ast.walk(top):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                own.add(node.attr)
+            elif isinstance(node, ast.Call) and ast.unparse(node.func) == "object.__setattr__":
+                own.update(arg.value for arg in node.args[1:2] if isinstance(arg, ast.Constant))
+    return own
+
+
+def _foreign_private_reads(path):
+    """Each ``x._name`` of a module where x is no module it imports and no class of
+    the module defines ``_name``."""
+    tree = ast.parse(path.read_text())
+    modules = {
+        alias.asname or alias.name.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    allowed = _own_private_names(tree) | RECORD_PROTOCOL
+    return [
+        f"{path.stem}: {ast.unparse(node)}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr.startswith("_")
+        and not node.attr.endswith("__")
+        and node.attr not in allowed
+        and getattr(node.value, "id", None) not in modules
+    ]
+
+
+def test_no_module_reads_a_private_attribute_of_a_class_it_does_not_define():
+    # a box's integer form, say, is read only by cells, which builds it: other modules get a
+    # frame from cells._frame and cells._on_frame, which are module functions, not instance state
+    assert [read for path in PACKAGE for read in _foreign_private_reads(path)] == []

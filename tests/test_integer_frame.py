@@ -5,20 +5,21 @@ thirteenths and the set's own grid), reach outside [0, 1], and may be
 zero-width in non-strong covers, so the lcm frame of each call mixes
 several denominators.  Budget verdicts, coverage witnesses, ball
 membership and stability radii must equal those of ``fraction_oracles``,
-and so must the SVG rectangles drawn from the frame.
+and so must a box's own frame and the SVG rectangles drawn from a frame.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fraction_oracles
 from microset import svg
 from microset.ball import BallSpec, _outside_gap_sq, _strictly_inside, ball_membership, ball_stability_radius
-from microset.cells import Box, CoverSeq, DigitalSet, Point, _frame
+from microset.cells import Box, CoverSeq, DigitalSet, Point, _frame, _on_frame
 from microset.covers import covers_box, verify_cover
 from microset.dust import DustSpec, generate
 
@@ -226,14 +227,39 @@ def far_rationals():
     return st.integers(1, 10**12).flatmap(lambda den: st.integers(-2 * den, 3 * den).map(lambda i: F(i, den)))
 
 
+spelling = st.tuples(st.integers(-3 * 10**6, 3 * 10**6), st.integers(1, 10**6))
+
+
+@settings(max_examples=200)
+@given(st.lists(st.lists(spelling, min_size=2, max_size=2), min_size=1, max_size=4), st.integers(1, 30))
+def test_a_box_is_built_on_its_own_frame(axes, multiple):
+    # bounds spelled unreduced: the box's own frame D is the lcm of their reduced denominators
+    box = Box(tuple(sorted(F(num, den) for num, den in axis) for axis in axes))
+    reduced = [den // math.gcd(num, den) for axis in axes for num, den in axis]
+    own = _frame([box])
+    assert own == math.lcm(*reduced)
+    # Fraction(bound, D) gives back each interval, and any multiple of D frames the box as the oracle does
+    assert tuple((F(lo, own), F(hi, own)) for lo, hi in _on_frame(box, own)) == box.intervals
+    assert _on_frame(box, own * multiple) == fraction_oracles.on_frame(box, own * multiple)
+
+
+def test_svg_writes_a_negative_coordinate_from_its_sign_and_magnitude():
+    assert svg._dec(-1, 3) == "-333.333334" and svg._dec(-1, 10**9) == "-0.000001"
+    assert svg._dec(0, 7) == "0" and svg._dec(7, 7) == "1000" and svg._dec(1, 3) == "333.333333"
+
+
 @settings(max_examples=200)
 @given(st.lists(st.lists(far_rationals(), min_size=4, max_size=4), min_size=1, max_size=6))
+@example([[F(-1, 3), F(1, 3), F(-1, 3), F(4, 3)]])
 def test_svg_rectangles_match_the_fraction_drawing(bounds):
     pieces = tuple(Box(((min(a, b), max(a, b)), (min(c, d), max(c, d)))) for a, b, c, d in bounds)
     cover = CoverSeq(n=2, eps=F(1, 2), strong=False, pieces=pieces)
-    frame, framed = cover._framed
-    for piece, on_frame in zip(pieces, framed):
-        assert svg._rect(on_frame, frame, "#000000", "1") == fraction_oracles.svg_rect(piece, "#000000", "1")
+    # each value is floored exactly, so a piece draws the same on its own frame as on the cover's
+    frame = _frame(pieces)
+    for piece in pieces:
+        drawn = fraction_oracles.svg_rect(piece, "#000000", "1")
+        for on in (_frame([piece]), frame):
+            assert svg._rect(_on_frame(piece, on), on, "#000000", "1") == drawn
     rects = [fraction_oracles.svg_rect(piece, "#1f6f8b", "0.45") for piece in pieces]
     assert svg.render_cover(cover) == svg._document(rects)
 

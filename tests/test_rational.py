@@ -184,6 +184,7 @@ def test_root_rejects_bad_arguments():
 _ONE_CELL = DigitalSet(1, 3, 1, ((0,),))
 _SCALAR_INTAKES = {
     "CoverSeq": lambda x: cells.CoverSeq(n=1, eps=x, strong=False, pieces=()),
+    "first_budget_violation": lambda x: cells.CoverSeq(1, Fraction(1, 2), False, ()).first_budget_violation(x),
     "greedy_strong_cover": lambda x: covers.greedy_strong_cover(_ONE_CELL, x),
     "merge_covers": lambda x: covers.merge_covers([cells.CoverSeq(1, Fraction(1, 2), False, ())], x),
     "hausdorff_measure_upper": lambda x: dust.hausdorff_measure_upper(dust.DustSpec(1, 3, 2), x),
