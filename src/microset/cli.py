@@ -271,10 +271,10 @@ def _cmd_render_svg(args) -> int:
     if (args.tree is None) == (args.cover is None):
         raise ValueError("give exactly one of --tree or --cover")
     if args.tree is not None:
-        text = svg.render_dust(serialize.load(args.tree, "dusttree/1"))
+        lines = svg.render_dust(serialize.load(args.tree, "dusttree/1"))
     else:
-        text = svg.render_cover(serialize.load(args.cover, "coverseq/1"))
-    svg.write_svg(text, args.out)
+        lines = svg.render_cover(serialize.load(args.cover, "coverseq/1"))
+    svg.write_svg(lines, args.out)
     print(f"wrote {args.out}")
     return 0
 

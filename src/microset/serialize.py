@@ -20,17 +20,16 @@ A set's cells must come in the strictly increasing order it stores, so
 every document that loads saves back to its own canonical bytes.  A
 class module runs only when a document of its schema is decoded.
 
-``_parts`` writes a document with one ``json.dumps`` call unless a
-top-level list holds more than ``_BLOCK`` items, as a large set's cells or
-a long cover's pieces do; such a list is encoded one block of items at a
-time, with the same bytes.  The C encoder of Python 3.10 and 3.11 keeps
-every token of a call as its own string until the call ends: encoding the
-54 KB cells array of a 5,985-cell set peaks at 961 KB there, against 64 KB
-on 3.12 and 3.13, so blocks bound that to one block's tokens.  A set's
-rows are written from its own cell tuples, with no list per row.
-``canonical_bytes``, which ``save`` writes, encodes each block to ASCII as
-it is made, into one growing buffer, so the text is never held as a
-``str`` and as bytes at once.
+``_parts`` writes a document's top-level lists ``_BLOCK`` items at a
+time, and a tree's levels ``_ENTRIES`` entries at a time, with the bytes
+of one ``json.dumps`` call.  The C encoder of Python 3.10 and 3.11 keeps
+every token of a call until it ends (961 KB for the 54 KB cells of a
+5,985-cell set, against 64 KB on 3.12), so blocks bound that to one
+block's tokens.  A set's rows are its own cell tuples; ``_entries`` makes
+a tree's entries from its integer cells as each block is written or
+compared on load, so no whole tree document is built.
+``canonical_bytes`` encodes each part to ASCII into one growing buffer,
+so the text is never held as a ``str`` and as bytes at once.
 
 A document repeats few rational spellings: a cover's bounds share a grid.
 ``_spelled`` checks and decodes each distinct spelling once per document,
@@ -45,8 +44,9 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from importlib import import_module
-from itertools import chain
+from itertools import chain, islice
 from math import gcd
+from operator import ne
 from pathlib import Path
 from typing import Iterator
 
@@ -54,7 +54,8 @@ from . import cells, dust
 from .rational import Negative, format_scalar
 
 
-_BLOCK = 1024  # items of a long top-level list that one encoder call writes
+_BLOCK = 1024  # items of a top-level list that one encoder call writes
+_ENTRIES = 64  # tree entries, some twenty tokens each, that one encoder call writes
 _SPELLINGS = 4096  # distinct rational spellings whose values the decoder keeps
 
 
@@ -62,30 +63,28 @@ def _encode(value) -> str:
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
-def _is_long(value) -> bool:
-    return isinstance(value, (list, tuple)) and len(value) > _BLOCK
+def _blocks(items, size: int) -> Iterator[str]:  # the JSON list of items, size items at a time
+    items, comma = iter(items), ""
+    yield "["
+    while block := list(islice(items, size)):
+        yield comma + _encode(block)[1:-1]
+        comma = ","
+    yield "]"
 
 
 def _parts(payload: dict) -> Iterator[str]:
-    """The canonical text of a document whose keys are strings, as consecutive parts.
-
-    A top-level list of more than ``_BLOCK`` items is encoded one block of
-    items at a time, and the parts join to the text of one ``json.dumps``
-    call.
-    """
-    if not any(map(_is_long, payload.values())):
-        yield _encode(payload) + "\n"
-        return
+    """The canonical text of a document whose keys are strings, as consecutive parts."""
     opening = "{"
     for key, value in sorted(payload.items()):
         yield f"{opening}{_encode(key)}:"
         opening = ","
-        if _is_long(value):
-            for start in range(0, len(value), _BLOCK):
-                yield ("," if start else "[") + _encode(value[start : start + _BLOCK])[1:-1]
+        if isinstance(value, Iterator):  # a tree's levels, each an iterator of its entries
+            for k, entries in enumerate(value):
+                yield "," if k else "["
+                yield from _blocks(entries, _ENTRIES)
             yield "]"
         else:
-            yield _encode(value)
+            yield from _blocks(value, _BLOCK) if isinstance(value, (list, tuple)) else (_encode(value),)
     yield "}\n"
 
 
@@ -218,25 +217,20 @@ _SCHEMAS = {
 _SCHEMA_OF = {path: schema for schema, (path, _) in _SCHEMAS.items()}
 
 
-def dusttree_to_json(tree: dust.DustTree) -> dict:
+def _entries(spec: dust.DustSpec, k: int, level) -> Iterator[dict]:
+    # side and each lo are format_scalar(j / scale), written from the integers
+    scale = spec.scale(k)
+    side = f"1/{scale}"
+    for word, cell in level:
+        yield {"word": list(word), "lo": [f"{j // (g := gcd(j, scale))}/{scale // g}" for j in cell], "side": side}
+
+
+def dusttree_to_json(tree: dust.DustTree, lazy: bool = False) -> dict:
+    # lazy leaves the levels an iterator of iterators of entries, to be read once
     spec = tree.spec
-    levels = []
-    for k, level in enumerate(tree.levels, start=1):
-        # side and each lo are format_scalar(j / scale), written from the integers
-        scale = spec.scale(k)
-        levels.append([
-            {"word": list(word), "lo": [f"{j // (g := gcd(j, scale))}/{scale // g}" for j in cell],
-             "side": f"1/{scale}"}
-            for word, cell in level
-        ])
-    return {
-        "schema": "dusttree/1",
-        "n": spec.n,
-        "b": spec.b,
-        "depth": spec.depth,
-        "corner_order": list(range(2**spec.n)),
-        "levels": levels,
-    }
+    levels = (_entries(spec, k, level) for k, level in enumerate(tree.levels, start=1))
+    return {"schema": "dusttree/1", "n": spec.n, "b": spec.b, "depth": spec.depth,
+            "corner_order": list(range(2**spec.n)), "levels": levels if lazy else [*map(list, levels)]}
 
 
 def _has_size(count: int, exponent: int) -> bool:
@@ -257,19 +251,24 @@ def dusttree_from_json(data: dict) -> dust.DustTree:
         tree = dust.generate(dust.DustSpec(n=n, b=_int(data["b"]), depth=depth))
     except Negative as exc:  # no dust-generate writes a tree on an inadmissible spec
         raise ValueError(f"dusttree/1 spec is {exc}") from None
+    # n, b and depth are the spec's; the rest is compared value for value, entry by entry.
     # == holds between 1, 1.0 and True, so the letters' type is checked apart
     letters = chain(data["corner_order"], *(entry["word"] for level in levels for entry in level))
-    if dusttree_to_json(tree) != data or any(type(t) is not int for t in letters):
+    expected = dusttree_to_json(tree, lazy=True)
+    entries = chain(*expected["levels"])
+    if data["corner_order"] != expected["corner_order"] or any(map(ne, chain(*levels), entries)) or any(
+        type(t) is not int for t in letters
+    ):
         raise ValueError("dusttree/1 document differs from the tree its spec defines")
     return tree
 
 
-def to_json(obj) -> dict:
+def to_json(obj, lazy: bool = False) -> dict:
     schema = _SCHEMA_OF.get(f"{type(obj).__module__}.{type(obj).__qualname__}")
     if schema is None:
         raise ValueError(f"no serializer for {type(obj).__name__}")
     if schema == "dusttree/1":
-        return dusttree_to_json(obj)
+        return dusttree_to_json(obj, lazy)
     fields = _SCHEMAS[schema][1]
     return {"schema": schema, **{name: dump(getattr(obj, name)) for name, (dump, _) in fields.items()}}
 
@@ -303,7 +302,7 @@ def from_json(data: dict):
 
 def save(obj, path: str | Path) -> bytearray:
     """Write the canonical bytes of ``obj`` to ``path`` and return them."""
-    blob = canonical_bytes(to_json(obj))
+    blob = canonical_bytes(to_json(obj, lazy=True))
     Path(path).write_bytes(blob)
     return blob
 

@@ -8,12 +8,15 @@ deterministic: coordinates are formatted by integer arithmetic (sign,
 then the magnitude of the floor to a fixed number of decimal places),
 elements are emitted in a sorted order, and nothing environment-dependent
 (timestamps, ids, float repr) enters the file.  Re-rendering the same
-object yields identical bytes.
+object yields identical bytes.  The renderers give the document's lines
+as they are drawn and ``write_svg`` writes each as it comes, so no
+drawing is held whole.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
+from typing import Iterable, Iterator
 
 from . import cells, dust
 
@@ -43,37 +46,47 @@ def _rect(bounds: tuple, frame: int, fill: str, opacity: str) -> str:
     )
 
 
-def _document(body: list[str]) -> str:
-    head = (
+def _document(body: Iterable[str]) -> Iterator[str]:
+    """The document's lines, each drawn as it is read."""
+    yield (
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {CANVAS} {CANVAS}" '
         f'width="{CANVAS}" height="{CANVAS}">'
     )
-    frame = (
+    yield (
         f'<rect x="0" y="0" width="{CANVAS}" height="{CANVAS}" '
         f'fill="#ffffff" stroke="#222222" stroke-width="1"/>'
     )
-    return "\n".join([head, frame, *body, "</svg>"]) + "\n"
+    yield from body
+    yield "</svg>"
 
 
-def render_dust(tree: dust.DustTree) -> str:
-    """Every level of a planar dust tree, one tint per level, coarse first."""
-    if tree.spec.n != 2:
-        raise ValueError("SVG rendering is available for n = 2 only")
-    body = []
+def _dust_body(tree: dust.DustTree) -> Iterator[str]:
     for k, level in enumerate(tree.levels, start=1):
         fill = _LEVEL_FILLS[(k - 1) % len(_LEVEL_FILLS)]
         scale = tree.spec.scale(k)
-        body.extend(_rect(((i, i + 1), (j, j + 1)), scale, fill, "0.85") for _, (i, j) in level)
-    return _document(body)
+        for _, (i, j) in level:
+            yield _rect(((i, i + 1), (j, j + 1)), scale, fill, "0.85")
 
 
-def render_cover(cover: cells.CoverSeq) -> str:
-    """Boxes of a planar cover in sequence order, translucent."""
+def render_dust(tree: dust.DustTree) -> Iterator[str]:
+    """The lines of every level of a planar dust tree, one tint per level, coarse first.
+
+    A tree of another dimension is refused here, before any line is drawn.
+    """
+    if tree.spec.n != 2:
+        raise ValueError("SVG rendering is available for n = 2 only")
+    return _document(_dust_body(tree))
+
+
+def render_cover(cover: cells.CoverSeq) -> Iterator[str]:
+    """The lines of the boxes of a planar cover in sequence order, translucent."""
     if cover.n != 2:
         raise ValueError("SVG rendering is available for n = 2 only")
     frame = cells._frame(cover.pieces)
-    return _document([_rect(cells._on_frame(piece, frame), frame, "#1f6f8b", "0.45") for piece in cover.pieces])
+    return _document(_rect(cells._on_frame(piece, frame), frame, "#1f6f8b", "0.45") for piece in cover.pieces)
 
 
-def write_svg(text: str, path: str | Path) -> None:
-    Path(path).write_bytes(text.encode("ascii"))
+def write_svg(lines: Iterable[str], path: str | Path) -> None:
+    """Write each line, and its newline, as it comes."""
+    with open(path, "w", encoding="ascii", newline="\n") as out:
+        out.writelines(line + "\n" for line in lines)

@@ -250,6 +250,8 @@ def test_render_svg_rejects_line_trees(tmp_path):
     cover_path = tmp_path / "cover1.json"
     serialize.save(CoverSeq(n=1, eps=F(1, 2), strong=False, pieces=(box1(0, F(1, 2)),)), cover_path)
     assert run("render-svg", "--cover", str(cover_path), "-o", str(tmp_path / "x.svg")) == 2
+    # each is refused before a line is drawn, so no file is left
+    assert not (tmp_path / "x.svg").exists()
 
 
 def test_malformed_file_is_usage_error(tmp_path):
@@ -912,6 +914,31 @@ def test_a_tree_file_is_compared_value_for_value(tmp_path):
         with pytest.raises(ValueError, match="differs"):
             serialize.load(indented, "dusttree/1")
         assert run("render-svg", "--tree", str(indented), "-o", str(b)) == 2
+
+
+def test_each_tree_forgery_is_refused_with_its_message(tmp_path, capsys):
+    # the last level's 256 entries span several blocks, and each forged entry sits in the last one
+    tp, svg_path = tmp_path / "tree.json", tmp_path / "x.svg"
+    serialize.save(generate(DustSpec(n=2, b=3, depth=4)), tp)
+    doc = json.loads(tp.read_text())
+    *upper, last = doc["levels"]
+    assert last[-4]["word"] == [4, 4, 4, 1]
+    differs = "dusttree/1 document differs from the tree its spec defines"
+    counts = "dusttree/1 levels do not have the spec's cube counts"
+    forgeries = [
+        ({**doc, "levels": [*upper, [*last[:-1], {**last[-1], "side": "1/3"}]]}, differs),
+        *(({**doc, "levels": [*upper, [*last[:-4], {**last[-4], "word": [4, 4, 4, letter]}, *last[-3:]]]}, differs)
+          for letter in (1.0, True)),
+        ({**doc, "corner_order": [1, 0, 2, 3]}, differs),
+        ({**doc, "levels": [*upper, last[:-1]]}, counts),
+        ({**doc, "n": 3}, counts),
+    ]
+    for forged, message in forgeries:
+        tp.write_text(json.dumps(forged))
+        capsys.readouterr()
+        assert run("render-svg", "--tree", str(tp), "-o", str(svg_path)) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert not svg_path.exists()
 
 
 def test_document_rationals_must_be_canonical(tmp_path, capsys):

@@ -8,6 +8,9 @@ output byte.  ``hbracket_n2_d3.json`` was recorded with the all-pairs
 Hausdorff scan, before the sorted scan replaced it.  ``report_over_budget``,
 ``report_thin_900`` and ``ballcheck_stdout.txt`` were recorded with the
 ``Fraction`` box queries, before they moved onto one integer frame.
+The three trees longer than one block and both drawings were recorded
+while a tree was written with one ``json.dumps`` call and a drawing was
+joined whole before it was written.
 """
 
 import contextlib
@@ -28,6 +31,11 @@ F = Fraction
 GOLDEN = {
     "tree_n2_d2.json": "7a97a0211661f5d2fea979b7f91b004f8bc768be152a1161cf9848448303b333",
     "tree_n1_d4.json": "8bdf6a311557693c3605f3c95a3d4bca0fb9b0f0dac4e6428f725295144ab0c8",
+    "tree_n1_d10.json": "304f534deb57768da60ebfd2a8f43a40c6d795e701f310e0a642f5841c07fa7c",
+    "tree_n2_d5.json": "becd64bc61219be2db6979213607e4665bc852a120be999208bfcb6079edec84",
+    "tree_n3_d3.json": "f32798f6ffea044e55d17895ae16793bd711db011f53e027ebfbdd6aeaa5f28d",
+    "tree_n2_d5.svg": "70ca17dd7b9faf0757a2d08803f424cf0844b383240c43576ece3cd26e82c13a",
+    "cover_a.svg": "428549845455280c14a0d76a83055645905225ca1bc27fb195ed0ce81c775075",
     "gaps_n2_d3.json": "dda1f3238a185a6f91d34892be222b7f4c3832ec43cb4fe924b238876a6f1bef",
     "survivor_n1_d4.json": "6f92280d0146825eef5609d4e598718afdcee419dff2a15b1123fda3a1cac170",
     "set_a.json": "90238d1c6c726c12f2cc3d581eb0cbba5a476080785a04348104446f2d6920a2",
@@ -54,6 +62,10 @@ def docs(tmp_path_factory):
     d = tmp_path_factory.mktemp("golden")
     assert _run("dust-generate", "--n", 2, "--b", 3, "--depth", 2, "-o", d / "tree_n2_d2.json") == 0
     assert _run("dust-generate", "--n", 1, "--b", 3, "--depth", 4, "-o", d / "tree_n1_d4.json") == 0
+    # trees of 2,046, 1,364 and 584 entries, longer than one block of the writer
+    for n, depth in ((1, 10), (2, 5), (3, 3)):
+        assert _run("dust-generate", "--n", n, "--b", 3, "--depth", depth, "-o", d / f"tree_n{n}_d{depth}.json") == 0
+    assert _run("render-svg", "--tree", d / "tree_n2_d5.json", "-o", d / "tree_n2_d5.svg") == 0
     assert _run("dust-gaps", "--n", 2, "--b", 3, "--depth", 3, "-o", d / "gaps_n2_d3.json") == 0
     spec = DustSpec(n=1, b=3, depth=4)
     cover = adversary_swallow(spec, refutation_budget_lower(spec), 8)
@@ -71,6 +83,7 @@ def docs(tmp_path_factory):
             "cover-search", "--set", d / f"set_{label}.json", "--eps", "1/4",
             "-o", d / f"cover_{label}.json",
         ) == 0
+    assert _run("render-svg", "--cover", d / "cover_a.json", "-o", d / "cover_a.svg") == 0
     assert _run(
         "cover-merge", "--covers", d / "cover_a.json", d / "cover_b.json", "--eps", "1/2",
         "-o", d / "merged.json",

@@ -261,7 +261,7 @@ def test_svg_rectangles_match_the_fraction_drawing(bounds):
         for on in (_frame([piece]), frame):
             assert svg._rect(_on_frame(piece, on), on, "#000000", "1") == drawn
     rects = [fraction_oracles.svg_rect(piece, "#1f6f8b", "0.45") for piece in pieces]
-    assert svg.render_cover(cover) == svg._document(rects)
+    assert list(svg.render_cover(cover)) == list(svg._document(rects))
 
 
 def test_svg_dust_cells_match_the_fraction_drawing():
@@ -272,4 +272,4 @@ def test_svg_dust_cells_match_the_fraction_drawing():
             for k in range(1, spec.depth + 1)
             for _, cube in fraction_oracles.level_boxes(tree, k)
         ]
-        assert svg.render_dust(tree) == svg._document(rects)
+        assert list(svg.render_dust(tree)) == list(svg._document(rects))
