@@ -27,7 +27,8 @@ every token of a call until it ends (961 KB for the 54 KB cells of a
 5,985-cell set, against 64 KB on 3.12), so blocks bound that to one
 block's tokens.  A set's rows are its own cell tuples; ``_entries`` makes
 a tree's entries from its integer cells as each block is written or
-compared on load, so no whole tree document is built.
+compared on load, so no whole tree document is built: the one
+``to_json`` returns for a tree can be read only once.
 ``canonical_bytes`` encodes each part to ASCII into one growing buffer,
 so the text is never held as a ``str`` and as bytes at once.
 
@@ -225,12 +226,12 @@ def _entries(spec: dust.DustSpec, k: int, level) -> Iterator[dict]:
         yield {"word": list(word), "lo": [f"{j // (g := gcd(j, scale))}/{scale // g}" for j in cell], "side": side}
 
 
-def dusttree_to_json(tree: dust.DustTree, lazy: bool = False) -> dict:
-    # lazy leaves the levels an iterator of iterators of entries, to be read once
+def dusttree_to_json(tree: dust.DustTree) -> dict:
+    """A tree's document, whose levels are an iterator of iterators of entries: it can be read only once."""
     spec = tree.spec
-    levels = (_entries(spec, k, level) for k, level in enumerate(tree.levels, start=1))
     return {"schema": "dusttree/1", "n": spec.n, "b": spec.b, "depth": spec.depth,
-            "corner_order": list(range(2**spec.n)), "levels": levels if lazy else [*map(list, levels)]}
+            "corner_order": list(range(2**spec.n)),
+            "levels": (_entries(spec, k, level) for k, level in enumerate(tree.levels, start=1))}
 
 
 def _has_size(count: int, exponent: int) -> bool:
@@ -254,7 +255,7 @@ def dusttree_from_json(data: dict) -> dust.DustTree:
     # n, b and depth are the spec's; the rest is compared value for value, entry by entry.
     # == holds between 1, 1.0 and True, so the letters' type is checked apart
     letters = chain(data["corner_order"], *(entry["word"] for level in levels for entry in level))
-    expected = dusttree_to_json(tree, lazy=True)
+    expected = dusttree_to_json(tree)
     entries = chain(*expected["levels"])
     if data["corner_order"] != expected["corner_order"] or any(map(ne, chain(*levels), entries)) or any(
         type(t) is not int for t in letters
@@ -263,12 +264,12 @@ def dusttree_from_json(data: dict) -> dust.DustTree:
     return tree
 
 
-def to_json(obj, lazy: bool = False) -> dict:
+def to_json(obj) -> dict:
     schema = _SCHEMA_OF.get(f"{type(obj).__module__}.{type(obj).__qualname__}")
     if schema is None:
         raise ValueError(f"no serializer for {type(obj).__name__}")
     if schema == "dusttree/1":
-        return dusttree_to_json(obj, lazy)
+        return dusttree_to_json(obj)
     fields = _SCHEMAS[schema][1]
     return {"schema": schema, **{name: dump(getattr(obj, name)) for name, (dump, _) in fields.items()}}
 
@@ -302,7 +303,7 @@ def from_json(data: dict):
 
 def save(obj, path: str | Path) -> bytearray:
     """Write the canonical bytes of ``obj`` to ``path`` and return them."""
-    blob = canonical_bytes(to_json(obj, lazy=True))
+    blob = canonical_bytes(to_json(obj))
     Path(path).write_bytes(blob)
     return blob
 

@@ -15,6 +15,7 @@ name is looked up in the package.
 import ast
 import importlib
 import inspect
+import json
 import types
 from fractions import Fraction
 from pathlib import Path
@@ -85,7 +86,7 @@ def test_oracles_import_nothing_from_the_library():
 @given(_specs())
 def test_tree_levels_match_the_integer_rebuild(spec):
     n, b, depth = spec
-    doc = serialize.to_json(generate(DustSpec(n=n, b=b, depth=depth)))
+    doc = json.loads(serialize.canonical_bytes(serialize.to_json(generate(DustSpec(n=n, b=b, depth=depth)))))
     grid = b ** (depth * depth)
     for k, level in enumerate(oracles.dust_levels(n, b, depth), start=1):
         side = oracles.fmt(oracles.level_side(b, k))
